@@ -71,6 +71,16 @@ class CascadingScheduler:
         # candidate list and its all-pass bitmap for the no-drop fast path.
         self._rank = {w: i for i, w in enumerate(self.worker_ids)}
         self._all_candidates = list(self.worker_ids)
+        # Column length for which the full candidate list is exactly the
+        # WST column indices in order (true for every build_groups group);
+        # -1 when it never is.  A stage over such a list can test "everyone
+        # passes" with one C-level min/max/sum over the column.
+        n = len(self.worker_ids)
+        self._whole_n = n if self.worker_ids == tuple(range(n)) else -1
+        # ScheduleResult.cpu_cost without and with the map sync, indexed by
+        # ``sync_enabled``; recomputed per config object.
+        self._costed_config = None
+        self._cpu_costs = (0.0, 0.0)
         # Zero-copy table read when the WST offers it (the simulation WST's
         # atomic mode); duck-typed tables (e.g. the real-shm seqlock one)
         # keep their copying read_all.
@@ -107,6 +117,12 @@ class CascadingScheduler:
         self.empty_results = 0
 
     # -- the three filters ---------------------------------------------------
+    def _whole_column(self, candidates: List[int],
+                      column: Sequence[float]) -> bool:
+        """True when ``candidates`` are exactly ``column``'s indices in order."""
+        return (candidates is self._all_candidates
+                and len(column) == self._whole_n)
+
     def filter_time(self, snapshot: WstSnapshot,
                     candidates: List[int], now: float) -> List[int]:
         """Keep workers whose event loop re-entered recently (FilterTime).
@@ -117,40 +133,52 @@ class CascadingScheduler:
         """
         threshold = self.config.hang_threshold
         times = snapshot.times
+        # Float subtraction is monotone, so the oldest timestamp passing
+        # means every timestamp passes.
+        if (self._whole_column(candidates, times)
+                and now - min(times) < threshold):
+            return candidates
         kept = [w for w in candidates if now - times[w] < threshold]
         return candidates if len(kept) == len(candidates) else kept
 
     @staticmethod
     def _filter_count(values: Sequence[float], candidates: List[int],
-                      theta_ratio: float) -> List[int]:
+                      theta_ratio: float,
+                      whole_column: bool = False) -> List[int]:
         """FilterCount: keep workers with ``value <= avg + θ``.
 
         θ = ``theta_ratio * avg``.  The paper states a strict ``<``; we use
         ``<=`` so a perfectly uniform load (all values equal, e.g. all
         zero at cold start) keeps every worker instead of none — the strict
         form would force a reuseport fallback exactly when all workers are
-        equally suitable.
+        equally suitable.  ``whole_column`` says ``candidates`` are exactly
+        the indices of ``values`` in order, so the column is used as is.
         """
         if not candidates:
             return candidates
         # One indexing pass feeds both the average and the comparison; the
         # explicit sum() keeps float accumulation order (and thus results)
         # identical to the two-pass form.
-        vals = [values[w] for w in candidates]
+        vals = values if whole_column else [values[w] for w in candidates]
         avg = sum(vals) / len(vals)
         baseline = avg + theta_ratio * avg
+        # A NaN anywhere makes the baseline NaN and fails this test too.
+        if whole_column and max(vals) <= baseline:
+            return candidates
         kept = [w for w, v in zip(candidates, vals) if v <= baseline]
         return candidates if len(kept) == len(candidates) else kept
 
     def filter_conn(self, snapshot: WstSnapshot,
                     candidates: List[int]) -> List[int]:
-        return self._filter_count(snapshot.conns, candidates,
-                                  self.config.theta_ratio)
+        conns = snapshot.conns
+        return self._filter_count(conns, candidates, self.config.theta_ratio,
+                                  self._whole_column(candidates, conns))
 
     def filter_event(self, snapshot: WstSnapshot,
                      candidates: List[int]) -> List[int]:
-        return self._filter_count(snapshot.events, candidates,
-                                  self.config.theta_ratio)
+        events = snapshot.events
+        return self._filter_count(events, candidates, self.config.theta_ratio,
+                                  self._whole_column(candidates, events))
 
     def filter_capacity(self, snapshot: WstSnapshot,
                         candidates: List[int]) -> List[int]:
@@ -241,19 +269,22 @@ class CascadingScheduler:
         n = len(selected)
         if n == 0:
             self.empty_results += 1
-        self.pass_ratios.add(n / len(self.worker_ids))
-        costs = self.config.costs
-        cpu_cost = (
-            len(self.worker_ids)
-            * (costs.wst_read_per_worker + costs.scheduler_per_worker)
-            + (costs.map_update_syscall if self.sync_enabled else 0.0)
-        )
+        n_workers = len(self.worker_ids)
+        self.pass_ratios.add(n / n_workers)
+        config = self.config
+        if config is not self._costed_config:
+            # The control plane may swap the config at runtime.
+            costs = config.costs
+            scan = n_workers * (costs.wst_read_per_worker
+                                + costs.scheduler_per_worker)
+            self._cpu_costs = (scan + 0.0, scan + costs.map_update_syscall)
+            self._costed_config = config
         if tracer is not None:
             tracer.end("sched.decision", "sched", bitmap=bitmap,
                        n_selected=n)
         return ScheduleResult(bitmap=bitmap, n_selected=n,
-                              n_workers=len(self.worker_ids),
-                              cpu_cost=cpu_cost)
+                              n_workers=n_workers,
+                              cpu_cost=self._cpu_costs[self.sync_enabled])
 
     @property
     def scheduler_cost_per_call(self) -> float:

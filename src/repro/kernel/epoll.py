@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional
 
-from ..sim.engine import Environment, Event
+from ..sim.engine import Environment, Event, TimedWait
 from ..sim.monitor import Samples
 from .socket import EPOLLIN
 from .waitqueue import WaitEntry
@@ -63,6 +63,7 @@ class Epoll:
         #: ready list).
         self._ready: Dict[object, int] = {}
         self._sleeper: Optional[Event] = None
+        self._timed_wait = TimedWait()
         # -- statistics (Figs. 4 & 5) ---------------------------------------
         self.collect_stats = collect_stats
         self.events_per_wait = Samples("events_per_wait")
@@ -191,8 +192,16 @@ class Epoll:
         entered = self.env.now
         if tracer is not None:
             tracer.begin("epoll.wait", "worker", worker=self.worker_id)
-        self._sleeper = self.env.event()
-        yield self._sleeper | self.env.timeout(timeout)
+        timed_wait = self._timed_wait
+        timed_wait.event = self._sleeper = self.env.event()
+        timed_wait.delay = timeout
+        yield timed_wait
+        timed_wait.expired()
+        # The pinned event order resumes the worker one (now, NORMAL, eid)
+        # hop after the wakeup or timeout, as ``sleeper | timeout`` would.
+        # A wakeup inside the hop still counts and pops as a no-op, since
+        # the sleeper stays armed until here.
+        yield 0.0
         self._sleeper = None
         events = self._harvest(max_events)
         if self.collect_stats:

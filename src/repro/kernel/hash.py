@@ -64,26 +64,38 @@ def _jhash_mix(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 
 def _jhash_final(a: int, b: int, c: int) -> int:
+    # ``__jhash_final`` with the rotates inlined.  ``a``/``b``/``c`` are
+    # already 32-bit, and the unmasked rotate differs from ``_rol32`` only
+    # by multiples of 2**32, which the subtraction's mask discards.
     c ^= b
-    c = (c - _rol32(b, 14)) & _MASK32
+    c = (c - ((b << 14) | (b >> 18))) & _MASK32
     a ^= c
-    a = (a - _rol32(c, 11)) & _MASK32
+    a = (a - ((c << 11) | (c >> 21))) & _MASK32
     b ^= a
-    b = (b - _rol32(a, 25)) & _MASK32
+    b = (b - ((a << 25) | (a >> 7))) & _MASK32
     c ^= b
-    c = (c - _rol32(b, 16)) & _MASK32
+    c = (c - ((b << 16) | (b >> 16))) & _MASK32
     a ^= c
-    a = (a - _rol32(c, 4)) & _MASK32
+    a = (a - ((c << 4) | (c >> 28))) & _MASK32
     b ^= a
-    b = (b - _rol32(a, 14)) & _MASK32
+    b = (b - ((a << 14) | (a >> 18))) & _MASK32
     c ^= b
-    c = (c - _rol32(b, 24)) & _MASK32
-    return c
+    return (c - ((b << 24) | (b >> 8))) & _MASK32
 
 
 def jhash_words(words: list[int], initval: int = 0) -> int:
     """Jenkins lookup3 hash over 32-bit words (the kernel's ``jhash2``)."""
     length = len(words)
+    # Straight-line paths for the hot lengths (4-tuples, ECMP/HRW keys).
+    if length == 3:
+        init = (JHASH_INITVAL + 12 + initval) & _MASK32
+        return _jhash_final((init + words[0]) & _MASK32,
+                            (init + words[1]) & _MASK32,
+                            (init + words[2]) & _MASK32)
+    if length == 2:
+        init = (JHASH_INITVAL + 8 + initval) & _MASK32
+        return _jhash_final((init + words[0]) & _MASK32,
+                            (init + words[1]) & _MASK32, init)
     a = b = c = (JHASH_INITVAL + (length << 2) + initval) & _MASK32
     index = 0
     while length > 3:

@@ -43,10 +43,13 @@ def build_report(results: Dict[str, BenchResult],
     """Assemble the canonical report dict from bench results."""
     benches = {name: results[name].as_dict()
                for name in BENCH_NAMES if name in results}
-    normalized = {
-        name: round(results[name].ops_per_sec / calibration_ops_per_sec, 6)
-        for name in benches
-    }
+    # 6 significant digits, not 6 decimals: scores span 6e-7
+    # (sweep_table3) to 0.1, and decimals would flatten the small ones
+    # past the regression gate's reach.
+    normalized = {}
+    for name in benches:
+        score = results[name].ops_per_sec / calibration_ops_per_sec
+        normalized[name] = float(f"{score:.6g}")
     return {
         "schema": SCHEMA,
         "quick": quick,
@@ -100,8 +103,8 @@ def check_regression(current: Dict[str, Any], committed: Dict[str, Any],
         ratio = cur / ref
         if ratio < 1.0 - threshold:
             failures.append(
-                f"{name}: normalized score {cur:.6f} is "
-                f"{(1.0 - ratio) * 100:.1f}% below committed {ref:.6f} "
+                f"{name}: normalized score {cur:.6g} is "
+                f"{(1.0 - ratio) * 100:.1f}% below committed {ref:.6g} "
                 f"(threshold {threshold * 100:.0f}%)")
     return failures
 
@@ -118,7 +121,7 @@ def render_report(report: Dict[str, Any]) -> str:
             bench["unit"],
             f"{bench['seconds']:.4f}",
             f"{bench['ops_per_sec']:,.0f}",
-            f"{report['normalized'][name]:.4f}",
+            f"{report['normalized'][name]:.4g}",
         ])
     cal = report["host"]["calibration_ops_per_sec"]
     title = (f"repro perf ({'quick' if report.get('quick') else 'full'}; "

@@ -12,6 +12,7 @@ from .engine import (
     Interrupt,
     Process,
     SimulationError,
+    TimedWait,
     Timeout,
 )
 from .monitor import BusyTracker, PeriodicSampler, Samples, TimeWeighted
@@ -31,5 +32,6 @@ __all__ = [
     "SimulationError",
     "Stream",
     "TimeWeighted",
+    "TimedWait",
     "Timeout",
 ]

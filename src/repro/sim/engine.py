@@ -15,6 +15,8 @@ minimal — only the primitives the load-balancer model needs:
 - :class:`Process` — a running generator; itself an event that fires when
   the generator returns; supports :meth:`Process.interrupt`.
 - :class:`AnyOf` / :class:`AllOf` — condition events.
+- :class:`TimedWait` — wait on an event with a deadline (the allocation-free
+  form of ``event | env.timeout(delay)``).
 
 Performance notes (the ``repro.perf`` fast path)
 ------------------------------------------------
@@ -42,6 +44,8 @@ repo, so the hot path is hand-flattened:
   recounting every sub-event per trigger (O(n) total, was O(n²)).
 - ``schedule_callback`` allocates no per-event closure: the callable is
   carried on a slot of the event and invoked by one shared function.
+- A :class:`TimedWait` arms its deadline as the process's own direct
+  timer, so a blocking ``epoll_wait`` builds no Timeout and no AnyOf.
 
 None of this changes observable behaviour: event ordering (time, priority,
 insertion order), RNG draws, and error semantics are bit-identical to the
@@ -76,6 +80,7 @@ __all__ = [
     "Interrupt",
     "AnyOf",
     "AllOf",
+    "TimedWait",
     "SimulationError",
 ]
 
@@ -281,6 +286,60 @@ class Initialize(Event):
         heappush(env._queue, (env._now, URGENT, eid, self))
 
 
+class TimedWait:
+    """Yieldable: wait on ``event`` for at most ``delay`` time units.
+
+    ``yield TimedWait(event, delay)`` is the allocation-free form of
+    ``yield event | env.timeout(delay)``.  The deadline is the process's
+    own direct timer, staged with the eid the Timeout would have taken, and
+    the event gets the process's resumer: no Timeout, no AnyOf, no values
+    dict.  The yield evaluates to the event's value, or ``None`` when the
+    deadline popped first.  One instance may be reused for every wait of
+    one process.
+
+    Two things the AnyOf form did implicitly are left to the caller:
+
+    - call :meth:`expired` right after resuming; on a timeout it detaches
+      the process from the still-pending event, which could otherwise
+      resume it a second time;
+    - the AnyOf form resumed one ``(now, NORMAL, eid)`` hop later, through
+      the condition's own entry.  A caller that must keep that order
+      follows up with ``yield 0.0``.
+    """
+
+    __slots__ = ("event", "delay")
+
+    def __init__(self, event: Optional[Event] = None, delay: float = 0.0):
+        self.event = event
+        self.delay = delay
+
+    def expired(self) -> bool:
+        """True if the deadline won; then detach the waiter from the event."""
+        event = self.event
+        if event._processed:
+            return False
+        process = event.env._active_process
+        event.callbacks.remove(process._resumer)
+        process._target = None
+        return True
+
+    def _abandon(self, process: "Process") -> Event:
+        """Rebuild what an interrupted ``event | env.timeout(delay)`` leaves.
+
+        That AnyOf stays armed on both sub-events and fires, as a no-op,
+        when the first of them pops.  Re-arm an equivalent condition over
+        the event and a stand-in for the timeout; the caller moves the
+        stand-in into the deadline timer's queue slot (same key).
+        """
+        event = self.event
+        event.callbacks.remove(process._resumer)
+        deadline = Event(process.env)
+        deadline._value = None
+        deadline._scheduled = True
+        AnyOf(process.env, (event, deadline))
+        return deadline
+
+
 class Process(Event):
     """A running generator-based process.
 
@@ -298,7 +357,8 @@ class Process(Event):
         super().__init__(env)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
+        #: What the process is suspended on: an Event or a TimedWait.
+        self._target: Any = None
         #: The one bound-method object used for every callback registration
         #: (a fresh ``self._resume`` per suspend would allocate each time).
         self._resumer = self._resume
@@ -337,24 +397,30 @@ class Process(Event):
         env._eid = eid + 1
         heappush(env._queue, (env._now, URGENT, eid, event))
         event._scheduled = True
-        # Detach from the event the process was waiting on.  A direct
-        # ``yield delay`` timer has no event to detach from: invalidating
-        # _sched_eid turns its heap entry stale, and the dispatch loop
-        # discards stale Process entries on pop.  Under the wheel scheduler
-        # the live slot entry is additionally tombstoned in place so the
-        # batched drain can skip it without consulting _sched_eid.
+        # Detach from the event the process was waiting on.  A timed wait
+        # hands its deadline timer's slot to the condition the AnyOf form
+        # would have left behind.
+        target = self._target
+        if target.__class__ is TimedWait:
+            env._retarget_timer(self, target._abandon(self))
+        elif target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resumer)
+            except ValueError:
+                pass
+        self._target = None
+        # A direct ``yield delay`` timer has no event to detach from:
+        # invalidating _sched_eid turns its heap entry stale, and the
+        # dispatch loop discards stale Process entries on pop.  Under the
+        # wheel scheduler the live slot entry is additionally tombstoned in
+        # place so the batched drain can skip it without consulting
+        # _sched_eid.
         self._sched_eid = -1
         entry = self._sched_entry
         if entry is not None:
             entry[3] = None
             entry[4] = None
             self._sched_entry = None
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resumer)
-            except ValueError:
-                pass
-        self._target = None
 
     # -- scheduling core ---------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -362,6 +428,8 @@ class Process(Event):
             # A stale wakeup (e.g. an interrupt racing process completion
             # at the same timestamp) must not touch a finished generator.
             return
+        # Whatever armed timer is left (a timed wait's deadline) is over.
+        self._sched_eid = -1
         entry = self._sched_entry
         if entry is not None:
             # Resuming via an event supersedes any armed direct-timer
@@ -435,6 +503,19 @@ class Process(Event):
                     self._finalize(False, err)
                     return
                 raise exc
+
+            if cls is TimedWait:
+                delay = target.delay
+                if delay < 0:
+                    target = delay  # fails the process like ``yield -1``
+                    continue
+                event = target.event
+                if not event._processed and event.env is env:
+                    self._sched_eid = env._stage_timer(self, env._now + delay)
+                    event.callbacks.append(self._resumer)
+                    self._target = target
+                    return
+                target = event  # already fired (or foreign): handled below
 
             if not isinstance(target, Event):
                 exc = SimulationError(
@@ -697,6 +778,19 @@ class Environment:
         self._eid = eid + 1
         heappush(self._queue, (self._now, NORMAL, eid, process))
         return eid
+
+    def _retarget_timer(self, process: "Process", event: Event) -> None:
+        """Hand ``process``'s live direct-timer entry over to ``event``.
+
+        The entry keeps its ``(when, priority, eid)`` key, so the heap stays
+        valid.  Interrupt-only, so a linear scan is fine.
+        """
+        eid = process._sched_eid
+        queue = self._queue
+        for index, entry in enumerate(queue):
+            if entry[2] == eid:
+                queue[index] = (entry[0], entry[1], eid, event)
+                return
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -1016,6 +1110,13 @@ class WheelEnvironment(Environment):
             self._overflow.append(entry)
             self._ovf_dirty = True
         return eid
+
+    def _retarget_timer(self, process: "Process", event: Event) -> None:
+        """Turn ``process``'s live timer entry into a generic ``event`` one."""
+        entry = process._sched_entry
+        entry[3] = event
+        entry[4] = None
+        process._sched_entry = None
 
     # -- internal machinery ----------------------------------------------
     def _retune(self, sample: list) -> None:

@@ -1,8 +1,9 @@
 """Tests for kernel flow hashing primitives."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.check.oracles import ref_jhash_4tuple, ref_jhash_words
 from repro.kernel import FourTuple, jhash_4tuple, jhash_words, reciprocal_scale
 
 
@@ -46,6 +47,26 @@ class TestJhash:
                     max_size=12))
     def test_always_32bit(self, words):
         assert 0 <= jhash_words(words) <= 0xFFFFFFFF
+
+
+# Words past 32 bits (HRW keys, ``words + [replica]``) must hash as their
+# low 32 bits do, on the unrolled 2-/3-word paths and the loop alike.
+_WIDE = st.one_of(st.integers(min_value=0, max_value=0xFFFFFFFF),
+                  st.integers(min_value=2 ** 32, max_value=2 ** 70))
+
+
+class TestJhashMatchesReference:
+    @given(st.integers(min_value=0, max_value=8).flatmap(
+        lambda n: st.lists(_WIDE, min_size=n, max_size=n)), _WIDE)
+    @settings(max_examples=300)
+    def test_words(self, words, initval):
+        assert jhash_words(words, initval) == ref_jhash_words(words, initval)
+
+    @given(_WIDE, _WIDE, _WIDE, _WIDE, _WIDE)
+    @settings(max_examples=200)
+    def test_4tuple(self, sip, sport, dip, dport, initval):
+        four = FourTuple(sip, sport, dip, dport)
+        assert jhash_4tuple(four, initval) == ref_jhash_4tuple(four, initval)
 
 
 class TestReciprocalScale:

@@ -114,6 +114,30 @@ class TestReport:
         assert len(failures) == 1
         assert "engine_throughput" in failures[0]
 
+    def test_gate_sees_a_drop_on_a_tiny_score(self):
+        # sweep_table3 scores ~6e-7: rounding to 6 decimals would commit
+        # 1e-06 and hide a 30% drop; 6 significant digits keep it visible.
+        def report(seconds):
+            cells = BenchResult("sweep_table3", ops=24, seconds=seconds,
+                                unit="cells")
+            return build_report({"sweep_table3": cells}, 28362978.9)
+
+        committed = report(1.348682)
+        assert committed["normalized"]["sweep_table3"] == pytest.approx(
+            6.27e-7, rel=1e-3)
+        current = report(1.348682 / 0.7)
+        failures = check_regression(current, committed)
+        assert len(failures) == 1 and "sweep_table3" in failures[0]
+
+    def test_committed_normalized_block_matches_its_benches(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                            "BENCH_perf.json")
+        report = load_report(path)
+        calibration = report["host"]["calibration_ops_per_sec"]
+        assert report["normalized"] == {
+            name: float(f"{bench['ops_per_sec'] / calibration:.6g}")
+            for name, bench in report["benches"].items()}
+
     def test_gate_skips_missing_benches(self):
         committed = build_report(_fake_results(), 1e6)
         assert check_regression({"normalized": {}}, committed) == []
@@ -159,11 +183,13 @@ class TestCli:
     def test_perf_check_gate_passes_against_itself(self, tmp_path):
         from repro.cli import main
 
+        # Best of 3 on each side: one pass per side let ordinary host noise
+        # cross the 20% gate now and then.
         out = tmp_path / "a.json"
-        rc = main(["perf", "--quick", "--repeats", "1",
+        rc = main(["perf", "--quick", "--repeats", "3",
                    "--bench", "engine_throughput", "--out", str(out)])
         assert rc == 0
-        rc = main(["perf", "--quick", "--repeats", "1",
+        rc = main(["perf", "--quick", "--repeats", "3",
                    "--bench", "engine_throughput",
                    "--out", str(tmp_path / "b.json"), "--check", str(out)])
         assert rc == 0
