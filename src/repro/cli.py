@@ -10,7 +10,6 @@
     python -m repro experiment table3
     python -m repro sweep table3 --jobs 4
     python -m repro list --json
-    python -m repro list-experiments
     python -m repro chaos --plan plan.json --mode hermes
     python -m repro fleet --instances 8 --policy stateless --check
     python -m repro fleet --policy stateful --crash-at 0.9
@@ -60,7 +59,6 @@ splice; ``repro list`` shows both experiment and per-mode tunables) — on
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
@@ -231,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list registered experiments (registry metadata)")
     list_cmd.add_argument("--json", action="store_true", dest="as_json",
                           help="emit machine-readable registry metadata")
-
-    sub.add_parser("list-experiments", help="list experiment names")
 
     chaos = sub.add_parser(
         "chaos", help="run one device with a FaultPlan armed against it")
@@ -978,14 +974,6 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_list_experiments(_args) -> int:
-    for name in EXPERIMENTS:
-        module = importlib.import_module(f"repro.experiments.{name}")
-        doc = (module.__doc__ or "").strip().splitlines()
-        print(f"{name:14s} {doc[0] if doc else ''}")
-    return 0
-
-
 def _cmd_list(args) -> int:
     from .experiments import registry
     from .lb.modes import iter_modes
@@ -1022,7 +1010,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment": _cmd_experiment,
         "sweep": _cmd_sweep,
         "list": _cmd_list,
-        "list-experiments": _cmd_list_experiments,
         "chaos": _cmd_chaos,
         "fleet": _cmd_fleet,
         "resilience": _cmd_resilience,

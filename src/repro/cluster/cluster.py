@@ -97,28 +97,3 @@ class LBCluster:
     def device_for(self, connection: Connection) -> Optional[LBServer]:
         return self._conn_device.get(connection.id)
 
-    # -- aggregate metrics --------------------------------------------------
-    def _total_completed(self) -> int:
-        return sum(d.metrics.requests_completed for d in self.devices)
-
-    def _cluster_throughput(self) -> float:
-        return sum(d.metrics.throughput() for d in self.devices)
-
-
-def _install_deprecated_aggregates() -> None:
-    """Shim the legacy aggregate helpers through the standard pattern.
-
-    ``repro.fleet.aggregate_metrics`` pools latency samples across devices
-    (a sum of per-device throughputs hid the elapsed-time mismatch these
-    helpers had); direct calls keep working but warn.
-    """
-    from ..experiments.registry import deprecated
-    LBCluster.total_completed = deprecated(
-        LBCluster._total_completed,
-        "repro.fleet.aggregate_metrics(cluster.devices)['completed']")
-    LBCluster.cluster_throughput = deprecated(
-        LBCluster._cluster_throughput,
-        "repro.fleet.aggregate_metrics(cluster.devices)['throughput_rps']")
-
-
-_install_deprecated_aggregates()

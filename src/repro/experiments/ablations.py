@@ -22,7 +22,7 @@ from ..core.config import HermesConfig
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import CellResult, run_spec
-from .registry import CellSpec, ExperimentSpec, deprecated, register
+from .registry import CellSpec, ExperimentSpec, register
 
 __all__ = [
     "run_filter_order_ablation",
@@ -49,7 +49,7 @@ def _run_hermes(config: HermesConfig, case: str, load: str,
 # 1. Filter order / subsets.
 # ---------------------------------------------------------------------------
 
-def _run_filter_order_ablation(
+def run_filter_order_ablation(
         orders: Sequence[Tuple[str, ...]] = (
             ("time", "conn", "event"),   # the paper's cascade
             ("event", "conn", "time"),
@@ -71,7 +71,7 @@ def _run_filter_order_ablation(
 # 2. Scheduler placement (end vs start of loop).
 # ---------------------------------------------------------------------------
 
-def _run_scheduler_placement_ablation(
+def run_scheduler_placement_ablation(
         case: str = "case2", load: str = "medium", n_workers: int = 8,
         duration: float = 4.0, seed: int = 101,
         ) -> Dict[str, CellResult]:
@@ -129,7 +129,7 @@ def _run_scheduler_placement_ablation(
 # 3. Two-stage filtering vs single best worker.
 # ---------------------------------------------------------------------------
 
-def _run_single_worker_ablation(
+def run_single_worker_ablation(
         case: str = "case1", load: str = "medium", n_workers: int = 8,
         duration: float = 3.0, seed: int = 103,
         sync_interval: float = 0.020) -> Dict[str, CellResult]:
@@ -187,7 +187,7 @@ def _run_single_worker_ablation(
 # 4. Kernel fallback threshold.
 # ---------------------------------------------------------------------------
 
-def _run_min_workers_ablation(
+def run_min_workers_ablation(
         values: Sequence[int] = (1, 2, 4),
         case: str = "case2", load: str = "heavy", n_workers: int = 8,
         duration: float = 4.0, seed: int = 107) -> Dict[int, CellResult]:
@@ -203,7 +203,7 @@ def _run_min_workers_ablation(
 # 5. Metric collection cost (§5.1.1): cheap counters vs USS-style metrics.
 # ---------------------------------------------------------------------------
 
-def _run_metric_cost_ablation(
+def run_metric_cost_ablation(
         case: str = "case1", load: str = "medium", n_workers: int = 8,
         duration: float = 3.0, seed: int = 105) -> Dict[str, CellResult]:
     """§5.1.1 rejects metrics that are accurate but expensive to collect:
@@ -257,9 +257,9 @@ class UpdateChannelCost:
 PULL_ROUNDTRIP_COST = 10e-6
 
 
-def _update_channel_costs(case: str = "case1", load: str = "heavy",
-                          n_workers: int = 8, duration: float = 3.0,
-                          seed: int = 109) -> UpdateChannelCost:
+def update_channel_costs(case: str = "case1", load: str = "heavy",
+                         n_workers: int = 8, duration: float = 3.0,
+                         seed: int = 109) -> UpdateChannelCost:
     result = _run_hermes(HermesConfig(), case, load, n_workers, duration,
                          seed, keep_server=True)
     server = result.server
@@ -307,7 +307,7 @@ def _run_cell(cell):
     seed = cell.seed
     key = cell.key
     if key == "filter_order":
-        results = _run_filter_order_ablation(
+        results = run_filter_order_ablation(
             n_workers=n_workers, duration=4.0 * scale, seed=seed)
         lines = ["filter order ablation (case2 medium):"]
         doc: Dict[str, dict] = {}
@@ -318,7 +318,7 @@ def _run_cell(cell):
                          f"p99 {r.p99_ms:9.2f} ms")
         return {"results": doc, "rendered": "\n".join(lines)}
     if key == "scheduler_placement":
-        results = _run_scheduler_placement_ablation(
+        results = run_scheduler_placement_ablation(
             n_workers=n_workers, duration=4.0 * scale, seed=seed)
         lines = ["scheduler placement:"]
         lines += [f"  {name:14s} avg {r.avg_ms:8.2f} ms  "
@@ -326,7 +326,7 @@ def _run_cell(cell):
         return {"results": {k: r.to_doc() for k, r in results.items()},
                 "rendered": "\n".join(lines)}
     if key == "single_worker":
-        results = _run_single_worker_ablation(
+        results = run_single_worker_ablation(
             n_workers=n_workers, duration=3.0 * scale, seed=seed)
         lines = ["two-stage vs single worker (case1 medium):"]
         lines += [f"  {name:14s} avg {r.avg_ms:8.2f} ms  "
@@ -334,7 +334,7 @@ def _run_cell(cell):
         return {"results": {k: r.to_doc() for k, r in results.items()},
                 "rendered": "\n".join(lines)}
     if key == "min_workers":
-        results = _run_min_workers_ablation(
+        results = run_min_workers_ablation(
             n_workers=n_workers, duration=4.0 * scale, seed=seed)
         lines = ["min_workers (case2 heavy):"]
         lines += [f"  n>={k}: avg {r.avg_ms:8.2f} ms  "
@@ -342,7 +342,7 @@ def _run_cell(cell):
         return {"results": {str(k): r.to_doc() for k, r in results.items()},
                 "rendered": "\n".join(lines)}
     if key == "metric_cost":
-        results = _run_metric_cost_ablation(
+        results = run_metric_cost_ablation(
             n_workers=n_workers, duration=3.0 * scale, seed=seed)
         lines = ["metric collection cost (case1 medium):"]
         lines += [f"  {name:18s} avg {r.avg_ms:8.2f} ms  thr "
@@ -351,7 +351,7 @@ def _run_cell(cell):
         return {"results": {k: r.to_doc() for k, r in results.items()},
                 "rendered": "\n".join(lines)}
     from dataclasses import asdict
-    cost = _update_channel_costs(
+    cost = update_channel_costs(
         n_workers=n_workers, duration=3.0 * scale, seed=seed)
     return dict(asdict(cost), cpu_ratio=cost.cpu_ratio,
                 rendered=_update_channel_line(cost))
@@ -367,36 +367,23 @@ register(ExperimentSpec(
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=97))
 
-run_filter_order_ablation = deprecated(
-    _run_filter_order_ablation, "registry.get('ablations').run()")
-run_scheduler_placement_ablation = deprecated(
-    _run_scheduler_placement_ablation, "registry.get('ablations').run()")
-run_single_worker_ablation = deprecated(
-    _run_single_worker_ablation, "registry.get('ablations').run()")
-run_min_workers_ablation = deprecated(
-    _run_min_workers_ablation, "registry.get('ablations').run()")
-run_metric_cost_ablation = deprecated(
-    _run_metric_cost_ablation, "registry.get('ablations').run()")
-update_channel_costs = deprecated(
-    _update_channel_costs, "registry.get('ablations').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
     print("filter order ablation (case2 medium):")
-    for order, r in _run_filter_order_ablation().items():
+    for order, r in run_filter_order_ablation().items():
         print(f"  {','.join(order) or '(none)':24s} avg {r.avg_ms:8.2f} ms  "
               f"p99 {r.p99_ms:9.2f} ms")
     print("scheduler placement:")
-    for name, r in _run_scheduler_placement_ablation().items():
+    for name, r in run_scheduler_placement_ablation().items():
         print(f"  {name:14s} avg {r.avg_ms:8.2f} ms  p99 {r.p99_ms:9.2f} ms")
     print("two-stage vs single worker (case1 medium):")
-    for name, r in _run_single_worker_ablation().items():
+    for name, r in run_single_worker_ablation().items():
         print(f"  {name:14s} avg {r.avg_ms:8.2f} ms  p99 {r.p99_ms:9.2f} ms")
     print("min_workers (case2 heavy):")
-    for k, r in _run_min_workers_ablation().items():
+    for k, r in run_min_workers_ablation().items():
         print(f"  n>={k}: avg {r.avg_ms:8.2f} ms  p99 {r.p99_ms:9.2f} ms")
     print("metric collection cost (case1 medium):")
-    for name, r in _run_metric_cost_ablation().items():
+    for name, r in run_metric_cost_ablation().items():
         print(f"  {name:18s} avg {r.avg_ms:8.2f} ms  thr "
               f"{r.throughput_rps:8.0f} rps")
-    print(_update_channel_line(_update_channel_costs()))
+    print(_update_channel_line(update_channel_costs()))

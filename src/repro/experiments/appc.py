@@ -24,7 +24,7 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.generator import TrafficGenerator
-from .registry import CellSpec, ExperimentSpec, deprecated, register
+from .registry import CellSpec, ExperimentSpec, register
 
 __all__ = ["GroupLocalityResult", "run_group_locality",
            "WideDeviceResult", "run_wide_device"]
@@ -42,9 +42,9 @@ class GroupLocalityResult:
     avg_ms: float
 
 
-def _run_group_locality(group_size: int, n_workers: int = 8,
-                        n_ports: int = 16, duration: float = 3.0,
-                        seed: int = 83) -> GroupLocalityResult:
+def run_group_locality(group_size: int, n_workers: int = 8,
+                       n_ports: int = 16, duration: float = 3.0,
+                       seed: int = 83) -> GroupLocalityResult:
     """One point of the locality/balance trade-off curve."""
     env = Environment()
     registry = RngRegistry(seed)
@@ -95,8 +95,8 @@ class WideDeviceResult:
     completed: int
 
 
-def _run_wide_device(n_workers: int = 128, duration: float = 2.0,
-                     seed: int = 89) -> WideDeviceResult:
+def run_wide_device(n_workers: int = 128, duration: float = 2.0,
+                    seed: int = 89) -> WideDeviceResult:
     """A 128-worker device: two-level selection must engage (2 groups)."""
     env = Environment()
     registry = RngRegistry(seed)
@@ -152,12 +152,12 @@ def _run_cell(cell):
     from dataclasses import asdict
     p = cell.params
     if cell.key == "wide":
-        wide = _run_wide_device(n_workers=p["n_workers"],
-                                duration=p["duration"], seed=cell.seed)
+        wide = run_wide_device(n_workers=p["n_workers"],
+                               duration=p["duration"], seed=cell.seed)
         return dict(asdict(wide), rendered=_wide_line(wide))
-    r = _run_group_locality(p["group_size"], n_workers=p["n_workers"],
-                            n_ports=p["n_ports"], duration=p["duration"],
-                            seed=cell.seed)
+    r = run_group_locality(p["group_size"], n_workers=p["n_workers"],
+                           n_ports=p["n_ports"], duration=p["duration"],
+                           seed=cell.seed)
     return dict(asdict(r), rendered=_locality_line(r))
 
 
@@ -171,15 +171,10 @@ register(ExperimentSpec(
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=83))
 
-run_group_locality = deprecated(_run_group_locality,
-                                "registry.get('appc').run()")
-run_wide_device = deprecated(_run_wide_device,
-                             "registry.get('appc').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
     for size in (1, 2, 4, 8):
-        print(_locality_line(_run_group_locality(size)))
-    wide = _run_wide_device()
+        print(_locality_line(run_group_locality(size)))
+    wide = run_wide_device()
     print(f"128 workers: {wide.n_groups} groups, all used: "
           f"{wide.all_groups_used}, fairness {wide.conn_fairness:.3f}")

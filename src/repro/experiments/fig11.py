@@ -29,7 +29,7 @@ from ..lb.probes import Prober
 from ..lb.server import LBServer, NotificationMode
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
-from .registry import deprecated, simple_experiment
+from .registry import simple_experiment
 
 __all__ = ["ProbeTimelineResult", "run_fig11"]
 
@@ -97,12 +97,12 @@ class _LivedPool:
                     event_times=(event_time, event_time)))
 
 
-def _run_fig11(n_devices: int = 4, n_workers: int = 8,
-               days: int = 12, day_seconds: float = 4.0,
-               rollout_day: int = 4, seed: int = 41,
-               population: int = 1200,
-               conn_lifetime_days: float = 2.0,
-               surges_per_day: int = 2) -> ProbeTimelineResult:
+def run_fig11(n_devices: int = 4, n_workers: int = 8,
+              days: int = 12, day_seconds: float = 4.0,
+              rollout_day: int = 4, seed: int = 41,
+              population: int = 1200,
+              conn_lifetime_days: float = 2.0,
+              surges_per_day: int = 2) -> ProbeTimelineResult:
     env = Environment()
     registry = RngRegistry(seed)
     horizon = days * day_seconds
@@ -192,7 +192,7 @@ def _rendered(result: ProbeTimelineResult) -> str:
 
 def _runner(seed: int, params: dict) -> dict:
     from dataclasses import asdict
-    result = _run_fig11(
+    result = run_fig11(
         n_devices=params.get("n_devices", 4),
         n_workers=params.get("n_workers", 8),
         days=params.get("days", 12),
@@ -203,8 +203,6 @@ def _runner(seed: int, params: dict) -> dict:
 simple_experiment("fig11", "Delayed probes before/after rollout",
                   _runner, default_seed=41)
 
-run_fig11 = deprecated(_run_fig11, "registry.get('fig11').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rendered(_run_fig11()))
+    print(_rendered(run_fig11()))

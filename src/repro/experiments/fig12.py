@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from ..analysis.stats import normalize
 from ..cluster.autoscale import AutoscaleModel, unit_cost_series
-from .registry import deprecated, simple_experiment
+from .registry import simple_experiment
 
 __all__ = ["UnitCostResult", "run_fig12"]
 
@@ -30,7 +30,7 @@ class UnitCostResult:
     devices_after: int
 
 
-def _run_fig12(months: int = 12, rollout_start: int = 2,
+def run_fig12(months: int = 12, rollout_start: int = 2,
               rollout_months: int = 6,
               monthly_traffic_growth: float = 0.04,
               base_traffic: float = 1000.0,
@@ -67,7 +67,7 @@ def _rendered(result: UnitCostResult) -> str:
 
 def _runner(seed: int, params: dict) -> dict:
     from dataclasses import asdict
-    result = _run_fig12(
+    result = run_fig12(
         months=params.get("months", 12),
         rollout_start=params.get("rollout_start", 2),
         rollout_months=params.get("rollout_months", 6))
@@ -77,8 +77,6 @@ def _runner(seed: int, params: dict) -> dict:
 simple_experiment("fig12", "Normalized unit cost of the fleet (analytic)",
                   _runner, default_seed=0)
 
-run_fig12 = deprecated(_run_fig12, "registry.get('fig12').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rendered(_run_fig12()))
+    print(_rendered(run_fig12()))

@@ -25,7 +25,7 @@ from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.generator import TrafficGenerator
 from .common import MODES_UNDER_TEST
-from .registry import CellSpec, ExperimentSpec, deprecated, register
+from .registry import CellSpec, ExperimentSpec, register
 
 __all__ = ["LoadBalanceResult", "run_fig13"]
 
@@ -84,8 +84,8 @@ def _run_mode(mode: NotificationMode, n_workers: int, duration: float,
     return cpu_series, conn_series
 
 
-def _run_fig13(n_workers: int = 8, duration: float = 8.0,
-               seed: int = 47) -> LoadBalanceResult:
+def run_fig13(n_workers: int = 8, duration: float = 8.0,
+              seed: int = 47) -> LoadBalanceResult:
     cpu_sd, conn_sd = {}, {}
     cpu_series, conn_series = {}, {}
     for mode in MODES_UNDER_TEST:
@@ -137,11 +137,9 @@ register(ExperimentSpec(
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=47))
 
-run_fig13 = deprecated(_run_fig13, "registry.get('fig13').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    result = _run_fig13()
+    result = run_fig13()
     for mode in result.cpu_sd:
         print(f"{mode:12s} cpu SD {result.cpu_sd[mode] * 100:6.2f}%   "
               f"conn SD {result.conn_sd[mode]:8.2f}")

@@ -15,7 +15,7 @@ from typing import List
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import run_spec
-from .registry import CellSpec, ExperimentSpec, deprecated, register
+from .registry import CellSpec, ExperimentSpec, register
 
 __all__ = ["FilterFrequencyPoint", "run_fig14"]
 
@@ -54,9 +54,9 @@ def _run_point(case: str, multiplier: float, n_workers: int,
     )
 
 
-def _run_fig14(n_workers: int = 8, duration: float = 3.0, seed: int = 59,
-               load_fractions: List[float] = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0),
-               case: str = "case2") -> List[FilterFrequencyPoint]:
+def run_fig14(n_workers: int = 8, duration: float = 3.0, seed: int = 59,
+              load_fractions: List[float] = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0),
+              case: str = "case2") -> List[FilterFrequencyPoint]:
     """Sweep load multipliers (1.0 == the case's light operating point)."""
     return [_run_point(case, multiplier, n_workers, duration, seed)
             for multiplier in load_fractions]
@@ -107,13 +107,11 @@ register(ExperimentSpec(
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=59))
 
-run_fig14 = deprecated(_run_fig14, "repro.sweep.run_sweep('fig14')")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
     # Pass-ratio decline shows best on the heterogeneous case2 workload;
     # the frequency rise shows best on the high-CPS case1 workload.
     for case in ("case2", "case1"):
         print(f"-- {case} --")
-        for p in _run_fig14(case=case):
+        for p in run_fig14(case=case):
             print(_point_line(p))

@@ -15,7 +15,7 @@ from ..core.config import HermesConfig
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import run_spec
-from .registry import CellSpec, ExperimentSpec, deprecated, register
+from .registry import CellSpec, ExperimentSpec, register
 
 __all__ = ["ThetaPoint", "run_fig15", "best_theta"]
 
@@ -61,10 +61,10 @@ def _average_point(ratio: float, samples: Sequence[dict]) -> ThetaPoint:
     )
 
 
-def _run_fig15(theta_ratios: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0),
-               n_workers: int = 8, duration: float = 4.0,
-               seeds: Sequence[int] = (61, 62, 63),
-               case: str = "case4", load: str = "medium") -> List[ThetaPoint]:
+def run_fig15(theta_ratios: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0),
+              n_workers: int = 8, duration: float = 4.0,
+              seeds: Sequence[int] = (61, 62, 63),
+              case: str = "case4", load: str = "medium") -> List[ThetaPoint]:
     return [
         _average_point(ratio, [
             _run_one(ratio, case, load, n_workers, duration, seed)
@@ -127,11 +127,9 @@ register(ExperimentSpec(
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=61))
 
-run_fig15 = deprecated(_run_fig15, "repro.sweep.run_sweep('fig15')")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    points = _run_fig15()
+    points = run_fig15()
     for p in points:
         print(_point_line(p))
     print("best theta/avg:", best_theta(points))

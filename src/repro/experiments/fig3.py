@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from ..kernel.tcp import ConnState
 from ..lb.server import LBServer, NotificationMode
-from .registry import CellSpec, deprecated, lined_experiment
+from .registry import CellSpec, lined_experiment
 from ..sim.engine import Environment
 from ..sim.monitor import Samples
 from ..sim.rng import RngRegistry
@@ -43,11 +43,11 @@ class LagEffectResult:
     conns_per_worker: List[int]
 
 
-def _run_fig3(mode: NotificationMode = NotificationMode.EXCLUSIVE,
-              n_workers: int = 8, n_connections: int = 400,
-              connect_window: float = 2.0, quiet_until: float = 4.0,
-              surge_at: float = 4.0, surge_requests: int = 3,
-              seed: int = 17) -> LagEffectResult:
+def run_fig3(mode: NotificationMode = NotificationMode.EXCLUSIVE,
+             n_workers: int = 8, n_connections: int = 400,
+             connect_window: float = 2.0, quiet_until: float = 4.0,
+             surge_at: float = 4.0, surge_requests: int = 3,
+             seed: int = 17) -> LagEffectResult:
     """Establish, idle, surge; measure the amplification."""
     env = Environment()
     registry = RngRegistry(seed)
@@ -172,17 +172,15 @@ def _cells(seed, overrides):
 
 def _run_cell(cell):
     p = cell.params
-    r = _run_fig3(NotificationMode(p["mode"]), n_workers=p["n_workers"],
-                  n_connections=p["n_connections"], seed=cell.seed)
+    r = run_fig3(NotificationMode(p["mode"]), n_workers=p["n_workers"],
+                 n_connections=p["n_connections"], seed=cell.seed)
     return dict(asdict(r), rendered=_line(r))
 
 
 lined_experiment("fig3", "Lag effect of connection load imbalance",
                  _cells, _run_cell, default_seed=17)
 
-run_fig3 = deprecated(_run_fig3, "registry.get('fig3').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
     for mode in (NotificationMode.EXCLUSIVE, NotificationMode.HERMES):
-        print(_line(_run_fig3(mode)))
+        print(_line(run_fig3(mode)))

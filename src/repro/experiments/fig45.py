@@ -19,7 +19,7 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.generator import TrafficGenerator
-from .registry import deprecated, simple_experiment
+from .registry import simple_experiment
 
 __all__ = ["EpollStatsResult", "run_fig45"]
 
@@ -41,9 +41,9 @@ class EpollStatsResult:
     idle_fraction: Dict[int, float]
 
 
-def _run_fig45(mode: NotificationMode = NotificationMode.EXCLUSIVE,
-               n_workers: int = 4, duration: float = 10.0,
-               seed: int = 31) -> EpollStatsResult:
+def run_fig45(mode: NotificationMode = NotificationMode.EXCLUSIVE,
+              n_workers: int = 4, duration: float = 10.0,
+              seed: int = 31) -> EpollStatsResult:
     env = Environment()
     registry = RngRegistry(seed)
     server = LBServer(env, n_workers=n_workers, ports=[443, 444], mode=mode,
@@ -88,7 +88,7 @@ def _rendered(result: EpollStatsResult) -> str:
 
 
 def _runner(seed: int, params: dict) -> dict:
-    result = _run_fig45(
+    result = run_fig45(
         NotificationMode(params.get("mode", "exclusive")),
         n_workers=params.get("n_workers", 4),
         duration=params.get("duration", 10.0), seed=seed)
@@ -98,8 +98,6 @@ def _runner(seed: int, params: dict) -> dict:
 simple_experiment("fig45", "Per-worker epoll statistics (Figs. 4 & 5)",
                   _runner, default_seed=31)
 
-run_fig45 = deprecated(_run_fig45, "registry.get('fig45').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rendered(_run_fig45()))
+    print(_rendered(run_fig45()))

@@ -19,7 +19,7 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.generator import TrafficGenerator
-from .registry import CellSpec, deprecated, lined_experiment
+from .registry import CellSpec, lined_experiment
 
 __all__ = ["NicVsCpuResult", "run_fig7"]
 
@@ -37,10 +37,10 @@ class NicVsCpuResult:
     rss_rebalances: int = 0
 
 
-def _run_fig7(mode: NotificationMode = NotificationMode.EXCLUSIVE,
-              n_workers: int = 8, duration: float = 4.0,
-              seed: int = 37, load: str = "medium",
-              rss_plus_plus: bool = False) -> NicVsCpuResult:
+def run_fig7(mode: NotificationMode = NotificationMode.EXCLUSIVE,
+             n_workers: int = 8, duration: float = 4.0,
+             seed: int = 37, load: str = "medium",
+             rss_plus_plus: bool = False) -> NicVsCpuResult:
     """``rss_plus_plus=True`` adds periodic RSS++ indirection rebalancing
     — §3's demonstration that even *active* packet-level balancing cannot
     fix L7 CPU imbalance."""
@@ -109,9 +109,9 @@ def _cells(seed, overrides):
 
 def _run_cell(cell):
     p = cell.params
-    result = _run_fig7(n_workers=p["n_workers"], duration=p["duration"],
-                       seed=cell.seed, load=p["load"],
-                       rss_plus_plus=p["rss_plus_plus"])
+    result = run_fig7(n_workers=p["n_workers"], duration=p["duration"],
+                      seed=cell.seed, load=p["load"],
+                      rss_plus_plus=p["rss_plus_plus"])
     return dict(asdict(result),
                 rendered=_rendered(result, p["rss_plus_plus"]))
 
@@ -119,9 +119,7 @@ def _run_cell(cell):
 lined_experiment("fig7", "RSS packet spread vs CPU imbalance",
                  _cells, _run_cell, default_seed=37)
 
-run_fig7 = deprecated(_run_fig7, "registry.get('fig7').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
     for rss_pp in (False, True):
-        print(_rendered(_run_fig7(rss_plus_plus=rss_pp), rss_pp))
+        print(_rendered(run_fig7(rss_plus_plus=rss_pp), rss_pp))

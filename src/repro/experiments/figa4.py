@@ -26,7 +26,7 @@ from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, Request
 from ..lb.server import LBServer, NotificationMode
 from ..sim.engine import Environment
-from .registry import CellSpec, deprecated, lined_experiment
+from .registry import CellSpec, lined_experiment
 
 __all__ = ["WalkthroughResult", "run_figa4", "T_UNIT"]
 
@@ -48,9 +48,9 @@ class WalkthroughResult:
     makespan_t: float
 
 
-def _run_figa4(mode: NotificationMode,
-               n_workers: int = 3, seed: int = 3,
-               hash_seed: int = 12) -> WalkthroughResult:
+def run_figa4(mode: NotificationMode,
+              n_workers: int = 3, seed: int = 3,
+              hash_seed: int = 12) -> WalkthroughResult:
     env = Environment()
     config = HermesConfig(
         hang_threshold=3.5 * T_UNIT,  # 'unavailable if stuck > 3t'
@@ -125,18 +125,16 @@ def _cells(seed, overrides):
 def _run_cell(cell):
     from dataclasses import asdict
     p = cell.params
-    r = _run_figa4(NotificationMode(p["mode"]), n_workers=p["n_workers"],
-                   seed=cell.seed, hash_seed=p["hash_seed"])
+    r = run_figa4(NotificationMode(p["mode"]), n_workers=p["n_workers"],
+                  seed=cell.seed, hash_seed=p["hash_seed"])
     return dict(asdict(r), rendered=_line(r))
 
 
 lined_experiment("figa4", "Walkthrough example (Figs. A3/A4)",
                  _cells, _run_cell, default_seed=3)
 
-run_figa4 = deprecated(_run_figa4, "registry.get('figa4').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
     for mode in (NotificationMode.EXCLUSIVE, NotificationMode.REUSEPORT,
                  NotificationMode.HERMES):
-        print(_line(_run_figa4(mode)))
+        print(_line(run_figa4(mode)))

@@ -14,7 +14,7 @@ from typing import List, Tuple
 from ..analysis.stats import cdf_points, coefficient_of_variation, percentile
 from ..lb.tenant import TenantDirectory
 from ..sim.rng import RngRegistry
-from .registry import deprecated, simple_experiment
+from .registry import simple_experiment
 
 __all__ = ["RuleCdfResult", "run_figa5"]
 
@@ -29,8 +29,8 @@ class RuleCdfResult:
     n_ports: int
 
 
-def _run_figa5(n_tenants: int = 2000, ports_per_tenant: int = 2,
-               mean_rules: float = 10.0, seed: int = 67) -> RuleCdfResult:
+def run_figa5(n_tenants: int = 2000, ports_per_tenant: int = 2,
+              mean_rules: float = 10.0, seed: int = 67) -> RuleCdfResult:
     rng = RngRegistry(seed).stream("tenants")
     directory = TenantDirectory.build(
         n_tenants, rng, ports_per_tenant=ports_per_tenant,
@@ -53,7 +53,7 @@ def _rendered(r: RuleCdfResult) -> str:
 
 def _runner(seed: int, params: dict) -> dict:
     from dataclasses import asdict
-    r = _run_figa5(
+    r = run_figa5(
         n_tenants=params.get("n_tenants", 2000),
         ports_per_tenant=params.get("ports_per_tenant", 2),
         mean_rules=params.get("mean_rules", 10.0), seed=seed)
@@ -63,8 +63,6 @@ def _runner(seed: int, params: dict) -> dict:
 simple_experiment("figa5", "CDF of forwarding rules per port",
                   _runner, default_seed=67)
 
-run_figa5 = deprecated(_run_figa5, "registry.get('figa5').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rendered(_run_figa5()))
+    print(_rendered(run_figa5()))

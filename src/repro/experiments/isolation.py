@@ -23,7 +23,7 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.distributions import QuantileSampler, RequestFactory
 from ..workloads.generator import TrafficGenerator, WorkloadSpec
-from .registry import CellSpec, deprecated, lined_experiment
+from .registry import CellSpec, lined_experiment
 
 __all__ = ["IsolationResult", "run_isolation"]
 
@@ -45,9 +45,9 @@ class IsolationResult:
     whale_completed: int
 
 
-def _run_isolation(mode: NotificationMode, n_workers: int = 8,
-                   duration: float = 4.0, seed: int = 71,
-                   client_deadline: float = 0.2) -> IsolationResult:
+def run_isolation(mode: NotificationMode, n_workers: int = 8,
+                  duration: float = 4.0, seed: int = 71,
+                  client_deadline: float = 0.2) -> IsolationResult:
     env = Environment()
     registry = RngRegistry(seed)
     server = LBServer(env, n_workers=n_workers,
@@ -118,20 +118,17 @@ def _cells(seed, overrides):
 def _run_cell(cell):
     from dataclasses import asdict
     p = cell.params
-    r = _run_isolation(NotificationMode(p["mode"]),
-                       n_workers=p["n_workers"], duration=p["duration"],
-                       seed=cell.seed)
+    r = run_isolation(NotificationMode(p["mode"]),
+                      n_workers=p["n_workers"], duration=p["duration"],
+                      seed=cell.seed)
     return dict(asdict(r), rendered=_line(r))
 
 
 lined_experiment("isolation", "Tenant performance isolation",
                  _cells, _run_cell, default_seed=71)
 
-run_isolation = deprecated(_run_isolation,
-                           "registry.get('isolation').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
     for mode in (NotificationMode.EXCLUSIVE, NotificationMode.REUSEPORT,
                  NotificationMode.HERMES):
-        print(_line(_run_isolation(mode)))
+        print(_line(run_isolation(mode)))

@@ -24,7 +24,7 @@ from ..lb.server import LBServer, NotificationMode
 from ..lb.worker import ServiceProfile
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
-from .registry import CellSpec, deprecated, lined_experiment
+from .registry import CellSpec, lined_experiment
 
 __all__ = ["PoolCapacityResult", "run_pool_capacity"]
 
@@ -47,10 +47,10 @@ class PoolCapacityResult:
     spare_slots: int
 
 
-def _run_pool_capacity(mode: NotificationMode, n_workers: int = 8,
-                       pool_size: int = 50, overshoot: float = 1.0,
-                       seed: int = 113, config=None,
-                       label: str = None) -> PoolCapacityResult:
+def run_pool_capacity(mode: NotificationMode, n_workers: int = 8,
+                      pool_size: int = 50, overshoot: float = 1.0,
+                      seed: int = 113, config=None,
+                      label: str = None) -> PoolCapacityResult:
     """Offer exactly ``overshoot × n × P`` long-lived connections; ideal
     dispatch establishes all of them, imbalanced dispatch strands some on
     full workers while others keep spare pool slots."""
@@ -98,21 +98,21 @@ def _run_pool_capacity(mode: NotificationMode, n_workers: int = 8,
     )
 
 
-def _run_all_pool_arms(n_workers: int = 8, pool_size: int = 50,
-                       seed: int = 113) -> List[PoolCapacityResult]:
+def run_all_pool_arms(n_workers: int = 8, pool_size: int = 50,
+                      seed: int = 113) -> List[PoolCapacityResult]:
     """The four arms: 3 modes + Hermes with the capacity filter stage."""
     from ..core.config import HermesConfig
 
     results = [
-        _run_pool_capacity(mode, n_workers=n_workers, pool_size=pool_size,
-                           seed=seed)
+        run_pool_capacity(mode, n_workers=n_workers, pool_size=pool_size,
+                          seed=seed)
         for mode in (NotificationMode.EXCLUSIVE,
                      NotificationMode.REUSEPORT,
                      NotificationMode.HERMES)
     ]
     capacity_config = HermesConfig(
         filter_order=("time", "capacity", "conn", "event"))
-    results.append(_run_pool_capacity(
+    results.append(run_pool_capacity(
         NotificationMode.HERMES, n_workers=n_workers,
         pool_size=pool_size, seed=seed, config=capacity_config,
         label="hermes+capacity"))
@@ -141,16 +141,16 @@ def _run_cell(cell):
     arm = p["arm"]
     if arm == "hermes+capacity":
         from ..core.config import HermesConfig
-        r = _run_pool_capacity(
+        r = run_pool_capacity(
             NotificationMode.HERMES, n_workers=p["n_workers"],
             pool_size=p["pool_size"], seed=cell.seed,
             config=HermesConfig(
                 filter_order=("time", "capacity", "conn", "event")),
             label="hermes+capacity")
     else:
-        r = _run_pool_capacity(NotificationMode(arm),
-                               n_workers=p["n_workers"],
-                               pool_size=p["pool_size"], seed=cell.seed)
+        r = run_pool_capacity(NotificationMode(arm),
+                              n_workers=p["n_workers"],
+                              pool_size=p["pool_size"], seed=cell.seed)
     return dict(asdict(r), rendered=_arm_line(r))
 
 
@@ -158,12 +158,7 @@ lined_experiment("pool_capacity",
                  "Connection-pool exhaustion under uneven distribution",
                  _cells, _run_cell, default_seed=113)
 
-run_pool_capacity = deprecated(_run_pool_capacity,
-                               "registry.get('pool_capacity').run()")
-run_all_pool_arms = deprecated(_run_all_pool_arms,
-                               "registry.get('pool_capacity').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    for r in _run_all_pool_arms():
+    for r in run_all_pool_arms():
         print(_arm_line(r))

@@ -23,16 +23,15 @@ contract:
 
 Every experiment module registers its spec at import time;
 :func:`get`/:func:`load_all` import lazily so ``repro list`` stays fast.
-The old ``run_*`` functions remain as thin wrappers that emit
-``DeprecationWarning`` (see :func:`deprecated`) for one release.
+Each module also keeps its typed ``run_*`` function: the cells are built
+on it, and callers that need arguments a JSON cell cannot carry (a
+``FlightRecorder``, a ``NotificationMode``) call it directly.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -46,7 +45,6 @@ __all__ = [
     "names",
     "load_all",
     "describe",
-    "deprecated",
     "simple_experiment",
     "lined_experiment",
     "concat_rendered",
@@ -170,28 +168,6 @@ def describe(name: str) -> Dict[str, Any]:
         "cell_keys": [cell.key for cell in cells],
         "tunables": dict(spec.tunables),
     }
-
-
-# ---------------------------------------------------------------------------
-# Deprecation shim for the legacy run_* entry points.
-# ---------------------------------------------------------------------------
-
-def deprecated(fn: Callable, replacement: str) -> Callable:
-    """Wrap a legacy entry point so calls warn but keep working.
-
-    The wrapped implementation stays reachable as ``wrapper.__wrapped__``
-    (what the registry's cell runners call, so registry-driven runs never
-    warn).
-    """
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        warnings.warn(
-            f"{fn.__name__}() is deprecated; use {replacement}",
-            DeprecationWarning, stacklevel=2)
-        return fn(*args, **kwargs)
-
-    wrapper.__wrapped__ = fn
-    return wrapper
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import List, Sequence
 
 from ..lb.server import NotificationMode
 from .common import CellResult, run_case_cell
-from .registry import CellSpec, deprecated, lined_experiment
+from .registry import CellSpec, lined_experiment
 
 __all__ = ["ScalingPoint", "run_scaling"]
 
@@ -52,10 +52,10 @@ def _point(n_workers: int, mode: NotificationMode, case: str, load: str,
     )
 
 
-def _run_scaling(worker_counts: Sequence[int] = (4, 8, 16, 32),
-                 case: str = "case3", load: str = "medium",
-                 duration: float = 3.0, seed: int = 73,
-                 ) -> List[ScalingPoint]:
+def run_scaling(worker_counts: Sequence[int] = (4, 8, 16, 32),
+                case: str = "case3", load: str = "medium",
+                duration: float = 3.0, seed: int = 73,
+                ) -> List[ScalingPoint]:
     return [_point(n_workers, mode, case, load, duration, seed)
             for n_workers in worker_counts
             for mode in (NotificationMode.EXCLUSIVE,
@@ -92,9 +92,7 @@ def _run_cell(cell):
 lined_experiment("scaling", "Mode ordering vs worker count",
                  _cells, _run_cell, default_seed=73)
 
-run_scaling = deprecated(_run_scaling, "registry.get('scaling').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    for p in _run_scaling():
+    for p in run_scaling():
         print(_point_line(p))

@@ -28,7 +28,7 @@ from ..lb.server import LBServer, NotificationMode
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.generator import TrafficGenerator
-from .registry import CellSpec, ExperimentSpec, deprecated, register
+from .registry import CellSpec, ExperimentSpec, register
 
 __all__ = ["BackendRrResult", "run_backend_rr",
            "ReuseResult", "run_connection_reuse",
@@ -49,9 +49,9 @@ class BackendRrResult:
     requests_per_worker: int
 
 
-def _run_backend_rr(n_workers: int = 32, n_servers: int = 20,
-                    requests_per_worker: int = 6,
-                    seed: int = 71) -> BackendRrResult:
+def run_backend_rr(n_workers: int = 32, n_servers: int = 20,
+                   requests_per_worker: int = 6,
+                   seed: int = 71) -> BackendRrResult:
     """Few requests per worker after an update ⇒ head servers overloaded.
 
     ``requests_per_worker`` is deliberately small (Hermes spreads load, so
@@ -89,10 +89,10 @@ class ReuseResult:
     added_latency_shared: float
 
 
-def _run_connection_reuse(n_workers: int = 32, n_servers: int = 8,
-                          n_requests: int = 2000,
-                          handshake_cost: float = 0.002,
-                          seed: int = 73) -> ReuseResult:
+def run_connection_reuse(n_workers: int = 32, n_servers: int = 8,
+                         n_requests: int = 2000,
+                         handshake_cost: float = 0.002,
+                         seed: int = 73) -> ReuseResult:
     rng = RngRegistry(seed).stream("spread")
 
     def run(shared: bool):
@@ -131,10 +131,10 @@ class CrashBlastResult:
     flight_events: Optional[List[dict]] = None
 
 
-def _run_crash_blast(mode: NotificationMode, n_workers: int = 8,
-                     n_connections: int = 400, seed: int = 79,
-                     flight_recorder: Optional["FlightRecorder"] = None,
-                     ) -> CrashBlastResult:
+def run_crash_blast(mode: NotificationMode, n_workers: int = 8,
+                    n_connections: int = 400, seed: int = 79,
+                    flight_recorder: Optional["FlightRecorder"] = None,
+                    ) -> CrashBlastResult:
     """Establish long-lived connections, crash the busiest worker, count
     how many connections die with it.
 
@@ -227,15 +227,15 @@ def _run_cell(cell):
     from dataclasses import asdict
     p = cell.params
     if cell.key == "backend_rr":
-        rr = _run_backend_rr(seed=cell.seed)
+        rr = run_backend_rr(seed=cell.seed)
         return dict(asdict(rr), rendered=_rr_line(rr))
     if cell.key == "connection_reuse":
-        reuse = _run_connection_reuse(seed=cell.seed)
+        reuse = run_connection_reuse(seed=cell.seed)
         return dict(asdict(reuse), rendered=_reuse_line(reuse))
-    blast = _run_crash_blast(NotificationMode(p["mode"]),
-                             n_workers=p["n_workers"],
-                             n_connections=p["n_connections"],
-                             seed=cell.seed)
+    blast = run_crash_blast(NotificationMode(p["mode"]),
+                            n_workers=p["n_workers"],
+                            n_connections=p["n_connections"],
+                            seed=cell.seed)
     return dict(asdict(blast), rendered=_blast_line(blast))
 
 
@@ -249,16 +249,9 @@ register(ExperimentSpec(
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=71))
 
-run_backend_rr = deprecated(_run_backend_rr,
-                            "registry.get('sec7').run()")
-run_connection_reuse = deprecated(_run_connection_reuse,
-                                  "registry.get('sec7').run()")
-run_crash_blast = deprecated(_run_crash_blast,
-                             "registry.get('sec7').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rr_line(_run_backend_rr()))
-    print(_reuse_line(_run_connection_reuse()))
+    print(_rr_line(run_backend_rr()))
+    print(_reuse_line(run_connection_reuse()))
     for mode in (NotificationMode.EXCLUSIVE, NotificationMode.HERMES):
-        print(_blast_line(_run_crash_blast(mode)))
+        print(_blast_line(run_crash_blast(mode)))

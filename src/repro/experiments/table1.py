@@ -14,7 +14,7 @@ from ..analysis.reporting import render_table
 from ..analysis.stats import percentile
 from ..sim.rng import RngRegistry
 from ..workloads.regions import REGIONS
-from .registry import deprecated, simple_experiment
+from .registry import simple_experiment
 
 __all__ = ["Table1Row", "run_table1", "render_table1"]
 
@@ -38,7 +38,7 @@ class Table1Row:
         return max(errors)
 
 
-def _run_table1(n_samples: int = 40000, seed: int = 5) -> List[Table1Row]:
+def run_table1(n_samples: int = 40000, seed: int = 5) -> List[Table1Row]:
     registry = RngRegistry(seed)
     rows = []
     for name, profile in REGIONS.items():
@@ -79,7 +79,7 @@ def render_table1(rows: List[Table1Row]) -> str:
 
 
 def _runner(seed: int, params: dict) -> dict:
-    rows = _run_table1(n_samples=params.get("n_samples", 40000), seed=seed)
+    rows = run_table1(n_samples=params.get("n_samples", 40000), seed=seed)
     return {"rows": [asdict(row) for row in rows],
             "rendered": render_table1(rows)}
 
@@ -88,8 +88,6 @@ simple_experiment(
     "table1", "Region size/time quantiles (measured vs paper)",
     _runner, default_seed=5)
 
-run_table1 = deprecated(_run_table1, "registry.get('table1').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table1(_run_table1()))
+    print(render_table1(run_table1()))

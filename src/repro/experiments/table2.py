@@ -17,7 +17,7 @@ from ..analysis.stats import mean
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import CellResult, run_spec
-from .registry import CellSpec, deprecated, register, ExperimentSpec
+from .registry import CellSpec, register, ExperimentSpec
 
 __all__ = ["DeviceImbalance", "run_table2", "render_table2"]
 
@@ -66,10 +66,10 @@ def _device_plan(n_devices: int) -> List[Tuple[str, float]]:
             for i in range(n_devices)]
 
 
-def _run_table2(n_devices: int = 8, n_workers: int = 8,
-                duration: float = 3.0, seed: int = 23,
-                mode: NotificationMode = NotificationMode.EXCLUSIVE,
-                ) -> List[DeviceImbalance]:
+def run_table2(n_devices: int = 8, n_workers: int = 8,
+               duration: float = 3.0, seed: int = 23,
+               mode: NotificationMode = NotificationMode.EXCLUSIVE,
+               ) -> List[DeviceImbalance]:
     """Simulate a mini-region of exclusive-mode devices.
 
     Device heterogeneity comes from different tenant mixes: each device
@@ -138,8 +138,6 @@ register(ExperimentSpec(
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=23))
 
-run_table2 = deprecated(_run_table2, "registry.get('table2').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table2(_run_table2()))
+    print(render_table2(run_table2()))

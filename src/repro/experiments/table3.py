@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..analysis.reporting import mark_effectiveness, render_table
 from ..lb.server import NotificationMode
 from .common import MODES_UNDER_TEST, CellResult, run_case_cell
-from .registry import CellSpec, ExperimentSpec, deprecated, get, register
+from .registry import CellSpec, ExperimentSpec, get, register
 
 __all__ = ["Table3Result", "run_table3", "render_table3", "TABLE3_PORTS",
            "CASE_ORDER", "LOAD_ORDER", "table3_result_from_doc"]
@@ -132,12 +132,12 @@ register(ExperimentSpec(
     default_seed=11))
 
 
-def _run_table3(cases: Sequence[str] = CASE_ORDER,
-                loads: Sequence[str] = LOAD_ORDER,
-                n_workers: int = 8, seed: int = 11,
-                ports: Sequence[int] = TABLE3_PORTS,
-                durations: Optional[Dict[str, float]] = None,
-                settle: float = 1.5) -> Table3Result:
+def run_table3(cases: Sequence[str] = CASE_ORDER,
+               loads: Sequence[str] = LOAD_ORDER,
+               n_workers: int = 8, seed: int = 11,
+               ports: Sequence[int] = TABLE3_PORTS,
+               durations: Optional[Dict[str, float]] = None,
+               settle: float = 1.5) -> Table3Result:
     """Run the grid serially through the registry.  ~3-4 minutes at the
     default scale; ``repro sweep table3 --jobs N`` runs the same cells in
     parallel with byte-identical output."""
@@ -148,9 +148,6 @@ def _run_table3(cases: Sequence[str] = CASE_ORDER,
         overrides["durations"] = dict(durations)
     merged = get("table3").run(seed=seed, overrides=overrides)
     return table3_result_from_doc(merged)
-
-
-run_table3 = deprecated(_run_table3, "repro.sweep.run_sweep('table3')")
 
 
 def render_table3(result: Table3Result) -> str:
@@ -187,4 +184,4 @@ def render_table3(result: Table3Result) -> str:
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table3(_run_table3()))
+    print(render_table3(run_table3()))

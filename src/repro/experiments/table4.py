@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from ..analysis.reporting import render_table
 from ..workloads.cases import CASE_MIX
-from .registry import deprecated, simple_experiment
+from .registry import simple_experiment
 
 __all__ = ["CaseMixAnalysis", "run_table4", "render_table4",
            "PAPER_INEFFECTIVE_CASES"]
@@ -38,7 +38,7 @@ class CaseMixAnalysis:
     average_mix: Dict[str, float]
 
 
-def _run_table4(ineffective: Dict[str, List[str]] = None) -> CaseMixAnalysis:
+def run_table4(ineffective: Dict[str, List[str]] = None) -> CaseMixAnalysis:
     ineffective = ineffective or PAPER_INEFFECTIVE_CASES
     regions = sorted(CASE_MIX)
     cases = sorted({case for mix in CASE_MIX.values() for case in mix})
@@ -77,7 +77,7 @@ def render_table4(analysis: CaseMixAnalysis) -> str:
 
 
 def _runner(seed: int, params: dict) -> dict:
-    analysis = _run_table4(ineffective=params.get("ineffective"))
+    analysis = run_table4(ineffective=params.get("ineffective"))
     return dict(asdict(analysis), rendered=render_table4(analysis))
 
 
@@ -85,8 +85,6 @@ simple_experiment(
     "table4", "Case distribution across regions (analytic)",
     _runner, default_seed=0)
 
-run_table4 = deprecated(_run_table4, "registry.get('table4').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table4(_run_table4()))
+    print(render_table4(run_table4()))

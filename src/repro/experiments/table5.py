@@ -21,7 +21,7 @@ from ..core.overhead import ComponentOverhead, compute_overhead
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import run_spec
-from .registry import CellSpec, ExperimentSpec, deprecated, register
+from .registry import CellSpec, ExperimentSpec, register
 
 __all__ = ["OverheadRow", "run_table5", "render_table5"]
 
@@ -70,8 +70,8 @@ def _run_load(load: str, n_workers: int, duration: float, seed: int,
     )
 
 
-def _run_table5(n_workers: int = 8, duration: float = 3.0,
-                seed: int = 53, case: str = "case1") -> List[OverheadRow]:
+def run_table5(n_workers: int = 8, duration: float = 3.0,
+               seed: int = 53, case: str = "case1") -> List[OverheadRow]:
     return [_run_load(load, n_workers, duration, seed, case)
             for load in _LOADS]
 
@@ -120,8 +120,6 @@ register(ExperimentSpec(
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=53))
 
-run_table5 = deprecated(_run_table5, "registry.get('table5').run()")
-
 
 if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table5(_run_table5()))
+    print(render_table5(run_table5()))

@@ -1,12 +1,11 @@
 """The fault injector: arms a :class:`FaultPlan` against a running device.
 
 One uniform injection path subsumes the previously ad-hoc hooks
-(``Worker.inject_hang``, ``LBServer.crash_worker`` scheduled by hand, the
-``sec7`` inline crash): the injector resolves each :class:`FaultSpec`
-against the live stack, schedules its occurrences on the sim clock, fires
-them, and clears them — emitting ``fault.arm`` / ``fault.fire`` /
-``fault.clear`` events into the PR-1 tracer and keeping a structured
-``log`` either way.  Crash faults additionally capture a flight-recorder
+(``LBServer.crash_worker`` scheduled by hand, the ``sec7`` inline crash):
+the injector resolves each :class:`FaultSpec` against the live stack,
+schedules its occurrences on the sim clock, fires them, and clears them —
+emitting ``fault.arm`` / ``fault.fire`` / ``fault.clear`` events into the
+:mod:`repro.obs` tracer and keeping a structured ``log`` either way.  Crash faults additionally capture a flight-recorder
 dump right after socket cleanup (the §7 post-mortem workflow) when the
 tracer carries a recorder.
 
@@ -38,8 +37,8 @@ def inject_hang(worker, duration: float, tracer=None) -> None:
     """The one hang-injection primitive: block ``worker``'s next event-loop
     iteration for ``duration`` seconds of CPU.
 
-    ``LBServer.hang_worker`` and the deprecated ``Worker.inject_hang`` shim
-    both route through here, as does the injector's ``worker_hang`` kind.
+    ``LBServer.hang_worker`` routes through here, as does the injector's
+    ``worker_hang`` kind.
     """
     if duration < 0:
         raise ValueError(f"hang duration must be >= 0, got {duration}")

@@ -365,9 +365,7 @@ def aggregate_metrics(devices: Sequence[LBServer]) -> dict:
     """Merge per-device metrics into one fleet-level row.
 
     Latency percentiles are computed over the *pooled* samples (a mean of
-    per-device p99s would be wrong), counters are summed.  This is the
-    replacement for the deprecated ``LBCluster.total_completed`` /
-    ``cluster_throughput`` helpers.
+    per-device p99s would be wrong), counters are summed.
     """
     if not devices:
         raise ValueError("need at least one device")

@@ -17,9 +17,7 @@ needs to know about it:
 Adding an architecture is one file: define its subsystem, write a setup
 function, call :func:`register_mode` — ``LBServer``, the CLI, the
 resilience matrix and the conformance suite pick it up from the registry.
-``NotificationMode`` remains the typed handle experiments pass around;
-``LBServer._setup_*`` methods survive only as ``DeprecationWarning``
-shims over the functions below.
+``NotificationMode`` remains the typed handle experiments pass around.
 
 Setup functions preserve the exact construction order (socket bind
 order, RNG draws) of the pre-registry code: the golden SHA-256

@@ -19,8 +19,7 @@ I/O event notification mechanism under test:
 Mode wiring lives in the :mod:`repro.lb.modes` registry: each
 architecture registers an :class:`~repro.lb.modes.ArchitectureSpec`
 declaring its setup, tunables, and lifecycle hooks, and ``LBServer``
-resolves ``mode.value`` against it.  The ``_setup_*`` methods below are
-deprecated shims kept for source compatibility.
+resolves ``mode.value`` against it.
 
 Failure injection mirrors the paper's exception cases: :meth:`crash_worker`
 kills a process (sockets linger until :meth:`detect_and_clean_worker`, the
@@ -30,7 +29,6 @@ loop for a duration.
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
@@ -144,50 +142,6 @@ class LBServer:
             stagger_registration=stagger_registration,
             prequal_config=prequal_config,
             splice_config=splice_config))
-
-    # -- wiring (deprecated shims over repro.lb.modes) -------------------------
-    def _setup_dispatcher(self) -> None:
-        """Deprecated: wiring moved to :func:`repro.lb.modes.setup_dispatcher`."""
-        self._warn_setup_shim("_setup_dispatcher")
-        from .modes import setup_dispatcher
-        setup_dispatcher(self, ModeOptions())
-
-    def _setup_shared(self, stagger: bool) -> None:
-        """Deprecated: wiring moved to :func:`repro.lb.modes.setup_shared`."""
-        self._warn_setup_shim("_setup_shared")
-        from .modes import setup_shared
-        setup_shared(self, ModeOptions(stagger_registration=stagger))
-
-    def _setup_reuseport(self) -> None:
-        """Deprecated: wiring moved to :func:`repro.lb.modes.setup_reuseport`."""
-        self._warn_setup_shim("_setup_reuseport")
-        from .modes import setup_reuseport
-        setup_reuseport(self, ModeOptions())
-
-    def _setup_hermes(self, group_key_mode: str) -> None:
-        """Deprecated: wiring moved to :func:`repro.lb.modes.setup_hermes`."""
-        self._warn_setup_shim("_setup_hermes")
-        from .modes import setup_hermes
-        setup_hermes(self, ModeOptions(group_key_mode=group_key_mode))
-
-    def _setup_prequal(self, prequal_config) -> None:
-        """Deprecated: wiring moved to :func:`repro.lb.modes.setup_prequal`."""
-        self._warn_setup_shim("_setup_prequal")
-        from .modes import setup_prequal
-        setup_prequal(self, ModeOptions(prequal_config=prequal_config))
-
-    def _setup_splice(self, splice_config) -> None:
-        """Deprecated: wiring moved to :func:`repro.lb.modes.setup_splice`."""
-        self._warn_setup_shim("_setup_splice")
-        from .modes import setup_splice
-        setup_splice(self, ModeOptions(splice_config=splice_config))
-
-    @staticmethod
-    def _warn_setup_shim(name: str) -> None:
-        warnings.warn(
-            f"LBServer.{name} is deprecated; architectures are wired via "
-            f"the repro.lb.modes registry (ArchitectureSpec.setup)",
-            DeprecationWarning, stacklevel=3)
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:

@@ -169,17 +169,6 @@ class Worker:
         self.refresh_socket_accounting()
         self.start()
 
-    def inject_hang(self, duration: float) -> None:
-        """Deprecated shim: use :func:`repro.faults.inject_hang` (the one
-        injection path) or a ``worker_hang`` :class:`~repro.faults.FaultSpec`."""
-        import warnings
-
-        warnings.warn(
-            "Worker.inject_hang is deprecated; use repro.faults.inject_hang "
-            "or a FaultPlan", DeprecationWarning, stacklevel=2)
-        from ..faults.injector import inject_hang
-        inject_hang(self, duration)
-
     def add_listen_socket(self, sock: ListeningSocket,
                           exclusive: bool = False) -> None:
         """Register a listening socket (remembering its epoll flags)."""

@@ -81,8 +81,7 @@ def cell_fingerprint(mode: str = "hermes", case: str = "case2",
 def sec7_fingerprint(seed: int = 79) -> str:
     """Hash the §7 experience suite (crash blast in both modes + RR/reuse).
 
-    Routed through the registry (never the deprecated ``run_*`` wrappers).
-    ``seed`` anchors the crash-blast cells exactly as before; the registry
+    Routed through the registry.  ``seed`` anchors the crash-blast cells exactly as before; the registry
     derives the RR/reuse cell seeds as ``seed - 8`` / ``seed - 6``, which
     for the default reproduces the historical 71/73/79 assignment — and
     the pinned golden hash — byte for byte.

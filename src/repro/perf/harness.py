@@ -89,7 +89,6 @@ def time_bench(name: str, setup: Callable[[], Any],
 #: Canonical bench registry order (also the report order).
 BENCH_NAMES: Tuple[str, ...] = (
     "engine_throughput",
-    "engine_wheel_throughput",
     "condition_allof",
     "schedule_callback",
     "scheduler_cascade",

@@ -25,8 +25,8 @@ __all__ = ["build_report", "write_report", "load_report",
 SCHEMA = "repro.perf/v1"
 
 #: Benches the CI regression gate checks (the events/sec trajectory).
-GATED_BENCHES = ("engine_throughput", "engine_wheel_throughput",
-                 "macro_lb_run", "sweep_table3", "fleet_sharded")
+GATED_BENCHES = ("engine_throughput", "macro_lb_run", "sweep_table3",
+                 "fleet_sharded")
 
 
 def _effective_affinity() -> Optional[int]:

@@ -58,8 +58,8 @@ def build_splice(env, server, config: SpliceConfig,
 
     Deterministic by construction: the Charon program draws no RNG (smooth
     WRR) and the engine schedules only closure callbacks on the sim clock,
-    so a SPLICE run is byte-identical across schedulers and process shards
-    like every other mode.
+    so a SPLICE run is byte-identical across process shards like every
+    other mode.
     """
     sockmap = SockMap(config.sockmap_capacity)
     engine = SpliceEngine(env, server.metrics, sockmap, config,

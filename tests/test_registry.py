@@ -1,12 +1,10 @@
-"""Tests for the unified experiment registry and the deprecation shims."""
-
-import warnings
+"""Tests for the unified experiment registry and the typed entry points."""
 
 import pytest
 
 from repro.experiments import registry
 from repro.experiments.registry import (EXPERIMENT_MODULES, CellSpec,
-                                        deprecated, normalize_doc)
+                                        normalize_doc)
 
 
 class TestRegistryCoverage:
@@ -54,36 +52,13 @@ class TestCellSpec:
         assert normalize_doc({3: "x", 1: "y"}) == {"3": "x", "1": "y"}
 
 
-class TestDeprecationShim:
-    def test_wrapper_warns_and_delegates(self):
-        def impl(a, b=2):
-            return a + b
+class TestTypedEntryPoints:
+    def test_registry_render_matches_typed_run(self):
+        from repro.experiments.scaling import _point_line, run_scaling
 
-        shim = deprecated(impl, "registry.get('x').run()")
-        with pytest.warns(DeprecationWarning, match="impl.*deprecated"):
-            assert shim(1, b=3) == 4
-        assert shim.__wrapped__ is impl
-        assert shim.__name__ == "impl"
-
-    def test_legacy_entry_points_are_shimmed(self):
-        """Spot-check that real run_* names went through deprecated()."""
-        from repro.experiments import isolation, scaling, table3
-        for fn in (table3.run_table3, scaling.run_scaling,
-                   isolation.run_isolation):
-            assert hasattr(fn, "__wrapped__")
-
-    def test_legacy_call_warns_registry_path_does_not(self):
-        from repro.experiments.scaling import _run_scaling, run_scaling
-
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scaling(worker_counts=(2,), duration=0.4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            direct = _run_scaling(worker_counts=(2,), duration=0.4)
-            merged = registry.get("scaling").run(
-                overrides={"worker_counts": [2], "duration": 0.4})
-        assert direct == legacy
-        # Registry cells render exactly the legacy per-point lines.
-        from repro.experiments.scaling import _point_line
+        points = run_scaling(worker_counts=(2,), duration=0.4)
+        merged = registry.get("scaling").run(
+            overrides={"worker_counts": [2], "duration": 0.4})
+        # Registry cells render exactly the typed function's points.
         assert merged["rendered"].splitlines() \
-            == [_point_line(p) for p in direct]
+            == [_point_line(p) for p in points]
