@@ -36,7 +36,7 @@ LB instances) under backend churn and an optional instance crash, with
 ``--check`` arming the per-connection-consistency (PCC) monitor on top
 of the usual invariants; ``resilience`` runs the fault ×
 notification-mode matrix (``--out`` writes canonical JSON, byte-identical
-for identical seeds — the determinism check CI relies on); ``perf`` runs
+for identical seeds); ``perf`` runs
 the calibrated benchmark suite (:mod:`repro.perf`) and writes the canonical
 ``BENCH_perf.json`` report, optionally gating on a committed baseline;
 ``check`` is the correctness gate (:mod:`repro.check`): nondeterminism
@@ -107,6 +107,21 @@ def _parse_overrides(pairs: Sequence[str]) -> Dict[str, Any]:
             overrides[key] = json.loads(text)
         except json.JSONDecodeError:
             overrides[key] = text
+    return overrides
+
+
+def _grid_overrides(name: str,
+                    pairs: Optional[Sequence[str]]) -> Optional[Dict[str, Any]]:
+    """``--set`` pairs for experiment ``name``, or None after printing why
+    they are refused (malformed, or a key the experiment does not read)."""
+    from .experiments import registry
+
+    try:
+        overrides = _parse_overrides(pairs or [])
+        registry.get(name).check_overrides(overrides)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
     return overrides
 
 
@@ -557,10 +572,8 @@ def _cmd_experiment(args) -> int:
     # argparse validated the name against EXPERIMENTS already.
     from .sweep import run_sweep
 
-    try:
-        overrides = _parse_overrides(args.overrides or [])
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    overrides = _grid_overrides(args.name, args.overrides)
+    if overrides is None:
         return 1
     result = run_sweep(args.name, seed=args.seed, jobs=args.jobs,
                        cache=False, overrides=overrides)
@@ -575,10 +588,8 @@ def _cmd_experiment(args) -> int:
 def _cmd_sweep(args) -> int:
     from .sweep import run_sweep
 
-    try:
-        overrides = _parse_overrides(args.overrides or [])
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    overrides = _grid_overrides(args.name, args.overrides)
+    if overrides is None:
         return 1
     cache = False if args.no_cache else (args.cache_dir or True)
     try:
@@ -867,10 +878,8 @@ def _cmd_resilience(args) -> int:
             print(f"error: unknown scenario(s) {', '.join(unknown)}; "
                   f"choose from {', '.join(SCENARIOS)}", file=sys.stderr)
             return 1
-    try:
-        overrides = _parse_overrides(args.overrides or [])
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    overrides = _grid_overrides("resilience", args.overrides)
+    if overrides is None:
         return 1
     overrides["n_workers"] = args.workers
     if args.scenarios:

@@ -365,7 +365,9 @@ def _merge(cells, docs):
 register(ExperimentSpec(
     name="ablations", title="Design-choice ablations (§5 discussion)",
     cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=97))
+    render=lambda merged: merged["rendered"], default_seed=97,
+    tunables={"n_workers": "workers behind every ablation device",
+              "duration_scale": "multiplier on every section's duration"}))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

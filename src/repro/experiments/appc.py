@@ -169,7 +169,13 @@ def _merge(cells, docs):
 register(ExperimentSpec(
     name="appc", title="Group scheduling: locality vs balance (App. C)",
     cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=83))
+    render=lambda merged: merged["rendered"], default_seed=83,
+    tunables={"group_sizes": "worker-group sizes (default: 1, 2, 4, 8)",
+              "n_workers": "workers behind the locality device",
+              "n_ports": "listening ports on the locality device",
+              "duration": "locality workload duration (s)",
+              "wide_workers": "workers on the wide device (default 128)",
+              "wide_duration": "wide-device workload duration (s)"}))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -201,7 +201,11 @@ def _runner(seed: int, params: dict) -> dict:
 
 
 simple_experiment("fig11", "Delayed probes before/after rollout",
-                  _runner, default_seed=41)
+                  _runner, default_seed=41,
+                  tunables={"n_devices": "devices in the region",
+                            "n_workers": "workers per device",
+                            "days": "simulated days",
+                            "population": "long-lived client connections"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -75,7 +75,10 @@ def _runner(seed: int, params: dict) -> dict:
 
 
 simple_experiment("fig12", "Normalized unit cost of the fleet (analytic)",
-                  _runner, default_seed=0)
+                  _runner, default_seed=0,
+                  tunables={"months": "months in the series",
+                            "rollout_start": "month the rollout begins",
+                            "rollout_months": "months the rollout takes"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

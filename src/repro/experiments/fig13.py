@@ -135,7 +135,9 @@ def _merge(cells, docs):
 register(ExperimentSpec(
     name="fig13", title="Per-worker CPU/connection SD across modes",
     cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=47))
+    render=lambda merged: merged["rendered"], default_seed=47,
+    tunables={"n_workers": "workers behind the device",
+              "duration": "workload duration (s)"}))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

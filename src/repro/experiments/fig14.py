@@ -105,7 +105,11 @@ def _merge(cells, docs):
 register(ExperimentSpec(
     name="fig14", title="Coarse-filter pass ratio / scheduler rate vs load",
     cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=59))
+    render=lambda merged: merged["rendered"], default_seed=59,
+    tunables={"cases": "workload cases (default: case2, case1)",
+              "load_fractions": "load multipliers to sweep",
+              "n_workers": "workers behind the device",
+              "duration": "workload duration per point (s)"}))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -125,7 +125,13 @@ def _merge(cells, docs):
 register(ExperimentSpec(
     name="fig15", title="Coarse-filter offset θ selection",
     cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=61))
+    render=lambda merged: merged["rendered"], default_seed=61,
+    tunables={"theta_ratios": "theta/avg ratios to sweep",
+              "n_seeds": "seeds averaged per ratio (default 3)",
+              "n_workers": "workers behind the device",
+              "duration": "workload duration per cell (s)",
+              "case": "workload case (default case4)",
+              "load": "load level (default medium)"}))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

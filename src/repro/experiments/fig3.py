@@ -178,7 +178,10 @@ def _run_cell(cell):
 
 
 lined_experiment("fig3", "Lag effect of connection load imbalance",
-                 _cells, _run_cell, default_seed=17)
+                 _cells, _run_cell, default_seed=17,
+                 tunables={"n_workers": "workers behind the device",
+                           "n_connections": "long-lived connections "
+                                            "before the surge"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

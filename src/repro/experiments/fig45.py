@@ -96,7 +96,10 @@ def _runner(seed: int, params: dict) -> dict:
 
 
 simple_experiment("fig45", "Per-worker epoll statistics (Figs. 4 & 5)",
-                  _runner, default_seed=31)
+                  _runner, default_seed=31,
+                  tunables={"mode": "notification mode (default exclusive)",
+                            "n_workers": "workers behind the device",
+                            "duration": "workload duration (s)"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -117,7 +117,10 @@ def _run_cell(cell):
 
 
 lined_experiment("fig7", "RSS packet spread vs CPU imbalance",
-                 _cells, _run_cell, default_seed=37)
+                 _cells, _run_cell, default_seed=37,
+                 tunables={"n_workers": "workers behind the device",
+                           "duration": "workload duration (s)",
+                           "load": "load level (default medium)"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

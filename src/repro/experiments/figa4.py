@@ -131,7 +131,9 @@ def _run_cell(cell):
 
 
 lined_experiment("figa4", "Walkthrough example (Figs. A3/A4)",
-                 _cells, _run_cell, default_seed=3)
+                 _cells, _run_cell, default_seed=3,
+                 tunables={"n_workers": "workers behind the device",
+                           "hash_seed": "kernel reuseport hash seed"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -61,7 +61,10 @@ def _runner(seed: int, params: dict) -> dict:
 
 
 simple_experiment("figa5", "CDF of forwarding rules per port",
-                  _runner, default_seed=67)
+                  _runner, default_seed=67,
+                  tunables={"n_tenants": "tenants in the directory",
+                            "ports_per_tenant": "ports each tenant owns",
+                            "mean_rules": "mean forwarding rules per port"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -125,7 +125,9 @@ def _run_cell(cell):
 
 
 lined_experiment("isolation", "Tenant performance isolation",
-                 _cells, _run_cell, default_seed=71)
+                 _cells, _run_cell, default_seed=71,
+                 tunables={"n_workers": "workers behind the device",
+                           "duration": "workload duration (s)"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

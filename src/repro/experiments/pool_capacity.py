@@ -156,7 +156,9 @@ def _run_cell(cell):
 
 lined_experiment("pool_capacity",
                  "Connection-pool exhaustion under uneven distribution",
-                 _cells, _run_cell, default_seed=113)
+                 _cells, _run_cell, default_seed=113,
+                 tunables={"n_workers": "workers behind the device",
+                           "pool_size": "connection-pool slots per worker"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -182,9 +182,18 @@ register(ExperimentSpec(
         "max_age": "staleness bound on pooled replies (s)",
         "q_hot": "RIF quantile splitting hot from cold",
         "reuse_budget": "selections per pooled reply before removal",
+        "probe_rate": "token-bucket ceiling on the probe rate (1/s)",
+        "probe_burst": "probes that may be issued back-to-back",
+        "probe_interval": "background probe refresh period (s)",
         "policy": "base selection policy for every cell (hcl/latency/rif)",
         "duration": "workload duration (s)",
+        "settle": "drain time after traffic stops (s)",
         "base_rate": "steady connection rate (cps)",
+        "service_s": "service time per request (s)",
+        "requests_per_conn": "requests per steady connection",
+        "request_gap_mean": "mean think time between requests (s)",
         "spike_rate": "spike connection rate (cps)",
+        "spike_width": "duration of each spike (s)",
+        "spike_times": "spike start times (s)",
         "n_workers": "workers behind the device",
     }))

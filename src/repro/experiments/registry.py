@@ -21,6 +21,10 @@ contract:
   processes and memoize them while keeping the merged output
   byte-identical to a serial run.
 
+  ``overrides`` may carry only the keys the spec declares in
+  ``tunables``; anything else is refused, so a typo fails loudly instead
+  of silently running the full-scale grid.
+
 Every experiment module registers its spec at import time;
 :func:`get`/:func:`load_all` import lazily so ``repro list`` stays fast.
 Each module also keeps its typed ``run_*`` function: the cells are built
@@ -110,13 +114,24 @@ class ExperimentSpec:
     #: ``render(merged) -> str`` — the human-readable paper table.
     render: Callable[[Dict[str, Any]], str]
     default_seed: int = 7
-    #: Tunable name -> one-line description, for ``repro list`` metadata
-    #: (empty for experiments without override knobs).
+    #: Tunable name -> one-line description: exactly the override keys
+    #: ``cells``/``run_cell`` read (``repro list`` shows them; any other
+    #: key is refused by :meth:`check_overrides`).
     tunables: Dict[str, str] = field(default_factory=dict)
+
+    def check_overrides(self, overrides: Mapping[str, Any]) -> None:
+        """Raise ``ValueError`` if ``overrides`` has a key nothing reads."""
+        unknown = sorted(set(overrides) - set(self.tunables))
+        if unknown:
+            accepted = ", ".join(sorted(self.tunables)) or "none"
+            raise ValueError(
+                f"experiment {self.name!r} does not read override(s) "
+                f"{', '.join(unknown)}; accepted: {accepted}")
 
     def run(self, seed: Optional[int] = None,
             overrides: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """Serial convenience path: enumerate, run, merge in-process."""
+        self.check_overrides(overrides or {})
         resolved = self.default_seed if seed is None else seed
         cells = self.cells(resolved, dict(overrides or {}))
         docs = [normalize_doc(self.run_cell(cell)) for cell in cells]
@@ -178,19 +193,17 @@ def simple_experiment(name: str, title: str,
                       runner: Callable[[int, Dict[str, Any]],
                                        Dict[str, Any]],
                       default_seed: int = 7,
-                      params: Optional[Mapping[str, Any]] = None,
+                      tunables: Optional[Mapping[str, str]] = None,
                       ) -> ExperimentSpec:
     """Register an experiment whose whole grid is one cell.
 
     ``runner(seed, params)`` returns the cell document; it must include a
-    ``"rendered"`` string (the experiment's printed form).
+    ``"rendered"`` string (the experiment's printed form).  The overrides
+    become the cell's params, so ``tunables`` names the keys ``runner``
+    reads.
     """
-    base_params: Dict[str, Any] = dict(params or {})
-
     def cells(seed: int, overrides: Dict[str, Any]) -> Tuple[CellSpec, ...]:
-        merged = dict(base_params)
-        merged.update(overrides)
-        return (CellSpec(experiment=name, key="all", params=merged,
+        return (CellSpec(experiment=name, key="all", params=dict(overrides),
                          seed=seed),)
 
     def run_cell(cell: CellSpec) -> Dict[str, Any]:
@@ -205,7 +218,8 @@ def simple_experiment(name: str, title: str,
 
     return register(ExperimentSpec(
         name=name, title=title, cells=cells, run_cell=run_cell,
-        merge=merge, render=render, default_seed=default_seed))
+        merge=merge, render=render, default_seed=default_seed,
+        tunables=dict(tunables or {})))
 
 
 def concat_rendered(docs: Sequence[Dict[str, Any]]) -> str:

@@ -90,7 +90,12 @@ def _run_cell(cell):
 
 
 lined_experiment("scaling", "Mode ordering vs worker count",
-                 _cells, _run_cell, default_seed=73)
+                 _cells, _run_cell, default_seed=73,
+                 tunables={"worker_counts": "worker counts to sweep "
+                                            "(default: 4, 8, 16, 32)",
+                           "case": "workload case (default case3)",
+                           "load": "load level (default medium)",
+                           "duration": "workload duration per cell (s)"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -247,7 +247,9 @@ def _merge(cells, docs):
 register(ExperimentSpec(
     name="sec7", title="§7 deployment experiences and crash blast radius",
     cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=71))
+    render=lambda merged: merged["rendered"], default_seed=71,
+    tunables={"n_workers": "workers behind the crash-blast device",
+              "n_connections": "connections open at the crash"}))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -216,8 +216,14 @@ register(ExperimentSpec(
         "per_request_cost": "kernel cost per forwarded request (s)",
         "per_byte_cost": "kernel cost per forwarded byte (s)",
         "sockmap_capacity": "max concurrently spliced flows",
+        "weight_refresh": "Charon weight refresh period (s)",
+        "max_weight": "integer weight ceiling of the WRR picker",
         "duration": "workload duration (s)",
+        "settle": "drain time after traffic stops (s)",
         "n_workers": "workers behind the device",
         "copy_byte_cost": "userspace copy cost per byte (s)",
+        "parse_p50": "P50 of the heavy-tailed parse time (s)",
+        "parse_p90": "P90 of the heavy-tailed parse time (s)",
         "parse_p99": "P99 of the heavy-tailed parse time (s)",
+        "max_events": "most epoll events one request is split into",
     }))

@@ -86,7 +86,8 @@ def _runner(seed: int, params: dict) -> dict:
 
 simple_experiment(
     "table1", "Region size/time quantiles (measured vs paper)",
-    _runner, default_seed=5)
+    _runner, default_seed=5,
+    tunables={"n_samples": "requests sampled per region (default 40000)"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -136,7 +136,11 @@ def _merge(cells: Sequence[CellSpec], docs: Sequence[dict]) -> dict:
 register(ExperimentSpec(
     name="table2", title="CPU imbalance within a device and region",
     cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=23))
+    render=lambda merged: merged["rendered"], default_seed=23,
+    tunables={"n_devices": "devices in the region (default 8)",
+              "n_workers": "workers per device",
+              "duration": "workload duration per device (s)",
+              "mode": "notification mode (default exclusive)"}))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -129,7 +129,15 @@ register(ExperimentSpec(
     name="table3", title="Headline grid: case x mode x load",
     cells=_table3_cells, run_cell=_table3_run_cell, merge=_table3_merge,
     render=lambda merged: render_table3(table3_result_from_doc(merged)),
-    default_seed=11))
+    default_seed=11,
+    tunables={"cases": "case subset (default: case1..case4)",
+              "loads": "load subset (default: light, medium, heavy)",
+              "modes": "mode subset (default: exclusive, reuseport, hermes)",
+              "durations": "case -> traffic duration (s)",
+              "duration_scale": "multiplier on every case's duration",
+              "n_workers": "workers behind the device",
+              "ports": "listening ports (default: 200 tenant ports)",
+              "settle": "drain time after traffic stops (s)"}))
 
 
 def run_table3(cases: Sequence[str] = CASE_ORDER,

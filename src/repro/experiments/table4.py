@@ -83,7 +83,9 @@ def _runner(seed: int, params: dict) -> dict:
 
 simple_experiment(
     "table4", "Case distribution across regions (analytic)",
-    _runner, default_seed=0)
+    _runner, default_seed=0,
+    tunables={"ineffective": "mode -> cases it is ineffective in "
+                             "(default: the paper's Table 3 marks)"})
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

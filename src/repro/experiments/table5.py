@@ -118,7 +118,11 @@ def _merge(cells: Sequence[CellSpec], docs: Sequence[dict]) -> dict:
 register(ExperimentSpec(
     name="table5", title="CPU overhead of Hermes components",
     cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=53))
+    render=lambda merged: merged["rendered"], default_seed=53,
+    tunables={"loads": "load subset (default: light, medium, heavy)",
+              "n_workers": "workers behind the device",
+              "duration": "workload duration (s)",
+              "case": "workload case (default case1)"}))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

@@ -44,7 +44,8 @@ from ..sim.monitor import Samples
 from .ingress import make_ingress
 from .lookup import BackendMap, FleetPolicy, make_lookup
 
-__all__ = ["FlowRecord", "Fleet", "aggregate_metrics", "build_fleet"]
+__all__ = ["FlowRecord", "Fleet", "aggregate_metrics", "build_fleet",
+           "reduce_metrics"]
 
 #: Connection states with no live data path (nothing left to protect).
 _DEAD_STATES = (ConnState.CLOSED, ConnState.RESET, ConnState.REFUSED)
@@ -361,33 +362,45 @@ class Fleet:
         return doc
 
 
-def aggregate_metrics(devices: Sequence[LBServer]) -> dict:
-    """Merge per-device metrics into one fleet-level row.
+def reduce_metrics(docs: Sequence[dict]) -> dict:
+    """The fleet-level reduction over per-instance metric docs, in order.
 
-    Latency percentiles are computed over the *pooled* samples (a mean of
-    per-device p99s would be wrong), counters are summed.
+    Each doc carries ``latencies`` (raw samples, s), ``completed``,
+    ``failed``, ``accepted``, ``refused`` and ``elapsed``.  Latency
+    percentiles are computed over the *pooled* samples (a mean of
+    per-instance p99s would be wrong), counters are summed, and
+    ``elapsed`` is the max.
     """
-    if not devices:
-        raise ValueError("need at least one device")
+    if not docs:
+        raise ValueError("need at least one instance")
     latencies = Samples("fleet.latency")
-    completed = failed = accepted = refused = 0
-    for device in devices:
-        latencies.extend(device.metrics.request_latencies.values)
-        completed += device.metrics.requests_completed
-        failed += device.metrics.requests_failed
-        accepted += device.metrics.connections_accepted
-        refused += device.metrics.connections_refused
-    elapsed = max(device.metrics.elapsed for device in devices)
+    for doc in docs:
+        latencies.extend(doc["latencies"])
+    completed = sum(doc["completed"] for doc in docs)
+    elapsed = max(doc["elapsed"] for doc in docs)
     return {
-        "instances": len(devices),
+        "instances": len(docs),
         "avg_ms": latencies.mean * 1e3,
         "p99_ms": latencies.percentile(99) * 1e3,
         "throughput_rps": completed / elapsed if elapsed > 0 else 0.0,
         "completed": completed,
-        "failed": failed,
-        "accepted": accepted,
-        "refused": refused,
+        "failed": sum(doc["failed"] for doc in docs),
+        "accepted": sum(doc["accepted"] for doc in docs),
+        "refused": sum(doc["refused"] for doc in docs),
     }
+
+
+def aggregate_metrics(devices: Sequence[LBServer]) -> dict:
+    """Merge live devices' metrics into one fleet-level row
+    (:func:`reduce_metrics` over each ``device.metrics``)."""
+    return reduce_metrics([
+        {"latencies": device.metrics.request_latencies.values,
+         "completed": device.metrics.requests_completed,
+         "failed": device.metrics.requests_failed,
+         "accepted": device.metrics.connections_accepted,
+         "refused": device.metrics.connections_refused,
+         "elapsed": device.metrics.elapsed}
+        for device in devices])
 
 
 def build_fleet(env: Environment, n_instances: int, n_workers: int,

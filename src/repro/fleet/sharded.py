@@ -46,9 +46,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..kernel.hash import FourTuple, jhash_words
 from ..kernel.tcp import Connection, ConnState
 from ..sim.engine import Environment
-from ..sim.monitor import Samples
 from ..sim.rng import RngRegistry, Stream
-from .fleet import Fleet, FleetPolicy
+from .fleet import Fleet, FleetPolicy, reduce_metrics
 from .ingress import make_ingress
 
 __all__ = ["ShardIngress", "run_shard", "run_sharded_fleet",
@@ -304,24 +303,14 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
 def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Deterministic cross-shard reduction, in shard-index order.
 
-    Mirrors :func:`repro.fleet.aggregate_metrics`: latency percentiles
-    over the pooled samples (never a mean of per-shard p99s), counters
-    summed, ``elapsed`` the max.  PCC/invariant verdict counters sum per
-    key; trace events concatenate in shard order, then stable-sort by
-    timestamp so equal-time events keep shard order.
+    The metric fields are :func:`repro.fleet.fleet.reduce_metrics` over
+    the shard docs — the same reduction the unsharded fleet runs.
+    PCC/invariant verdict counters sum per key; trace events concatenate
+    in shard order, then stable-sort by timestamp so equal-time events
+    keep shard order.
     """
-    if not shards:
-        raise ValueError("need at least one shard result")
     shards = sorted(shards, key=lambda d: d["shard_index"])
-    latencies = Samples("fleet.latency")
-    completed = failed = accepted = refused = 0
-    for doc in shards:
-        latencies.extend(doc["latencies"])
-        completed += doc["completed"]
-        failed += doc["failed"]
-        accepted += doc["accepted"]
-        refused += doc["refused"]
-    elapsed = max(doc["elapsed"] for doc in shards)
+    merged = reduce_metrics(shards)
     versions = {doc["backend_version"] for doc in shards}
     if len(versions) != 1:
         raise AssertionError(
@@ -330,15 +319,7 @@ def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
     for doc in shards:
         for name in sorted(doc["passes"]):
             passes[name] = passes.get(name, 0) + doc["passes"][name]
-    merged = {
-        "instances": len(shards),
-        "avg_ms": latencies.mean * 1e3 if latencies.values else 0.0,
-        "p99_ms": latencies.percentile(99) * 1e3 if latencies.values else 0.0,
-        "throughput_rps": completed / elapsed if elapsed > 0 else 0.0,
-        "completed": completed,
-        "failed": failed,
-        "accepted": accepted,
-        "refused": refused,
+    merged.update({
         "backend_version": versions.pop(),
         "churn_events": max(doc["churn_events"] for doc in shards),
         "broken_backend": sum(doc["broken_backend"] for doc in shards),
@@ -352,7 +333,7 @@ def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
         "passes": {k: passes[k] for k in sorted(passes)},
         "steps": sum(doc["steps"] for doc in shards),
         "sharded": True,
-    }
+    })
     if any("events" in doc for doc in shards):
         events: List[tuple] = []
         for doc in shards:

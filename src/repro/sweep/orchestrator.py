@@ -165,7 +165,8 @@ def run_sweep(experiment: str,
     overrides:
         Experiment-specific grid overrides (scales, subsets) merged into
         every cell's params by the enumerator.  Overridden cells hash
-        differently, so they never alias full-scale cached cells.
+        differently, so they never alias full-scale cached cells.  A key
+        outside the experiment's ``tunables`` raises ``ValueError``.
     force:
         Skip cache reads (still writes fresh results back).
     tracer:
@@ -184,6 +185,7 @@ def run_sweep(experiment: str,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     spec = _registry.get(experiment)
+    spec.check_overrides(overrides or {})
     resolved_seed = spec.default_seed if seed is None else seed
     cells = tuple(spec.cells(resolved_seed, dict(overrides or {})))
     store = _resolve_cache(cache)

@@ -1,22 +1,17 @@
-"""fleet_scale through the sweep runner: parallel == serial, byte for byte."""
+"""fleet_scale through the sweep runner: a warm cache reruns byte for byte.
+
+(Serial vs parallel is tests/test_contract.py, for every experiment.)
+"""
 
 from repro.experiments.registry import get
 from repro.sweep import run_sweep
 
 #: Two cells (2x stateful, 2x stateless) at a shortened duration — small
-#: enough for tier-1, real enough to cross process boundaries.
+#: enough for tier-1.
 _TINY_FLEET = {"instances": [2], "duration": 1.0}
 
 
 class TestFleetScaleSweep:
-    def test_parallel_is_byte_identical_to_serial(self):
-        serial = run_sweep("fleet_scale", seed=31, jobs=1, cache=False,
-                           overrides=_TINY_FLEET)
-        parallel = run_sweep("fleet_scale", seed=31, jobs=4, cache=False,
-                             overrides=_TINY_FLEET)
-        assert len(serial.runs) == 2
-        assert parallel.to_json() == serial.to_json()
-
     def test_cached_rerun_is_byte_identical(self, tmp_path):
         cold = run_sweep("fleet_scale", seed=31, jobs=1,
                          cache=tmp_path / "c", overrides=_TINY_FLEET)

@@ -1,4 +1,8 @@
-"""Sweep determinism: prequal cells are byte-identical serial vs parallel."""
+"""Sweep determinism: the registry's serial path matches the sweep.
+
+(Serial vs parallel sweeps are tests/test_contract.py, for every
+experiment.)
+"""
 
 from repro.experiments.registry import get
 from repro.sweep import run_sweep
@@ -8,14 +12,6 @@ _OVERRIDES = {"cells": ["policy/hcl", "policy/latency"], "duration": 1.0,
 
 
 class TestSweepIdentity:
-    def test_jobs_1_and_4_are_byte_identical(self):
-        serial = run_sweep("prequal_ablation", seed=11, jobs=1, cache=False,
-                           overrides=dict(_OVERRIDES))
-        parallel = run_sweep("prequal_ablation", seed=11, jobs=4,
-                             cache=False, overrides=dict(_OVERRIDES))
-        assert serial.to_json() == parallel.to_json()
-        assert serial.merged == parallel.merged
-
     def test_registry_run_matches_sweep(self):
         spec = get("prequal_ablation")
         direct = spec.run(seed=11, overrides=dict(_OVERRIDES))

@@ -266,6 +266,27 @@ class TestCommands:
         assert rc == 1
         assert "not key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["experiment", "fig13"], ["sweep", "fig13", "--no-cache"],
+        ["resilience"]])
+    def test_unread_override_is_refused(self, capsys, command):
+        # A typo must not silently run the full-scale grid.
+        rc = main(command + ["--set", "n_workers=2",
+                             "--set", "durashun=0.3"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "durashun" in captured.err
+        assert "accepted: " in captured.err and "n_workers" in captured.err
+
+    def test_list_shows_tunables_for_every_experiment(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in EXPERIMENTS:
+            index = next(i for i, line in enumerate(lines)
+                         if line.startswith(name + " "))
+            assert lines[index + 1].split()[0] == "tunables:", name
+
     def test_trace_subcommand_flight_jsonl(self, capsys, tmp_path):
         path = tmp_path / "flight.jsonl"
         rc = main(["trace", "--workers", "2", "--duration", "0.3",
@@ -278,6 +299,50 @@ class TestCommands:
         assert len(lines) == 64
         for line in lines:
             json.loads(line)
+
+
+class TestFleetCommand:
+    SMALL = ["fleet", "--instances", "2", "--duration", "1.0"]
+
+    def _summary(self, capsys, tmp_path, argv):
+        path = tmp_path / "fleet.json"
+        rc = main(argv + ["--out", str(path)])
+        capsys.readouterr()
+        assert rc == 0
+        return json.loads(path.read_text())
+
+    def test_checked_churn_run_has_no_pcc_violations(self, capsys, tmp_path):
+        doc = self._summary(capsys, tmp_path, self.SMALL + ["--check"])
+        assert doc["completed"] > 0
+        assert doc["pcc_violations"] == 0
+
+    def test_crash_breaks_stateful_and_migrates_stateless(self, capsys,
+                                                          tmp_path):
+        crash = ["--crash-at", "0.9"]
+        stateful = self._summary(capsys, tmp_path, self.SMALL + crash
+                                 + ["--policy", "stateful"])
+        stateless = self._summary(capsys, tmp_path, self.SMALL + crash
+                                  + ["--policy", "stateless", "--check"])
+        assert stateful["broken_instance"] > 0
+        assert stateless["broken_instance"] == 0
+        assert stateless["migrated"] > 0
+        assert stateless["pcc_violations"] == 0
+
+    def test_sharded_output_is_identical_across_jobs(self, tmp_path, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.json"
+            rc = main(["fleet", "--instances", "4", "--duration", "1.0",
+                       "--jobs", jobs, "--out", str(path)])
+            assert rc == 0
+            outputs.append(path.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
+    def test_sharded_crash_is_refused(self, capsys):
+        rc = main(["fleet", "--jobs", "2", "--crash-at", "0.9"])
+        assert rc == 1
+        assert "--crash-at cannot be sharded" in capsys.readouterr().err
 
 
 class TestCheckCommand:
@@ -329,8 +394,16 @@ class TestCheckCommand:
         assert rc == 0
         assert "comparison(s) agreed" in out
 
-    def test_run_with_check_reports_and_passes(self, capsys):
-        rc = main(["run", "--workers", "2", "--duration", "0.5", "--check"])
+    @pytest.mark.parametrize("mode, tunables", [
+        ("hermes", []),
+        ("prequal", ["--set", "reuse_budget=2"]),
+        ("splice", ["--set", "splice_after=2"]),
+    ], ids=["hermes", "prequal", "splice"])
+    def test_run_with_check_reports_and_passes(self, capsys, mode, tunables):
+        # prequal arms the probe-pool conservation invariant, splice the
+        # splice-ledger invariant, on top of the common monitors.
+        rc = main(["run", "--mode", mode, "--workers", "2",
+                   "--duration", "0.5", "--check"] + tunables)
         out = capsys.readouterr().out
         assert rc == 0
         assert "0 violations" in out

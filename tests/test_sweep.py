@@ -9,7 +9,8 @@ import json
 
 import pytest
 
-from repro.experiments.registry import CellSpec, ExperimentSpec, register
+from repro.experiments.registry import (CellSpec, ExperimentSpec, get,
+                                        register)
 from repro.sweep import (CACHE_SCHEMA, CellCache, SWEEP_SCHEMA,
                          cell_cache_key, code_fingerprint,
                          reset_fingerprint_cache, run_sweep)
@@ -47,7 +48,8 @@ def _tiny_merge(cells, docs):
 register(ExperimentSpec(
     name="_sweep_test", title="synthetic sweep fixture",
     cells=_tiny_cells, run_cell=_tiny_run, merge=_tiny_merge,
-    render=lambda merged: merged["rendered"], default_seed=100))
+    render=lambda merged: merged["rendered"], default_seed=100,
+    tunables={"n": "cell count", "scale": "value multiplier"}))
 
 
 @pytest.fixture(autouse=True)
@@ -218,28 +220,29 @@ class TestRunSweep:
         with pytest.raises(KeyError):
             run_sweep("no_such_experiment")
 
+    def test_unread_override_is_refused_before_any_cell_runs(self):
+        with pytest.raises(ValueError, match=r"sacle; accepted: n, scale"):
+            run_sweep("_sweep_test", overrides={"n": 2, "sacle": 10})
+        assert _CALLS["n"] == 0
+
+    def test_registry_run_refuses_unread_override_too(self):
+        with pytest.raises(ValueError, match="sacle"):
+            get("_sweep_test").run(overrides={"sacle": 10})
+
 
 # ---------------------------------------------------------------------------
-# The golden contract on a real experiment: parallel table3 is
-# byte-identical to serial, cold or warm.
+# The cache half of the contract on a real experiment: a warm rerun is
+# byte-identical to the cold one.  (Serial vs parallel, for every
+# experiment, is tests/test_contract.py.)
 # ---------------------------------------------------------------------------
 
-#: Small enough to run in seconds, real enough to cross process
-#: boundaries: one case, one load, all three modes.
+#: Small enough to run in seconds: one case, one load, all three modes.
 _TINY_TABLE3 = {"cases": ["case2"], "loads": ["light"],
                 "duration_scale": 0.1, "n_workers": 2,
                 "ports": list(range(20001, 20006)), "settle": 0.5}
 
 
 class TestTable3Golden:
-    def test_parallel_is_byte_identical_to_serial(self):
-        serial = run_sweep("table3", seed=11, jobs=1, cache=False,
-                           overrides=_TINY_TABLE3)
-        parallel = run_sweep("table3", seed=11, jobs=4, cache=False,
-                             overrides=_TINY_TABLE3)
-        assert len(serial.runs) == 3
-        assert parallel.to_json() == serial.to_json()
-
     def test_cached_rerun_is_byte_identical(self, tmp_path):
         cold = run_sweep("table3", seed=11, jobs=1,
                          cache=tmp_path / "c", overrides=_TINY_TABLE3)
