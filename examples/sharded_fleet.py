@@ -9,11 +9,10 @@ and backend churn is a deterministic global rule.  So instance *i*'s
 whole simulation is reproducible from the seed alone, and the fleet can
 run as N independent shards (``repro.fleet.sharded``):
 
-1. Every shard replays the *same* seeded arrival stream, drawing the
-   gap, port, 4-tuple, and a per-connection seed for every fleet-wide
-   arrival — then simulates only the arrivals the global ingress pick
-   assigns to it (foreign arrivals are discarded after identical draws,
-   keeping the stream in lockstep everywhere).
+1. The seeded arrival stream is drawn once — gap, port, 4-tuple, and a
+   per-connection seed for every fleet-wide arrival — and split by the
+   global ingress pick.  Each shard schedules only its own slice, at the
+   exact times the stream produced.
 2. Shard results land in a slot indexed by shard id and merge in that
    fixed order: pooled latency percentiles, summed counters, summed
    PCC verdicts — the same pattern ``repro.sweep`` proved
@@ -59,8 +58,8 @@ def main():
     print(f"\ncompleted:        {serial['completed']}")
     print(f"p99 latency:      {serial['p99_ms']:.3f} ms")
     print(f"throughput:       {serial['throughput_rps'] / 1e3:.2f} kRPS")
-    print(f"foreign skipped:  {serial['foreign']} "
-          f"(each shard replays the full arrival stream)")
+    print(f"foreign:          {serial['foreign']} "
+          f"(arrival slots owned by another shard, summed over shards)")
     print(f"backend churn:    version {serial['backend_version']}, "
           f"{serial['broken_backend']} connections legitimately broken")
     print(f"PCC violations:   {serial['pcc_violations']}")

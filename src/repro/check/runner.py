@@ -232,11 +232,11 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
     """
     from ..faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
     from ..fleet import build_fleet
+    from ..fleet.sharded import fleet_spec
     from ..obs import FlightRecorder, Tracer
     from ..sim.engine import Environment
     from ..sim.rng import RngRegistry
-    from ..workloads.distributions import FixedFactory
-    from ..workloads.generator import TrafficGenerator, WorkloadSpec
+    from ..workloads.generator import TrafficGenerator
     from .pcc import watch_fleet
 
     env = Environment()
@@ -263,11 +263,8 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
 
         backend_map.update = corrupted_update
 
-    spec = WorkloadSpec(name="fleet", conn_rate=conn_rate,
-                        duration=max(0.1, duration - 0.3),
-                        factory=FixedFactory((200e-6,)), ports=(443,),
-                        requests_per_conn=20, request_gap_mean=0.05)
-    gen = TrafficGenerator(env, fleet, registry.stream("traffic"), spec)
+    gen = TrafficGenerator(env, fleet, registry.stream("traffic"),
+                           fleet_spec(duration, conn_rate))
     faults = [FaultSpec(kind=FaultKind.BACKEND_CHURN, at=churn_at,
                         magnitude=churn_k)]
     if crash_at is not None:

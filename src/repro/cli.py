@@ -747,7 +747,7 @@ def _cmd_fleet_sharded(args) -> int:
          ["failed", doc["failed"]],
          ["broken (backend)", doc["broken_backend"]],
          ["backend map version", doc["backend_version"]],
-         ["foreign arrivals skipped", doc["foreign"]],
+         ["foreign arrivals (other shards)", doc["foreign"]],
          ["avg latency (ms)", f"{doc['avg_ms']:.3f}"],
          ["p99 latency (ms)", f"{doc['p99_ms']:.3f}"],
          ["throughput (kRPS)", f"{doc['throughput_rps'] / 1e3:.2f}"]],
@@ -765,16 +765,21 @@ def _cmd_fleet_sharded(args) -> int:
 def _cmd_fleet(args) -> int:
     from contextlib import nullcontext
 
+    for flag, value in (("--rate", args.rate), ("--duration", args.duration)):
+        if not 0 < value < float("inf"):
+            print(f"error: {flag} must be finite and > 0, got {value}",
+                  file=sys.stderr)
+            return 1
     if args.jobs is not None:
         return _cmd_fleet_sharded(args)
 
     from .faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
     from .fleet import build_fleet
+    from .fleet.sharded import fleet_spec
     from .obs import FlightRecorder, Tracer
     from .sim.engine import Environment
     from .sim.rng import RngRegistry
-    from .workloads.distributions import FixedFactory
-    from .workloads.generator import TrafficGenerator, WorkloadSpec
+    from .workloads.generator import TrafficGenerator
 
     env = Environment()
     registry = RngRegistry(args.seed)
@@ -796,11 +801,8 @@ def _cmd_fleet(args) -> int:
         pcc = watch_fleet(fleet)
         monitors = [watch(instance) for instance in fleet.instances]
 
-    spec = WorkloadSpec(name="fleet", conn_rate=args.rate,
-                        duration=max(0.1, args.duration - 0.3),
-                        factory=FixedFactory((200e-6,)), ports=(443,),
-                        requests_per_conn=20, request_gap_mean=0.05)
-    gen = TrafficGenerator(env, fleet, registry.stream("traffic"), spec)
+    gen = TrafficGenerator(env, fleet, registry.stream("traffic"),
+                           fleet_spec(args.duration, args.rate))
     faults = []
     if args.churn_at is not None and args.churn_at >= 0:
         faults.append(FaultSpec(kind=FaultKind.BACKEND_CHURN,

@@ -78,9 +78,11 @@ class CascadingScheduler:
         n = len(self.worker_ids)
         self._whole_n = n if self.worker_ids == tuple(range(n)) else -1
         # ScheduleResult.cpu_cost without and with the map sync, indexed by
-        # ``sync_enabled``; recomputed per config object.
+        # ``sync_enabled``; recomputed per config object.  The all-pass
+        # ScheduleResult is built once per ``sync_enabled`` and per config.
         self._costed_config = None
         self._cpu_costs = (0.0, 0.0)
+        self._all_pass: List[Optional[ScheduleResult]] = [None, None]
         # Zero-copy table read when the WST offers it (the simulation WST's
         # atomic mode); duck-typed tables (e.g. the real-shm seqlock one)
         # keep their copying read_all.
@@ -279,12 +281,22 @@ class CascadingScheduler:
                                 + costs.scheduler_per_worker)
             self._cpu_costs = (scan + 0.0, scan + costs.map_update_syscall)
             self._costed_config = config
+            self._all_pass = [None, None]
         if tracer is not None:
             tracer.end("sched.decision", "sched", bitmap=bitmap,
                        n_selected=n)
+        sync = self.sync_enabled
+        if bits is not None and selected is self._all_candidates:
+            # Every field is fixed for the all-pass case; results are frozen.
+            result = self._all_pass[sync]
+            if result is None:
+                result = self._all_pass[sync] = ScheduleResult(
+                    bitmap=bitmap, n_selected=n, n_workers=n_workers,
+                    cpu_cost=self._cpu_costs[sync])
+            return result
         return ScheduleResult(bitmap=bitmap, n_selected=n,
                               n_workers=n_workers,
-                              cpu_cost=self._cpu_costs[self.sync_enabled])
+                              cpu_cost=self._cpu_costs[sync])
 
     @property
     def scheduler_cost_per_call(self) -> float:

@@ -29,7 +29,8 @@ import math
 from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..kernel.hash import FourTuple, jhash_4tuple, jhash_words
+from ..kernel.hash import (FourTuple, jhash_4tuple, jhash_words,
+                           reciprocal_scale)
 
 __all__ = ["EcmpIngress", "ConsistentHashRing", "make_ingress",
            "INGRESS_POLICIES"]
@@ -63,7 +64,6 @@ class EcmpIngress:
 
     def pick(self, four_tuple: FourTuple, active: Sequence) -> object:
         """Select the owning instance for a new flow."""
-        from ..kernel.hash import reciprocal_scale
         flow_hash = jhash_4tuple(four_tuple, self.hash_seed)
         return active[reciprocal_scale(flow_hash, len(active))]
 

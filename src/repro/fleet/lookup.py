@@ -30,6 +30,7 @@ oldest live connection).
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..kernel.hash import FourTuple, jhash_4tuple, jhash_words, reciprocal_scale
@@ -43,6 +44,30 @@ class FleetPolicy(Enum):
 
     STATEFUL = "stateful"
     STATELESS = "stateless"
+
+
+@lru_cache(maxsize=256)
+def hrw_table(backends: Tuple[int, ...], n_slots: int,
+              hash_seed: int) -> Tuple[int, ...]:
+    """The rendezvous (HRW) slot table: slot ``s`` goes to the backend
+    with the highest ``jhash([s, backend], hash_seed)``, ties to the first.
+
+    A pure function of its arguments, memoized per process, so every
+    fleet shard (and every map version with the same backend set) shares
+    one table.  The result is a tuple, so no holder can change it under
+    another.
+    """
+    table = []
+    for slot in range(n_slots):
+        owner = backends[0]
+        best = -1
+        for backend in backends:
+            weight = jhash_words([slot, backend], hash_seed)
+            if weight > best:
+                best = weight
+                owner = backend
+        table.append(owner)
+    return tuple(table)
 
 
 class BackendMap:
@@ -65,20 +90,8 @@ class BackendMap:
         self.n_slots = n_slots
         self.hash_seed = hash_seed
         self._backends: List[int] = list(backends)
-        self._tables: List[List[int]] = [self._build(self._backends)]
-
-    def _build(self, backends: Sequence[int]) -> List[int]:
-        table = []
-        for slot in range(self.n_slots):
-            owner = backends[0]
-            best = -1
-            for backend in backends:
-                weight = jhash_words([slot, backend], self.hash_seed)
-                if weight > best:
-                    best = weight
-                    owner = backend
-            table.append(owner)
-        return table
+        self._tables: List[Tuple[int, ...]] = [
+            hrw_table(tuple(self._backends), n_slots, hash_seed)]
 
     @property
     def version(self) -> int:
@@ -95,7 +108,8 @@ class BackendMap:
         if not backends:
             raise ValueError("need at least one backend")
         self._backends = list(backends)
-        self._tables.append(self._build(self._backends))
+        self._tables.append(hrw_table(tuple(self._backends), self.n_slots,
+                                      self.hash_seed))
         return self.version
 
     def backend_for(self, flow_hash: int, version: Optional[int] = None) -> int:

@@ -14,16 +14,17 @@ deterministically.
 
 How determinism is kept byte-identical across ``--jobs N``:
 
-- Every shard replays the *same* seeded arrival stream
-  (``RngRegistry(seed).stream("traffic")``) and draws, for every arrival
-  in the fleet: the inter-arrival gap, the port pick, the 4-tuple, and a
-  fresh per-connection seed.  It then evaluates the global ingress
-  function over lightweight name proxies and *simulates only the
-  arrivals it owns* — foreign arrivals are discarded after the identical
-  draws, so the stream stays in lockstep everywhere.
+- One arrival spine: :func:`fleet_arrivals` draws the seeded fleet-wide
+  stream (``RngRegistry(seed).stream("traffic")``) once, in the parent —
+  for every arrival the inter-arrival gap, the port pick, the 4-tuple and
+  a fresh per-connection seed, in that order — and hands each arrival to
+  the instance the global ingress function picks.  Each shard receives
+  only its own slice of ``(time, four_tuple, conn_seed)`` records and
+  schedules exactly those; it never draws, hashes or times a foreign
+  arrival.
 - Per-connection client behaviour (request payloads, think-time gaps)
-  draws from a private ``Stream(conn_seed)``, so simulating or skipping
-  a connection consumes nothing from the shared stream.
+  draws from a private ``Stream(conn_seed)``, so a connection behaves
+  the same whichever shard, in whichever process, simulates it.
 - Merging reuses the slot-indexed collection + enumeration-order merge
   pattern ``repro.sweep`` proved byte-identical: shard results land in
   a list indexed by shard id, and all reductions (pooled latency
@@ -40,8 +41,10 @@ the global arrival stream).
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..kernel.hash import FourTuple, jhash_words
 from ..kernel.tcp import Connection, ConnState
@@ -50,8 +53,8 @@ from ..sim.rng import RngRegistry, Stream
 from .fleet import Fleet, FleetPolicy, reduce_metrics
 from .ingress import make_ingress
 
-__all__ = ["ShardIngress", "run_shard", "run_sharded_fleet",
-           "merge_shards", "SHARDED_UNSUPPORTED"]
+__all__ = ["ShardIngress", "fleet_spec", "fleet_arrivals", "run_shard",
+           "run_sharded_fleet", "merge_shards", "SHARDED_UNSUPPORTED"]
 
 #: The LB device's own address in synthetic 4-tuples (mirrors
 #: ``repro.workloads.generator.LB_IP``).
@@ -75,18 +78,18 @@ class _NameProxy:
 
 
 class ShardIngress:
-    """Evaluates the *global* ingress policy inside one shard.
+    """Evaluates the *global* ingress policy over the whole fleet.
 
     The real policy object (ECMP or plain consistent-hash ring) picks
     over a fixed list of name proxies — one per fleet instance — so the
-    decision is bit-identical to the unsharded fleet's.  ``owner()``
-    exposes the global pick to the shard's traffic source; ``pick()``
-    satisfies the local single-instance cluster, asserting that only
-    owned flows ever reach it.
+    decision is bit-identical to the unsharded fleet's.  ``owner()`` is
+    the global pick the arrival spine splits the stream with; ``pick()``
+    satisfies a shard's local single-instance cluster, asserting that
+    only flows owned by ``shard_index`` ever reach it.
     """
 
     def __init__(self, policy: str, hash_seed: int, n_instances: int,
-                 shard_index: int):
+                 shard_index: Optional[int] = None):
         if policy == "ring_bounded":
             raise ValueError(
                 "ring_bounded ingress cannot be sharded: the bounded-load "
@@ -113,68 +116,106 @@ class ShardIngress:
         return active[0]
 
 
-class _ShardedTrafficGenerator:
-    """Replays the fleet-wide arrival stream, simulating owned flows only.
+#: One fleet-wide arrival: (time, 4-tuple, per-connection seed).
+Arrival = Tuple[float, FourTuple, int]
 
-    The shared ``arrival_rng`` is drawn identically in every shard (gap,
-    port, 4-tuple, per-connection seed — in that order, for *every*
-    arrival); everything per-connection afterwards uses the connection's
-    private stream.
+
+def fleet_spec(duration: float, conn_rate: float):
+    """The fleet workload, sharded or not: arrivals stop 0.3 s before
+    the run ends; each connection sends 20 fixed 200 µs requests."""
+    from ..workloads.distributions import FixedFactory
+    from ..workloads.generator import WorkloadSpec
+
+    return WorkloadSpec(name="fleet", conn_rate=conn_rate,
+                        duration=max(0.1, duration - 0.3),
+                        factory=FixedFactory((200e-6,)), ports=(443,),
+                        requests_per_conn=20, request_gap_mean=0.05)
+
+
+def fleet_arrivals(seed: int, n_instances: int, duration: float,
+                   conn_rate: float, ingress: str = "ecmp"
+                   ) -> Tuple[List[List[Arrival]], int]:
+    """Draw the fleet-wide arrival stream once and split it by owner.
+
+    For every arrival, ``RngRegistry(seed).stream("traffic")`` is drawn
+    in a fixed order: the inter-arrival gap, the port pick, the source IP
+    and port, and a 64-bit per-connection seed.  Arrival times are the
+    running float sum of the gaps; the stream ends at the first gap that
+    would pass the arrival window.  Returns one time-ordered
+    ``(time, four_tuple, conn_seed)`` list per instance, indexed by the
+    global ingress owner, and the fleet-wide arrival count.
+    """
+    for name, value in (("conn_rate", conn_rate), ("duration", duration)):
+        # Also refuses NaN and inf, either of which never ends the stream.
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if n_instances < 1:
+        raise ValueError("need at least one instance")
+    spec = fleet_spec(duration, conn_rate)
+    registry = RngRegistry(seed)
+    owner = ShardIngress(ingress, registry.stream("hash").randrange(2 ** 32),
+                         n_instances).owner
+    rng = registry.stream("traffic")
+    rate = spec.conn_rate
+    window = spec.duration
+    n_ips = spec.n_client_ips
+    port = spec.ports[0]
+    slices: List[List[Arrival]] = [[] for _ in range(n_instances)]
+    now = 0.0
+    total = 0
+    while True:
+        gap = rng.expovariate(rate)
+        if now + gap > window:
+            return slices, total
+        now = now + gap
+        rng.random()                                  # port pick
+        src_ip = 0x0A000000 + rng.randrange(n_ips)
+        src_port = rng.randrange(1024, 65535)
+        conn_seed = rng.getrandbits(64)
+        four_tuple = FourTuple(src_ip, src_port, _LB_IP, port)
+        slices[owner(four_tuple)].append((now, four_tuple, conn_seed))
+        total += 1
+
+
+class _ShardedTrafficGenerator:
+    """Opens one shard's slice of the fleet-wide arrival stream.
+
+    Every owned arrival is scheduled at set-up for its exact spine time
+    (``0.0 + time == time``); everything per-connection afterwards uses
+    the connection's private stream.
     """
 
-    def __init__(self, env: Environment, fleet: Fleet, ingress: ShardIngress,
-                 arrival_rng: Stream, spec) -> None:
+    def __init__(self, env: Environment, fleet: Fleet,
+                 arrivals: Sequence[Arrival], total: int, spec) -> None:
         if spec.reconnect_on_reset:
             raise ValueError(
                 "reconnect_on_reset cannot be sharded: the retry would "
                 "re-enter the global arrival stream")
         self.env = env
         self.fleet = fleet
-        self.ingress = ingress
-        self.rng = arrival_rng
+        self.arrivals = arrivals
         self.spec = spec
         self.opened = 0
         self.refused = 0
         self.reset = 0
         self.requests_sent = 0
-        self.foreign = 0
-        self._proc = None
+        #: Fleet-wide arrivals another shard owns.
+        self.foreign = total - len(arrivals)
 
     def start(self) -> None:
-        self._proc = self.env.process(self._arrivals(), name="shard:arrivals")
+        schedule = self.env.schedule_callback
+        for time, four_tuple, conn_seed in self.arrivals:
+            schedule(time, partial(self._open, four_tuple, conn_seed))
 
-    def _arrivals(self):
-        rng = self.rng
-        spec = self.spec
-        rate = spec.conn_rate
-        shard_index = self.ingress.shard_index
-        owner = self.ingress.owner
-        n_ips = spec.n_client_ips
-        port = spec.ports[0]
-        while True:
-            gap = rng.expovariate(rate)
-            if self.env.now + gap > spec.duration:
-                return
-            yield gap
-            # Identical draw block for every fleet-wide arrival:
-            rng.random()                                  # port pick
-            src_ip = 0x0A000000 + rng.randrange(n_ips)
-            src_port = rng.randrange(1024, 65535)
-            conn_seed = rng.getrandbits(64)
-            four_tuple = FourTuple(src_ip, src_port, _LB_IP, port)
-            if owner(four_tuple) != shard_index:
-                self.foreign += 1
-                continue
-            self._open(four_tuple, Stream(conn_seed))
-
-    def _open(self, four_tuple: FourTuple, crng: Stream) -> None:
+    def _open(self, four_tuple: FourTuple, conn_seed: int) -> None:
         conn = Connection(four_tuple, tenant_id=0,
                           created_time=self.env.now)
         self.opened += 1
         if not self.fleet.connect(conn):
             self.refused += 1
             return
-        self.env.process(self._client(conn, crng), name=f"client:{conn.id}")
+        self.env.process(self._client(conn, Stream(conn_seed)),
+                         name=f"client:{conn.id}")
 
     def _client(self, conn: Connection, crng: Stream):
         spec = self.spec
@@ -200,18 +241,21 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     Mirrors :func:`repro.check.runner.run_monitored_fleet`'s
     construction exactly — same registry streams, same instance naming
     and per-instance hash-seed derivation as :func:`build_fleet`, same
-    workload spec and churn fault — scoped down to one instance.
+    workload spec and churn fault — scoped down to one instance.  The
+    shard schedules ``payload["arrivals"]``, its slice of
+    :func:`fleet_arrivals`, and counts the rest of
+    ``payload["total_arrivals"]`` as foreign.
     """
     from ..check.invariants import watch
     from ..check.pcc import watch_fleet
     from ..lb.server import LBServer, NotificationMode
     from ..obs import FlightRecorder, Tracer
-    from ..workloads.distributions import FixedFactory
-    from ..workloads.generator import WorkloadSpec
 
     shard_index = payload["shard_index"]
     n_instances = payload["n_instances"]
     seed = payload["seed"]
+    duration = payload["duration"]
+    ingress_policy = payload.get("ingress", "ecmp")
     check = payload.get("check", False)
     keep_trace = payload.get("keep_trace", False)
 
@@ -229,8 +273,8 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         if keep_trace or check:
             recorder = FlightRecorder(capacity=256)
             tracer = Tracer(env, recorder=recorder, keep_events=keep_trace)
-        ingress = ShardIngress(payload.get("ingress", "ecmp"),
-                               fleet_hash_seed, n_instances, shard_index)
+        ingress = ShardIngress(ingress_policy, fleet_hash_seed, n_instances,
+                               shard_index)
         instance = LBServer(
             env, payload["n_workers"], [443], NotificationMode.HERMES,
             hash_seed=jhash_words([shard_index], fleet_hash_seed),
@@ -244,13 +288,9 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         if check:
             pcc = watch_fleet(fleet)
             monitors = [watch(instance)]
-        duration = payload["duration"]
-        spec = WorkloadSpec(name="fleet", conn_rate=payload["conn_rate"],
-                            duration=max(0.1, duration - 0.3),
-                            factory=FixedFactory((200e-6,)), ports=(443,),
-                            requests_per_conn=20, request_gap_mean=0.05)
-        gen = _ShardedTrafficGenerator(env, fleet, ingress,
-                                       registry.stream("traffic"), spec)
+        gen = _ShardedTrafficGenerator(
+            env, fleet, payload["arrivals"], payload["total_arrivals"],
+            fleet_spec(duration, payload["conn_rate"]))
         churn_at = payload.get("churn_at")
         if churn_at is not None:
             env.schedule_callback(
@@ -356,15 +396,16 @@ def run_sharded_fleet(policy: str = "stateless", n_instances: int = 4,
     ``jobs=1`` runs every shard serially in this process; ``jobs>1``
     fans shards across a :class:`ProcessPoolExecutor`.  Output is
     byte-identical either way (slot-indexed collection, enumeration-
-    order merge).
+    order merge).  The arrival stream is drawn once, here, and each
+    shard's payload carries only its own slice.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if ingress == "ring_bounded":
-        raise ValueError(
-            "ring_bounded ingress cannot be sharded: the bounded-load "
-            "walk depends on live load of remote instances")
     FleetPolicy(policy)  # validate early, before any worker spawns
+    # Also refuses ring_bounded ingress and rates or durations that
+    # cannot be honoured.
+    slices, total = fleet_arrivals(seed, n_instances, duration, conn_rate,
+                                   ingress)
     payloads = [
         {
             "shard_index": index,
@@ -379,6 +420,8 @@ def run_sharded_fleet(policy: str = "stateless", n_instances: int = 4,
             "churn_k": churn_k,
             "check": check,
             "keep_trace": keep_trace,
+            "arrivals": slices[index],
+            "total_arrivals": total,
         }
         for index in range(n_instances)
     ]

@@ -225,6 +225,45 @@ class TestFastPath:
                       if n == "sched.filter" and f["stage"] == "time"]
         assert time_stage and time_stage[0]["dropped"] == [1, 3]
 
+    def test_all_pass_result_is_reused(self):
+        sched, *_ = make_scheduler(4)
+        first = sched.schedule_and_sync()
+        assert sched.schedule_and_sync() is first
+        sched.sync_enabled = False
+        unsynced = sched.schedule_and_sync()
+        assert unsynced is not first
+        assert unsynced.cpu_cost < first.cpu_cost
+        assert sched.schedule_and_sync() is unsynced
+
+    def test_all_pass_result_follows_a_swapped_config(self):
+        sched, *_ = make_scheduler(4)
+        before = sched.schedule_and_sync()
+        costs = sched.config.costs
+        dearer = costs.__class__(
+            wst_read_per_worker=2 * costs.wst_read_per_worker,
+            scheduler_per_worker=costs.scheduler_per_worker)
+        sched.config = sched.config.with_overrides(costs=dearer)
+        after = sched.schedule_and_sync()
+        assert after is not before
+        assert after.cpu_cost == 4 * (dearer.wst_read_per_worker
+                                      + dearer.scheduler_per_worker) \
+            + dearer.map_update_syscall
+        assert after.cpu_cost > before.cpu_cost
+
+    def test_partial_pass_between_all_passes(self):
+        sched, wst, _, clock = make_scheduler(4, hang_threshold=1.0)
+        all_pass = sched.schedule_and_sync()
+        clock.now = 5.0
+        for w in (0, 2):
+            wst.touch_timestamp(w)
+        partial = sched.schedule_and_sync()
+        assert partial is not all_pass
+        assert (partial.bitmap, partial.n_selected) == (0b0101, 2)
+        for w in (1, 3):
+            wst.touch_timestamp(w)
+        assert sched.schedule_and_sync() is all_pass
+        assert (all_pass.bitmap, all_pass.n_selected) == (0b1111, 4)
+
     def test_select_workers_result_must_not_be_mutated_shared_list(self):
         # The identity fast path shares one list across calls: two no-drop
         # cascades must return the same object with stable contents.

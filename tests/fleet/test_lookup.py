@@ -59,6 +59,25 @@ class TestBackendMap:
             if new_table[slot] != old_table[slot]:
                 assert new_table[slot] == 4
 
+    def test_equal_maps_share_frozen_tables(self):
+        # The HRW table is memoized per process: maps built with the same
+        # parameters get equal tables, and one map's update never reaches
+        # the other's versions.
+        a = BackendMap([0, 1, 2, 3], hash_seed=77)
+        b = BackendMap([0, 1, 2, 3], hash_seed=77)
+        assert a._tables == b._tables
+        b.update([0, 1, 2])
+        b_before = [list(table) for table in b._tables]
+        a.update([0, 1, 2])
+        a.update([0, 1, 2, 9])
+        assert a._tables[1] == b._tables[1]
+        assert [list(table) for table in b._tables] == b_before
+        assert b.version == 1
+        assert b.backends == [0, 1, 2]
+        for table in a._tables + b._tables:
+            assert isinstance(table, tuple)
+        assert BackendMap([0, 1, 2, 3], hash_seed=78)._tables != a._tables[:1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BackendMap([])

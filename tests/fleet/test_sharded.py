@@ -4,24 +4,75 @@ The sharding contract has two halves: (1) ``jobs=N`` output is
 byte-identical to ``jobs=1`` (slot-indexed collection, enumeration-order
 merge — the repro.sweep pattern), and (2) a sharded run is equivalent to
 what the ingress function says: every connection lands on the instance
-the *global* ECMP/ring pick chooses, foreign arrivals are skipped after
-identical RNG draws, and the merged counters are pure sums/maxes of the
-per-shard docs.
+the *global* ECMP/ring pick chooses, the arrival spine hands each shard
+exactly the arrivals the old per-shard replay kept, and the merged
+counters are pure sums/maxes of the per-shard docs.
 """
 
 import json
 
 import pytest
 
-from repro.fleet.sharded import (ShardIngress, merge_shards, run_shard,
-                                 run_sharded_fleet)
+from repro.fleet.sharded import (ShardIngress, fleet_arrivals, merge_shards,
+                                 run_shard, run_sharded_fleet)
 from repro.kernel.hash import FourTuple
+from repro.sim.engine import Environment
+from repro.sim.rng import RngRegistry
+
+
+def _replayed_shard(seed, n_instances, shard_index, duration, conn_rate,
+                    ingress):
+    """Reference: every shard replays the whole stream in its own engine.
+
+    A copy of the per-shard arrival process the spine replaced: draw gap,
+    port pick, 4-tuple and connection seed for every fleet-wide arrival,
+    keep the owned ones at ``env.now``, count the rest as foreign.
+    """
+    env = Environment()
+    registry = RngRegistry(seed)
+    owner = ShardIngress(ingress, registry.stream("hash").randrange(2 ** 32),
+                         n_instances, shard_index).owner
+    rng = registry.stream("traffic")
+    window = max(0.1, duration - 0.3)
+    owned, foreign = [], [0]
+
+    def arrivals():
+        while True:
+            gap = rng.expovariate(conn_rate)
+            if env.now + gap > window:
+                return
+            yield gap
+            rng.random()
+            src_ip = 0x0A000000 + rng.randrange(65536)
+            src_port = rng.randrange(1024, 65535)
+            conn_seed = rng.getrandbits(64)
+            four_tuple = FourTuple(src_ip, src_port, 0xC0A80001, 443)
+            if owner(four_tuple) != shard_index:
+                foreign[0] += 1
+                continue
+            owned.append((env.now, four_tuple, conn_seed))
+
+    env.process(arrivals())
+    env.run(until=duration)
+    return owned, foreign[0]
 
 
 def _doc(**kw):
     defaults = dict(n_instances=4, duration=0.9, conn_rate=120.0, jobs=1)
     defaults.update(kw)
     return run_sharded_fleet(**defaults)
+
+
+def _payload(shard_index, **kw):
+    """A 4-shard ``run_shard`` payload carrying its slice of the spine."""
+    slices, total = fleet_arrivals(31, 4, 0.9, 120.0, "ecmp")
+    payload = {"shard_index": shard_index, "n_instances": 4, "n_workers": 2,
+               "policy": "stateless", "ingress": "ecmp", "seed": 31,
+               "duration": 0.9, "conn_rate": 120.0, "churn_at": 0.6,
+               "churn_k": 2, "arrivals": slices[shard_index],
+               "total_arrivals": total}
+    payload.update(kw)
+    return payload
 
 
 class TestByteIdentity:
@@ -35,15 +86,37 @@ class TestByteIdentity:
         # run_shard must be a pure function of its payload even when the
         # calling process has already simulated other shards (global id
         # counters must be reset per shard).
-        payload = {"shard_index": 1, "n_instances": 4, "n_workers": 2,
-                   "policy": "stateless", "ingress": "ecmp", "seed": 31,
-                   "duration": 0.9, "conn_rate": 120.0, "churn_at": 0.6,
-                   "churn_k": 2}
-        first = run_shard(dict(payload))
-        run_shard(dict(payload, shard_index=0))  # pollute the process
-        again = run_shard(dict(payload))
+        first = run_shard(_payload(1))
+        run_shard(_payload(0))  # pollute the process
+        again = run_shard(_payload(1))
         assert json.dumps(first, sort_keys=True) \
             == json.dumps(again, sort_keys=True)
+
+
+class TestArrivalSpine:
+    @pytest.mark.parametrize("ingress", ["ecmp", "ring"])
+    @pytest.mark.parametrize("n_instances", [1, 4, 16])
+    @pytest.mark.parametrize("seed", [7, 31, 101])
+    def test_spine_matches_per_shard_replay(self, seed, n_instances,
+                                            ingress):
+        slices, total = fleet_arrivals(seed, n_instances, 0.9, 120.0,
+                                       ingress)
+        assert len(slices) == n_instances
+        for shard_index in range(n_instances):
+            owned, foreign = _replayed_shard(seed, n_instances, shard_index,
+                                             0.9, 120.0, ingress)
+            # Exact equality, times included: 0.0 + t == t, so scheduling
+            # every owned arrival at set-up fires it at the replay's time.
+            assert slices[shard_index] == owned
+            assert total - len(slices[shard_index]) == foreign
+        assert total > 0
+
+    def test_run_shard_opens_exactly_its_slice(self):
+        payload = _payload(2, check=True)
+        doc = run_shard(payload)
+        assert doc["opened"] == len(payload["arrivals"]) > 0
+        assert doc["foreign"] == (payload["total_arrivals"]
+                                  - len(payload["arrivals"]))
 
 
 class TestOwnership:
@@ -51,12 +124,7 @@ class TestOwnership:
         # Across all shards, every arrival is simulated exactly once:
         # owned counts sum to the per-shard arrival total, which is
         # identical in every shard.
-        docs = [run_shard({"shard_index": i, "n_instances": 4,
-                           "n_workers": 2, "policy": "stateless",
-                           "ingress": "ecmp", "seed": 31, "duration": 0.9,
-                           "conn_rate": 120.0, "churn_at": None,
-                           "churn_k": 2})
-                for i in range(4)]
+        docs = [run_shard(_payload(i, churn_at=None)) for i in range(4)]
         totals = {doc["opened"] + doc["foreign"] for doc in docs}
         assert len(totals) == 1  # same arrival stream everywhere
         arrivals = totals.pop()
@@ -87,6 +155,19 @@ class TestRefusals:
     def test_jobs_zero_refused(self):
         with pytest.raises(ValueError, match="jobs"):
             _doc(jobs=0)
+
+    @pytest.mark.parametrize("conn_rate", [0.0, -5.0, float("nan"),
+                                           float("inf")])
+    def test_rate_that_cannot_be_honoured_refused(self, conn_rate):
+        # A zero rate used to kill the arrival process silently (an
+        # all-zero fleet); a negative one would never end the spine.
+        with pytest.raises(ValueError, match="conn_rate"):
+            _doc(conn_rate=conn_rate)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("inf")])
+    def test_duration_that_cannot_be_honoured_refused(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            _doc(duration=duration)
 
 
 class TestMergeSemantics:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 
@@ -13,6 +14,10 @@ from repro.perf.harness import (BENCH_NAMES, BenchResult, calibrate,
 from repro.perf.report import (GATED_BENCHES, SCHEMA, build_report,
                                check_regression, load_report, render_report,
                                write_report)
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 class TestGolden:
@@ -242,3 +247,56 @@ class TestMakefileWiring:
         flat = " ".join(out.stdout.split())
         assert "--bench engine_throughput" in flat
         assert "--bench fleet_sharded" in flat
+
+
+def _doc_number(cell):
+    """A table cell's number: ``'~1.73M ev/s'`` -> 1730000.0, ``'—'`` -> None."""
+    match = re.match(r"~?([\d,]+(?:\.\d+)?)\s*([kM]?)", cell.strip("* "))
+    if match is None:
+        return None
+    scale = {"": 1.0, "k": 1e3, "M": 1e6}[match.group(2)]
+    return float(match.group(1).replace(",", "")) * scale
+
+
+def _sig2(value):
+    return f"{value:.2g}"
+
+
+class TestPerformanceDoc:
+    """docs/PERFORMANCE.md's "The numbers" table is written by hand; it
+    must name every bench in the committed report and agree with it to
+    2 significant figures."""
+
+    def _rows(self):
+        with open(os.path.join(_ROOT, "docs", "PERFORMANCE.md"),
+                  encoding="utf-8") as handle:
+            text = handle.read()
+        section = text.split("\n## The numbers\n", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [cell.strip()
+                     for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 4 and cells[0] not in ("bench", "") \
+                    and not cells[0].startswith("-"):
+                rows[cells[0]] = cells[1:]
+        return rows
+
+    def test_numbers_table_matches_committed_report(self):
+        report = load_report(os.path.join(_ROOT, "BENCH_perf.json"))
+        baseline = report["baseline_pre_pr"]
+        rows = self._rows()
+        assert set(rows) == set(report["benches"])
+        for name, (pre_cell, now_cell, speedup_cell) in rows.items():
+            now = report["benches"][name]["ops_per_sec"]
+            assert _sig2(_doc_number(now_cell)) == _sig2(now), name
+            if name == "macro_lb_run":
+                # The baseline timed this bench in requests; the table
+                # compares engine events, as the bench does now.
+                pre = baseline["macro_engine_events_per_sec"]
+            else:
+                pre = baseline["benches"].get(name, {}).get("ops_per_sec")
+            if pre is None:
+                assert (pre_cell, speedup_cell) == ("—", "—"), name
+                continue
+            assert _sig2(_doc_number(pre_cell)) == _sig2(pre), name
+            assert _sig2(_doc_number(speedup_cell)) == _sig2(now / pre), name

@@ -339,6 +339,17 @@ class TestFleetCommand:
         capsys.readouterr()
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]],
+                             ids=["unsharded", "sharded"])
+    @pytest.mark.parametrize("bad", [["--rate", "0"], ["--rate", "-5"],
+                                     ["--duration", "0"]],
+                             ids=["rate0", "rate-5", "duration0"])
+    def test_rate_or_duration_that_cannot_be_honoured_exits_1(
+            self, capsys, bad, jobs):
+        rc = main(["fleet", "--instances", "2"] + bad + jobs)
+        assert rc == 1
+        assert "must be finite and > 0" in capsys.readouterr().err
+
     def test_sharded_crash_is_refused(self, capsys):
         rc = main(["fleet", "--jobs", "2", "--crash-at", "0.9"])
         assert rc == 1
