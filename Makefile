@@ -22,7 +22,8 @@ perf:
 	PYTHONPATH=src python -m repro perf \
 	    $(foreach b,$(BENCH),--bench $(b))
 
-# What CI runs: quick scales, gate against the committed report.
+# Quick scales, gated against the committed report.  A local check only:
+# wall-clock scores are noisy, so CI just reports them.
 perf-check:
 	PYTHONPATH=src python -m repro perf --quick \
 	    --out BENCH_perf.ci.json --check BENCH_perf.json

@@ -81,6 +81,10 @@ class ConnState(Enum):
     REFUSED = "refused"           # backlog overflow / port unbound
 
 
+#: States in which a connection takes no more data or FINs.
+_FINISHED = (ConnState.CLOSED, ConnState.RESET, ConnState.REFUSED)
+
+
 class Connection:
     """A client connection traversing the LB."""
 
@@ -124,7 +128,7 @@ class Connection:
         The first event of the request becomes readable immediately; later
         events surface as the worker consumes earlier ones (streamed data).
         """
-        if self.state in (ConnState.CLOSED, ConnState.RESET, ConnState.REFUSED):
+        if self.state in _FINISHED:
             raise ValueError(f"cannot deliver to {self.state.value} connection")
         request.arrival_time = now
         self.inbox.append(request)
@@ -140,7 +144,7 @@ class Connection:
 
     def client_close(self) -> None:
         """Client sends FIN."""
-        if self.state in (ConnState.CLOSED, ConnState.RESET, ConnState.REFUSED):
+        if self.state in _FINISHED:
             return
         self.fin_pending = True
         if self.splice is not None:

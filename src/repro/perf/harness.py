@@ -4,7 +4,7 @@ Every bench returns a :class:`BenchResult` (ops, wall seconds, unit).  The
 harness also measures a *calibration* score — a fixed pure-Python arithmetic
 loop — so two reports from different machines can be compared on the
 normalized ratio ``ops_per_sec / calibration_ops_per_sec`` instead of raw
-wall-clock numbers.  That is what the CI regression gate uses: a slower
+wall-clock numbers.  That is what the regression gate uses: a slower
 runner slows the calibration loop and the benches alike, so the ratio is
 (approximately) machine-independent while a real hot-path regression is not.
 

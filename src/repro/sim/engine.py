@@ -43,6 +43,11 @@ repo, so the hot path is hand-flattened:
   recounting every sub-event per trigger (O(n) total, was O(n²)).
 - ``schedule_callback`` allocates no per-event closure: the callable is
   carried on a slot of the event and invoked by one shared function.
+- Callback events are recycled through their own free list under the same
+  ``sys.getrefcount`` gate, so holding the event ``schedule_callback``
+  returns keeps it out of the pool.  A recycled event gets a fresh
+  ``[trampoline]`` callback list, since a process that yielded on it
+  appended its resumer.
 - A :class:`TimedWait` arms its deadline as the process's own direct
   timer, so a blocking ``epoll_wait`` builds no Timeout and no AnyOf.
 
@@ -631,7 +636,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_eid", "_active_process", "steps",
-                 "_event_pool", "_timeout_pool")
+                 "_event_pool", "_timeout_pool", "_callback_pool")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -643,6 +648,7 @@ class Environment:
         # Free lists for recycled one-shot events (exact-class matched).
         self._event_pool: list = []
         self._timeout_pool: list = []
+        self._callback_pool: list = []
 
     @property
     def now(self) -> float:
@@ -695,6 +701,20 @@ class Environment:
     # -- scheduling ----------------------------------------------------------
     def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run a plain callable after ``delay`` (no process needed)."""
+        pool = self._callback_pool
+        if pool:
+            if delay < 0:
+                raise SimulationError(f"negative timeout delay: {delay}")
+            event = pool.pop()
+            event._value = None
+            event._ok = True
+            event._scheduled = True
+            event.delay = delay
+            event.fn = fn
+            eid = self._eid
+            self._eid = eid + 1
+            heappush(self._queue, (self._now + delay, NORMAL, eid, event))
+            return event
         return _Callback(self, delay, fn)
 
     def _stage_timer(self, process: "Process", when: float) -> int:
@@ -769,9 +789,12 @@ class Environment:
         """
         # The dispatch loop is inlined (no step()/_dispatch() call per
         # event); keep the three copies of the recycle block in sync.
+        # Callback events are recycled only here: under step() the extra
+        # frame's reference fails the getrefcount gate anyway.
         queue = self._queue
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
+        callback_pool = self._callback_pool
         pool_limit = _POOL_LIMIT
         getrefcount = sys.getrefcount
         steps = 0
@@ -836,6 +859,18 @@ class Environment:
                             event._scheduled = False
                             event._value = _PENDING
                             event_pool.append(event)
+                    elif cls is _Callback:
+                        if getrefcount(event) == 2 and \
+                                len(callback_pool) < pool_limit:
+                            # A fresh list: a process that yielded on the
+                            # event appended its resumer after the
+                            # trampoline.
+                            event.callbacks = [_invoke_callback]
+                            event.fn = None
+                            event._processed = False
+                            event._scheduled = False
+                            event._value = _PENDING
+                            callback_pool.append(event)
                 return
             limit = float(until)
             if limit < self._now:
@@ -898,6 +933,15 @@ class Environment:
                         event._scheduled = False
                         event._value = _PENDING
                         event_pool.append(event)
+                elif cls is _Callback:
+                    if getrefcount(event) == 2 and \
+                            len(callback_pool) < pool_limit:
+                        event.callbacks = [_invoke_callback]
+                        event.fn = None
+                        event._processed = False
+                        event._scheduled = False
+                        event._value = _PENDING
+                        callback_pool.append(event)
             self._now = limit
         finally:
             self.steps += steps

@@ -18,6 +18,7 @@ The engine keeps an exact request/byte conservation ledger
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict
 
 from ..kernel.tcp import Connection, ConnState, Request
@@ -149,21 +150,25 @@ class SpliceEngine:
         size = request.size_bytes
         self.requests_in += 1
         self.bytes_in += size
-        cost = (self.config.per_request_cost
-                + size * self.config.per_byte_cost)
+        config = self.config
+        cost = config.per_request_cost + size * config.per_byte_cost
         lane = self._lane(path.worker.worker_id)
-        now = self.env.now
-        start = lane.busy_until if lane.busy_until > now else now
+        env = self.env
+        now = env.now
+        busy_until = lane.busy_until
+        start = busy_until if busy_until > now else now
         finish = start + cost
         lane.busy_until = finish
         lane.busy_seconds += cost
         path.in_flight += 1
         self.requests_in_flight += 1
         self.bytes_in_flight += size
-        self.env.schedule_callback(
-            finish - now, lambda: self._complete(path, request))
+        env.schedule_callback(
+            finish - now, partial(self._complete, path, request, lane))
 
-    def _complete(self, path: SplicePath, request: Request) -> None:
+    def _complete(self, path: SplicePath, request: Request,
+                  lane: SpliceLane) -> None:
+        """A request leaves ``lane`` (its flow's lane): forward or drop."""
         size = request.size_bytes
         path.in_flight -= 1
         self.requests_in_flight -= 1
@@ -179,10 +184,13 @@ class SpliceEngine:
             return
         request.next_event = request.n_events
         request.completed_time = self.env.now
-        if request in conn.inbox:
-            conn.inbox.remove(request)
+        inbox = conn.inbox
+        # Lanes are FIFO, so the request almost always heads the inbox.
+        if inbox and inbox[0] is request:
+            del inbox[0]
+        elif request in inbox:
+            inbox.remove(request)
         conn.requests_completed += 1
-        lane = self._lane(path.worker.worker_id)
         lane.requests_forwarded += 1
         self.requests_forwarded += 1
         self.bytes_forwarded += size
@@ -212,7 +220,7 @@ class SpliceEngine:
         lane.busy_until = finish
         lane.busy_seconds += self.config.teardown_cost
         self.env.schedule_callback(
-            finish - now, lambda: self._finish_teardown(path))
+            finish - now, partial(self._finish_teardown, path))
 
     def _finish_teardown(self, path: SplicePath) -> None:
         conn = path.conn

@@ -15,7 +15,9 @@ across a sampled number of events (header read, body read, response write,
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import exp
 from typing import List, Optional, Sequence, Tuple
 
 from ..kernel.tcp import Request
@@ -56,18 +58,19 @@ class QuantileSampler:
         self._qs: List[float] = [0.0] + qs + [1.0]
         self._log_vs: List[float] = (
             [math.log(lo)] + [math.log(v) for v in vs] + [math.log(hi)])
+        #: (q0, span, log_v0, dlog_v) per knot interval; every span > 0.
+        qs, lvs = self._qs, self._log_vs
+        self._segments: List[Tuple[float, float, float, float]] = [
+            (qs[i], qs[i + 1] - qs[i], lvs[i], lvs[i + 1] - lvs[i])
+            for i in range(len(qs) - 1)]
 
     def quantile(self, q: float) -> float:
         """The value at cumulative probability ``q``."""
         if not 0 <= q <= 1:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        qs, lvs = self._qs, self._log_vs
-        for i in range(len(qs) - 1):
-            if qs[i] <= q <= qs[i + 1]:
-                span = qs[i + 1] - qs[i]
-                frac = 0.0 if span == 0 else (q - qs[i]) / span
-                return math.exp(lvs[i] + frac * (lvs[i + 1] - lvs[i]))
-        return math.exp(lvs[-1])  # pragma: no cover - q == 1 handled above
+        # A q exactly on a knot takes the lower segment.
+        q0, span, lv0, dlv = self._segments[bisect_left(self._qs, q, 1) - 1]
+        return exp(lv0 + (q - q0) / span * dlv)
 
     def sample(self, rng: Stream) -> float:
         return self.quantile(rng.random())
@@ -110,13 +113,34 @@ class RequestFactory:
             raise ValueError("need 1 <= min_events <= max_events")
 
     def build(self, rng: Stream, tenant_id: int = 0) -> Request:
-        total = self.service_sampler.sample(rng)
-        n_events = rng.randint(self.min_events, self.max_events)
-        event_times = _split_total(total, n_events, rng)
-        size = (int(self.size_sampler.sample(rng))
-                if self.size_sampler is not None else 512)
-        return Request(tenant_id=tenant_id, size_bytes=size,
-                       event_times=event_times, handler=self.handler)
+        """Draw one request.
+
+        The total service time is split across the events with random
+        proportions.  Draws, in order: the total, the event count (as
+        ``randint`` draws it), one weight per event when there are two or
+        more, and the size.
+        """
+        random = rng.random
+        total = self.service_sampler.quantile(random())
+        low = self.min_events
+        # randint(low, high) is low + _randbelow(high - low + 1).
+        n_events = low + rng._randbelow(self.max_events - low + 1)
+        if n_events == 1:
+            event_times: Tuple[float, ...] = (total,)
+        elif n_events == 2:
+            # Two floats: one rounded add equals a (compensated) sum().
+            w0 = random() + 0.25
+            w1 = random() + 0.25
+            scale = total / (w0 + w1)
+            event_times = (w0 * scale, w1 * scale)
+        else:
+            # sum() is compensated on 3.12+, so 3+ weights keep it.
+            weights = [random() + 0.25 for _ in range(n_events)]
+            scale = total / sum(weights)
+            event_times = tuple([w * scale for w in weights])
+        sizes = self.size_sampler
+        size = int(sizes.quantile(random())) if sizes is not None else 512
+        return Request(tenant_id, size, event_times, self.handler)
 
 
 @dataclass
@@ -130,13 +154,3 @@ class FixedFactory:
     def build(self, rng: Stream, tenant_id: int = 0) -> Request:
         return Request(tenant_id=tenant_id, size_bytes=self.size_bytes,
                        event_times=self.event_times, handler=self.handler)
-
-
-def _split_total(total: float, n_events: int,
-                 rng: Stream) -> Tuple[float, ...]:
-    """Split a total service time across events with random proportions."""
-    if n_events == 1:
-        return (total,)
-    weights = [rng.random() + 0.25 for _ in range(n_events)]
-    scale = total / sum(weights)
-    return tuple(w * scale for w in weights)

@@ -163,23 +163,33 @@ class TrafficGenerator:
     def _client(self, conn: Connection, n_requests: int,
                 is_retry: bool = False):
         spec = self.spec
+        rng = self.rng
+        build = spec.factory.build
+        deliver = self.target.deliver
+        stats = self.stats
+        timeout = spec.request_timeout
+        gap_mean = spec.request_gap_mean
+        # A gap follows every request but the last, when gaps are on.
+        last = n_requests - 1 if gap_mean > 0 else -1
+        dead = (ConnState.RESET, ConnState.REFUSED)
+        tenant_id = conn.tenant_id
         try:
             if spec.first_request_delay > 0:
                 yield spec.first_request_delay  # direct timer
             for i in range(n_requests):
-                if conn.state in (ConnState.RESET, ConnState.REFUSED):
+                if conn.state in dead:
                     self._on_reset(conn, n_requests - i, is_retry)
                     return
-                request = spec.factory.build(self.rng, tenant_id=conn.tenant_id)
-                self.target.deliver(conn, request)
-                self.stats.requests_sent += 1
-                if spec.request_timeout is not None:
-                    self._arm_timeout(request, spec.request_timeout)
-                if spec.request_gap_mean > 0 and i < n_requests - 1:
+                request = build(rng, tenant_id)
+                deliver(conn, request)
+                stats.requests_sent += 1
+                if timeout is not None:
+                    self._arm_timeout(request, timeout)
+                if i < last:
                     # Direct timer: the RNG draw order and the heap key are
                     # identical to the env.timeout(...) form.
-                    yield self.rng.expovariate(1.0 / spec.request_gap_mean)
-            if conn.state in (ConnState.RESET, ConnState.REFUSED):
+                    yield rng.expovariate(1.0 / gap_mean)
+            if conn.state in dead:
                 self._on_reset(conn, 0, is_retry)
                 return
             conn.client_close()

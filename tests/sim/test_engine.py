@@ -744,3 +744,90 @@ def test_pool_cap_does_not_change_event_order(monkeypatch):
     pooled = drive()
     monkeypatch.setattr(engine, "_POOL_LIMIT", 0)
     assert drive() == pooled
+
+
+# -- recycled callback events -------------------------------------------------
+
+def test_callback_pool_reuses_events():
+    env = Environment()
+    fired = []
+    for i in range(50):
+        env.schedule_callback(float(i % 5), lambda i=i: fired.append(i))
+    env.run()
+    assert sorted(fired) == list(range(50))
+    assert 1 <= len(env._callback_pool) <= 50
+    pooled = env._callback_pool[-1]
+    assert env.schedule_callback(1.0, lambda: fired.append("again")) is pooled
+    env.run()
+    assert fired[-1] == "again"
+
+
+def test_held_callback_event_is_never_recycled():
+    env = Environment()
+    fired = []
+    held = env.schedule_callback(1.0, lambda: fired.append("held"))
+    for i in range(20):
+        env.schedule_callback(0.5 + i, lambda i=i: fired.append(i))
+    env.run()
+    assert all(ev is not held for ev in env._callback_pool)
+    for _ in range(30):
+        assert env.schedule_callback(0.1, lambda: None) is not held
+    env.run()
+    assert fired.count("held") == 1
+    assert held.processed and held.value is None
+
+
+def test_process_waiting_on_callback_event_resumes_exactly_once():
+    # A waiter appends its resumer to the event's callback list; a recycled
+    # event must not carry it into its next use.
+    from repro.sim import engine
+
+    env = Environment()
+    log = []
+
+    def waiter():
+        for i in range(5):
+            value = yield env.schedule_callback(
+                0.5, lambda: log.append(("fired", env.now)))
+            log.append(("resumed", i, value, env.now))
+
+    def bystander():
+        # Draws recycled events while the waiter's are in use.
+        for _ in range(10):
+            yield env.schedule_callback(0.25, lambda: None)
+
+    env.process(waiter())
+    env.process(bystander())
+    env.run()
+    expected = []
+    for i in range(5):
+        now = 0.5 * (i + 1)
+        expected += [("fired", now), ("resumed", i, None, now)]
+    assert log == expected
+    for ev in env._callback_pool:
+        assert ev.callbacks == [engine._invoke_callback]
+        assert ev.fn is None and ev._value is engine._PENDING
+        assert not ev._processed and not ev._scheduled
+
+
+def test_callback_pool_stays_within_the_limit(monkeypatch):
+    from repro.sim import engine
+
+    monkeypatch.setattr(engine, "_POOL_LIMIT", 4)
+    env = Environment()
+    fired = []
+    for i in range(100):
+        env.schedule_callback(float(i % 7), lambda: fired.append(1))
+    env.run(until=3.5)
+    assert len(env._callback_pool) <= 4
+    env.run()
+    assert len(fired) == 100
+    assert len(env._callback_pool) == 4
+
+
+def test_callback_pool_does_not_change_the_run(monkeypatch):
+    from repro.sim import engine
+
+    pooled = _drive_mixed([0.0105, 0.3])
+    monkeypatch.setattr(engine, "_POOL_LIMIT", 0)
+    assert _drive_mixed([0.0105, 0.3]) == pooled

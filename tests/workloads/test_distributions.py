@@ -1,14 +1,104 @@
 """Tests for quantile samplers and request factories."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.kernel.tcp import Request
 from repro.sim import RngRegistry
 from repro.workloads import FixedFactory, QuantileSampler, RequestFactory
+from repro.workloads.cases import CASES
+from repro.workloads.regions import REGIONS
 
 
 def rng():
     return RngRegistry(13).stream("dist")
+
+
+# -- frozen reference implementations -----------------------------------------
+# The straightforward forms of QuantileSampler.quantile and
+# RequestFactory.build.  The fast paths must match them bit for bit: same
+# values, same RNG draws in the same order.
+
+def reference_quantile(sampler, q):
+    """Linear scan over the knot intervals; the first match wins."""
+    if not 0 <= q <= 1:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    qs, lvs = sampler._qs, sampler._log_vs
+    for i in range(len(qs) - 1):
+        if qs[i] <= q <= qs[i + 1]:
+            span = qs[i + 1] - qs[i]
+            frac = 0.0 if span == 0 else (q - qs[i]) / span
+            return math.exp(lvs[i] + frac * (lvs[i + 1] - lvs[i]))
+    return math.exp(lvs[-1])
+
+
+def reference_build(factory, rng, tenant_id=0):
+    total = reference_quantile(factory.service_sampler, rng.random())
+    n_events = rng.randint(factory.min_events, factory.max_events)
+    if n_events == 1:
+        event_times = (total,)
+    else:
+        weights = [rng.random() + 0.25 for _ in range(n_events)]
+        scale = total / sum(weights)
+        event_times = tuple(w * scale for w in weights)
+    size = (int(reference_quantile(factory.size_sampler, rng.random()))
+            if factory.size_sampler is not None else 512)
+    return Request(tenant_id=tenant_id, size_bytes=size,
+                   event_times=event_times, handler=factory.handler)
+
+
+def all_samplers():
+    """Every sampler the case and region definitions build."""
+    samplers = []
+    for case in CASES.values():
+        samplers.append(case.service_sampler())
+        samplers.append(QuantileSampler(list(case.size_knots)))
+    for region in REGIONS.values():
+        samplers.append(region.size_sampler())
+        samplers.append(region.time_sampler())
+    return samplers
+
+
+SAMPLERS = all_samplers()
+
+
+class TestQuantileMatchesLinearScan:
+    def test_every_knot_and_both_ends(self):
+        for sampler in SAMPLERS:
+            for q in sampler._qs:
+                assert sampler.quantile(q) == reference_quantile(sampler, q)
+
+    @given(q=st.floats(min_value=0.0, max_value=1.0),
+           index=st.integers(min_value=0, max_value=len(SAMPLERS) - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_any_q(self, q, index):
+        sampler = SAMPLERS[index]
+        assert sampler.quantile(q) == reference_quantile(sampler, q)
+
+    @pytest.mark.parametrize("q", [-1e-300, -1.0, 1.0000000000000002, 2.0,
+                                   float("nan"), float("inf")])
+    def test_out_of_range_raises(self, q):
+        with pytest.raises(ValueError):
+            SAMPLERS[0].quantile(q)
+
+
+class TestBuildMatchesReference:
+    @pytest.mark.parametrize("events", [(1, 1), (1, 2), (1, 3), (2, 5)])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fields_and_rng_state(self, case, events):
+        definition = CASES[case]
+        for sizes in (QuantileSampler(list(definition.size_knots)), None):
+            factory = RequestFactory(
+                service_sampler=definition.service_sampler(),
+                size_sampler=sizes, min_events=events[0],
+                max_events=events[1], handler=case)
+            fast, slow = rng(), rng()
+            for i in range(300):
+                assert factory.build(fast, tenant_id=i % 3) \
+                    == reference_build(factory, slow, tenant_id=i % 3)
+                assert fast.getstate() == slow.getstate()
 
 
 class TestQuantileSampler:
