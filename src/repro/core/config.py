@@ -14,7 +14,8 @@ switch; the eBPF dispatcher is a handful of bitwise ops).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 __all__ = ["HermesConfig", "OverheadCosts"]
@@ -34,6 +35,15 @@ class OverheadCosts:
     map_update_syscall: float = 1.5e-6
     #: One in-kernel eBPF dispatch program run ("Dispatcher").
     ebpf_dispatch: float = 100e-9
+
+    def __post_init__(self):
+        # A negative or NaN cost would never be charged (workers charge
+        # only a positive pending total), so refuse it instead.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{f.name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,11 @@ class HermesConfig:
             raise ValueError("min_workers must be >= 1")
         if self.epoll_timeout <= 0:
             raise ValueError("epoll_timeout must be positive")
+        if self.max_events < 1:
+            # epoll_wait(2) refuses maxevents <= 0 with EINVAL; the loop
+            # would otherwise never harvest an event.
+            raise ValueError(
+                f"max_events must be >= 1, got {self.max_events}")
         if not 1 <= self.group_size <= 64:
             raise ValueError("group_size must be in [1, 64]")
         valid = {"time", "conn", "event", "capacity"}

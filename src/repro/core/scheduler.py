@@ -18,6 +18,21 @@ The cascade:
 The surviving set is encoded as a 64-bit bitmap and pushed to the kernel's
 selection map with one ``bpf()`` syscall.  Complexity is O(n) in the number
 of workers; the cost model reflects that.
+
+:meth:`CascadingScheduler.select_workers` is the one seam the cascade runs
+through: :func:`repro.check.oracles.live_oracles` wraps it to re-derive
+every decision from the paper's prose, so no fast path may bypass it.  It
+runs the stages as one loop over ``config.filter_order``.
+
+Most loop iterations publish nothing new (a 5 ms ``epoll_wait`` timeout
+only refreshes timestamps), so the cascade keeps an *exact memo*.  When
+FilterTime keeps every worker, the result depends only on the config, the
+capacity limits and the conns and events columns.  An untraced
+whole-column call whose config and limits are the same objects, and whose
+columns equal copies kept from the last computed cascade, returns that
+cascade's survivor list; :meth:`~CascadingScheduler.schedule_and_sync` then
+reuses the list's bitmap and, while the bitmap and ``sync_enabled`` repeat,
+the previous :class:`ScheduleResult`.
 """
 
 from __future__ import annotations
@@ -79,10 +94,17 @@ class CascadingScheduler:
         self._whole_n = n if self.worker_ids == tuple(range(n)) else -1
         # ScheduleResult.cpu_cost without and with the map sync, indexed by
         # ``sync_enabled``; recomputed per config object.  The all-pass
-        # ScheduleResult is built once per ``sync_enabled`` and per config.
+        # ScheduleResult is built once per ``sync_enabled`` and per config;
+        # the last other one is kept per ``sync_enabled`` too.
         self._costed_config = None
         self._cpu_costs = (0.0, 0.0)
         self._all_pass: List[Optional[ScheduleResult]] = [None, None]
+        self._previous: List[Optional[ScheduleResult]] = [None, None]
+        # The exact memo (see the module docstring) and the bitmap of the
+        # last partial survivor list.
+        self._memo = None
+        self._selected: Optional[List[int]] = None
+        self._selected_bitmap = 0
         # Zero-copy table read when the WST offers it (the simulation WST's
         # atomic mode); duck-typed tables (e.g. the real-shm seqlock one)
         # keep their copying read_all.
@@ -118,82 +140,6 @@ class CascadingScheduler:
         #: back to plain reuseport).
         self.empty_results = 0
 
-    # -- the three filters ---------------------------------------------------
-    def _whole_column(self, candidates: List[int],
-                      column: Sequence[float]) -> bool:
-        """True when ``candidates`` are exactly ``column``'s indices in order."""
-        return (candidates is self._all_candidates
-                and len(column) == self._whole_n)
-
-    def filter_time(self, snapshot: WstSnapshot,
-                    candidates: List[int], now: float) -> List[int]:
-        """Keep workers whose event loop re-entered recently (FilterTime).
-
-        Returns ``candidates`` itself (identity) when nothing is dropped —
-        the common steady-state case — so downstream stages and the tracer
-        can skip drop bookkeeping with one ``is`` check.
-        """
-        threshold = self.config.hang_threshold
-        times = snapshot.times
-        # Float subtraction is monotone, so the oldest timestamp passing
-        # means every timestamp passes.
-        if (self._whole_column(candidates, times)
-                and now - min(times) < threshold):
-            return candidates
-        kept = [w for w in candidates if now - times[w] < threshold]
-        return candidates if len(kept) == len(candidates) else kept
-
-    @staticmethod
-    def _filter_count(values: Sequence[float], candidates: List[int],
-                      theta_ratio: float,
-                      whole_column: bool = False) -> List[int]:
-        """FilterCount: keep workers with ``value <= avg + θ``.
-
-        θ = ``theta_ratio * avg``.  The paper states a strict ``<``; we use
-        ``<=`` so a perfectly uniform load (all values equal, e.g. all
-        zero at cold start) keeps every worker instead of none — the strict
-        form would force a reuseport fallback exactly when all workers are
-        equally suitable.  ``whole_column`` says ``candidates`` are exactly
-        the indices of ``values`` in order, so the column is used as is.
-        """
-        if not candidates:
-            return candidates
-        # One indexing pass feeds both the average and the comparison; the
-        # explicit sum() keeps float accumulation order (and thus results)
-        # identical to the two-pass form.
-        vals = values if whole_column else [values[w] for w in candidates]
-        avg = sum(vals) / len(vals)
-        baseline = avg + theta_ratio * avg
-        # A NaN anywhere makes the baseline NaN and fails this test too.
-        if whole_column and max(vals) <= baseline:
-            return candidates
-        kept = [w for w, v in zip(candidates, vals) if v <= baseline]
-        return candidates if len(kept) == len(candidates) else kept
-
-    def filter_conn(self, snapshot: WstSnapshot,
-                    candidates: List[int]) -> List[int]:
-        conns = snapshot.conns
-        return self._filter_count(conns, candidates, self.config.theta_ratio,
-                                  self._whole_column(candidates, conns))
-
-    def filter_event(self, snapshot: WstSnapshot,
-                     candidates: List[int]) -> List[int]:
-        events = snapshot.events
-        return self._filter_count(events, candidates, self.config.theta_ratio,
-                                  self._whole_column(candidates, events))
-
-    def filter_capacity(self, snapshot: WstSnapshot,
-                        candidates: List[int]) -> List[int]:
-        """Drop workers whose connection pool is full (absolute filter,
-        unlike the relative FilterCount stages)."""
-        limits = self.capacity_limits
-        if limits is None:
-            return candidates
-        conns = snapshot.conns
-        kept = [w for w in candidates
-                if limits[w] is None or conns[w] < limits[w]]
-        return candidates if len(kept) == len(candidates) else kept
-
     #: Why each cascade stage drops a worker (trace drop reasons).
     DROP_REASONS = {
         "time": "loop-entry timestamp older than hang threshold",
@@ -207,22 +153,73 @@ class CascadingScheduler:
                        now: float) -> List[int]:
         """Run the cascade over a snapshot; returns surviving worker ids.
 
-        May return the scheduler's shared all-candidates list when every
-        stage passed everything through (identity fast path) — callers must
+        The stages run in ``config.filter_order``:
+
+        - *time* keeps ``now - t < hang_threshold``;
+        - *conn* / *event* (FilterCount) keep ``v <= avg + θ·avg`` over the
+          stage's candidates.  The paper states a strict ``<``; ``<=`` keeps
+          every worker of a perfectly uniform load (e.g. all zero at cold
+          start) instead of none, which would force a reuseport fallback
+          exactly when all workers are equally suitable;
+        - *capacity* keeps workers whose connection pool has room.
+
+        A stage that drops nobody returns its input list itself, so the
+        no-drop cascade returns the scheduler's shared all-candidates list;
+        an exact memo may return the previous cascade's list.  Callers must
         not mutate the result.
         """
+        config = self.config
         tracer = self.tracer
-        candidates = self._all_candidates
-        for stage in self.config.filter_order:
+        times = snapshot.times
+        conns = snapshot.conns
+        events = snapshot.events
+        order = config.filter_order
+        threshold = config.hang_threshold
+        candidates = all_candidates = self._all_candidates
+        # Whole column: the candidates are exactly the column indices in
+        # order, so a stage can test "everyone passes" with one C-level
+        # min/max/sum.  Float subtraction is monotone, so the oldest
+        # timestamp passing means every timestamp passes, at any stage.
+        whole = len(times) == self._whole_n
+        times_pass = whole and ("time" not in order
+                                or now - min(times) < threshold)
+        if times_pass and tracer is None:
+            memo = self._memo
+            if (memo is not None and memo[0] is config
+                    and memo[1] is self.capacity_limits
+                    and conns == memo[2] and events == memo[3]):
+                return memo[4]
+        theta = config.theta_ratio
+        for stage in order:
             before = candidates
             if stage == "time":
-                candidates = self.filter_time(snapshot, candidates, now)
-            elif stage == "conn":
-                candidates = self.filter_conn(snapshot, candidates)
-            elif stage == "event":
-                candidates = self.filter_event(snapshot, candidates)
+                if not times_pass:
+                    kept = [w for w in candidates
+                            if now - times[w] < threshold]
+                    if len(kept) != len(candidates):
+                        candidates = kept
+            elif stage == "conn" or stage == "event":
+                if candidates:
+                    values = conns if stage == "conn" else events
+                    vals = (values if whole and candidates is all_candidates
+                            else [values[w] for w in candidates])
+                    # One explicit sum() keeps the float accumulation order.
+                    avg = sum(vals) / len(vals)
+                    baseline = avg + theta * avg
+                    # A NaN anywhere makes the baseline NaN and fails the
+                    # max() test too.
+                    if not (vals is values and max(vals) <= baseline):
+                        kept = [w for w, v in zip(candidates, vals)
+                                if v <= baseline]
+                        if len(kept) != len(candidates):
+                            candidates = kept
             elif stage == "capacity":
-                candidates = self.filter_capacity(snapshot, candidates)
+                limits = self.capacity_limits
+                if limits is not None:
+                    kept = [w for w in candidates
+                            if limits[w] is None or conns[w] < limits[w]]
+                    if len(kept) != len(candidates):
+                        candidates = kept
             else:  # pragma: no cover - config validates
                 raise ValueError(f"unknown filter stage {stage!r}")
             if tracer is not None:
@@ -235,6 +232,10 @@ class CascadingScheduler:
                     "sched.filter", "sched", stage=stage, before=len(before),
                     after=len(candidates), dropped=dropped,
                     reason=self.DROP_REASONS[stage] if dropped else None)
+        if times_pass:
+            # Copies: a WstView's columns are the table's live lists.
+            self._memo = (config, self.capacity_limits, conns[:], events[:],
+                          candidates)
         return candidates
 
     def schedule_and_sync(self) -> ScheduleResult:
@@ -245,23 +246,29 @@ class CascadingScheduler:
         if tracer is not None:
             tracer.begin("sched.decision", "sched",
                          n_workers=len(self.worker_ids))
-        snapshot = self._read_table()
-        selected = self.select_workers(snapshot, now)
+        selected = self.select_workers(self._read_table(), now)
         # Bitmap bit positions are *local* ranks within this scheduler's
         # worker set, so one 64-bit word covers any 64-worker group even if
         # global worker ids exceed 63.  Ranks and bits are precomputed in
-        # __init__; a cascade that dropped nobody reuses the all-pass word.
+        # __init__; a cascade that dropped nobody reuses the all-pass word,
+        # and a memo hit (the same survivor list) reuses its word.
         bits = self._bit
+        all_pass = selected is self._all_candidates
         if bits is None:
             rank = self._rank
             bitmap = bitmap_from_ids([rank[w] for w in selected])
-        elif selected is self._all_candidates:
+        elif all_pass:
             bitmap = self._all_bitmap
+        elif selected is self._selected:
+            bitmap = self._selected_bitmap
         else:
             bitmap = 0
             for w in selected:
                 bitmap |= bits[w]
-        if self.sync_enabled:
+            self._selected = selected
+            self._selected_bitmap = bitmap
+        sync = self.sync_enabled
+        if sync:
             self.sel_map.update_from_user(self.sel_key, bitmap)
         else:
             # bitmap_sync_loss fault: userspace computed a fresh decision
@@ -282,21 +289,24 @@ class CascadingScheduler:
             self._cpu_costs = (scan + 0.0, scan + costs.map_update_syscall)
             self._costed_config = config
             self._all_pass = [None, None]
+            self._previous = [None, None]
         if tracer is not None:
             tracer.end("sched.decision", "sched", bitmap=bitmap,
                        n_selected=n)
-        sync = self.sync_enabled
-        if bits is not None and selected is self._all_candidates:
-            # Every field is fixed for the all-pass case; results are frozen.
-            result = self._all_pass[sync]
-            if result is None:
-                result = self._all_pass[sync] = ScheduleResult(
-                    bitmap=bitmap, n_selected=n, n_workers=n_workers,
-                    cpu_cost=self._cpu_costs[sync])
-            return result
-        return ScheduleResult(bitmap=bitmap, n_selected=n,
-                              n_workers=n_workers,
-                              cpu_cost=self._cpu_costs[sync])
+        # Results are frozen and every field follows from the bitmap,
+        # ``sync_enabled`` and the config: the all-pass result is kept per
+        # ``sync_enabled``, and the last other one is reused while its
+        # bitmap repeats.
+        if bits is not None and all_pass:
+            slots = self._all_pass
+        else:
+            slots = self._previous
+        result = slots[sync]
+        if result is None or result.bitmap != bitmap:
+            result = slots[sync] = ScheduleResult(
+                bitmap=bitmap, n_selected=n, n_workers=n_workers,
+                cpu_cost=self._cpu_costs[sync])
+        return result
 
     @property
     def scheduler_cost_per_call(self) -> float:

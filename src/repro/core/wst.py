@@ -113,7 +113,10 @@ class WorkerStatusTable:
     # -- worker-side updates (Fig. 9 instrumentation points) ---------------
     def touch_timestamp(self, worker_id: int) -> None:
         """``shm_avail_update(current_time)`` at event-loop entry."""
-        self._check_worker(worker_id)
+        # The range test is inline on the three per-iteration updates; the
+        # helper only raises.
+        if not 0 <= worker_id < self.n_workers:
+            self._check_worker(worker_id)
         # A frozen column still *attempts* the update (the worker pays the
         # shared-memory write) but the value never lands — the scheduler's
         # staleness filter is what must catch the stuck publisher.
@@ -133,14 +136,16 @@ class WorkerStatusTable:
 
     def add_events(self, worker_id: int, delta: int) -> None:
         """``shm_busy_count(±n)``: pending-event counter."""
-        self._check_worker(worker_id)
+        if not 0 <= worker_id < self.n_workers:
+            self._check_worker(worker_id)
         self._prev_events[worker_id] = self._events[worker_id]
         self._events[worker_id] = max(0, self._events[worker_id] + delta)
         self.update_ops += 1
 
     def add_conns(self, worker_id: int, delta: int) -> None:
         """``shm_conn_count(±1)``: accumulated-connection counter."""
-        self._check_worker(worker_id)
+        if not 0 <= worker_id < self.n_workers:
+            self._check_worker(worker_id)
         self._prev_conns[worker_id] = self._conns[worker_id]
         self._conns[worker_id] = max(0, self._conns[worker_id] + delta)
         self.update_ops += 1

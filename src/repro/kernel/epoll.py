@@ -189,11 +189,12 @@ class Epoll:
                                worker=self.worker_id, n_events=len(events),
                                blocked=0.0)
             return events
-        entered = self.env.now
+        env = self.env
+        entered = env._now
         if tracer is not None:
             tracer.begin("epoll.wait", "worker", worker=self.worker_id)
         timed_wait = self._timed_wait
-        timed_wait.event = self._sleeper = self.env.event()
+        timed_wait.event = self._sleeper = env.event()
         timed_wait.delay = timeout
         yield timed_wait
         timed_wait.expired()
@@ -206,12 +207,12 @@ class Epoll:
         events = self._harvest(max_events)
         if self.collect_stats:
             self.events_per_wait.add(len(events))
-            self.blocking_times.add(self.env.now - entered)
+            self.blocking_times.add(env._now - entered)
         if tracer is not None:
             tracer.end("epoll.wait", "worker", worker=self.worker_id)
             tracer.instant("epoll.dispatch", "worker",
                            worker=self.worker_id, n_events=len(events),
-                           blocked=self.env.now - entered)
+                           blocked=env._now - entered)
         return events
 
     def close(self) -> None:

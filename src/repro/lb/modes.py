@@ -170,7 +170,9 @@ def setup_hermes(server, options: ModeOptions) -> None:
     """Reuseport sockets plus the full closed loop: WST, cascading
     scheduler embedded in every worker, eBPF dispatch program attached to
     every port's reuseport group."""
-    clock = lambda: server.env.now  # noqa: E731 - tiny closure
+    env = server.env
+    # Read the clock slot directly: the scheduler calls this once per run.
+    clock = lambda: env._now  # noqa: E731 - tiny closure
     capacity = (
         [server.profile.max_connections] * len(server.workers)
         if server.profile.max_connections is not None else None)

@@ -257,38 +257,78 @@ class Worker:
 
     # -- CPU accounting -------------------------------------------------------
     def _busy(self, duration: float):
-        """Consume ``duration`` seconds of this worker's core."""
+        """Consume ``duration`` seconds of this worker's core.
+
+        This class's own loop and handlers inline it; the splice engine,
+        :class:`~repro.lb.dispatcher.DispatcherWorker` and the placement
+        ablation's copy of the loop call it.
+        """
         self.metrics.cpu.begin()
         yield duration  # direct timer: same ordering, no Timeout object
         self.metrics.cpu.end()
 
     # -- the event loop (Fig. 9) ---------------------------------------------
     def run(self):
+        # The loop inlines the _hermes_* helpers and _busy (the same calls,
+        # charges and direct timers, in the same order): one iteration runs
+        # on every wake, including each 5 ms epoll_wait timeout.
+        cpu = self.metrics.cpu
+        wait = self.epoll.wait
+        config = self.config
+        timeout = config.epoll_timeout
+        max_events = config.max_events
+        charge = config.charge_overhead
+        counter_cost = config.costs.counter_update
+        hermes = self.hermes
+        if hermes is not None:
+            wst = hermes.group.wst
+            rank = hermes.rank
+            scheduler = hermes.group.scheduler
         try:
             while True:
-                self._hermes_touch()
+                if hermes is not None:
+                    wst.touch_timestamp(rank)
+                    if charge:
+                        self._pending_charge += counter_cost
                 if self._forced_hang > 0:
                     hang = self._forced_hang
                     self._forced_hang = 0.0
-                    yield from self._busy(hang)
+                    cpu.begin()
+                    yield hang  # direct timer: no Timeout object
+                    cpu.end()
                 wait_cost = self._wait_cost
                 if wait_cost > 0:
-                    yield from self._busy(wait_cost)
-                events = yield from self.epoll.wait(
-                    self.config.epoll_timeout, self.config.max_events)
+                    cpu.begin()
+                    yield wait_cost
+                    cpu.end()
+                events = yield from wait(timeout, max_events)
                 if events:
-                    self._hermes_events(len(events))
-                for event in events:
-                    yield from self.handle_event(event)
-                    self._hermes_events(-1)
-                self._hermes_schedule()
+                    if hermes is not None:
+                        wst.add_events(rank, len(events))
+                        if charge:
+                            self._pending_charge += counter_cost
+                    for event in events:
+                        yield from self.handle_event(event)
+                        if hermes is not None:
+                            wst.add_events(rank, -1)
+                            if charge:
+                                self._pending_charge += counter_cost
+                if hermes is not None:
+                    if self.tracer is None:
+                        result = scheduler.schedule_and_sync()
+                        if charge:
+                            self._pending_charge += result.cpu_cost
+                    else:
+                        self._hermes_schedule()
                 if self._pending_charge > 0:
-                    charge = self._pending_charge
+                    pending = self._pending_charge
                     self._pending_charge = 0.0
-                    yield from self._busy(charge)
+                    cpu.begin()
+                    yield pending
+                    cpu.end()
         except Interrupt:
             self.state = WorkerState.CRASHED
-            self.metrics.cpu.end()
+            cpu.end()
             return
 
     # -- event handlers -------------------------------------------------------
@@ -315,8 +355,12 @@ class Worker:
             if tracer is not None:
                 tracer.instant("accept.miss", "worker",
                                worker=self.worker_id, socket=sock.id)
-            if self.profile.accept_miss_cost > 0:
-                yield from self._busy(self.profile.accept_miss_cost)
+            miss_cost = self.profile.accept_miss_cost
+            if miss_cost > 0:
+                cpu = self.metrics.cpu
+                cpu.begin()
+                yield miss_cost
+                cpu.end()
             return
         if self.at_connection_capacity:
             # Connection-pool exhaustion (§5.1.1): the worker cannot take
@@ -328,15 +372,18 @@ class Worker:
             self.device.record_failure()
             self._update_accept_interest()
             return
-        yield from self._busy(self.profile.accept_cost)
-        fd = conn.mark_accepted(self, self.env.now)
+        cpu = self.metrics.cpu
+        cpu.begin()
+        yield self.profile.accept_cost
+        cpu.end()
+        now = self.env._now
+        fd = conn.mark_accepted(self, now)
         if tracer is not None:
             # The conn fd's wake chain belongs to this trace from now on.
             fd.wait_queue.tracer = tracer
             tracer.instant("conn.accept", "worker", worker=self.worker_id,
                            conn=conn.id,
-                           queue_delay=self.env.now - (conn.established_time
-                                                       or self.env.now))
+                           queue_delay=now - (conn.established_time or now))
         self.epoll.ctl_add(fd, edge_triggered=self.profile.edge_triggered)
         self.conns[fd] = conn
         self.metrics.accepted += 1
@@ -390,13 +437,16 @@ class Worker:
         service = (request.event_times[request.next_event]
                    * self.service_multiplier)
         if request.start_service_time < 0:
-            request.start_service_time = self.env.now
+            request.start_service_time = self.env._now
         if tracer is not None:
             rid = tracer.request_id(request)
             tracer.begin("request.service", "worker", worker=self.worker_id,
                          conn=conn.id, request=rid,
                          event_index=request.next_event)
-        yield from self._busy(service)
+        cpu = self.metrics.cpu
+        cpu.begin()
+        yield service
+        cpu.end()
         request.next_event += 1
         self.metrics.events_processed += 1
         self.metrics.event_processing_times.add(service)
@@ -404,7 +454,7 @@ class Worker:
             tracer.end("request.service", "worker", worker=self.worker_id,
                        conn=conn.id, request=rid)
         if request.done:
-            request.completed_time = self.env.now
+            request.completed_time = self.env._now
             conn.inbox.remove(request)
             conn.requests_completed += 1
             if tracer is not None:
@@ -421,7 +471,10 @@ class Worker:
         fd = conn.fd
         if fd is None or fd not in self.conns:
             return
-        yield from self._busy(self.profile.close_cost)
+        cpu = self.metrics.cpu
+        cpu.begin()
+        yield self.profile.close_cost
+        cpu.end()
         if self.tracer is not None:
             self.tracer.instant("conn.close", "worker",
                                 worker=self.worker_id, conn=conn.id,
@@ -433,7 +486,7 @@ class Worker:
             for request in conn.inbox:
                 if not request.done:
                     self.device.record_failure()
-        conn.mark_closed(self.env.now)
+        conn.mark_closed(self.env._now)
         self.metrics.closed += 1
         self.metrics.connections.decrement()
         self._hermes_conns(-1)

@@ -27,8 +27,8 @@ class Samples:
         self._sorted: Optional[List[float]] = None
 
     def add(self, value: float) -> None:
+        # No cache reset: the length changes, which _sorted_values checks.
         self.values.append(float(value))
-        self._sorted = None
 
     def extend(self, values: Iterable[float]) -> None:
         self.values.extend(float(v) for v in values)
@@ -176,13 +176,15 @@ class BusyTracker:
     def busy(self) -> bool:
         return self._busy_since is not None
 
+    # begin/end bracket every direct CPU timer, so they read the engine's
+    # clock slot instead of the ``now`` property.
     def begin(self) -> None:
         if self._busy_since is None:
-            self._busy_since = self.env.now
+            self._busy_since = self.env._now
 
     def end(self) -> None:
         if self._busy_since is not None:
-            self._busy_total += self.env.now - self._busy_since
+            self._busy_total += self.env._now - self._busy_since
             self._busy_since = None
 
     def busy_time(self) -> float:

@@ -30,6 +30,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             HermesConfig(filter_order=("nope",))
 
+    @pytest.mark.parametrize("max_events", [0, -3])
+    def test_max_events_below_one_refused(self, max_events):
+        # With no batch room the loop never harvests an event: a Hermes
+        # cell would complete 0 requests with 0 failures.
+        with pytest.raises(ValueError, match="max_events"):
+            HermesConfig(max_events=max_events)
+        assert HermesConfig(max_events=1).max_events == 1
+
+    @pytest.mark.parametrize("field", [
+        "counter_update", "wst_read_per_worker", "scheduler_per_worker",
+        "map_update_syscall", "ebpf_dispatch"])
+    @pytest.mark.parametrize("value", [
+        -1e-9, float("nan"), float("inf"), float("-inf")])
+    def test_costs_must_be_finite_and_non_negative(self, field, value):
+        # Such a cost would never be charged (only a positive pending
+        # total is), so it is refused rather than silently ignored.
+        with pytest.raises(ValueError, match=field):
+            OverheadCosts(**{field: value})
+        assert getattr(OverheadCosts(**{field: 0.0}), field) == 0.0
+
     def test_with_overrides(self):
         config = HermesConfig()
         tweaked = config.with_overrides(theta_ratio=1.0)

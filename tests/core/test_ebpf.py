@@ -19,8 +19,11 @@ class TestArrayMap:
         m = BpfArrayMap(2)
         with pytest.raises(BpfError):
             m.lookup(2)
-        with pytest.raises(BpfError):
-            m.update_from_user(-1, 0)
+        for key in (-1, 2, 5):
+            with pytest.raises(BpfError, match="out of range"):
+                m.update_from_user(key, 1)
+        assert m.user_updates == 0
+        assert [m.read_from_user(k) for k in range(2)] == [0, 0]
 
     def test_value_width_enforced(self):
         m = BpfArrayMap(1)

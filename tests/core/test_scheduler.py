@@ -264,6 +264,26 @@ class TestFastPath:
         assert sched.schedule_and_sync() is all_pass
         assert (all_pass.bitmap, all_pass.n_selected) == (0b1111, 4)
 
+    def test_repeated_partial_bitmap_reuses_its_result(self):
+        sched, wst, _, clock = make_scheduler(4, hang_threshold=1.0)
+        clock.now = 5.0
+        for w in (0, 2):
+            wst.touch_timestamp(w)
+        first = sched.schedule_and_sync()
+        assert (first.bitmap, first.n_selected) == (0b0101, 2)
+        assert sched.schedule_and_sync() is first
+        sched.sync_enabled = False
+        unsynced = sched.schedule_and_sync()
+        assert unsynced is not first
+        assert unsynced.bitmap == first.bitmap
+        assert unsynced.cpu_cost < first.cpu_cost
+        assert sched.schedule_and_sync() is unsynced
+        sched.sync_enabled = True
+        wst.touch_timestamp(1)
+        other = sched.schedule_and_sync()
+        assert (other.bitmap, other.n_selected) == (0b0111, 3)
+        assert other is not first
+
     def test_select_workers_result_must_not_be_mutated_shared_list(self):
         # The identity fast path shares one list across calls: two no-drop
         # cascades must return the same object with stable contents.

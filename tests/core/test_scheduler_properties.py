@@ -7,6 +7,7 @@ from repro.core import (
     CascadingScheduler,
     HermesConfig,
     WorkerStatusTable,
+    WstSnapshot,
     ids_from_bitmap,
     popcount64,
 )
@@ -87,12 +88,13 @@ class TestSchedulerInvariants:
         other two to the event stage, whose new baseline then drops it).
         """
         n, now, times, events, conns, theta = state
-        candidates = list(range(n))
-        for values in (conns, events):
-            small = CascadingScheduler._filter_count(values, candidates,
-                                                     theta)
-            large = CascadingScheduler._filter_count(values, candidates,
-                                                     theta + extra)
+        for stage in ("conn", "event"):
+            small, large = (
+                build(n, times, events, conns, now, theta_ratio=ratio,
+                      filter_order=(stage,)).select_workers(
+                          WstSnapshot(tuple(times), tuple(events),
+                                      tuple(conns)), now)
+                for ratio in (theta, theta + extra))
             assert set(small) <= set(large)
 
     @given(scheduler_state())

@@ -56,11 +56,17 @@ class TestUpdates:
         assert wst.conns == (0, 4, 0)
 
     def test_bounds_checked(self):
+        # Every update raises before it counts or writes anything.
         wst = WorkerStatusTable(2, FakeClock())
-        with pytest.raises(IndexError):
-            wst.add_events(2, 1)
-        with pytest.raises(IndexError):
-            wst.touch_timestamp(-1)
+        for worker_id in (-1, 2, 3):
+            for update in (wst.touch_timestamp,
+                           lambda w: wst.add_events(w, 1),
+                           lambda w: wst.add_conns(w, 1)):
+                with pytest.raises(IndexError, match="out of range"):
+                    update(worker_id)
+        assert wst.update_ops == 0
+        assert (wst.times, wst.events, wst.conns) == \
+            ((0.0, 0.0), (0, 0), (0, 0))
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

@@ -233,6 +233,23 @@ class TestNewBenches:
         assert "engine_wheel_throughput" not in BENCH_NAMES
 
 
+class TestCommittedEventCounts:
+    """Full-scale event-unit benches record exactly the committed ``ops``.
+
+    An engine-event count is exact and never flakes, so it is the tier-1
+    half of every perf claim ("the same events, faster"); wall-clock
+    verdicts are left to bench/run.py compare.
+    """
+
+    @pytest.mark.parametrize("name", ["macro_lb_run", "fleet_sharded"])
+    def test_full_scale_ops_match_the_committed_report(self, name):
+        from repro.perf import benches
+
+        committed = load_report(os.path.join(_ROOT, "BENCH_perf.json"))
+        result = getattr(benches, f"bench_{name}")(repeats=1)
+        assert result.ops == committed["benches"][name]["ops"]
+
+
 class TestMakefileWiring:
     def test_make_perf_forwards_bench_selection(self):
         # `make perf BENCH="a b"` must expand to repeated --bench flags.
