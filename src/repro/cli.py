@@ -15,7 +15,7 @@
     python -m repro fleet --policy stateful --crash-at 0.9
     python -m repro resilience --seed 7 --out matrix.json
     python -m repro resilience --mode hermes --mode prequal
-    python -m repro perf --quick --check BENCH_perf.json
+    python -m repro perf --quick --out BENCH_perf.quick.json
     python -m repro check
     python -m repro check --lint
     python -m repro run --mode hermes --check
@@ -24,7 +24,8 @@
 Chrome/Perfetto trace); ``trace`` runs a scenario with full tracing and
 prints the per-request critical-path breakdown; ``compare`` A/Bs all
 Table-3 modes on identical traffic; ``experiment`` runs one registered
-experiment through the unified Scenario API and prints its paper table;
+experiment through the unified Scenario API and prints its paper table
+and one ``claim <name>: holds|FAILS`` line per paper claim;
 ``sweep`` runs the same grid decomposed into cells — parallel across
 processes (``--jobs``), memoized in a content-addressed cache, merged
 byte-identically to a serial run; ``list`` prints registry metadata
@@ -38,7 +39,8 @@ of the usual invariants; ``resilience`` runs the fault ×
 notification-mode matrix (``--out`` writes canonical JSON, byte-identical
 for identical seeds); ``perf`` runs
 the calibrated benchmark suite (:mod:`repro.perf`) and writes the canonical
-``BENCH_perf.json`` report, optionally gating on a committed baseline;
+``BENCH_perf.json`` report (a reporter only: ``bench/run.py compare``
+gives the wall-clock verdict on a change);
 ``check`` is the correctness gate (:mod:`repro.check`): nondeterminism
 lint, differential-oracle sweep, and monitored end-to-end scenarios.
 ``run``, ``chaos`` and ``sweep`` additionally accept ``--check`` to arm
@@ -337,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run only this bench (repeatable)")
     perf.add_argument("--repeats", type=_positive_int, default=3,
                       help="timing repeats per bench (best is kept)")
-    perf.add_argument("--check", metavar="COMMITTED.json", default=None,
-                      help="fail (exit 1) if a gated bench's normalized "
-                           "score regressed >20%% vs this committed report")
 
     check = sub.add_parser(
         "check", help="correctness gate: nondeterminism lint, differential "
@@ -903,8 +902,8 @@ def _cmd_resilience(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from .perf import (build_report, calibrate, check_regression, load_report,
-                       render_report, run_benchmarks, write_report)
+    from .perf import (build_report, calibrate, render_report,
+                       run_benchmarks, write_report)
 
     try:
         results = run_benchmarks(quick=args.quick, only=args.benches,
@@ -920,19 +919,6 @@ def _cmd_perf(args) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
     print(f"report: {len(report['benches'])} benches -> {args.out}")
-    if args.check:
-        try:
-            committed = load_report(args.check)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load committed report {args.check}: {exc}",
-                  file=sys.stderr)
-            return 1
-        failures = check_regression(report, committed)
-        if failures:
-            for failure in failures:
-                print(f"regression: {failure}", file=sys.stderr)
-            return 1
-        print(f"regression gate: ok vs {args.check}")
     return 0
 
 

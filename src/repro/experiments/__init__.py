@@ -1,9 +1,9 @@
 """Experiment harnesses — one module per table/figure of the paper.
 
 Each module exposes ``run_*`` functions returning structured results and a
-``__main__`` harness that prints the paper-style rows/series.  The
-benchmark suite under ``benchmarks/`` drives these and asserts the shape
-of each result.
+``__main__`` harness that prints the paper-style rows/series.  Each
+registered experiment checks the shape of its result with the paper
+claims of its ``ExperimentSpec.claims``.
 
 | Module      | Reproduces                                              |
 |-------------|---------------------------------------------------------|
@@ -23,8 +23,10 @@ of each result.
 | figa4       | The A3/A4 walkthrough                                   |
 | figa5       | Forwarding rules per port CDF                           |
 | sec7        | Backend RR restarts, connection reuse, crash blast      |
-| appc        | Group scheduling: locality/balance; >64-worker devices  |
+| appc        | Group scheduling: locality/balance; >64-worker devices; |
+|             | sandbox isolation and phased scaling (case 2)           |
 | ablations   | Design-choice ablations (§5)                            |
+| baselines   | Every notification mode on identical traffic            |
 """
 
 from .common import CellResult, MODES_UNDER_TEST, compare_modes, run_case_cell, run_spec

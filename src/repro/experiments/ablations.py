@@ -22,7 +22,7 @@ from ..core.config import HermesConfig
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import CellResult, run_spec
-from .registry import CellSpec, ExperimentSpec, register
+from .registry import CellSpec, ExperimentSpec, check_claims, register
 
 __all__ = [
     "run_filter_order_ablation",
@@ -362,10 +362,77 @@ def _merge(cells, docs):
             "rendered": "\n".join(doc["rendered"] for doc in docs)}
 
 
+def _avg(results, arm) -> str:
+    return f"{arm} {results[arm]['avg_ms']:.2f} ms"
+
+
+def _filter_order(doc):
+    r = doc["results"]
+    cascade, none = r["time,conn,event"]["avg_ms"], r["(none)"]["avg_ms"]
+    return (cascade < none and cascade < r["conn"]["avg_ms"]
+            and r["time"]["avg_ms"] < none,
+            ", ".join(_avg(r, arm) for arm in (
+                "time,conn,event", "time", "conn", "(none)")))
+
+
+def _placement(doc):
+    r = doc["results"]
+    end, start = r["end_of_loop"], r["start_of_loop"]
+    return (end["avg_ms"] <= 1.1 * start["avg_ms"]
+            and end["completed"] > 0 and start["completed"] > 0,
+            f"{_avg(r, 'end_of_loop')} vs {_avg(r, 'start_of_loop')} "
+            f"(completed {end['completed']}, {start['completed']})")
+
+
+def _single_worker(doc):
+    r = doc["results"]
+    return (r["single_worker"]["avg_ms"] > 2 * r["candidate_set"]["avg_ms"],
+            f"{_avg(r, 'single_worker')} vs {_avg(r, 'candidate_set')}")
+
+
+def _min_workers(doc):
+    p99 = {k: r["p99_ms"] for k, r in doc["results"].items()}
+    return (p99["2"] < p99["4"],
+            f"p99 n>=2 {p99['2']:.2f} ms vs n>=4 {p99['4']:.2f} ms")
+
+
+def _metric_cost(doc):
+    r = doc["results"]
+    cheap, uss = r["cheap_counters"], r["uss_style_metrics"]
+    return (uss["avg_ms"] > 10 * cheap["avg_ms"]
+            and uss["throughput_rps"] < cheap["throughput_rps"],
+            f"avg {uss['avg_ms']:.2f} vs {cheap['avg_ms']:.2f} ms, "
+            f"{uss['throughput_rps']:,.0f} vs "
+            f"{cheap['throughput_rps']:,.0f} rps")
+
+
+def _update_channel(doc):
+    return (doc["cpu_ratio"] > 3.0 and doc["pull_critical_path_latency"] > 0,
+            f"x{doc['cpu_ratio']:.1f} CPU, "
+            f"{doc['pull_critical_path_latency'] * 1e6:.0f} us on every SYN")
+
+
+def _claims(merged):
+    return check_claims(merged["cells"], (
+        ("cascade_beats_no_filter_and_conn_only", ["filter_order"],
+         _filter_order),
+        ("end_of_loop_scheduling_never_loses", ["scheduler_placement"],
+         _placement),
+        ("single_worker_over_2x_candidate_set_latency", ["single_worker"],
+         _single_worker),
+        ("min_workers_2_tail_below_4", ["min_workers"], _min_workers),
+        ("uss_metrics_wreck_latency_and_throughput", ["metric_cost"],
+         _metric_cost),
+        ("pull_channel_over_3x_push_cpu", ["update_channel"],
+         _update_channel),
+    ))
+
+
 register(ExperimentSpec(
     name="ablations", title="Design-choice ablations (§5 discussion)",
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=97,
+    claims=_claims,
     tunables={"n_workers": "workers behind every ablation device",
               "duration_scale": "multiplier on every section's duration"}))
 

@@ -29,7 +29,7 @@ from ..lb.probes import Prober
 from ..lb.server import LBServer, NotificationMode
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
-from .registry import simple_experiment
+from .registry import Claim, simple_experiment
 
 __all__ = ["ProbeTimelineResult", "run_fig11"]
 
@@ -190,6 +190,23 @@ def _rendered(result: ProbeTimelineResult) -> str:
             f"drain tail: {result.drain_tail_days:.1f} days")
 
 
+def _claims(merged: dict) -> Tuple[Claim, ...]:
+    rollout = merged["rollout_day"]
+    before = [count for day, count in merged["daily_delayed"]
+              if 2 <= day <= rollout]
+    daily = sum(before) / len(before) if before else 0.0
+    return (
+        Claim("delayed_probes_daily_before_rollout", daily >= 3,
+              f"{daily:.1f} per day over days 2..{rollout}"),
+        Claim("rollout_cuts_delayed_probes_over_95pct",
+              merged["reduction"] > 0.95,
+              f"reduction {merged['reduction']:.1%}"),
+        Claim("long_lived_conns_drain_for_days",
+              merged["drain_tail_days"] >= 1.0,
+              f"drain tail {merged['drain_tail_days']:.1f} days"),
+    )
+
+
 def _runner(seed: int, params: dict) -> dict:
     from dataclasses import asdict
     result = run_fig11(
@@ -201,7 +218,7 @@ def _runner(seed: int, params: dict) -> dict:
 
 
 simple_experiment("fig11", "Delayed probes before/after rollout",
-                  _runner, default_seed=41,
+                  _runner, default_seed=41, claims=_claims,
                   tunables={"n_devices": "devices in the region",
                             "n_workers": "workers per device",
                             "days": "simulated days",

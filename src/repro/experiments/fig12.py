@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from ..analysis.stats import normalize
 from ..cluster.autoscale import AutoscaleModel, unit_cost_series
-from .registry import simple_experiment
+from .registry import Claim, simple_experiment
 
 __all__ = ["UnitCostResult", "run_fig12"]
 
@@ -65,6 +65,21 @@ def _rendered(result: UnitCostResult) -> str:
     return "\n".join(lines)
 
 
+def _claims(merged: dict) -> Tuple[Claim, ...]:
+    costs = [cost for _, cost in merged["series"]]
+    window = costs[2:9]
+    peak = merged["peak_reduction"]
+    return (
+        Claim("unit_cost_normalized_to_1", costs[0] == 1.0,
+              f"month 0 cost {costs[0]:.3f}"),
+        Claim("unit_cost_falls_through_the_rollout",
+              all(b <= a + 1e-9 for a, b in zip(window, window[1:])),
+              f"months 2..8 {[round(c, 3) for c in window]}"),
+        Claim("peak_reduction_near_paper_18.9pct", 0.15 < peak < 0.24,
+              f"{peak:.1%} in (15%, 24%)"),
+    )
+
+
 def _runner(seed: int, params: dict) -> dict:
     from dataclasses import asdict
     result = run_fig12(
@@ -75,7 +90,7 @@ def _runner(seed: int, params: dict) -> dict:
 
 
 simple_experiment("fig12", "Normalized unit cost of the fleet (analytic)",
-                  _runner, default_seed=0,
+                  _runner, default_seed=0, claims=_claims,
                   tunables={"months": "months in the series",
                             "rollout_start": "month the rollout begins",
                             "rollout_months": "months the rollout takes"})

@@ -25,7 +25,7 @@ from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.generator import TrafficGenerator
 from .common import MODES_UNDER_TEST
-from .registry import CellSpec, ExperimentSpec, register
+from .registry import CellSpec, ExperimentSpec, check_claims, register
 
 __all__ = ["LoadBalanceResult", "run_fig13"]
 
@@ -132,10 +132,38 @@ def _merge(cells, docs):
             "rendered": "\n".join(lines)}
 
 
+def _claims(merged):
+    table = {mode: {"cpu": merged["cpu_sd"][mode],
+                    "conn": merged["conn_sd"][mode]}
+             for mode in merged["cpu_sd"]}
+
+    def above(metric, factor):
+        return lambda ex, reuse: (
+            ex[metric] > factor * reuse[metric],
+            f"{metric} SD exclusive {ex[metric]:.4g} vs reuseport "
+            f"{reuse[metric]:.4g}")
+
+    return check_claims(table, (
+        ("exclusive_cpu_sd_over_3x_reuseport", ["exclusive", "reuseport"],
+         above("cpu", 3)),
+        ("hermes_cpu_sd_within_1.1x_reuseport", ["hermes", "reuseport"],
+         lambda hermes, reuse: (hermes["cpu"] <= 1.1 * reuse["cpu"],
+                                f"cpu SD hermes {hermes['cpu']:.4g} vs "
+                                f"reuseport {reuse['cpu']:.4g}")),
+        ("exclusive_conn_sd_over_3x_reuseport", ["exclusive", "reuseport"],
+         above("conn", 3)),
+        ("hermes_conn_sd_below_reuseport", ["hermes", "reuseport"],
+         lambda hermes, reuse: (hermes["conn"] < reuse["conn"],
+                                f"conn SD hermes {hermes['conn']:.4g} vs "
+                                f"reuseport {reuse['conn']:.4g}")),
+    ))
+
+
 register(ExperimentSpec(
     name="fig13", title="Per-worker CPU/connection SD across modes",
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=47,
+    claims=_claims,
     tunables={"n_workers": "workers behind the device",
               "duration": "workload duration (s)"}))
 

@@ -15,9 +15,13 @@ from typing import List
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import run_spec
-from .registry import CellSpec, ExperimentSpec, register
+from .registry import CellSpec, ExperimentSpec, check_claims, register
 
 __all__ = ["FilterFrequencyPoint", "run_fig14"]
+
+#: The load multipliers the grid sweeps by default.
+LOAD_FRACTIONS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
+
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ def _run_point(case: str, multiplier: float, n_workers: int,
 
 
 def run_fig14(n_workers: int = 8, duration: float = 3.0, seed: int = 59,
-              load_fractions: List[float] = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0),
+              load_fractions: List[float] = LOAD_FRACTIONS,
               case: str = "case2") -> List[FilterFrequencyPoint]:
     """Sweep load multipliers (1.0 == the case's light operating point)."""
     return [_run_point(case, multiplier, n_workers, duration, seed)
@@ -71,8 +75,7 @@ def _point_line(p: FilterFrequencyPoint) -> str:
 
 def _cells(seed, overrides):
     cases = tuple(overrides.get("cases", ("case2", "case1")))
-    fractions = tuple(overrides.get("load_fractions",
-                                    (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)))
+    fractions = tuple(overrides.get("load_fractions", LOAD_FRACTIONS))
     params = {"n_workers": overrides.get("n_workers", 8),
               "duration": overrides.get("duration", 3.0)}
     return tuple(
@@ -102,10 +105,38 @@ def _merge(cells, docs):
             "rendered": "\n".join(lines)}
 
 
+def _peak_rate(points) -> float:
+    return max(point["scheduler_calls_per_sec"] for point in points)
+
+
+def _claims(merged):
+    lightest, heaviest = LOAD_FRACTIONS[0], LOAD_FRACTIONS[-1]
+    case1 = [f"case1/x{fraction}" for fraction in LOAD_FRACTIONS]
+    return check_claims(merged["cells"], (
+        ("case2_pass_ratio_falls_with_load",
+         [f"case2/x{lightest}", f"case2/x{heaviest}"],
+         lambda low, high: (high["pass_ratio"] < low["pass_ratio"] - 0.05,
+                            f"pass ratio x{lightest} {low['pass_ratio']:.1%}"
+                            f" -> x{heaviest} {high['pass_ratio']:.1%}")),
+        ("case1_scheduler_rate_rises_over_1.5x_with_load",
+         [f"case1/x{lightest}", f"case1/x{heaviest}"],
+         lambda low, high: (high["scheduler_calls_per_sec"]
+                            > 1.5 * low["scheduler_calls_per_sec"],
+                            f"x{lightest} "
+                            f"{low['scheduler_calls_per_sec']:,.0f}/s -> "
+                            f"x{heaviest} "
+                            f"{high['scheduler_calls_per_sec']:,.0f}/s")),
+        ("case1_scheduler_rate_reaches_15k_per_s", case1,
+         lambda *points: (_peak_rate(points) > 15e3,
+                          f"peak {_peak_rate(points):,.0f}/s")),
+    ))
+
+
 register(ExperimentSpec(
     name="fig14", title="Coarse-filter pass ratio / scheduler rate vs load",
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=59,
+    claims=_claims,
     tunables={"cases": "workload cases (default: case2, case1)",
               "load_fractions": "load multipliers to sweep",
               "n_workers": "workers behind the device",

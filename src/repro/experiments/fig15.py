@@ -15,9 +15,12 @@ from ..core.config import HermesConfig
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import run_spec
-from .registry import CellSpec, ExperimentSpec, register
+from .registry import CellSpec, Claim, ExperimentSpec, check_claims, register
 
-__all__ = ["ThetaPoint", "run_fig15", "best_theta"]
+__all__ = ["ThetaPoint", "run_fig15", "best_theta", "THETA_RATIOS"]
+
+#: The θ/Avg ratios the grid sweeps by default.
+THETA_RATIOS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ def _average_point(ratio: float, samples: Sequence[dict]) -> ThetaPoint:
     )
 
 
-def run_fig15(theta_ratios: Sequence[float] = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0),
+def run_fig15(theta_ratios: Sequence[float] = THETA_RATIOS,
               n_workers: int = 8, duration: float = 4.0,
               seeds: Sequence[int] = (61, 62, 63),
               case: str = "case4", load: str = "medium") -> List[ThetaPoint]:
@@ -85,8 +88,7 @@ def _point_line(p: ThetaPoint) -> str:
 
 
 def _cells(seed, overrides):
-    ratios = tuple(overrides.get("theta_ratios",
-                                 (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)))
+    ratios = tuple(overrides.get("theta_ratios", THETA_RATIOS))
     n_seeds = int(overrides.get("n_seeds", 3))
     params = {"n_workers": overrides.get("n_workers", 8),
               "duration": overrides.get("duration", 4.0),
@@ -122,10 +124,34 @@ def _merge(cells, docs):
             "rendered": "\n".join(lines)}
 
 
+def _claims(merged):
+    points = {point["theta_ratio"]: point for point in merged["points"]}
+    ratios = sorted(points)
+    passes = [points[ratio]["pass_ratio"] for ratio in ratios]
+    claims = ()
+    if len(ratios) > 1:
+        claims = (Claim("pass_ratio_rises_with_theta",
+                        passes == sorted(passes),
+                        f"pass ratios {[round(p, 3) for p in passes]} over "
+                        f"theta/avg {ratios}"),)
+    return claims + check_claims(points, (
+        ("huge_theta_tail_worse_than_moderate", [4.0, 0.25, 0.5],
+         lambda huge, quarter, half: (
+             huge["p99_ms"] > min(quarter["p99_ms"], half["p99_ms"]),
+             f"p99 at 4.0 {huge['p99_ms']:.2f} ms vs best of 0.25/0.5 "
+             f"{min(quarter['p99_ms'], half['p99_ms']):.2f} ms")),
+        ("best_theta_near_paper_0.5", list(THETA_RATIOS),
+         lambda *_: (merged["best_theta"] in (0.25, 0.5, 1.0),
+                     f"best theta/avg {merged['best_theta']} in "
+                     f"(0.25, 0.5, 1.0)")),
+    ))
+
+
 register(ExperimentSpec(
     name="fig15", title="Coarse-filter offset θ selection",
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=61,
+    claims=_claims,
     tunables={"theta_ratios": "theta/avg ratios to sweep",
               "n_seeds": "seeds averaged per ratio (default 3)",
               "n_workers": "workers behind the device",

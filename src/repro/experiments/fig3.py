@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from ..kernel.tcp import ConnState
 from ..lb.server import LBServer, NotificationMode
-from .registry import CellSpec, lined_experiment
+from .registry import CellSpec, check_claims, lined_experiment
 from ..sim.engine import Environment
 from ..sim.monitor import Samples
 from ..sim.rng import RngRegistry
@@ -177,8 +177,32 @@ def _run_cell(cell):
     return dict(asdict(r), rendered=_line(r))
 
 
+def _claims(merged):
+    return check_claims(merged["cells"], (
+        ("exclusive_concentrates_long_lived_conns", ["exclusive"],
+         lambda ex: (max(ex["conns_per_worker"])
+                     > 0.8 * sum(ex["conns_per_worker"]),
+                     f"busiest worker {max(ex['conns_per_worker'])} of "
+                     f"{sum(ex['conns_per_worker'])}")),
+        ("exclusive_normal_tail_sub_ms", ["exclusive"],
+         lambda ex: (ex["normal_p999_ms"] < 1.0,
+                     f"normal P999 {ex['normal_p999_ms']:.2f} ms")),
+        ("exclusive_surge_tail_over_30ms", ["exclusive"],
+         lambda ex: (ex["surge_p999_ms"] > 30.0,
+                     f"surge P999 {ex['surge_p999_ms']:.2f} ms")),
+        ("surge_amplifies_exclusive_over_3x_hermes", ["exclusive", "hermes"],
+         lambda ex, hermes: (
+             ex["surge_p999_ms"] > 3 * hermes["surge_p999_ms"],
+             f"surge P999 exclusive {ex['surge_p999_ms']:.2f} ms vs "
+             f"hermes {hermes['surge_p999_ms']:.2f} ms")),
+        ("conn_series_shows_over_300_established", ["exclusive"],
+         lambda ex: (max(c for _, c in ex["conn_series"]) > 300,
+                     f"peak {max(c for _, c in ex['conn_series'])} conns")),
+    ))
+
+
 lined_experiment("fig3", "Lag effect of connection load imbalance",
-                 _cells, _run_cell, default_seed=17,
+                 _cells, _run_cell, default_seed=17, claims=_claims,
                  tunables={"n_workers": "workers behind the device",
                            "n_connections": "long-lived connections "
                                             "before the surge"})

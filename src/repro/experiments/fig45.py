@@ -19,7 +19,7 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.generator import TrafficGenerator
-from .registry import simple_experiment
+from .registry import Claim, simple_experiment
 
 __all__ = ["EpollStatsResult", "run_fig45"]
 
@@ -87,6 +87,33 @@ def _rendered(result: EpollStatsResult) -> str:
             f"idle fraction:    {idle_line}")
 
 
+def _well_formed(cdf) -> bool:
+    fractions = [f for _, f in cdf]
+    return fractions == sorted(fractions) and fractions[-1] == 1.0
+
+
+def _claims(merged: dict) -> Tuple[Claim, ...]:
+    means = sorted(merged["mean_events"].values())
+    idle = sorted(merged["idle_fraction"].values())
+    processing = merged["processing_times"]
+    return (
+        Claim("busiest_worker_harvests_more_events_per_wait",
+              means[-1] > 1.15 * means[0],
+              f"mean events/wait {means[-1]:.3f} vs {means[0]:.3f}"),
+        Claim("events_per_wait_cdfs_well_formed",
+              all(_well_formed(cdf)
+                  for cdf in merged["events_per_wait"].values()),
+              f"{len(merged['events_per_wait'])} per-worker CDFs"),
+        Claim("idle_workers_block_the_full_timeout_more",
+              idle[-1] > 2 * idle[0] or idle[0] == 0,
+              f"idle fraction {idle[-1]:.3f} vs {idle[0]:.3f}"),
+        Claim("every_worker_records_processing_times",
+              all(processing.values()),
+              f"{sum(1 for cdf in processing.values() if cdf)} of "
+              f"{len(processing)} workers"),
+    )
+
+
 def _runner(seed: int, params: dict) -> dict:
     result = run_fig45(
         NotificationMode(params.get("mode", "exclusive")),
@@ -96,7 +123,7 @@ def _runner(seed: int, params: dict) -> dict:
 
 
 simple_experiment("fig45", "Per-worker epoll statistics (Figs. 4 & 5)",
-                  _runner, default_seed=31,
+                  _runner, default_seed=31, claims=_claims,
                   tunables={"mode": "notification mode (default exclusive)",
                             "n_workers": "workers behind the device",
                             "duration": "workload duration (s)"})

@@ -19,7 +19,7 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.generator import TrafficGenerator
-from .registry import CellSpec, lined_experiment
+from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["NicVsCpuResult", "run_fig7"]
 
@@ -116,8 +116,37 @@ def _run_cell(cell):
                 rendered=_rendered(result, p["rss_plus_plus"]))
 
 
+def _packets_even_cpus_not(arm: str):
+    """Rule: ``arm`` spreads packets evenly while CPU load diverges."""
+    def check(doc):
+        return (doc["nic_cov"] < 0.25
+                and doc["cpu_cov"] > 1.5 * doc["nic_cov"],
+                f"NIC queue CoV {doc['nic_cov']:.3f} < 0.25, CPU CoV "
+                f"{doc['cpu_cov']:.3f} > 1.5x")
+    return (f"{arm.replace('+', 'p')}_packets_even_cpus_not", [arm], check)
+
+
+def _claims(merged):
+    return check_claims(merged["cells"], (
+        _packets_even_cpus_not("rss"),
+        ("rss_busiest_core_over_2x_idlest", ["rss"],
+         lambda rss: (max(rss["cpu_utils"]) > 2 * min(rss["cpu_utils"]),
+                      f"cpu utils {max(rss['cpu_utils']):.3f} vs "
+                      f"{min(rss['cpu_utils']):.3f}")),
+        ("rsspp_rebalances_over_5_times", ["rss++"],
+         lambda pp: (pp["rss_rebalances"] > 5,
+                     f"{pp['rss_rebalances']} rebalances")),
+        _packets_even_cpus_not("rss++"),
+        ("rsspp_leaves_cpu_imbalance_within_20pct", ["rss", "rss++"],
+         lambda rss, pp: (abs(pp["cpu_cov"] - rss["cpu_cov"])
+                          <= 0.2 * rss["cpu_cov"],
+                          f"CPU CoV {pp['cpu_cov']:.3f} vs "
+                          f"{rss['cpu_cov']:.3f}")),
+    ))
+
+
 lined_experiment("fig7", "RSS packet spread vs CPU imbalance",
-                 _cells, _run_cell, default_seed=37,
+                 _cells, _run_cell, default_seed=37, claims=_claims,
                  tunables={"n_workers": "workers behind the device",
                            "duration": "workload duration (s)",
                            "load": "load level (default medium)"})

@@ -26,7 +26,7 @@ from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, Request
 from ..lb.server import LBServer, NotificationMode
 from ..sim.engine import Environment
-from .registry import CellSpec, lined_experiment
+from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["WalkthroughResult", "run_figa4", "T_UNIT"]
 
@@ -130,8 +130,40 @@ def _run_cell(cell):
     return dict(asdict(r), rendered=_line(r))
 
 
+def _worst_b(doc) -> float:
+    """The slowest of the short requests (every one but ``a``)."""
+    return max(v for k, v in doc["latency_t"].items() if k != "a")
+
+
+def _completes(mode: str):
+    """Rule: every request completes, and ``a`` takes its 4t."""
+    def check(doc):
+        latency = doc["latency_t"]
+        return (all(v > 0 for v in latency.values())
+                and latency["a"] >= 4.0 - 0.1,
+                f"a {latency['a']:.2f}t, fastest "
+                f"{min(latency.values()):.2f}t")
+    return f"{mode}_completes_every_request", [mode], check
+
+
+def _claims(merged):
+    return check_claims(merged["cells"], (
+        _completes("exclusive"), _completes("reuseport"),
+        _completes("hermes"),
+        ("reuseport_hashes_a_b_behind_a", ["reuseport"],
+         lambda doc: (_worst_b(doc) >= 4.5,
+                      f"slowest b {_worst_b(doc):.2f}t >= 4.5t")),
+        ("hermes_bounds_every_b_by_3.3t", ["hermes"],
+         lambda doc: (_worst_b(doc) <= 3.3,
+                      f"slowest b {_worst_b(doc):.2f}t <= 3.3t")),
+        ("hermes_uses_all_three_workers", ["hermes"],
+         lambda doc: (doc["workers_used"] == 3,
+                      f"{doc['workers_used']} workers used")),
+    ))
+
+
 lined_experiment("figa4", "Walkthrough example (Figs. A3/A4)",
-                 _cells, _run_cell, default_seed=3,
+                 _cells, _run_cell, default_seed=3, claims=_claims,
                  tunables={"n_workers": "workers behind the device",
                            "hash_seed": "kernel reuseport hash seed"})
 

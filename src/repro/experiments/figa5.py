@@ -14,7 +14,7 @@ from typing import List, Tuple
 from ..analysis.stats import cdf_points, coefficient_of_variation, percentile
 from ..lb.tenant import TenantDirectory
 from ..sim.rng import RngRegistry
-from .registry import simple_experiment
+from .registry import Claim, simple_experiment
 
 __all__ = ["RuleCdfResult", "run_figa5"]
 
@@ -51,6 +51,19 @@ def _rendered(r: RuleCdfResult) -> str:
             f"P99 {r.p99:.0f}  CoV {r.cov:.2f}")
 
 
+def _claims(merged: dict) -> Tuple[Claim, ...]:
+    fractions = [f for _, f in merged["cdf"]]
+    return (
+        Claim("rule_counts_long_tailed",
+              merged["p99"] > 3 * merged["p50"] and merged["cov"] > 0.6,
+              f"P99 {merged['p99']:.0f} vs P50 {merged['p50']:.0f}, "
+              f"CoV {merged['cov']:.2f}"),
+        Claim("rules_cdf_well_formed",
+              fractions == sorted(fractions) and fractions[-1] == 1.0,
+              f"{len(fractions)} points ending at {fractions[-1]:.3f}"),
+    )
+
+
 def _runner(seed: int, params: dict) -> dict:
     from dataclasses import asdict
     r = run_figa5(
@@ -61,7 +74,7 @@ def _runner(seed: int, params: dict) -> dict:
 
 
 simple_experiment("figa5", "CDF of forwarding rules per port",
-                  _runner, default_seed=67,
+                  _runner, default_seed=67, claims=_claims,
                   tunables={"n_tenants": "tenants in the directory",
                             "ports_per_tenant": "ports each tenant owns",
                             "mean_rules": "mean forwarding rules per port"})

@@ -13,8 +13,8 @@ cluster-of-clusters scaling argument): with the **stateless** lookup,
 connections owned by a crashed instance fail over to survivors and keep
 their backend — broken connections stay bounded by the backend churn
 alone — while the **stateful** per-instance table dies with its
-instance, so every connection it owned breaks.  The verdict line ranks
-the two policies on p99 and broken-connection count at every fleet size.
+instance, so every connection it owned breaks.  One claim per fleet
+size checks that contrast on broken-connection counts.
 
 Cells are independent and fully determined by ``(key, params, seed)``,
 so the grid sweeps and memoizes like every other experiment.
@@ -22,9 +22,9 @@ so the grid sweeps and memoizes like every other experiment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
-from .registry import CellSpec, ExperimentSpec, concat_rendered, register
+from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["run_fleet_cell", "BASE_WORKLOAD", "FLEET_SIZES", "POLICIES",
            "SHARDED_SIZES"]
@@ -167,51 +167,29 @@ def _cells(seed: int, overrides: Dict[str, Any]) -> Tuple[CellSpec, ...]:
     return tuple(cells)
 
 
-def _verdict(cells: Sequence[CellSpec],
-             docs: Sequence[Dict[str, Any]]) -> str:
-    by_key = {cell.key: doc for cell, doc in zip(cells, docs)}
-    sizes = sorted({doc["instances"] for doc in docs})
-    pairs = [(n, by_key.get(f"{n}x/stateful"), by_key.get(f"{n}x/stateless"))
-             for n in sizes]
-    pairs = [(n, sf, sl) for n, sf, sl in pairs
-             if sf is not None and sl is not None]
-    if not pairs:
-        return "verdict: need both policies at one size for a comparison"
-    lines = []
-    stateless_survives = True
-    for n, sf, sl in pairs:
-        winner = "stateless" if sl["p99_ms"] <= sf["p99_ms"] else "stateful"
-        if sl["broken"] >= sf["broken"] or sl["broken_instance"] != 0:
-            stateless_survives = False
-        lines.append(
-            f"{n}x: p99 stateless {sl['p99_ms']:.2f}ms vs stateful "
-            f"{sf['p99_ms']:.2f}ms ({winner} wins); broken "
-            f"{sl['broken']} vs {sf['broken']}")
-    head = ("verdict: stateless lookup survives the instance crash "
-            "(broken stays backend-churn-bounded at every size)"
-            if stateless_survives else
-            "verdict: stateless did NOT dominate on broken connections "
-            "at this seed/config")
-    return head + "\n  " + "\n  ".join(lines)
+def _survives(n_instances: int):
+    """Rule: at ``n_instances`` the stateless lookup breaks fewer
+    connections than the stateful one, and none through the crash."""
+    def check(stateful, stateless):
+        return (stateless["broken"] < stateful["broken"]
+                and stateless["broken_instance"] == 0,
+                f"broken stateless {stateless['broken']} (instance "
+                f"{stateless['broken_instance']}) vs stateful "
+                f"{stateful['broken']}")
+    return (f"{n_instances}x_stateless_survives_the_crash",
+            [f"{n_instances}x/stateful", f"{n_instances}x/stateless"], check)
 
 
-def _merge(cells: Sequence[CellSpec],
-           docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    verdict = _verdict(cells, docs)
-    return {
-        "cells": {cell.key: doc for cell, doc in zip(cells, docs)},
-        "verdict": verdict,
-        "rendered": concat_rendered(docs) + "\n" + verdict,
-    }
+def _claims(merged: Dict[str, Any]):
+    sizes = sorted({doc["instances"] for doc in merged["cells"].values()})
+    return check_claims(merged["cells"], [_survives(n) for n in sizes])
 
 
-register(ExperimentSpec(
-    name="fleet_scale",
-    title="Fleet scale-out: stateful vs stateless lookup under churn+crash",
-    cells=_cells, run_cell=lambda cell: run_fleet_cell(
-        cell.seed, dict(cell.params)),
-    merge=_merge, render=lambda merged: merged["rendered"],
-    default_seed=31,
+lined_experiment(
+    "fleet_scale",
+    "Fleet scale-out: stateful vs stateless lookup under churn+crash",
+    _cells, lambda cell: run_fleet_cell(cell.seed, dict(cell.params)),
+    default_seed=31, claims=_claims,
     tunables={
         "cells": "subset of cell keys to run (default: all sizes×policies)",
         "instances": "fleet sizes to sweep (default: 2, 4, 8)",
@@ -227,4 +205,4 @@ register(ExperimentSpec(
                          "(e.g. 16,32,64; churn only, no crash)",
         "jobs": "worker processes for sharded cells (output is "
                 "byte-identical for any value)",
-    }))
+    })

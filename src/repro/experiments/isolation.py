@@ -23,7 +23,7 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.distributions import QuantileSampler, RequestFactory
 from ..workloads.generator import TrafficGenerator, WorkloadSpec
-from .registry import CellSpec, lined_experiment
+from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["IsolationResult", "run_isolation"]
 
@@ -124,8 +124,41 @@ def _run_cell(cell):
     return dict(asdict(r), rendered=_line(r))
 
 
+def _claims(merged):
+    cells = merged["cells"]
+    modes = ["exclusive", "reuseport", "hermes"]
+
+    def small_tenant(hermes, excl, reuse):
+        return (hermes["small_timeouts_499"] <= excl["small_timeouts_499"]
+                and hermes["small_timeouts_499"]
+                < reuse["small_timeouts_499"] / 2
+                and hermes["small_p99_ms"] < reuse["small_p99_ms"] / 2
+                and hermes["small_p99_ms"] <= 1.1 * excl["small_p99_ms"],
+                f"499s hermes {hermes['small_timeouts_499']}, exclusive "
+                f"{excl['small_timeouts_499']}, reuseport "
+                f"{reuse['small_timeouts_499']}; p99 "
+                f"{hermes['small_p99_ms']:.2f} / {excl['small_p99_ms']:.2f}"
+                f" / {reuse['small_p99_ms']:.2f} ms")
+
+    def same_traffic(*docs):
+        counts = [doc["small_completed"] for doc in docs]
+        return (max(counts) - min(counts) <= 0.05 * max(counts),
+                f"small-tenant completions {counts}")
+
+    return check_claims(cells, (
+        ("hermes_isolates_the_small_tenant", ["hermes", "exclusive",
+                                              "reuseport"], small_tenant),
+        ("nobody_starves_the_whale", modes,
+         lambda *docs: (all(doc["whale_completed"] > 500 for doc in docs),
+                        f"whale completions "
+                        f"{[doc['whale_completed'] for doc in docs]}")),
+        ("modes_complete_the_same_small_tenant_traffic", modes,
+         same_traffic),
+    ))
+
+
 lined_experiment("isolation", "Tenant performance isolation",
-                 _cells, _run_cell, default_seed=71,
+                 _cells, _run_cell, default_seed=71, claims=_claims,
                  tunables={"n_workers": "workers behind the device",
                            "duration": "workload duration (s)"})
 

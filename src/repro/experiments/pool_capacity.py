@@ -24,7 +24,7 @@ from ..lb.server import LBServer, NotificationMode
 from ..lb.worker import ServiceProfile
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
-from .registry import CellSpec, lined_experiment
+from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["PoolCapacityResult", "run_pool_capacity"]
 
@@ -154,9 +154,26 @@ def _run_cell(cell):
     return dict(asdict(r), rendered=_arm_line(r))
 
 
+def _claims(merged):
+    return check_claims(merged["cells"], (
+        ("reuseport_strands_conns_beside_spare_slots", ["reuseport"],
+         lambda r: (r["stranded"] >= 10 and r["spare_slots"] >= 10,
+                    f"stranded {r['stranded']}, spare slots "
+                    f"{r['spare_slots']}")),
+        ("plain_hermes_strands_near_uniform_fullness", ["hermes"],
+         lambda r: (r["stranded"] >= 5, f"stranded {r['stranded']}")),
+        ("capacity_filter_recovers_the_pool", ["hermes", "hermes+capacity"],
+         lambda plain, cap: (
+             cap["stranded"] < plain["stranded"] / 2
+             and cap["capacity_utilization"] > 0.98,
+             f"stranded {cap['stranded']} vs {plain['stranded']}, "
+             f"utilization {cap['capacity_utilization']:.1%}")),
+    ))
+
+
 lined_experiment("pool_capacity",
                  "Connection-pool exhaustion under uneven distribution",
-                 _cells, _run_cell, default_seed=113,
+                 _cells, _run_cell, default_seed=113, claims=_claims,
                  tunables={"n_workers": "workers behind the device",
                            "pool_size": "connection-pool slots per worker"})
 

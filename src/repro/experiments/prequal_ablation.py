@@ -19,7 +19,7 @@ so the grid sweeps and memoizes like every other experiment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 from ..lb.server import LBServer, NotificationMode
 from ..prequal import PrequalConfig, config_from_overrides
@@ -27,7 +27,7 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.distributions import FixedFactory
 from ..workloads.generator import TrafficGenerator, WorkloadSpec
-from .registry import CellSpec, ExperimentSpec, concat_rendered, register
+from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["run_prequal_cell", "BASE_WORKLOAD", "BASE_CONFIG", "VARIANTS"]
 
@@ -68,8 +68,6 @@ VARIANTS: Tuple[Tuple[str, Dict[str, Any]], ...] = (
     ("q/0.5", {"q_hot": 0.5}),
     ("q/0.95", {"q_hot": 0.95}),
 )
-
-_POLICY_KEYS = ("policy/hcl", "policy/latency", "policy/rif")
 
 
 def run_prequal_cell(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -143,38 +141,25 @@ def _cells(seed: int, overrides: Dict[str, Any]) -> Tuple[CellSpec, ...]:
     return tuple(cells)
 
 
-def _verdict(cells: Sequence[CellSpec],
-             docs: Sequence[Dict[str, Any]]) -> str:
-    p99 = {cell.key: doc["p99_ms"] for cell, doc in zip(cells, docs)
-           if cell.key in _POLICY_KEYS}
-    if len(p99) < len(_POLICY_KEYS):
-        return "verdict: policy cells not all present; no comparison"
-    hcl, lat, rif = (p99[key] for key in _POLICY_KEYS)
-    if hcl <= lat and hcl <= rif:
-        return (f"verdict: hot/cold lanes win under spikes — "
-                f"hcl p99 {hcl:.2f}ms <= latency {lat:.2f}ms, "
-                f"rif {rif:.2f}ms")
-    return (f"verdict: ordering NOT reproduced at this seed/config — "
-            f"hcl p99 {hcl:.2f}ms, latency {lat:.2f}ms, rif {rif:.2f}ms")
+def _claims(merged: Dict[str, Any]):
+    """The Prequal paper's ordering on p99 under spikes."""
+    return check_claims(merged["cells"], (
+        ("hcl_p99_below_latency", ["policy/hcl", "policy/latency"],
+         lambda hcl, lat: (hcl["p99_ms"] < lat["p99_ms"],
+                           f"hcl {hcl['p99_ms']:.2f} ms vs latency "
+                           f"{lat['p99_ms']:.2f} ms")),
+        ("latency_p99_below_rif", ["policy/latency", "policy/rif"],
+         lambda lat, rif: (lat["p99_ms"] < rif["p99_ms"],
+                           f"latency {lat['p99_ms']:.2f} ms vs rif "
+                           f"{rif['p99_ms']:.2f} ms")),
+    ))
 
 
-def _merge(cells: Sequence[CellSpec],
-           docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    verdict = _verdict(cells, docs)
-    return {
-        "cells": {cell.key: doc for cell, doc in zip(cells, docs)},
-        "verdict": verdict,
-        "rendered": concat_rendered(docs) + "\n" + verdict,
-    }
-
-
-register(ExperimentSpec(
-    name="prequal_ablation",
-    title="Prequal tunables under load spikes (policy / d / pool / age / q)",
-    cells=_cells, run_cell=lambda cell: run_prequal_cell(
-        cell.seed, dict(cell.params)),
-    merge=_merge, render=lambda merged: merged["rendered"],
-    default_seed=7,
+lined_experiment(
+    "prequal_ablation",
+    "Prequal tunables under load spikes (policy / d / pool / age / q)",
+    _cells, lambda cell: run_prequal_cell(cell.seed, dict(cell.params)),
+    default_seed=7, claims=_claims,
     tunables={
         "cells": "subset of cell keys to run (default: all variants)",
         "d": "probes per decision (paper's power-of-d)",
@@ -196,4 +181,4 @@ register(ExperimentSpec(
         "spike_width": "duration of each spike (s)",
         "spike_times": "spike start times (s)",
         "n_workers": "workers behind the device",
-    }))
+    })

@@ -15,11 +15,16 @@ contract:
       run_cell(cell)         -> JSON document        # one seeded cell
       merge(cells, docs)     -> merged JSON document # enumeration order
       render(merged)         -> str                  # the paper table
+      claims(merged)         -> (Claim, ...)         # the paper verdicts
 
   ``run_cell`` must be deterministic in the cell alone (no ambient
   state), which is what lets :mod:`repro.sweep` execute cells across
   processes and memoize them while keeping the merged output
   byte-identical to a serial run.
+
+  ``claims`` reads only the merged document, so a sweep answered from
+  the cache re-checks every verdict without running a cell.  A claim
+  whose cells are not in the grid is left out, not failed.
 
   ``overrides`` may carry only the keys the spec declares in
   ``tunables``; anything else is refused, so a typo fails loudly instead
@@ -42,6 +47,9 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 __all__ = [
     "CellSpec",
+    "Claim",
+    "check_claims",
+    "no_claims",
     "ExperimentSpec",
     "EXPERIMENT_MODULES",
     "register",
@@ -60,9 +68,10 @@ __all__ = [
 EXPERIMENT_MODULES: Tuple[str, ...] = (
     "table1", "table2", "table3", "table4", "table5",
     "fig3", "fig45", "fig7", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "figa4", "figa5", "sec7", "appc", "ablations", "pool_capacity",
-    "isolation", "scaling", "resilience", "prequal_ablation", "fleet_scale",
-    "splice_crossover", "fuzz_regressions",
+    "figa4", "figa5", "sec7", "appc", "ablations", "baselines",
+    "pool_capacity", "isolation", "scaling", "resilience",
+    "prequal_ablation", "fleet_scale", "splice_crossover",
+    "fuzz_regressions",
 )
 
 
@@ -99,6 +108,49 @@ class CellSpec:
 
 
 @dataclass(frozen=True)
+class Claim:
+    """One paper verdict checked against a merged document."""
+
+    name: str
+    holds: bool
+    #: The measured numbers the verdict rests on.
+    detail: str
+
+    def line(self) -> str:
+        status = "holds" if self.holds else "FAILS"
+        return f"claim {self.name}: {status} ({self.detail})"
+
+
+#: ``(name, keys, check)``: ``check`` receives ``table[key]`` for each key
+#: in order and returns ``(holds, detail)``.
+Rule = Tuple[str, Sequence[str], Callable[..., Tuple[bool, str]]]
+
+
+def check_claims(table: Mapping[str, Any],
+                 rules: Sequence[Rule]) -> Tuple[Claim, ...]:
+    """Evaluate every rule whose keys are all in ``table``.
+
+    A rule with a missing key is left out of the result: its cells were
+    not in the grid, so there is nothing to judge.
+    """
+    claims: List[Claim] = []
+    for name, keys, check in rules:
+        if all(key in table for key in keys):
+            holds, detail = check(*(table[key] for key in keys))
+            claims.append(Claim(name, bool(holds), detail))
+    return tuple(claims)
+
+
+def no_claims(merged: Dict[str, Any]) -> Tuple[Claim, ...]:
+    """The default: an experiment that checks no paper verdict."""
+    return ()
+
+
+#: ``claims(merged) -> Tuple[Claim, ...]``, pure in the merged document.
+ClaimsFn = Callable[[Dict[str, Any]], Tuple[Claim, ...]]
+
+
+@dataclass(frozen=True)
 class ExperimentSpec:
     """A registered experiment: enumerate, run, merge, render."""
 
@@ -118,6 +170,7 @@ class ExperimentSpec:
     #: ``cells``/``run_cell`` read (``repro list`` shows them; any other
     #: key is refused by :meth:`check_overrides`).
     tunables: Dict[str, str] = field(default_factory=dict)
+    claims: ClaimsFn = no_claims
 
     def check_overrides(self, overrides: Mapping[str, Any]) -> None:
         """Raise ``ValueError`` if ``overrides`` has a key nothing reads."""
@@ -194,6 +247,7 @@ def simple_experiment(name: str, title: str,
                                        Dict[str, Any]],
                       default_seed: int = 7,
                       tunables: Optional[Mapping[str, str]] = None,
+                      claims: ClaimsFn = no_claims,
                       ) -> ExperimentSpec:
     """Register an experiment whose whole grid is one cell.
 
@@ -219,7 +273,7 @@ def simple_experiment(name: str, title: str,
     return register(ExperimentSpec(
         name=name, title=title, cells=cells, run_cell=run_cell,
         merge=merge, render=render, default_seed=default_seed,
-        tunables=dict(tunables or {})))
+        tunables=dict(tunables or {}), claims=claims))
 
 
 def concat_rendered(docs: Sequence[Dict[str, Any]]) -> str:
@@ -234,6 +288,7 @@ def lined_experiment(name: str, title: str,
                      default_seed: int = 7,
                      header: str = "",
                      tunables: Optional[Mapping[str, str]] = None,
+                     claims: ClaimsFn = no_claims,
                      ) -> ExperimentSpec:
     """Register a multi-cell experiment rendered as per-cell lines.
 
@@ -257,4 +312,4 @@ def lined_experiment(name: str, title: str,
     return register(ExperimentSpec(
         name=name, title=title, cells=enumerate_cells, run_cell=run_cell,
         merge=merge, render=render, default_seed=default_seed,
-        tunables=dict(tunables or {})))
+        tunables=dict(tunables or {}), claims=claims))

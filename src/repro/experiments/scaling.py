@@ -14,9 +14,12 @@ from typing import List, Sequence
 
 from ..lb.server import NotificationMode
 from .common import CellResult, run_case_cell
-from .registry import CellSpec, lined_experiment
+from .registry import CellSpec, check_claims, lined_experiment
 
-__all__ = ["ScalingPoint", "run_scaling"]
+__all__ = ["ScalingPoint", "run_scaling", "WORKER_COUNTS"]
+
+#: Worker counts the grid sweeps by default, up to the paper's 32 cores.
+WORKER_COUNTS = (4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ def _point(n_workers: int, mode: NotificationMode, case: str, load: str,
     )
 
 
-def run_scaling(worker_counts: Sequence[int] = (4, 8, 16, 32),
+def run_scaling(worker_counts: Sequence[int] = WORKER_COUNTS,
                 case: str = "case3", load: str = "medium",
                 duration: float = 3.0, seed: int = 73,
                 ) -> List[ScalingPoint]:
@@ -70,7 +73,7 @@ def _point_line(p: ScalingPoint) -> str:
 
 
 def _cells(seed, overrides):
-    counts = tuple(overrides.get("worker_counts", (4, 8, 16, 32)))
+    counts = tuple(overrides.get("worker_counts", WORKER_COUNTS))
     params = {"case": overrides.get("case", "case3"),
               "load": overrides.get("load", "medium"),
               "duration": overrides.get("duration", 3.0)}
@@ -89,8 +92,45 @@ def _run_cell(cell):
     return dict(asdict(point), rendered=_point_line(point))
 
 
+def _hermes_wins(n: int):
+    """Rule: at ``n`` workers Hermes beats exclusive on latency and
+    CPU balance."""
+    def check(hermes, excl):
+        return (hermes["avg_ms"] < excl["avg_ms"]
+                and hermes["cpu_sd"] < excl["cpu_sd"],
+                f"avg {hermes['avg_ms']:.3f} vs {excl['avg_ms']:.3f} ms, "
+                f"cpu SD {hermes['cpu_sd']:.2%} vs {excl['cpu_sd']:.2%}")
+    return (f"{n}_workers_hermes_beats_exclusive",
+            [f"{n}/hermes", f"{n}/exclusive"], check)
+
+
+def _claims(merged):
+    smallest, largest = WORKER_COUNTS[0], WORKER_COUNTS[-1]
+    hermes = [f"{n}/hermes" for n in WORKER_COUNTS]
+    return check_claims(merged["cells"], [
+        _hermes_wins(n) for n in WORKER_COUNTS] + [
+        ("hermes_latency_flat_across_scale", hermes,
+         lambda *docs: (max(d["avg_ms"] for d in docs)
+                        < 2 * min(d["avg_ms"] for d in docs),
+                        f"avg {[round(d['avg_ms'], 3) for d in docs]} ms")),
+        ("exclusive_worsens_with_core_count",
+         [f"{smallest}/exclusive", f"{largest}/exclusive"],
+         lambda small, large: (
+             large["avg_ms"] > 3 * small["avg_ms"]
+             and large["accept_imbalance"] > small["accept_imbalance"],
+             f"avg {small['avg_ms']:.3f} -> {large['avg_ms']:.3f} ms, "
+             f"accept imbalance {small['accept_imbalance']:.2f}x -> "
+             f"{large['accept_imbalance']:.2f}x")),
+        (f"hermes_gap_over_5x_at_{largest}_workers",
+         [f"{largest}/exclusive", f"{largest}/hermes"],
+         lambda excl, herm: (excl["avg_ms"] > 5 * herm["avg_ms"],
+                             f"avg exclusive {excl['avg_ms']:.3f} vs "
+                             f"hermes {herm['avg_ms']:.3f} ms")),
+    ])
+
+
 lined_experiment("scaling", "Mode ordering vs worker count",
-                 _cells, _run_cell, default_seed=73,
+                 _cells, _run_cell, default_seed=73, claims=_claims,
                  tunables={"worker_counts": "worker counts to sweep "
                                             "(default: 4, 8, 16, 32)",
                            "case": "workload case (default case3)",

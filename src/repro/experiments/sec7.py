@@ -28,7 +28,7 @@ from ..lb.server import LBServer, NotificationMode
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.generator import TrafficGenerator
-from .registry import CellSpec, ExperimentSpec, register
+from .registry import CellSpec, ExperimentSpec, check_claims, register
 
 __all__ = ["BackendRrResult", "run_backend_rr",
            "ReuseResult", "run_connection_reuse",
@@ -244,10 +244,41 @@ def _merge(cells, docs):
             "rendered": "\n".join(doc["rendered"] for doc in docs)}
 
 
+def _claims(merged):
+    return check_claims(merged["cells"], (
+        ("synchronized_rr_overloads_head_servers", ["backend_rr"],
+         lambda rr: (rr["imbalance_synchronized"] > 2.0,
+                     f"max/mean {rr['imbalance_synchronized']:.2f}x > 2x")),
+        ("randomized_offsets_even_out_rr", ["backend_rr"],
+         lambda rr: (rr["imbalance_randomized"] < 2.0
+                     and rr["imbalance_randomized"]
+                     < rr["imbalance_synchronized"] / 1.5,
+                     f"{rr['imbalance_randomized']:.2f}x < 2x and < "
+                     f"{rr['imbalance_synchronized']:.2f}x / 1.5")),
+        ("shared_pool_restores_upstream_reuse", ["connection_reuse"],
+         lambda reuse: (
+             reuse["handshakes_per_worker_pools"]
+             >= 8 * reuse["handshakes_shared_pool"]
+             and reuse["added_latency_shared"]
+             < reuse["added_latency_per_worker"],
+             f"handshakes {reuse['handshakes_per_worker_pools']} per-worker "
+             f">= 8 x {reuse['handshakes_shared_pool']} shared; added "
+             f"{reuse['added_latency_shared'] * 1e3:.3f} < "
+             f"{reuse['added_latency_per_worker'] * 1e3:.3f} ms/req")),
+        ("exclusive_crash_kills_most_connections", ["crash_blast/exclusive"],
+         lambda blast: (blast["blast_fraction"] > 0.70,
+                        f"{blast['blast_fraction']:.1%} > 70%")),
+        ("hermes_crash_blast_near_one_worker", ["crash_blast/hermes"],
+         lambda blast: (blast["blast_fraction"] < 0.25,
+                        f"{blast['blast_fraction']:.1%} < 25%")),
+    ))
+
+
 register(ExperimentSpec(
     name="sec7", title="§7 deployment experiences and crash blast radius",
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=71,
+    claims=_claims,
     tunables={"n_workers": "workers behind the crash-blast device",
               "n_connections": "connections open at the crash"}))
 

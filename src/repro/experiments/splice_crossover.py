@@ -15,7 +15,7 @@ That trade has a crossover, and this experiment maps it on a 2×2 grid:
   forwards a single request per setup while a 16-request connection
   forwards fifteen.
 
-Expected shape (asserted by the verdict): splice **wins** on p99 where
+Expected shape (checked by the claim): splice **wins** on p99 where
 payloads are large and connections long-lived — nearly all bytes move
 kernel-side at a fraction of the copy cost, and the forwarded requests
 never queue behind a busy worker.  Splice **loses** where payloads are
@@ -34,7 +34,7 @@ so the grid sweeps and memoizes like every other experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Tuple
 
 from ..kernel.tcp import Request
 from ..lb.server import NotificationMode
@@ -43,7 +43,7 @@ from ..splice import SpliceConfig, config_from_overrides
 from ..workloads.distributions import QuantileSampler
 from ..workloads.generator import WorkloadSpec
 from .common import run_spec
-from .registry import CellSpec, ExperimentSpec, concat_rendered, register
+from .registry import CellSpec, Claim, check_claims, lined_experiment
 
 __all__ = ["run_crossover_cell", "BASE_WORKLOAD", "REGIMES", "MODES"]
 
@@ -170,44 +170,43 @@ def _cells(seed: int, overrides: Dict[str, Any]) -> Tuple[CellSpec, ...]:
     return tuple(cells)
 
 
-def _verdict(cells: Sequence[CellSpec],
-             docs: Sequence[Dict[str, Any]]) -> str:
-    p99: Dict[str, Dict[str, float]] = {}
-    for cell, doc in zip(cells, docs):
-        p99.setdefault(doc["regime"], {})[doc["mode"]] = doc["p99_ms"]
-    wins, losses = [], []
-    for regime, by_mode in p99.items():
-        if "hermes" not in by_mode or "splice" not in by_mode:
-            continue
-        if by_mode["splice"] < by_mode["hermes"]:
-            wins.append(regime)
-        elif by_mode["splice"] > by_mode["hermes"]:
-            losses.append(regime)
-    if wins and losses:
-        return (f"verdict: crossover reproduced — splice wins p99 in "
-                f"{', '.join(sorted(wins))}; loses in "
-                f"{', '.join(sorted(losses))}")
-    return (f"verdict: crossover NOT reproduced at this seed/config — "
-            f"wins={sorted(wins)}, losses={sorted(losses)}")
+def _side(regime: str, wins: bool):
+    """Rule: splice wins (or loses) p99 against hermes in ``regime``."""
+    def check(hermes, splice):
+        holds = (splice["p99_ms"] < hermes["p99_ms"] if wins
+                 else splice["p99_ms"] > hermes["p99_ms"])
+        return holds, (f"splice {splice['p99_ms']:.3f} ms vs hermes "
+                       f"{hermes['p99_ms']:.3f} ms")
+    side = "wins" if wins else "loses"
+    return (f"splice_{side}_p99_{regime.replace('/', '_')}",
+            [f"{regime}/hermes", f"{regime}/splice"], check)
 
 
-def _merge(cells: Sequence[CellSpec],
-           docs: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    verdict = _verdict(cells, docs)
-    return {
-        "cells": {cell.key: doc for cell, doc in zip(cells, docs)},
-        "verdict": verdict,
-        "rendered": concat_rendered(docs) + "\n" + verdict,
-    }
+def _claims(merged: Dict[str, Any]) -> Tuple[Claim, ...]:
+    """The crossover: splice wins p99 in some regime and loses in
+    another, judged once at least two regimes ran both modes."""
+    cells = merged["cells"]
+    pairs = {regime: (cells[f"{regime}/hermes"]["p99_ms"],
+                      cells[f"{regime}/splice"]["p99_ms"])
+             for regime, _ in REGIMES
+             if f"{regime}/hermes" in cells and f"{regime}/splice" in cells}
+    claims = check_claims(cells, (_side("large/long", wins=True),
+                                  _side("small/short", wins=False)))
+    if len(pairs) < 2:
+        return claims
+    wins = [r for r, (hermes, splice) in pairs.items() if splice < hermes]
+    losses = [r for r, (hermes, splice) in pairs.items() if splice > hermes]
+    return claims + (Claim(
+        "splice_p99_crossover", bool(wins and losses),
+        f"splice wins p99 in {', '.join(wins) or 'none'}; "
+        f"loses in {', '.join(losses) or 'none'}"),)
 
 
-register(ExperimentSpec(
-    name="splice_crossover",
-    title="Splice vs Hermes p99 crossover (request size x conn lifetime)",
-    cells=_cells, run_cell=lambda cell: run_crossover_cell(
-        cell.seed, dict(cell.params)),
-    merge=_merge, render=lambda merged: merged["rendered"],
-    default_seed=7,
+lined_experiment(
+    "splice_crossover",
+    "Splice vs Hermes p99 crossover (request size x conn lifetime)",
+    _cells, lambda cell: run_crossover_cell(cell.seed, dict(cell.params)),
+    default_seed=7, claims=_claims,
     tunables={
         "cells": "subset of cell keys to run (default: full grid)",
         "splice_after": "userspace requests parsed before splicing",
@@ -226,4 +225,4 @@ register(ExperimentSpec(
         "parse_p90": "P90 of the heavy-tailed parse time (s)",
         "parse_p99": "P99 of the heavy-tailed parse time (s)",
         "max_events": "most epoll events one request is split into",
-    }))
+    })

@@ -14,7 +14,7 @@ from ..analysis.reporting import render_table
 from ..analysis.stats import percentile
 from ..sim.rng import RngRegistry
 from ..workloads.regions import REGIONS
-from .registry import simple_experiment
+from .registry import Claim, simple_experiment
 
 __all__ = ["Table1Row", "run_table1", "render_table1"]
 
@@ -78,6 +78,20 @@ def render_table1(rows: List[Table1Row]) -> str:
                               "time quantiles (measured vs paper)")
 
 
+def _claims(merged: dict) -> Tuple[Claim, ...]:
+    rows = [Table1Row(**row) for row in merged["rows"]]
+    error = max(row.max_relative_error() for row in rows)
+    region3 = next(row for row in rows if row.region == "Region3")
+    tail = region3.time_measured[2] / region3.time_measured[0]
+    return (
+        Claim("four_regions_within_15pct_of_every_quantile",
+              len(rows) == 4 and error < 0.15,
+              f"{len(rows)} regions, worst relative error {error:.1%}"),
+        Claim("region3_websocket_tail_over_1000x", tail > 1000,
+              f"processing-time P99/P50 {tail:,.0f}x"),
+    )
+
+
 def _runner(seed: int, params: dict) -> dict:
     rows = run_table1(n_samples=params.get("n_samples", 40000), seed=seed)
     return {"rows": [asdict(row) for row in rows],
@@ -86,7 +100,7 @@ def _runner(seed: int, params: dict) -> dict:
 
 simple_experiment(
     "table1", "Region size/time quantiles (measured vs paper)",
-    _runner, default_seed=5,
+    _runner, default_seed=5, claims=_claims,
     tunables={"n_samples": "requests sampled per region (default 40000)"})
 
 

@@ -17,7 +17,7 @@ from ..analysis.stats import mean
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import CellResult, run_spec
-from .registry import CellSpec, register, ExperimentSpec
+from .registry import CellSpec, Claim, ExperimentSpec, register
 
 __all__ = ["DeviceImbalance", "run_table2", "render_table2"]
 
@@ -133,10 +133,28 @@ def _merge(cells: Sequence[CellSpec], docs: Sequence[dict]) -> dict:
     return {"devices": list(docs), "rendered": render_table2(devices)}
 
 
+def _claims(merged: dict) -> Tuple[Claim, ...]:
+    devices = [DeviceImbalance(**doc) for doc in merged["devices"]]
+    region = region_summary(devices)
+    worst = max(d.max_minus_min for d in devices)
+    return (
+        Claim("worst_device_spread_over_25pct", worst > 0.25,
+              f"worst max-min {worst:.1%}"),
+        Claim("region_average_spread_over_10pct",
+              region.max_minus_min > 0.10,
+              f"average max-min {region.max_minus_min:.1%}"),
+        Claim("region_average_max_above_avg_above_min",
+              region.max_util > region.avg_util > region.min_util,
+              f"max {region.max_util:.1%} > avg {region.avg_util:.1%} > "
+              f"min {region.min_util:.1%}"),
+    )
+
+
 register(ExperimentSpec(
     name="table2", title="CPU imbalance within a device and region",
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=23,
+    claims=_claims,
     tunables={"n_devices": "devices in the region (default 8)",
               "n_workers": "workers per device",
               "duration": "workload duration per device (s)",

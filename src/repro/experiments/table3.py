@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..analysis.reporting import mark_effectiveness, render_table
 from ..lb.server import NotificationMode
 from .common import MODES_UNDER_TEST, CellResult, run_case_cell
-from .registry import CellSpec, ExperimentSpec, get, register
+from .registry import (CellSpec, Claim, ExperimentSpec, check_claims, get,
+                       register)
 
 __all__ = ["Table3Result", "run_table3", "render_table3", "TABLE3_PORTS",
            "CASE_ORDER", "LOAD_ORDER", "table3_result_from_doc"]
@@ -125,11 +126,74 @@ def table3_result_from_doc(merged: Dict) -> Table3Result:
     return Table3Result(cells=cells, marks=marks)
 
 
+def _versus(case: str, load: str, mode: str, rival: str,
+            metric: str = "avg", factor: float = 1.0, above: bool = False):
+    """Rule: ``mode``'s latency ``metric`` is below (or ``above``)
+    ``factor`` × ``rival``'s in one (case, load) cell."""
+    field_ = f"{metric}_ms"
+    scale = "" if factor == 1.0 else f"{factor:g}x_"
+    name = (f"{case}_{load}_{mode}_{metric}_"
+            f"{'above' if above else 'below'}_{scale}{rival}")
+
+    def check(ours: Dict, theirs: Dict):
+        bound = factor * theirs[field_]
+        holds = ours[field_] > bound if above else ours[field_] < bound
+        return holds, (f"{mode} {ours[field_]:.2f} ms vs "
+                       f"{scale.replace('_', ' ')}{rival} {bound:.2f} ms")
+    return name, [f"{case}/{load}/{mode}", f"{case}/{load}/{rival}"], check
+
+
+def _marked(case: str, mode: str, mark: str):
+    """Rule: the paper's per-case ✓/✗ verdict for ``mode`` in ``case``."""
+    def check(verdict: str):
+        return verdict == mark, f"{mode} marked {verdict} in {case}"
+    return f"{case}_{mode}_marked_{mark}", [f"{case}/{mode}"], check
+
+
+def _claims(merged: Dict) -> Tuple[Claim, ...]:
+    """Table 3's verdicts.  A per-case ✓/✗ mark is judged only when every
+    load and mode of the case ran, since marks compare modes per load."""
+    result = table3_result_from_doc(merged)
+    table: Dict = dict(merged["cells"])
+    modes = [m.value for m in MODES_UNDER_TEST]
+    for case in CASE_ORDER:
+        if all((case, load, mode) in result.cells
+               for load in LOAD_ORDER for mode in modes):
+            for mode in modes:
+                table[f"{case}/{mode}"] = result.mode_mark(case, mode)
+    rules = [_versus("case1", load, "hermes", "exclusive", metric)
+             for load in ("light", "medium") for metric in ("avg", "p99")]
+    rules += [_marked("case1", "exclusive", "x"),
+              _marked("case1", "hermes", "ok")]
+    rules += [_versus("case2", load, "hermes", "reuseport")
+              for load in LOAD_ORDER]
+    rules += [_versus("case2", "medium", "hermes", "exclusive"),
+              _marked("case2", "hermes", "ok"),
+              _marked("case2", "reuseport", "x")]
+    rules += [_versus("case3", load, "hermes", "exclusive")
+              for load in LOAD_ORDER]
+    rules += [_versus("case3", "heavy", "hermes", "reuseport", "p99", 1.15),
+              _marked("case3", "hermes", "ok")]
+    for load in ("medium", "heavy"):
+        rules += [_versus("case4", load, "reuseport", "hermes",
+                          factor=1.5, above=True),
+                  _versus("case4", load, "hermes", "exclusive",
+                          factor=1.4)]
+    rules += [_marked("case4", "reuseport", "x"),
+              _marked("case4", "hermes", "ok")]
+    rules.append((
+        "hermes_never_marked_x", [f"{case}/hermes" for case in CASE_ORDER],
+        lambda *verdicts: ("x" not in verdicts,
+                           f"hermes marks {list(verdicts)} over "
+                           f"{', '.join(CASE_ORDER)}")))
+    return check_claims(table, rules)
+
+
 register(ExperimentSpec(
     name="table3", title="Headline grid: case x mode x load",
     cells=_table3_cells, run_cell=_table3_run_cell, merge=_table3_merge,
     render=lambda merged: render_table3(table3_result_from_doc(merged)),
-    default_seed=11,
+    default_seed=11, claims=_claims,
     tunables={"cases": "case subset (default: case1..case4)",
               "loads": "load subset (default: light, medium, heavy)",
               "modes": "mode subset (default: exclusive, reuseport, hermes)",

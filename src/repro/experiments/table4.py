@@ -10,11 +10,11 @@ poorly in the commonly occurring case 3 and case 4, respectively".
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..analysis.reporting import render_table
 from ..workloads.cases import CASE_MIX
-from .registry import simple_experiment
+from .registry import Claim, simple_experiment
 
 __all__ = ["CaseMixAnalysis", "run_table4", "render_table4",
            "PAPER_INEFFECTIVE_CASES"]
@@ -76,6 +76,30 @@ def render_table4(analysis: CaseMixAnalysis) -> str:
     return mix_table + "\n\n" + impact_table
 
 
+def _claims(merged: dict) -> Tuple[Claim, ...]:
+    sums = [round(sum(shares.values()), 2)
+            for shares in merged["mix"].values()]
+    avg = merged["average_mix"]
+    worst = {mode: max(shares[mode]
+                       for shares in merged["impacted_share"].values())
+             for mode in ("exclusive", "reuseport", "hermes")}
+    return (
+        Claim("region_mix_rows_sum_to_100",
+              all(abs(total - 100.0) < 0.1 for total in sums),
+              f"row sums {sums}"),
+        Claim("case3_then_case4_dominate_the_average_mix",
+              avg["case3"] > avg["case4"] > avg["case1"],
+              f"case3 {avg['case3']:.2f}% > case4 {avg['case4']:.2f}% > "
+              f"case1 {avg['case1']:.2f}%"),
+        Claim("hermes_impacts_no_traffic", worst["hermes"] == 0.0,
+              f"worst region {worst['hermes']:.1f}%"),
+        Claim("exclusive_and_reuseport_each_impact_over_80pct_somewhere",
+              worst["exclusive"] > 80.0 and worst["reuseport"] > 80.0,
+              f"worst region: exclusive {worst['exclusive']:.1f}%, "
+              f"reuseport {worst['reuseport']:.1f}%"),
+    )
+
+
 def _runner(seed: int, params: dict) -> dict:
     analysis = run_table4(ineffective=params.get("ineffective"))
     return dict(asdict(analysis), rendered=render_table4(analysis))
@@ -83,7 +107,7 @@ def _runner(seed: int, params: dict) -> dict:
 
 simple_experiment(
     "table4", "Case distribution across regions (analytic)",
-    _runner, default_seed=0,
+    _runner, default_seed=0, claims=_claims,
     tunables={"ineffective": "mode -> cases it is ineffective in "
                              "(default: the paper's Table 3 marks)"})
 

@@ -21,7 +21,7 @@ from ..core.overhead import ComponentOverhead, compute_overhead
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import run_spec
-from .registry import CellSpec, ExperimentSpec, register
+from .registry import CellSpec, Claim, ExperimentSpec, check_claims, register
 
 __all__ = ["OverheadRow", "run_table5", "render_table5"]
 
@@ -115,10 +115,47 @@ def _merge(cells: Sequence[CellSpec], docs: Sequence[dict]) -> dict:
     return {"rows": list(docs), "rendered": render_table5(rows)}
 
 
+def _grows(component: str):
+    """Rule: ``component``'s overhead is higher at heavy than light load."""
+    attr = f"{component}_pct"
+
+    def check(light: OverheadRow, heavy: OverheadRow):
+        low, high = getattr(light, attr), getattr(heavy, attr)
+        return high > low, f"light {low:.3f}% -> heavy {high:.3f}%"
+    return f"{component}_overhead_grows_with_load", ["light", "heavy"], check
+
+
+def _claims(merged: dict) -> Tuple[Claim, ...]:
+    rows = [OverheadRow(**doc) for doc in merged["rows"]]
+    total = max(row.total_pct for row in rows)
+    dispatcher = [round(row.dispatcher_pct, 3) for row in rows]
+    others = [round(min(row.counter_pct, row.scheduler_pct,
+                        row.syscall_pct), 3) for row in rows]
+    userspace = [round(row.counter_pct + row.scheduler_pct
+                       + row.syscall_pct, 3) for row in rows]
+    claims = (
+        Claim("total_overhead_below_3pct", total < 3.0,
+              f"worst load {total:.3f}%"),
+        Claim("dispatcher_is_the_lightest_component",
+              all(row.dispatcher_pct <= min(row.counter_pct,
+                                            row.scheduler_pct,
+                                            row.syscall_pct)
+                  for row in rows),
+              f"dispatcher {dispatcher}% vs lightest other {others}%"),
+        Claim("userspace_side_outweighs_the_kernel_side",
+              all(row.counter_pct + row.scheduler_pct + row.syscall_pct
+                  > row.dispatcher_pct for row in rows),
+              f"userspace {userspace}% vs dispatcher {dispatcher}%"),
+    )
+    return claims + check_claims({row.load: row for row in rows},
+                                 [_grows("counter"), _grows("dispatcher")])
+
+
 register(ExperimentSpec(
     name="table5", title="CPU overhead of Hermes components",
     cells=_cells, run_cell=_run_cell, merge=_merge,
     render=lambda merged: merged["rendered"], default_seed=53,
+    claims=_claims,
     tunables={"loads": "load subset (default: light, medium, heavy)",
               "n_workers": "workers behind the device",
               "duration": "workload duration (s)",

@@ -15,8 +15,7 @@ Two jobs:
 from .golden import (canonical_json, cell_fingerprint, fig13_fingerprint,
                      fingerprint, fleet_fingerprint, sec7_fingerprint)
 from .harness import BenchResult, calibrate, run_benchmarks, time_bench
-from .report import (build_report, check_regression, load_report,
-                     render_report, write_report)
+from .report import build_report, load_report, render_report, write_report
 
 __all__ = [
     "canonical_json",
@@ -32,6 +31,5 @@ __all__ = [
     "build_report",
     "write_report",
     "load_report",
-    "check_regression",
     "render_report",
 ]

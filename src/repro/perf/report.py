@@ -1,11 +1,12 @@
-"""Canonical BENCH_perf.json writer, loader, and regression gate.
+"""Canonical BENCH_perf.json writer and loader.
 
 The report is canonical JSON: a fixed schema, sorted keys, stable rounding —
-so two reports diff cleanly and CI can compare them field by field.  Raw
-ops/sec are machine-dependent; the regression gate therefore compares the
-*normalized* score ``ops_per_sec / calibration_ops_per_sec`` (see
-:mod:`repro.perf.harness`), which cancels most of the machine-speed
-difference between the committed baseline and the CI runner.
+so two reports diff cleanly field by field.  Raw ops/sec are
+machine-dependent; the *normalized* score ``ops_per_sec /
+calibration_ops_per_sec`` (see :mod:`repro.perf.harness`) cancels most of
+the machine-speed difference between two hosts.  The report gates
+nothing: the exact ``ops`` counts are checked in tier-1, and the
+wall-clock verdict on a change comes from ``bench/run.py compare``.
 """
 
 from __future__ import annotations
@@ -14,20 +15,15 @@ import json
 import os
 import platform
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from .baseline import PRE_PR_BASELINE
 from .harness import BENCH_NAMES, BenchResult
 
 __all__ = ["build_report", "write_report", "load_report",
-           "check_regression", "render_report", "SCHEMA"]
+           "render_report", "SCHEMA"]
 
 SCHEMA = "repro.perf/v1"
-
-#: Benches the regression gate checks (the events/sec trajectory).
-GATED_BENCHES = ("engine_throughput", "macro_lb_run", "sweep_table3",
-                 "fleet_sharded")
-
 
 def _effective_affinity() -> Optional[int]:
     """CPUs this process may actually run on (None where unsupported)."""
@@ -44,9 +40,9 @@ def build_report(results: Dict[str, BenchResult],
     benches = {name: results[name].as_dict()
                for name in BENCH_NAMES if name in results}
     # 6 significant digits, not 6 decimals: scores span 6e-7
-    # (sweep_table3) to 0.1, and decimals would flatten the small ones
-    # past the regression gate's reach.  Scores come from the rounded
-    # values the report stores, so the file re-derives its own block.
+    # (sweep_table3) to 0.1, and decimals would flatten the small ones.
+    # Scores come from the rounded values the report stores, so the file
+    # re-derives its own block.
     calibration = round(calibration_ops_per_sec, 1)
     normalized = {}
     for name, bench in benches.items():
@@ -85,30 +81,6 @@ def load_report(path: str) -> Dict[str, Any]:
         raise ValueError(f"{path}: not a {SCHEMA} report "
                          f"(schema={report.get('schema')!r})")
     return report
-
-
-def check_regression(current: Dict[str, Any], committed: Dict[str, Any],
-                     threshold: float = 0.20,
-                     benches: Optional[List[str]] = None) -> List[str]:
-    """Compare normalized scores; return a list of failure messages.
-
-    A bench fails when its normalized events/sec drops more than
-    ``threshold`` below the committed report's normalized score.  Benches
-    missing from either side are skipped (a fresh bench has no baseline).
-    """
-    failures: List[str] = []
-    for name in benches if benches is not None else GATED_BENCHES:
-        cur = current.get("normalized", {}).get(name)
-        ref = committed.get("normalized", {}).get(name)
-        if cur is None or ref is None or ref <= 0:
-            continue
-        ratio = cur / ref
-        if ratio < 1.0 - threshold:
-            failures.append(
-                f"{name}: normalized score {cur:.6g} is "
-                f"{(1.0 - ratio) * 100:.1f}% below committed {ref:.6g} "
-                f"(threshold {threshold * 100:.0f}%)")
-    return failures
 
 
 def render_report(report: Dict[str, Any]) -> str:

@@ -100,8 +100,12 @@ class SweepResult:
         return json.dumps(self.document(), indent=indent, sort_keys=True)
 
     def render(self) -> str:
-        """The experiment's own rendering of the merged document."""
-        return _registry.get(self.experiment).render(self.merged)
+        """The experiment's rendering of the merged document, then one
+        line per paper claim (claims never enter :meth:`document`)."""
+        spec = _registry.get(self.experiment)
+        lines = [spec.render(self.merged)]
+        lines.extend(claim.line() for claim in spec.claims(self.merged))
+        return "\n".join(lines)
 
 
 def _execute_cell(payload: Tuple[str, str, Dict[str, Any], int, bool]

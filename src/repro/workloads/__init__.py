@@ -1,7 +1,7 @@
-"""Workload generation: arrival processes, request distributions, the
+"""Workload generation: the arrival process, request distributions, the
 paper's four traffic cases, region profiles, traces, and tenant skew."""
 
-from .arrivals import BurstTrain, PiecewiseRate, PoissonArrivals
+from .arrivals import PoissonArrivals
 from .cases import (
     CASE_MIX,
     CASES,
@@ -27,7 +27,6 @@ from .skew import (
 from .trace import Trace, TraceEvent, TraceReplayer, build_trace_from_spec
 
 __all__ = [
-    "BurstTrain",
     "CASE_MIX",
     "CASES",
     "CaseDefinition",
@@ -37,7 +36,6 @@ __all__ = [
     "LOAD_MULTIPLIERS",
     "PAPER_TOP3_REGION_A",
     "PAPER_TOP3_REGION_B",
-    "PiecewiseRate",
     "PoissonArrivals",
     "QuantileSampler",
     "REGIONS",

@@ -1,127 +1,48 @@
-"""Connection arrival processes.
+"""Connection arrival process.
 
-Open-loop generators: arrivals occur at their own pace regardless of how
+Open-loop generation: arrivals occur at their own pace regardless of how
 the LB keeps up, which is what exposes overload behaviour (closed-loop
 clients would implicitly throttle and mask it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from ..sim.engine import Environment, Interrupt
 from ..sim.rng import Stream
 
-__all__ = ["PoissonArrivals", "PiecewiseRate", "BurstTrain"]
-
-
-@dataclass(frozen=True)
-class PiecewiseRate:
-    """A rate function defined by (start_time, rate) steps."""
-
-    steps: Tuple[Tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ValueError("need at least one step")
-        times = [t for t, _ in self.steps]
-        if sorted(times) != times:
-            raise ValueError("step times must be non-decreasing")
-        if any(rate < 0 for _, rate in self.steps):
-            raise ValueError("rates must be non-negative")
-
-    def rate_at(self, t: float) -> float:
-        current = self.steps[0][1]
-        for start, rate in self.steps:
-            if t >= start:
-                current = rate
-            else:
-                break
-        return current
+__all__ = ["PoissonArrivals"]
 
 
 class PoissonArrivals:
-    """Poisson arrivals at a fixed or piecewise-constant rate.
+    """Poisson arrivals at a fixed rate.
 
-    Calls ``sink(index)`` for every arrival.  ``rate`` may be a float or a
-    :class:`PiecewiseRate` (thinning is used for the time-varying case).
+    Calls ``sink(index)`` for every arrival.
     """
 
     def __init__(self, env: Environment, rng: Stream,
-                 rate, sink: Callable[[int], None],
+                 rate: float, sink: Callable[[int], None],
                  until: Optional[float] = None, name: str = "arrivals"):
         self.env = env
         self.rng = rng
-        self.rate = rate
+        self.rate = float(rate)
         self.sink = sink
         self.until = until
         self.count = 0
         self._proc = env.process(self._run(), name=name)
 
-    def _peak_rate(self) -> float:
-        if isinstance(self.rate, PiecewiseRate):
-            return max(rate for _, rate in self.rate.steps)
-        return float(self.rate)
-
-    def _rate_at(self, t: float) -> float:
-        if isinstance(self.rate, PiecewiseRate):
-            return self.rate.rate_at(t)
-        return float(self.rate)
-
     def _run(self):
-        peak = self._peak_rate()
-        if peak <= 0:
+        rate = self.rate
+        if rate <= 0:
             return
         try:
             while self.until is None or self.env.now < self.until:
-                gap = self.rng.expovariate(peak)
-                yield self.env.timeout(gap)
+                yield self.env.timeout(self.rng.expovariate(rate))
                 if self.until is not None and self.env.now >= self.until:
                     return
-                # Thinning: accept with probability rate(t)/peak.
-                current = self._rate_at(self.env.now)
-                if current >= peak or self.rng.random() < current / peak:
-                    self.sink(self.count)
-                    self.count += 1
-        except Interrupt:
-            return
-
-    def stop(self) -> None:
-        if self._proc.is_alive:
-            self._proc.interrupt("stopped")
-
-
-class BurstTrain:
-    """Deterministic bursts: ``burst_size`` simultaneous arrivals every
-    ``interval`` — the synchronized-surge pattern of Fig. 3."""
-
-    def __init__(self, env: Environment, burst_size: int, interval: float,
-                 sink: Callable[[int], None],
-                 start: float = 0.0, n_bursts: Optional[int] = None,
-                 name: str = "bursts"):
-        if burst_size < 1 or interval <= 0:
-            raise ValueError("need burst_size >= 1 and interval > 0")
-        self.env = env
-        self.burst_size = burst_size
-        self.interval = interval
-        self.sink = sink
-        self.start = start
-        self.n_bursts = n_bursts
-        self.count = 0
-        self._proc = env.process(self._run(), name=name)
-
-    def _run(self):
-        if self.start > 0:
-            yield self.env.timeout(self.start)
-        fired = 0
-        try:
-            while self.n_bursts is None or fired < self.n_bursts:
-                for _ in range(self.burst_size):
-                    self.sink(self.count)
-                    self.count += 1
-                fired += 1
-                yield self.env.timeout(self.interval)
+                self.sink(self.count)
+                self.count += 1
         except Interrupt:
             return
 

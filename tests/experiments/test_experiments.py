@@ -1,6 +1,7 @@
 """Smoke tests for the experiment harnesses at reduced scale.
 
-Full-scale shape assertions live in ``benchmarks/``; here we verify every
+Full-scale shape assertions are each experiment's claims
+(``tests/test_claims.py``); here we verify every
 harness runs, returns well-formed results, and preserves its key invariant
 at small scale.
 """

@@ -1,5 +1,6 @@
 """Tests for the real multi-process echo LB (real sockets, real epoll)."""
 
+import statistics
 import time
 
 import pytest
@@ -121,8 +122,9 @@ class TestClosedLoopForReal:
     def test_slow_worker_avoided_by_hermes_dispatch(self):
         """The end-to-end aha on real sockets: a worker stuck chewing a
         pipelined stream of 150 ms requests drops out of the live bitmap,
-        and the Hermes connector routes around it (a stateless hash would
-        keep assigning it ~1/3 of connections)."""
+        and the Hermes connector routes around it, while a stateless hash
+        on the same pool keeps assigning it ~1/3 of connections and pays
+        for it in latency."""
         import socket
         import threading
 
@@ -163,14 +165,18 @@ class TestClosedLoopForReal:
 
             hermes = HermesConnector(ports=pool.ports, rng=rng("h"),
                                      sel_map=pool.sel_map, timeout=5.0)
-            slow_share = 0
+            hashed = HashConnector(ports=pool.ports, rng=rng("r"),
+                                   timeout=5.0)
             for _ in range(30):
-                result = hermes.request(b"probe")
-                if result.worker_index == 0:
-                    slow_share += 1
-            # Stateless hashing would send ~10/30 to worker 0.
+                hermes.request(b"probe")
+                hashed.request(b"probe")
+            stop_hammer.set()
+            slow_share = hermes.per_worker_counts()[0]
             assert slow_share <= 4, \
                 f"hermes sent {slow_share}/30 to the stuck worker"
-            stop_hammer.set()
+            assert hashed.per_worker_counts()[0] >= 4
+            assert hermes.failures() == 0
+            assert statistics.mean(hermes.latencies()) \
+                < statistics.mean(hashed.latencies())
         finally:
             pool.stop()

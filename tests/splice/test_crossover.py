@@ -47,12 +47,18 @@ class TestCrossover:
         assert splice_doc["p99_ms"] < by_mode["hermes"]["p99_ms"]
 
     def test_verdict_needs_a_win_and_a_loss(self):
-        # One winning and one losing regime together flip the verdict.
-        merged = run_subset(["small/short/hermes", "small/short/splice",
-                             "large/long/hermes", "large/long/splice"])
-        assert "crossover reproduced" in merged["verdict"]
-        assert "wins p99 in large/long" in merged["verdict"]
-        assert "loses in small/short" in merged["verdict"]
+        # One winning and one losing regime together make the crossover
+        # claim hold; either regime alone leaves it out.
+        keys = ["small/short/hermes", "small/short/splice",
+                "large/long/hermes", "large/long/splice"]
+        claims = registry.get("splice_crossover").claims
+        crossover = {c.name: c for c in claims(run_subset(keys))}[
+            "splice_p99_crossover"]
+        assert crossover.holds
+        assert "wins p99 in large/long" in crossover.detail
+        assert "loses in small/short" in crossover.detail
+        alone = claims(run_subset(keys[2:]))
+        assert [c.name for c in alone] == ["splice_wins_p99_large_long"]
 
 
 class TestContract:

@@ -261,6 +261,29 @@ class TestCommands:
         assert rc == 0
         assert "(0 executed, 1 cached)" in out
 
+    def test_sweep_claims_from_a_warm_cache_match_the_fresh_run(
+            self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.json"
+        base = ["sweep", "sec7", "--cache-dir", str(tmp_path / "cache"),
+                "--set", "n_workers=2", "--set", "n_connections=40"]
+
+        def claim_lines(out):
+            return [line for line in out.splitlines()
+                    if line.startswith("claim ")]
+
+        # At this scale one claim fails; the exit status ignores claims.
+        assert main(base + ["--out", str(out_path)]) == 0
+        fresh = capsys.readouterr().out
+        assert "(4 executed, 0 cached)" in fresh
+        assert "claim hermes_crash_blast_near_one_worker: FAILS" in fresh
+        assert main(base + ["--require-cached"]) == 0
+        warm = capsys.readouterr().out
+        assert "(0 executed, 4 cached)" in warm
+        assert len(claim_lines(fresh)) == 5
+        assert claim_lines(warm) == claim_lines(fresh)
+        # Claims are printed, never stored in the canonical document.
+        assert "claim" not in out_path.read_text()
+
     def test_sweep_malformed_set_errors(self, capsys):
         rc = main(["sweep", "table3", "--set", "oops"])
         assert rc == 1

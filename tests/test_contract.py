@@ -1,10 +1,16 @@
-"""The determinism contract, checked over every registered experiment.
+"""The determinism and claims contracts, checked over every registered
+experiment.
 
 Each name in ``EXPERIMENT_MODULES`` runs twice at its ``SMOKE`` scale:
 serially in-process, and fanned across two worker processes with live
 differential oracles armed around every cell.  The two canonical sweep
 documents must be byte-identical, so one comparison covers both ways a
 cell could leak state: the worker count, and whether oracles are armed.
+
+The same smoke document then feeds the experiment's paper claims: every
+claim ``SMOKE_CLAIMS`` names must hold.  An experiment whose ``SMOKE``
+is ``{}`` runs its default grid, so all of its claims must hold.  The
+full-scale check of every claim is ``tests/test_claims.py``.
 
 A new experiment gets this gate by adding its ``SMOKE`` entry;
 ``test_every_experiment_has_a_smoke_scale`` fails until it does.
@@ -46,6 +52,7 @@ SMOKE = {
     "appc": {"group_sizes": [1, 2], "n_workers": 4, "n_ports": 4,
              "duration": 0.3, "wide_workers": 8, "wide_duration": 0.3},
     "ablations": {"n_workers": 2, "duration_scale": 0.05},
+    "baselines": {"n_workers": 2, "duration_scale": 0.1},
     "pool_capacity": {"n_workers": 2, "pool_size": 10},
     "isolation": {"n_workers": 2, "duration": 0.3},
     "scaling": {"worker_counts": [2], "duration": 0.3},
@@ -62,6 +69,61 @@ SMOKE = {
     # os.devnull is never a directory, so no developer's registered finds
     # leak in: the experiment runs its one "(no finds)" cell.
     "fuzz_regressions": {"dir": os.devnull},
+}
+
+#: Registry name -> the claims that hold at its ``SMOKE`` scale.  The
+#: rest need the full grid or full scale (``tests/test_claims.py``).
+SMOKE_CLAIMS = {
+    "table1": ["region3_websocket_tail_over_1000x"],
+    "table2": ["region_average_max_above_avg_above_min"],
+    "table4": ["region_mix_rows_sum_to_100",
+               "case3_then_case4_dominate_the_average_mix",
+               "hermes_impacts_no_traffic",
+               "exclusive_and_reuseport_each_impact_over_80pct_somewhere"],
+    "table5": ["total_overhead_below_3pct",
+               "dispatcher_is_the_lightest_component",
+               "userspace_side_outweighs_the_kernel_side"],
+    "fig3": ["exclusive_concentrates_long_lived_conns",
+             "exclusive_normal_tail_sub_ms",
+             "exclusive_surge_tail_over_30ms"],
+    "fig45": ["busiest_worker_harvests_more_events_per_wait",
+              "events_per_wait_cdfs_well_formed",
+              "idle_workers_block_the_full_timeout_more",
+              "every_worker_records_processing_times"],
+    "fig7": ["rss_busiest_core_over_2x_idlest",
+             "rsspp_leaves_cpu_imbalance_within_20pct"],
+    "fig12": ["unit_cost_normalized_to_1",
+              "unit_cost_falls_through_the_rollout",
+              "peak_reduction_near_paper_18.9pct"],
+    "fig13": ["hermes_cpu_sd_within_1.1x_reuseport",
+              "exclusive_conn_sd_over_3x_reuseport"],
+    "fig15": ["pass_ratio_rises_with_theta"],
+    "figa4": ["exclusive_completes_every_request",
+              "reuseport_completes_every_request",
+              "hermes_completes_every_request",
+              "reuseport_hashes_a_b_behind_a",
+              "hermes_bounds_every_b_by_3.3t",
+              "hermes_uses_all_three_workers"],
+    "figa5": ["rule_counts_long_tailed", "rules_cdf_well_formed"],
+    "sec7": ["synchronized_rr_overloads_head_servers",
+             "randomized_offsets_even_out_rr",
+             "shared_pool_restores_upstream_reuse",
+             "exclusive_crash_kills_most_connections"],
+    "appc": ["locality_falls_as_groups_grow",
+             "group_size_1_has_perfect_locality",
+             "sandbox_restores_the_innocent_tenant",
+             "phased_scaling_borrows_then_provisions"],
+    "ablations": ["end_of_loop_scheduling_never_loses",
+                  "single_worker_over_2x_candidate_set_latency",
+                  "pull_channel_over_3x_push_cpu"],
+    "baselines": ["hermes_avg_within_1.25x_best_mode",
+                  "epoll_rr_balances_accepts",
+                  "dispatcher_worker_never_processes"],
+    "isolation": ["modes_complete_the_same_small_tenant_traffic"],
+    "fleet_scale": ["2x_stateless_survives_the_crash"],
+    "splice_crossover": ["splice_wins_p99_large_long",
+                         "splice_loses_p99_small_short",
+                         "splice_p99_crossover"],
 }
 
 _MISSING = "<missing>"
@@ -92,6 +154,7 @@ def first_difference(a, b, path="$"):
 
 def test_every_experiment_has_a_smoke_scale():
     assert set(SMOKE) == set(EXPERIMENT_MODULES)
+    assert set(SMOKE_CLAIMS) <= set(EXPERIMENT_MODULES)
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_MODULES)
@@ -101,6 +164,15 @@ def test_serial_equals_parallel_with_oracles_armed(name):
                         check=True)
     assert serial.to_json() == checked.to_json(), first_difference(
         json.loads(serial.to_json()), json.loads(checked.to_json()))
+
+    claims = {claim.name: claim for claim in get(name).claims(serial.merged)}
+    listed = SMOKE_CLAIMS.get(name, [])
+    if not SMOKE[name]:
+        assert sorted(listed) == sorted(claims)
+    missing = sorted(set(listed) - set(claims))
+    assert not missing, f"claims left out at smoke scale: {missing}"
+    failing = [claims[n].line() for n in listed if not claims[n].holds]
+    assert not failing, "\n".join(failing)
 
 
 class _Recording(dict):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import registry
-from repro.experiments.registry import (EXPERIMENT_MODULES, CellSpec,
+from repro.experiments.registry import (EXPERIMENT_MODULES, CellSpec, Claim,
+                                        check_claims, no_claims,
                                         normalize_doc)
 
 
@@ -50,6 +51,40 @@ class TestCellSpec:
     def test_normalize_doc_collapses_tuples_and_keys(self):
         assert normalize_doc({"t": (1, 2)}) == {"t": [1, 2]}
         assert normalize_doc({3: "x", 1: "y"}) == {"3": "x", "1": "y"}
+
+
+class TestClaims:
+    RULES = (
+        ("a_below_b", ["a", "b"],
+         lambda a, b: (a < b, f"{a} vs {b}")),
+        ("c_positive", ["c"], lambda c: (c > 0, f"{c}")),
+    )
+
+    def test_rules_are_judged_on_the_table(self):
+        claims = check_claims({"a": 1, "b": 2, "c": -1}, self.RULES)
+        assert claims == (Claim("a_below_b", True, "1 vs 2"),
+                          Claim("c_positive", False, "-1"))
+
+    def test_a_rule_with_a_missing_cell_is_left_out(self):
+        assert check_claims({"a": 1, "c": 3}, self.RULES) \
+            == (Claim("c_positive", True, "3"),)
+
+    def test_an_experiment_skips_claims_on_cells_it_did_not_run(self):
+        claims = registry.get("sec7").claims({"cells": {"backend_rr": {
+            "imbalance_synchronized": 3.0, "imbalance_randomized": 1.2}}})
+        assert [c.name for c in claims] == [
+            "synchronized_rr_overloads_head_servers",
+            "randomized_offsets_even_out_rr"]
+        assert all(c.holds for c in claims)
+
+    def test_line_format(self):
+        assert Claim("x", True, "1 < 2").line() == "claim x: holds (1 < 2)"
+        assert Claim("x", False, "3 < 2").line() == "claim x: FAILS (3 < 2)"
+
+    def test_claims_default_to_none(self):
+        spec = registry.get("resilience")
+        assert spec.claims is no_claims
+        assert spec.claims({"cells": {}}) == ()
 
 
 class TestTypedEntryPoints:

@@ -1,9 +1,9 @@
-"""Tests for arrival processes."""
+"""Tests for the arrival process."""
 
 import pytest
 
 from repro.sim import Environment, RngRegistry
-from repro.workloads import BurstTrain, PiecewiseRate, PoissonArrivals
+from repro.workloads import PoissonArrivals
 
 
 def rng():
@@ -44,73 +44,9 @@ class TestPoisson:
         env.run(until=2.0)
         assert len(hits) == pytest.approx(500, rel=0.25)
 
-    def test_piecewise_rate(self):
-        env = Environment()
-        hits = []
-        rate = PiecewiseRate(steps=((0.0, 100.0), (1.0, 2000.0)))
-        PoissonArrivals(env, rng(), rate=rate,
-                        sink=lambda i: hits.append(env.now), until=2.0)
-        env.run(until=2.5)
-        first = sum(1 for t in hits if t < 1.0)
-        second = sum(1 for t in hits if t >= 1.0)
-        assert second > 8 * first
-
     def test_counter(self):
         env = Environment()
         arrivals = PoissonArrivals(env, rng(), rate=200.0,
                                    sink=lambda i: None, until=1.0)
         env.run(until=1.5)
         assert arrivals.count > 100
-
-
-class TestPiecewiseRate:
-    def test_rate_at(self):
-        rate = PiecewiseRate(steps=((0.0, 10.0), (5.0, 20.0)))
-        assert rate.rate_at(0.0) == 10.0
-        assert rate.rate_at(4.9) == 10.0
-        assert rate.rate_at(5.0) == 20.0
-        assert rate.rate_at(100.0) == 20.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PiecewiseRate(steps=())
-        with pytest.raises(ValueError):
-            PiecewiseRate(steps=((1.0, 5.0), (0.0, 5.0)))
-        with pytest.raises(ValueError):
-            PiecewiseRate(steps=((0.0, -1.0),))
-
-
-class TestBurstTrain:
-    def test_bursts_fire_together(self):
-        env = Environment()
-        hits = []
-        BurstTrain(env, burst_size=5, interval=1.0,
-                   sink=lambda i: hits.append(env.now), n_bursts=3)
-        env.run()
-        assert len(hits) == 15
-        assert hits[:5] == [0.0] * 5
-        assert hits[5:10] == [1.0] * 5
-
-    def test_start_delay(self):
-        env = Environment()
-        hits = []
-        BurstTrain(env, burst_size=2, interval=1.0, start=0.5,
-                   sink=lambda i: hits.append(env.now), n_bursts=1)
-        env.run()
-        assert hits == [0.5, 0.5]
-
-    def test_stop(self):
-        env = Environment()
-        hits = []
-        train = BurstTrain(env, burst_size=1, interval=0.1,
-                           sink=lambda i: hits.append(i))
-        env.schedule_callback(0.35, train.stop)
-        env.run(until=1.0)
-        assert len(hits) == 4  # t=0, 0.1, 0.2, 0.3
-
-    def test_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            BurstTrain(env, burst_size=0, interval=1.0, sink=lambda i: None)
-        with pytest.raises(ValueError):
-            BurstTrain(env, burst_size=1, interval=0.0, sink=lambda i: None)
