@@ -8,31 +8,26 @@ summary plus per-worker distribution — the 30-second tour of the API.
 Run:  python examples/quickstart.py
 """
 
-from repro import Environment, LBServer, NotificationMode, RngRegistry
-from repro.workloads import TrafficGenerator, build_case_workload
+from repro import NotificationMode, build_cell
+from repro.workloads import build_case_workload
 
 N_WORKERS = 8
 
 
 def main() -> None:
-    env = Environment()
-
-    # An LB device: one VM, one worker process pinned per core, Hermes
-    # closed-loop dispatch (WST + cascading scheduler + eBPF program).
-    lb = LBServer(env, n_workers=N_WORKERS, ports=[443],
-                  mode=NotificationMode.HERMES)
-    lb.start()
-
     # Case 1 of the paper: high connections-per-second, low processing
     # time, one request per connection.
     spec = build_case_workload("case1", "medium", n_workers=N_WORKERS,
                                duration=2.0)
-    generator = TrafficGenerator(env, lb, RngRegistry(7).stream("traffic"),
-                                 spec)
-    generator.start()
+
+    # An LB device: one VM, one worker process pinned per core, Hermes
+    # closed-loop dispatch (WST + cascading scheduler + eBPF program),
+    # plus the traffic generator; every RNG stream derives from seed 7.
+    cell = build_cell(spec, NotificationMode.HERMES, seed=7,
+                      n_workers=N_WORKERS)
 
     # Run the simulation (plus settle time for in-flight requests).
-    env.run(until=2.5)
+    lb = cell.run(until=2.5).server
 
     summary = lb.metrics.summary()
     print("== device summary ==")

@@ -6,21 +6,16 @@ extends (epoll, wait queues, SO_REUSEPORT, eBPF socket selection).
 
 Quickstart::
 
-    from repro import Environment, LBServer, NotificationMode
-    from repro.workloads import build_case_workload, TrafficGenerator
-    from repro.sim import RngRegistry
+    from repro import NotificationMode, build_cell
+    from repro.workloads import build_case_workload
 
-    env = Environment()
-    lb = LBServer(env, n_workers=8, ports=[443],
-                  mode=NotificationMode.HERMES)
-    lb.start()
     spec = build_case_workload("case1", "light", n_workers=8, duration=2.0)
-    gen = TrafficGenerator(env, lb, RngRegistry(7).stream("traffic"), spec)
-    gen.start()
-    env.run(until=3.0)
-    print(lb.metrics.summary())
+    cell = build_cell(spec, NotificationMode.HERMES, seed=7, n_workers=8)
+    cell.run(until=3.0)
+    print(cell.server.metrics.summary())
 """
 
+from .cell import Cell, build_cell
 from .core import HermesConfig
 from .lb import LBServer, NotificationMode, ServiceProfile
 from .obs import FlightRecorder, Tracer
@@ -29,6 +24,7 @@ from .sim import Environment, RngRegistry
 __version__ = "1.0.0"
 
 __all__ = [
+    "Cell",
     "Environment",
     "FlightRecorder",
     "HermesConfig",
@@ -38,4 +34,5 @@ __all__ = [
     "ServiceProfile",
     "Tracer",
     "__version__",
+    "build_cell",
 ]

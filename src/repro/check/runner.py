@@ -21,7 +21,7 @@ bitmap↔WST monitor that must catch the corruption.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .invariants import InvariantMonitor, watch
@@ -143,30 +143,21 @@ def run_monitored_crash(mode: str = "hermes", n_workers: int = 8,
                         raise_on_violation: bool = True):
     """The §7 crash-blast scenario with monitors armed.
 
-    Mirrors the sec7 experiment's construction (same seeds, same fault
-    plan: crash the busiest worker at t=2.5, detect 5 ms later) and runs
-    it under a flight recorder so a violation carries a post-mortem dump.
+    Runs :func:`repro.experiments.sec7.blast_cell` (same seeds, same fault
+    plan: crash the busiest worker at t=2.5, detect 5 ms later) under a
+    flight recorder so a violation carries a post-mortem dump.
 
     ``corrupt_bitmap=True`` arms the corruption drill described in the
     module docstring.  Returns ``(monitor, passes, summary)``.
     """
-    from ..faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-    from ..lb.server import LBServer, NotificationMode
+    from ..experiments.sec7 import blast_cell, blast_result
+    from ..lb.server import NotificationMode
     from ..obs import FlightRecorder, Tracer
-    from ..sim.engine import Environment
-    from ..sim.rng import RngRegistry
-    from ..workloads.distributions import FixedFactory
-    from ..workloads.generator import TrafficGenerator, WorkloadSpec
 
-    env = Environment()
-    registry = RngRegistry(seed)
-    recorder = FlightRecorder(capacity=256)
-    tracer = Tracer(env, recorder=recorder, keep_events=False)
-    server = LBServer(env, n_workers=n_workers, ports=[443],
-                      mode=NotificationMode(mode),
-                      hash_seed=registry.stream("hash").randrange(2 ** 32),
+    tracer = Tracer(recorder=FlightRecorder(capacity=256), keep_events=False)
+    cell = blast_cell(NotificationMode(mode), n_workers, n_connections, seed,
                       tracer=tracer)
-    server.start()
+    server = cell.server
     monitor = watch(server, interval=interval,
                     raise_on_violation=raise_on_violation)
     if corrupt_bitmap:
@@ -182,30 +173,10 @@ def run_monitored_crash(mode: str = "hermes", n_workers: int = 8,
 
         group.sel_map.update_from_user = corrupted_update
 
-    spec = WorkloadSpec(name="blast", conn_rate=n_connections / 2.0,
-                        duration=2.0, factory=FixedFactory((200e-6,)),
-                        ports=(443,), requests_per_conn=50,
-                        request_gap_mean=0.5)
-    gen = TrafficGenerator(env, server, registry.stream("traffic"), spec)
-    plan = FaultPlan(faults=(
-        FaultSpec(kind=FaultKind.WORKER_CRASH, at=2.5, target="busiest",
-                  detect_delay=0.005),
-    ), seed=seed)
-    injector = FaultInjector(env, server, plan, tracer=tracer).arm()
-    gen.start()
-    env.run(until=3.0)
+    cell.run(until=3.0)
     passes = monitor.finalize()
-
-    fire = injector.fired(FaultKind.WORKER_CRASH)[0]
-    cleanup = [r for r in injector.log if r["event"] == "clear"][0]
-    total = fire["total_conns"]
-    killed = cleanup["blast"]
-    summary = {
-        "mode": mode,
-        "total_connections": total,
-        "connections_killed": killed,
-        "blast_fraction": killed / total if total else 0.0,
-    }
+    summary = asdict(blast_result(cell))
+    del summary["flight_events"]
     return monitor, passes, summary
 
 

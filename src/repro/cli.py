@@ -616,13 +616,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from .faults import FaultInjector, FaultPlan
+    from .cell import build_cell
+    from .faults import FaultPlan
     from .kernel.nic import Nic
-    from .lb.server import LBServer
-    from .sim.engine import Environment
-    from .sim.rng import RngRegistry
     from .workloads.cases import build_case_workload
-    from .workloads.generator import TrafficGenerator
 
     try:
         plan = FaultPlan.load(args.plan)
@@ -637,30 +634,21 @@ def _cmd_chaos(args) -> int:
         tracer = Tracer()
     spec = build_case_workload(args.case, args.load, n_workers=args.workers,
                                duration=args.duration)
-    env = Environment()
-    registry = RngRegistry(args.seed)
-    # Always attach a Nic so nic_loss plans work out of the box.
-    server = LBServer(env, n_workers=args.workers, ports=list(spec.ports),
-                      mode=mode,
-                      hash_seed=registry.stream("hash-seed").randrange(2 ** 32),
-                      nic=Nic(n_queues=args.workers), tracer=tracer)
-    server.start()
-    gen = TrafficGenerator(env, server, registry.stream("traffic"), spec)
-    injector = FaultInjector(env, server, plan,
-                             registry=registry.fork("faults"),
-                             tracer=tracer)
     try:
-        injector.arm()
+        # Always attach a Nic so nic_loss plans work out of the box.
+        cell = build_cell(spec, mode, args.seed, n_workers=args.workers,
+                          hash_stream="hash-seed", faults=plan,
+                          nic=Nic(n_queues=args.workers), tracer=tracer)
     except ValueError as exc:
         print(f"error: cannot arm {args.plan}: {exc}", file=sys.stderr)
         return 1
+    server, injector = cell.server, cell.injector
     context, monitors, hook = _check_context(args.check)
     if hook is not None:
-        hook(env, server, gen)
-    gen.start()
+        hook(cell.env, server, cell.gen)
     try:
         with context as stats:
-            env.run(until=args.duration + 0.5)
+            cell.run(until=args.duration + 0.5)
     except AssertionError as exc:
         if not args.check:
             raise

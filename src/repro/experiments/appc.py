@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..analysis.stats import jains_fairness
+from ..cell import build_cell
 from ..cluster.sharding import ShuffleShardedFleet
 from ..core.config import HermesConfig
 from ..kernel.tcp import Connection, FourTuple
@@ -31,7 +32,6 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.distributions import FixedFactory
-from ..workloads.generator import TrafficGenerator
 from .registry import CellSpec, Claim, ExperimentSpec, check_claims, register
 
 __all__ = ["GroupLocalityResult", "run_group_locality",
@@ -55,20 +55,14 @@ def run_group_locality(group_size: int, n_workers: int = 8,
                        n_ports: int = 16, duration: float = 3.0,
                        seed: int = 83) -> GroupLocalityResult:
     """One point of the locality/balance trade-off curve."""
-    env = Environment()
-    registry = RngRegistry(seed)
     config = HermesConfig(group_size=group_size, min_workers=1)
     ports = tuple(range(20001, 20001 + n_ports))
-    server = LBServer(env, n_workers=n_workers, ports=ports,
-                      mode=NotificationMode.HERMES, config=config,
-                      group_key_mode="dip_dport",
-                      hash_seed=registry.stream("hash").randrange(2 ** 32))
-    server.start()
     spec = build_case_workload("case3", "medium", n_workers=n_workers,
                                duration=duration, ports=ports)
-    gen = TrafficGenerator(env, server, registry.stream("traffic"), spec)
-    gen.start()
-    env.run(until=duration + 0.5)
+    server = build_cell(spec, NotificationMode.HERMES, seed,
+                        n_workers=n_workers, config=config,
+                        group_key_mode="dip_dport").run(
+        until=duration + 0.5).server
 
     # Locality: for each port, the max share of its conns on one worker.
     port_worker: Dict[int, Dict[int, int]] = {}
@@ -107,17 +101,10 @@ class WideDeviceResult:
 def run_wide_device(n_workers: int = 128, duration: float = 2.0,
                     seed: int = 89) -> WideDeviceResult:
     """A 128-worker device: two-level selection must engage (2 groups)."""
-    env = Environment()
-    registry = RngRegistry(seed)
-    server = LBServer(env, n_workers=n_workers, ports=[443],
-                      mode=NotificationMode.HERMES,
-                      hash_seed=registry.stream("hash").randrange(2 ** 32))
-    server.start()
     spec = build_case_workload("case1", "light", n_workers=n_workers,
                                duration=duration)
-    gen = TrafficGenerator(env, server, registry.stream("traffic"), spec)
-    gen.start()
-    env.run(until=duration + 0.5)
+    server = build_cell(spec, NotificationMode.HERMES, seed,
+                        n_workers=n_workers).run(until=duration + 0.5).server
     program = server.dispatch_program
     group_hits = getattr(program, "group_hits", [1])
     accepted = [float(w.accepted) for w in server.metrics.workers.values()]

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..cell import build_cell
 from ..core.config import HermesConfig
 from ..lb.server import LBServer, NotificationMode
-from ..lb.worker import ServiceProfile
-from ..sim.engine import Environment
-from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
-from ..workloads.generator import TrafficGenerator, WorkloadSpec
+from ..workloads.generator import WorkloadSpec
 
 __all__ = ["CellResult", "run_spec", "run_case_cell", "MODES_UNDER_TEST",
            "DEFAULT_SEED", "resolve_seed"]
@@ -99,9 +97,7 @@ class CellResult:
 
 def run_spec(mode: NotificationMode, spec: WorkloadSpec,
              n_workers: int, seed: Optional[int] = None,
-             ports: Optional[Sequence[int]] = None,
              config: Optional[HermesConfig] = None,
-             profile: Optional[ServiceProfile] = None,
              settle: float = 0.5,
              keep_server: bool = False,
              env_hook=None, tracer=None, prequal_config=None,
@@ -114,24 +110,18 @@ def run_spec(mode: NotificationMode, spec: WorkloadSpec,
     ``tracer`` (a :class:`repro.obs.Tracer`) enables structured tracing of
     the whole stack; it observes only and cannot change the results.
     """
-    env = Environment()
-    registry = RngRegistry(resolve_seed(seed))
-    server = LBServer(
-        env, n_workers=n_workers,
-        ports=list(ports) if ports is not None else list(spec.ports),
-        mode=mode, config=config, profile=profile,
-        hash_seed=registry.stream("hash-seed").randrange(2 ** 32),
-        tracer=tracer, prequal_config=prequal_config,
-        splice_config=splice_config)
-    server.start()
-    # The traffic stream is mode-independent: every mode replays the same
-    # connections and requests.
-    traffic_rng = registry.stream(f"traffic:{spec.name}")
-    gen = TrafficGenerator(env, server, traffic_rng, spec)
+    # The traffic stream is named by the spec, not the mode: every mode
+    # replays the same connections and requests.
+    cell = build_cell(spec, mode, resolve_seed(seed), n_workers=n_workers,
+                      hash_stream="hash-seed",
+                      traffic_stream=f"traffic:{spec.name}",
+                      config=config, tracer=tracer,
+                      prequal_config=prequal_config,
+                      splice_config=splice_config)
+    server = cell.server
     if env_hook is not None:
-        env_hook(env, server, gen)
-    gen.start()
-    env.run(until=spec.duration + settle)
+        env_hook(cell.env, server, cell.gen)
+    cell.run(until=spec.duration + settle)
     summary = server.metrics.summary()
     return CellResult(
         mode=mode.value,

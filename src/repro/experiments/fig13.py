@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..analysis.stats import mean, population_sd
-from ..lb.server import LBServer, NotificationMode
-from ..sim.engine import Environment
+from ..cell import build_cell
+from ..lb.server import NotificationMode
 from ..sim.monitor import PeriodicSampler
-from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
-from ..workloads.generator import TrafficGenerator
 from .common import MODES_UNDER_TEST
 from .registry import CellSpec, ExperimentSpec, check_claims, register
 
@@ -45,17 +43,12 @@ class LoadBalanceResult:
 def _run_mode(mode: NotificationMode, n_workers: int, duration: float,
               seed: int) -> Tuple[List[Tuple[float, float]],
                                   List[Tuple[float, float]]]:
-    env = Environment()
-    registry = RngRegistry(seed)
-    server = LBServer(env, n_workers=n_workers, ports=[443], mode=mode,
-                      hash_seed=registry.stream("hash").randrange(2 ** 32))
-    server.start()
-    spec = build_case_workload("case3", "medium", n_workers=n_workers,
-                               duration=duration, ports=(443,))
     # Mix in heterogeneous request counts so connection lifetimes vary —
     # what makes reuseport's steady-state counts drift apart.
-    gen = TrafficGenerator(env, server, registry.stream("traffic"), spec)
-    gen.start()
+    spec = build_case_workload("case3", "medium", n_workers=n_workers,
+                               duration=duration, ports=(443,))
+    cell = build_cell(spec, mode, seed, n_workers=n_workers)
+    env, server = cell.env, cell.server
 
     cpu_series: List[Tuple[float, float]] = []
     conn_series: List[Tuple[float, float]] = []
@@ -80,7 +73,7 @@ def _run_mode(mode: NotificationMode, n_workers: int, duration: float,
         return 0.0
 
     PeriodicSampler(env, duration / 40, sample, name="fig13")
-    env.run(until=duration + 0.5)
+    cell.run(until=duration + 0.5)
     return cpu_series, conn_series
 
 

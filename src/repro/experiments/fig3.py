@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
+from ..cell import build_cell
 from ..kernel.tcp import ConnState
-from ..lb.server import LBServer, NotificationMode
-from .registry import CellSpec, check_claims, lined_experiment
-from ..sim.engine import Environment
+from ..lb.server import NotificationMode
 from ..sim.monitor import Samples
-from ..sim.rng import RngRegistry
 from ..workloads.distributions import FixedFactory
-from ..workloads.generator import TrafficGenerator, WorkloadSpec
+from ..workloads.generator import WorkloadSpec
+from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["LagEffectResult", "run_fig3"]
 
@@ -49,20 +48,15 @@ def run_fig3(mode: NotificationMode = NotificationMode.EXCLUSIVE,
              surge_at: float = 4.0, surge_requests: int = 3,
              seed: int = 17) -> LagEffectResult:
     """Establish, idle, surge; measure the amplification."""
-    env = Environment()
-    registry = RngRegistry(seed)
-    server = LBServer(env, n_workers=n_workers, ports=[443], mode=mode,
-                      hash_seed=registry.stream("hash").randrange(2 ** 32))
-    server.start()
-
     # Background trickle (the paper's 'normal' latency regime) — small
     # requests at modest rate throughout.
     factory = FixedFactory(event_times=(250e-6,))
     trickle = WorkloadSpec(name="fig3-trickle", conn_rate=150.0,
                            duration=surge_at + 2.0, factory=factory,
                            ports=(443,), requests_per_conn=1)
-    gen = TrafficGenerator(env, server, registry.stream("trickle"), trickle)
-    gen.start()
+    cell = build_cell(trickle, mode, seed, n_workers=n_workers,
+                      traffic_stream="trickle")
+    env, registry, server = cell.env, cell.registry, cell.server
 
     # Long-lived connections established during the connect window; they
     # stay open (no FIN) and idle until the surge.
@@ -135,7 +129,7 @@ def run_fig3(mode: NotificationMode = NotificationMode.EXCLUSIVE,
         surge_at - 1e-9,
         lambda: conns_at_surge.extend(len(w.conns) for w in server.workers))
 
-    env.run(until=surge_at + 3.0)
+    cell.run(until=surge_at + 3.0)
 
     # Bucket completed requests into a rate series.
     horizon = surge_at + 3.0

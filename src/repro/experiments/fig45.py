@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
-from ..lb.server import LBServer, NotificationMode
-from ..sim.engine import Environment
-from ..sim.rng import RngRegistry
+from ..cell import build_cell
+from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
-from ..workloads.generator import TrafficGenerator
 from .registry import Claim, simple_experiment
 
 __all__ = ["EpollStatsResult", "run_fig45"]
@@ -44,17 +42,11 @@ class EpollStatsResult:
 def run_fig45(mode: NotificationMode = NotificationMode.EXCLUSIVE,
               n_workers: int = 4, duration: float = 10.0,
               seed: int = 31) -> EpollStatsResult:
-    env = Environment()
-    registry = RngRegistry(seed)
-    server = LBServer(env, n_workers=n_workers, ports=[443, 444], mode=mode,
-                      hash_seed=registry.stream("hash").randrange(2 ** 32))
-    server.start()
     # A mix of small and heavier requests so processing-time CDFs differ.
     spec = build_case_workload("case3", "medium", n_workers=n_workers,
                                duration=duration, ports=(443, 444))
-    gen = TrafficGenerator(env, server, registry.stream("traffic"), spec)
-    gen.start()
-    env.run(until=duration + 0.5)
+    server = build_cell(spec, mode, seed, n_workers=n_workers).run(
+        until=duration + 0.5).server
 
     timeout = server.config.epoll_timeout
     events_cdf, proc_cdf, block_cdf = {}, {}, {}

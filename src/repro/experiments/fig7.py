@@ -14,11 +14,10 @@ from typing import List
 
 from ..analysis.stats import coefficient_of_variation
 from ..kernel.nic import Nic
-from ..lb.server import LBServer, NotificationMode
-from ..sim.engine import Environment
+from ..cell import build_cell
+from ..lb.server import NotificationMode
 from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
-from ..workloads.generator import TrafficGenerator
 from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["NicVsCpuResult", "run_fig7"]
@@ -44,10 +43,15 @@ def run_fig7(mode: NotificationMode = NotificationMode.EXCLUSIVE,
     """``rss_plus_plus=True`` adds periodic RSS++ indirection rebalancing
     — §3's demonstration that even *active* packet-level balancing cannot
     fix L7 CPU imbalance."""
-    env = Environment()
-    registry = RngRegistry(seed)
+    # case4-style heterogeneous costs: same packet counts, wildly
+    # different CPU costs per connection.
+    spec = build_case_workload("case4", load, n_workers=n_workers,
+                               duration=duration, ports=(443,))
+    # Streams are keyed by name, so this draw equals the cell registry's.
     nic = Nic(n_queues=n_workers,
-              hash_seed=registry.stream("nic-hash").randrange(2 ** 32))
+              hash_seed=RngRegistry(seed).stream("nic-hash")
+              .randrange(2 ** 32))
+    cell = build_cell(spec, mode, seed, n_workers=n_workers, nic=nic)
     balancer = None
     if rss_plus_plus:
         from ..kernel.nic import RssPlusPlusBalancer
@@ -59,18 +63,8 @@ def run_fig7(mode: NotificationMode = NotificationMode.EXCLUSIVE,
                 yield env.timeout(0.2)
                 balancer.rebalance()
 
-        env.process(rebalance_loop(env), name="rss++")
-    server = LBServer(env, n_workers=n_workers, ports=[443], mode=mode,
-                      nic=nic,
-                      hash_seed=registry.stream("hash").randrange(2 ** 32))
-    server.start()
-    # case4-style heterogeneous costs: same packet counts, wildly
-    # different CPU costs per connection.
-    spec = build_case_workload("case4", load, n_workers=n_workers,
-                               duration=duration, ports=(443,))
-    gen = TrafficGenerator(env, server, registry.stream("traffic"), spec)
-    gen.start()
-    env.run(until=duration + 1.0)
+        cell.env.process(rebalance_loop(cell.env), name="rss++")
+    server = cell.run(until=duration + 1.0).server
 
     packets = nic.queue_packets
     total = sum(packets) or 1

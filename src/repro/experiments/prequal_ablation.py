@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from ..lb.server import LBServer, NotificationMode
+from ..cell import build_cell
+from ..lb.server import NotificationMode
 from ..prequal import PrequalConfig, config_from_overrides
-from ..sim.engine import Environment
-from ..sim.rng import RngRegistry
 from ..workloads.distributions import FixedFactory
 from ..workloads.generator import TrafficGenerator, WorkloadSpec
 from .registry import CellSpec, check_claims, lined_experiment
@@ -77,15 +76,6 @@ def run_prequal_cell(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
     config = config_from_overrides(
         {**BASE_CONFIG, **params.get("config", {})})
 
-    env = Environment()
-    registry = RngRegistry(seed)
-    server = LBServer(
-        env, n_workers=workload["n_workers"], ports=[443],
-        mode=NotificationMode.PREQUAL,
-        hash_seed=registry.stream("hash-seed").randrange(2 ** 32),
-        prequal_config=config)
-    server.start()
-
     duration = workload["duration"]
     factory = FixedFactory((workload["service_s"],))
     base = WorkloadSpec(
@@ -93,16 +83,19 @@ def run_prequal_cell(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
         duration=duration, factory=factory, ports=(443,),
         requests_per_conn=workload["requests_per_conn"],
         request_gap_mean=workload["request_gap_mean"])
-    TrafficGenerator(env, server, registry.stream("traffic"), base).start()
+    cell = build_cell(base, NotificationMode.PREQUAL, seed,
+                      n_workers=workload["n_workers"],
+                      hash_stream="hash-seed", prequal_config=config)
+    env, server = cell.env, cell.server
     for index, start in enumerate(workload["spike_times"]):
         spike = WorkloadSpec(
             name=f"prequal_spike{index}", conn_rate=workload["spike_rate"],
             duration=start + workload["spike_width"], factory=factory,
             ports=(443,), requests_per_conn=2)
         gen = TrafficGenerator(env, server,
-                               registry.stream(f"spike{index}"), spike)
+                               cell.registry.stream(f"spike{index}"), spike)
         env.schedule_callback(start, gen.start)
-    env.run(until=duration + workload["settle"])
+    cell.run(until=duration + workload["settle"])
 
     summary = server.metrics.summary()
     stats = server.prequal.stats()

@@ -23,16 +23,17 @@ from typing import TYPE_CHECKING, List, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import FlightRecorder
 
+from ..cell import Cell, build_cell
 from ..lb.backend import BackendPool
-from ..lb.server import LBServer, NotificationMode
-from ..sim.engine import Environment
+from ..lb.server import NotificationMode
 from ..sim.rng import RngRegistry
-from ..workloads.generator import TrafficGenerator
+from ..workloads.generator import WorkloadSpec
 from .registry import CellSpec, ExperimentSpec, check_claims, register
 
 __all__ = ["BackendRrResult", "run_backend_rr",
            "ReuseResult", "run_connection_reuse",
-           "CrashBlastResult", "run_crash_blast"]
+           "CrashBlastResult", "blast_cell", "blast_result",
+           "run_crash_blast"]
 
 
 # ---------------------------------------------------------------------------
@@ -131,62 +132,66 @@ class CrashBlastResult:
     flight_events: Optional[List[dict]] = None
 
 
-def run_crash_blast(mode: NotificationMode, n_workers: int = 8,
-                    n_connections: int = 400, seed: int = 79,
-                    flight_recorder: Optional["FlightRecorder"] = None,
-                    ) -> CrashBlastResult:
-    """Establish long-lived connections, crash the busiest worker, count
-    how many connections die with it.
-
-    The crash is a declarative ``worker_crash`` :class:`~repro.faults
-    .FaultSpec` armed through the :class:`~repro.faults.FaultInjector` —
-    the same injection path the chaos CLI and the resilience matrix use —
-    firing at t=2.5 with a short failure-detection window (generation has
-    ended by then, so the window length doesn't change the blast count).
-
-    With ``flight_recorder`` set, the whole stack runs traced in
-    flight-only mode (bounded memory) and the injector dumps the recorder
-    right after the crash cleanup — the post-mortem workflow.
-    """
-    from ..faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-
-    env = Environment()
-    registry = RngRegistry(seed)
-    tracer = None
-    if flight_recorder is not None:
-        from ..obs import Tracer
-        tracer = Tracer(env, recorder=flight_recorder, keep_events=False)
-    server = LBServer(env, n_workers=n_workers, ports=[443], mode=mode,
-                      hash_seed=registry.stream("hash").randrange(2 ** 32),
-                      tracer=tracer)
-    server.start()
+def blast_cell(mode: NotificationMode, n_workers: int, n_connections: int,
+               seed: int, tracer=None) -> Cell:
+    """The crash-blast device, built and unrun: long-lived connections
+    opened over 2 s, and a declarative ``worker_crash``
+    :class:`~repro.faults.FaultSpec` armed through the
+    :class:`~repro.faults.FaultInjector` — the same injection path the
+    chaos CLI and the resilience matrix use — firing at t=2.5 with a short
+    failure-detection window (generation has ended by then, so the window
+    length doesn't change the blast count)."""
+    from ..faults import FaultKind, FaultPlan, FaultSpec
     from ..workloads.distributions import FixedFactory
-    from ..workloads.generator import WorkloadSpec
 
     spec = WorkloadSpec(name="blast", conn_rate=n_connections / 2.0,
                         duration=2.0, factory=FixedFactory((200e-6,)),
                         ports=(443,), requests_per_conn=50,
                         request_gap_mean=0.5)
-    gen = TrafficGenerator(env, server, registry.stream("traffic"), spec)
     plan = FaultPlan(faults=(
         FaultSpec(kind=FaultKind.WORKER_CRASH, at=2.5, target="busiest",
                   detect_delay=0.005),
     ), seed=seed)
-    injector = FaultInjector(env, server, plan, tracer=tracer).arm()
-    gen.start()
-    env.run(until=3.0)
+    return build_cell(spec, mode, seed, n_workers=n_workers, faults=plan,
+                      tracer=tracer)
 
+
+def run_crash_blast(mode: NotificationMode, n_workers: int = 8,
+                    n_connections: int = 400, seed: int = 79,
+                    flight_recorder: Optional["FlightRecorder"] = None,
+                    ) -> CrashBlastResult:
+    """Establish long-lived connections, crash the busiest worker, count
+    how many connections die with it (see :func:`blast_cell`).
+
+    With ``flight_recorder`` set, the whole stack runs traced in
+    flight-only mode (bounded memory) and the injector dumps the recorder
+    right after the crash cleanup — the post-mortem workflow.
+    """
+    tracer = None
+    if flight_recorder is not None:
+        from ..obs import Tracer
+        tracer = Tracer(recorder=flight_recorder, keep_events=False)
+    cell = blast_cell(mode, n_workers, n_connections, seed, tracer=tracer)
+    return blast_result(cell.run(until=3.0))
+
+
+def blast_result(cell: Cell) -> CrashBlastResult:
+    """What a run :func:`blast_cell` reports: the connections alive when
+    the crash fired, and how many its cleanup killed."""
+    from ..faults import FaultKind
+
+    injector = cell.injector
     fire = injector.fired(FaultKind.WORKER_CRASH)[0]
     cleanup = [r for r in injector.log if r["event"] == "clear"][0]
-    flight = injector.crash_dumps[0] if injector.crash_dumps else None
     total = fire["total_conns"]
     killed = cleanup["blast"]
     return CrashBlastResult(
-        mode=mode.value,
+        mode=cell.server.mode.value,
         total_connections=total,
         connections_killed=killed,
         blast_fraction=killed / total if total else 0.0,
-        flight_events=flight)
+        flight_events=(injector.crash_dumps[0] if injector.crash_dumps
+                       else None))
 
 
 # ---------------------------------------------------------------------------

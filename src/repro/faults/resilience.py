@@ -35,13 +35,12 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..cell import build_cell
 from ..kernel.nic import Nic
-from ..lb.server import LBServer, NotificationMode
+from ..lb.server import NotificationMode
 from ..obs import Tracer
-from ..sim.engine import Environment
-from ..sim.rng import RngRegistry
 from ..workloads.distributions import FixedFactory
-from ..workloads.generator import TrafficGenerator, WorkloadSpec
+from ..workloads.generator import WorkloadSpec
 from .injector import FaultInjector
 from .plan import FaultKind, FaultPlan, FaultSpec
 
@@ -195,23 +194,14 @@ def run_resilience_cell(scenario: str, mode: NotificationMode,
                         settle: float = 2.0) -> ResilienceCell:
     """Run one (scenario, mode) cell on a fresh device."""
     plan = SCENARIOS[scenario]()
-    env = Environment()
-    registry = RngRegistry(seed)
-    tracer = Tracer(env)
-    server = LBServer(
-        env, n_workers=n_workers, ports=[443], mode=mode,
-        hash_seed=registry.stream("hash-seed").randrange(2 ** 32),
-        nic=Nic(n_queues=n_workers), tracer=tracer)
-    server.start()
-    spec = _workload(duration)
+    tracer = Tracer()
     # Traffic derives from the cell, not the mode: all modes see identical
     # connections, so cells differ only by how the mode handles the fault.
-    gen = TrafficGenerator(env, server, registry.stream("traffic"), spec)
-    injector = FaultInjector(env, server, plan,
-                             registry=registry.fork("faults"),
-                             tracer=tracer).arm()
-    gen.start()
-    env.run(until=duration + settle)
+    cell = build_cell(_workload(duration), mode, seed, n_workers=n_workers,
+                      hash_stream="hash-seed", faults=plan,
+                      nic=Nic(n_queues=n_workers), tracer=tracer)
+    cell.run(until=duration + settle)
+    server, injector = cell.server, cell.injector
 
     summary = server.metrics.summary()
     fires = injector.fired()

@@ -4,17 +4,24 @@ Covers the subsystem's two contracts: (1) tracing observes everything the
 paper's mechanisms do — reuseport selection, wait-queue wakeups, epoll
 dispatch, cascading-filter decisions, request service — and (2) tracing
 never perturbs the simulation: results are identical with it on or off.
+The same holds for the other hooks a cell can carry, an empty fault plan
+and the invariant monitors, whose only footprint is their own ticks.
 """
 
+import functools
 import json
 
 import pytest
 
+from repro.cell import build_cell
+from repro.check import watch
 from repro.experiments.common import run_case_cell
 from repro.experiments.sec7 import run_crash_blast
+from repro.faults import FaultPlan
 from repro.lb.server import NotificationMode
 from repro.obs import (FlightRecorder, Tracer, build_timelines,
                        summarize_timelines, to_chrome_trace)
+from repro.workloads.cases import build_case_workload
 
 
 @pytest.fixture(scope="module")
@@ -100,22 +107,40 @@ class TestCoverage:
         assert len(document["traceEvents"]) > len(tracer.events)
 
 
+@functools.lru_cache(maxsize=None)
+def _hooked_run(mode, hook):
+    """One small cell built by ``build_cell`` with ``hook`` (None, or one
+    of "tracer", "faults", "watch") attached.  Returns the result, the
+    engine steps and the monitor's ticks."""
+    spec = build_case_workload("case2", "medium", n_workers=4, duration=0.5)
+    options = {"tracer": {"tracer": Tracer()},
+               "faults": {"faults": FaultPlan()}}.get(hook, {})
+    cell = build_cell(spec, mode, 21, n_workers=4, **options)
+    monitor = watch(cell.server) if hook == "watch" else None
+    cell.run(until=spec.duration + 0.5)
+    server = cell.server
+    result = dict(server.metrics.summary(),
+                  refused=server.metrics.connections_refused,
+                  cpu_utils=server.metrics.cpu_utilizations(),
+                  accepted=[w.accepted
+                            for w in server.metrics.workers.values()])
+    return result, cell.env.steps, monitor.ticks if monitor else 0
+
+
 class TestNonPerturbation:
+    @pytest.mark.parametrize("hook", ["tracer", "faults", "watch"])
     @pytest.mark.parametrize("mode", [NotificationMode.HERMES,
                                       NotificationMode.EXCLUSIVE,
                                       NotificationMode.REUSEPORT])
-    def test_results_identical_with_tracing_on(self, mode):
-        kwargs = dict(n_workers=4, duration=0.5, seed=21)
-        plain = run_case_cell(mode, "case2", "medium", **kwargs)
-        traced = run_case_cell(mode, "case2", "medium", tracer=Tracer(),
-                               **kwargs)
-        assert plain.completed == traced.completed
-        assert plain.failed == traced.failed
-        assert plain.avg_ms == traced.avg_ms
-        assert plain.p99_ms == traced.p99_ms
-        assert plain.throughput_rps == traced.throughput_rps
-        assert plain.cpu_sd == traced.cpu_sd
-        assert plain.accepted_per_worker == traced.accepted_per_worker
+    def test_results_identical_with_tracing_on(self, mode, hook):
+        """A tracer, an empty fault plan and invariant monitors observe
+        only: the result is unchanged, and the only extra engine steps are
+        the monitors' ticks."""
+        plain, plain_steps, _ = _hooked_run(mode, None)
+        hooked, steps, ticks = _hooked_run(mode, hook)
+        assert hooked == plain
+        assert (ticks > 0) == (hook == "watch")
+        assert steps == plain_steps + ticks
 
     def test_traced_run_is_deterministic(self):
         # Connection ids come from a process-global counter, so normalize

@@ -12,13 +12,25 @@ claim ``SMOKE_CLAIMS`` names must hold.  An experiment whose ``SMOKE``
 is ``{}`` runs its default grid, so all of its claims must hold.  The
 full-scale check of every claim is ``tests/test_claims.py``.
 
-A new experiment gets this gate by adding its ``SMOKE`` entry;
-``test_every_experiment_has_a_smoke_scale`` fails until it does.
+The serial document's SHA-256 must also equal the experiment's
+``SMOKE_DIGESTS`` entry, so a change meant to move no simulated output is
+checked to move none, in every experiment.
+
+A new experiment gets this gate by adding its ``SMOKE`` and
+``SMOKE_DIGESTS`` entries; ``test_every_experiment_has_a_smoke_scale``
+fails until it does.
+
+``test_devices_are_built_by_build_cell`` keeps device assembly in one
+place: only the files ``LBSERVER_CALLS`` names may construct an
+``LBServer`` themselves.
 """
 
+import ast
 import copy
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +138,67 @@ SMOKE_CLAIMS = {
                          "splice_p99_crossover"],
 }
 
+#: Registry name -> SHA-256 of its canonical smoke sweep document
+#: (``run_sweep(...).to_json()``).  Pinned so a refactor that should move
+#: nothing is seen to move nothing in every experiment; a change that moves
+#: simulated output on purpose re-pins the entries it moves and says why.
+SMOKE_DIGESTS = {
+    "table1":
+        "5c262c742be8a684799c0d9dee36fc3ff2b13e8c20247d2a4c3972698f8436ac",
+    "table2":
+        "dad2c1e9f63b0b6a6bce8b955685d20916204186848adb7110cacfd79fa924fc",
+    "table3":
+        "f679302ca97bb0e6c9dc977265990df000b253d1d4fd4d65671411ee85edd7f8",
+    "table4":
+        "1aa3eb96799ade870afda2b373c5843302ac3bc6003ea0c3feb0a1e6d89bb0bd",
+    "table5":
+        "1b2682b5a035ae16010140332b5197e77e1947e5b7750d27a1bee62f3df655d0",
+    "fig3":
+        "c6cff750140c0e90dec24f146ce02cdce6db303c5eecbc37027c5b6bbb4bf756",
+    "fig45":
+        "430c60279a8d7128c608c2fa9d2ca93501b6012a34b2307c71a9644bc18aa550",
+    "fig7":
+        "44e884ec185bc497c15fa2150007920008e38bfb9ff254dfa624609c78f74440",
+    "fig11":
+        "91ae7460312e99376b6a7638c225299bb80316f46565bfcfb31e41a3c7d21542",
+    "fig12":
+        "af0b8e68ddea2f704aa95caddd2699c15df1a350dd824edeec9502188035e83b",
+    "fig13":
+        "401398dbeb9e79c08ad82b5dd87ca1e42f66ebb5c86bfa267b17bb4419114e76",
+    "fig14":
+        "aa3fd532b58fdd5f3233cfec845839259d67f457daba4abdd37e6a035a4538bf",
+    "fig15":
+        "933a588f79629dfa8684535b2c42d0dda6f801cca3d90b516f4e1096454c9b65",
+    "figa4":
+        "ef1a39b4b022eca9ff6298d7053dc1719a7a05b7a07fe74914ce7a361fe52dd7",
+    "figa5":
+        "c60a88e0f678163583bd76f911635809bbf83db26781fc0e6a12f4f5a5fed83b",
+    "sec7":
+        "9817cc1075415b75a1994bd7cd608e0e94002cd9e219c67b7b0e3e09ad68452b",
+    "appc":
+        "7d2f373cd4079d4ba755ea4c61549e97a85dfd2a6f9165e91e285487fecc0a54",
+    "ablations":
+        "70bab490a6d7db3ddc40afab700c8d4e5d3110bb64aef8c62ae22596ed744d31",
+    "baselines":
+        "2526a8937ac9c7ef716d3ae5d6479bd89f4b57366fc27b1b514005ca1b2f677a",
+    "pool_capacity":
+        "72cf5fe51935b8b32a22f1e981a8fd08230a5bcf12b993d7ddcdc47a6e5987da",
+    "isolation":
+        "f0e5d8b3ae79514b92ff9617fcb77a60efed2c38a4e06d98d9cf109233310581",
+    "scaling":
+        "8e9fe9d333e1553250bcc3ad8d02d60e2266af9cd6f45fe526663c2702c20c0a",
+    "resilience":
+        "ee567614007eeace144e3631ee908555b4b676ef938be6b8bb6d77a4a7c7150a",
+    "prequal_ablation":
+        "e3f81dcd25e2fa67730c2a28b81ba018a63b7a903ff09d615ecd0e624914a809",
+    "fleet_scale":
+        "65cd1c60a133e614988e7e286a4b5593873f18459969ad5ea86d1d8da8d1fd0b",
+    "splice_crossover":
+        "f5377887e24e5a07d92f3c5e063540dbc17f34a40c1fbc60e0d88d60546d6f54",
+    "fuzz_regressions":
+        "6ac776467bd6ee36e7bd06183ce2ab9a8a16d308ce05cb7e91ae116dc74ecda0",
+}
+
 _MISSING = "<missing>"
 
 
@@ -154,6 +227,7 @@ def first_difference(a, b, path="$"):
 
 def test_every_experiment_has_a_smoke_scale():
     assert set(SMOKE) == set(EXPERIMENT_MODULES)
+    assert set(SMOKE_DIGESTS) == set(EXPERIMENT_MODULES)
     assert set(SMOKE_CLAIMS) <= set(EXPERIMENT_MODULES)
 
 
@@ -164,6 +238,8 @@ def test_serial_equals_parallel_with_oracles_armed(name):
                         check=True)
     assert serial.to_json() == checked.to_json(), first_difference(
         json.loads(serial.to_json()), json.loads(checked.to_json()))
+    assert hashlib.sha256(serial.to_json().encode()).hexdigest() \
+        == SMOKE_DIGESTS[name]
 
     claims = {claim.name: claim for claim in get(name).claims(serial.merged)}
     listed = SMOKE_CLAIMS.get(name, [])
@@ -173,6 +249,45 @@ def test_serial_equals_parallel_with_oracles_armed(name):
     assert not missing, f"claims left out at smoke scale: {missing}"
     failing = [claims[n].line() for n in listed if not claims[n].holds]
     assert not failing, "\n".join(failing)
+
+
+#: ``src/repro`` file -> (``LBServer(...)`` calls it may make, why).  Every
+#: other single-device run is assembled by :func:`repro.cell.build_cell`.
+LBSERVER_CALLS = {
+    "cell.py": (1, "build_cell, the builder itself"),
+    "experiments/appc.py": (2, "multi-device: the sandbox and phased-scaling "
+                               "fleets"),
+    "experiments/fig11.py": (1, "multi-device: the old and new device "
+                                "clusters"),
+    "experiments/figa4.py": (1, "no generator: five hand-placed requests "
+                                "on a fixed hash seed"),
+    "experiments/isolation.py": (1, "listens on two tenants' ports while "
+                                    "each generator's spec names one"),
+    "experiments/pool_capacity.py": (1, "no generator: connections fed by "
+                                        "hand"),
+    "fleet/fleet.py": (1, "build_fleet: one server per fleet instance"),
+    "fleet/sharded.py": (1, "run_shard: one server per shard process"),
+    "fuzz/runner.py": (1, "traffic is a TraceReplayer, not a generator"),
+}
+
+
+def _lbserver_calls(path: Path) -> int:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) == "LBServer"
+                    or getattr(node.func, "attr", None) == "LBServer"))
+
+
+def test_devices_are_built_by_build_cell():
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    calls = {}
+    for path in sorted(root.rglob("*.py")):
+        count = _lbserver_calls(path)
+        if count:
+            calls[path.relative_to(root).as_posix()] = count
+    assert calls == {name: count
+                     for name, (count, _) in LBSERVER_CALLS.items()}
 
 
 class _Recording(dict):
