@@ -1,7 +1,6 @@
 """Analysis helpers: statistics and paper-style reporting."""
 
-from .export import series_to_csv, table_to_csv, write_csv
-from .reporting import mark_effectiveness, render_series, render_table
+from .reporting import mark_effectiveness, render_table
 from .stats import (
     cdf_points,
     coefficient_of_variation,
@@ -21,9 +20,5 @@ __all__ = [
     "normalize",
     "percentile",
     "population_sd",
-    "render_series",
     "render_table",
-    "series_to_csv",
-    "table_to_csv",
-    "write_csv",
 ]

@@ -1,16 +1,15 @@
 """Paper-style rendering of experiment results.
 
 The benchmark harnesses print the same rows/series the paper reports;
-these helpers format them: fixed-width tables for Tables 1-5, (x, y)
-series dumps for the figures, and the paper's ✓/✗ effectiveness marking
-for Table 3.
+these helpers format them: fixed-width tables for the tables and figures,
+and the paper's ✓/✗ effectiveness marking for Table 3.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-__all__ = ["render_table", "render_series", "mark_effectiveness"]
+__all__ = ["render_table", "mark_effectiveness"]
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -37,21 +36,6 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence],
     for row in formatted_rows:
         lines.append("  ".join(
             cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def render_series(name: str, points: Sequence[Tuple[float, float]],
-                  x_label: str = "x", y_label: str = "y",
-                  max_points: int = 40) -> str:
-    """A compact (x, y) dump of a figure series."""
-    lines = [f"{name} ({x_label} -> {y_label}, {len(points)} points)"]
-    step = max(1, len(points) // max_points)
-    for i in range(0, len(points), step):
-        x, y = points[i]
-        lines.append(f"  {x:12.6g}  {y:12.6g}")
-    if points and (len(points) - 1) % step != 0:
-        x, y = points[-1]
-        lines.append(f"  {x:12.6g}  {y:12.6g}")
     return "\n".join(lines)
 
 

@@ -4,58 +4,54 @@
 
     python -m repro run --mode hermes --case case2 --load medium
     python -m repro run --mode hermes --case case2 --trace out.json
+    python -m repro run --trace last.jsonl --flight 256 --format jsonl
+    python -m repro run --mode hermes --faults plan.json --check
     python -m repro run --mode prequal --set pool_size=32 --set policy=hcl
-    python -m repro trace --case case2 --load medium --out trace.json
-    python -m repro compare --case case3 --load heavy
     python -m repro experiment table3
+    python -m repro experiment resilience --set 'scenarios=["nic_loss"]'
     python -m repro sweep table3 --jobs 4
     python -m repro list --json
-    python -m repro chaos --plan plan.json --mode hermes
     python -m repro fleet --instances 8 --policy stateless --check
     python -m repro fleet --policy stateful --crash-at 0.9
-    python -m repro resilience --seed 7 --out matrix.json
-    python -m repro resilience --mode hermes --mode prequal
     python -m repro perf --quick --out BENCH_perf.quick.json
     python -m repro check
     python -m repro check --lint
-    python -m repro run --mode hermes --check
+    python -m repro fuzz --budget 20 --seed 7
 
-``run`` drives one device in one mode (``--trace`` additionally records a
-Chrome/Perfetto trace); ``trace`` runs a scenario with full tracing and
-prints the per-request critical-path breakdown; ``compare`` A/Bs all
-Table-3 modes on identical traffic; ``experiment`` runs one registered
-experiment through the unified Scenario API and prints its paper table
-and one ``claim <name>: holds|FAILS`` line per paper claim;
-``sweep`` runs the same grid decomposed into cells — parallel across
-processes (``--jobs``), memoized in a content-addressed cache, merged
-byte-identically to a serial run; ``list`` prints registry metadata
-(``--json`` for machines); ``chaos`` arms a declarative
-:class:`repro.faults.FaultPlan` against one device and prints the fault
-timeline next to the usual metrics; ``fleet`` runs a whole
-:mod:`repro.fleet` fleet (ECMP/ring ingress tier spraying flows over N
-LB instances) under backend churn and an optional instance crash, with
-``--check`` arming the per-connection-consistency (PCC) monitor on top
-of the usual invariants; ``resilience`` runs the fault ×
-notification-mode matrix (``--out`` writes canonical JSON, byte-identical
-for identical seeds); ``perf`` runs
-the calibrated benchmark suite (:mod:`repro.perf`) and writes the canonical
+``run`` drives one device in one mode, on the same traffic every other
+mode sees for that case, load and seed.  ``--trace`` records a
+Chrome/Perfetto trace (``--format jsonl`` for JSONL, ``--flight N`` to keep
+only the last N events) and prints the per-request critical-path
+breakdown; ``--faults`` arms a declarative :class:`repro.faults.FaultPlan`
+and prints the fault timeline next to the usual metrics.
+``experiment`` runs one registered experiment through the unified
+Scenario API and prints its paper table and one ``claim <name>:
+holds|FAILS`` line per paper claim; ``sweep`` runs the same grid
+decomposed into cells — parallel across processes (``--jobs``), memoized
+in a content-addressed cache, merged byte-identically to a serial run;
+``list`` prints registry metadata (``--json`` for machines); ``fleet``
+runs a whole :mod:`repro.fleet` fleet (ECMP/ring ingress tier spraying
+flows over N LB instances) under backend churn and an optional instance
+crash, with ``--check`` arming the per-connection-consistency (PCC)
+monitor on top of the usual invariants; ``perf`` runs the calibrated
+benchmark suite (:mod:`repro.perf`) and writes the canonical
 ``BENCH_perf.json`` report (a reporter only: ``bench/run.py compare``
-gives the wall-clock verdict on a change);
-``check`` is the correctness gate (:mod:`repro.check`): nondeterminism
-lint, differential-oracle sweep, and monitored end-to-end scenarios.
-``run``, ``chaos`` and ``sweep`` additionally accept ``--check`` to arm
+gives the wall-clock verdict on a change); ``check`` is the correctness
+gate (:mod:`repro.check`): nondeterminism lint, differential-oracle sweep,
+and monitored end-to-end scenarios; ``fuzz`` runs an adversarial scenario
+campaign.  ``run`` and ``sweep`` additionally accept ``--check`` to arm
 invariant monitors and live oracles on that specific run — results stay
 byte-identical, or the command fails.
 
-``run``, ``experiment``, ``chaos``, ``resilience`` and ``sweep`` share the
-same ``--seed`` / ``--out`` / ``--jobs`` contract: explicit seed, optional
-canonical-JSON output, worker process count (single-device commands accept
-``--jobs`` for interface uniformity and validate it, but execute their one
-cell in-process).  ``--set KEY=VALUE`` is the uniform override spelling:
-on ``run`` it sets the selected mode's config tunables — any architecture
-whose registry spec declares a ``config_factory`` accepts it (prequal,
-splice; ``repro list`` shows both experiment and per-mode tunables) — on
-``experiment``/``sweep``/``resilience`` it overrides the grid.
+``run``, ``experiment`` and ``sweep`` share the same ``--seed`` /
+``--out`` contract: explicit seed, optional canonical-JSON output.
+``--set KEY=VALUE`` is the uniform override spelling: on ``run`` it sets
+the selected mode's config tunables — any architecture whose registry
+spec declares a ``config_factory`` accepts it (prequal, splice; ``repro
+list`` shows both experiment and per-mode tunables) — on
+``experiment``/``sweep`` it overrides the grid (``experiment resilience
+--set 'scenarios=["nic_loss"]'`` is the fault × mode matrix for one
+scenario).
 """
 
 from __future__ import annotations
@@ -156,7 +152,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of tenant ports")
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--trace", metavar="PATH", default=None,
-                     help="record a Chrome/Perfetto trace to PATH")
+                     help="record a Chrome/Perfetto trace to PATH and "
+                          "print the per-request critical-path breakdown")
+    run.add_argument("--format", default=None, choices=("chrome", "jsonl"),
+                     help="--trace file format: chrome trace_event JSON "
+                          "(Perfetto; the default) or JSONL")
+    run.add_argument("--flight", type=_positive_int, metavar="N",
+                     default=None,
+                     help="flight-recorder mode for --trace: keep only the "
+                          "last N events instead of the full trace")
+    run.add_argument("--faults", metavar="PLAN.json", default=None,
+                     help="arm a FaultPlan JSON file (see repro.faults.plan) "
+                          "and print the fault timeline")
     run.add_argument("--out", metavar="PATH", default=None,
                      help="also write the run summary as canonical JSON")
     run.add_argument("--check", action="store_true",
@@ -167,38 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mode-config tunable override, repeatable "
                           "(modes with tunables: prequal, splice; see "
                           "`repro list`), e.g. --set pool_size=32")
-    _add_jobs(run)
-
-    trace = sub.add_parser(
-        "trace", help="run a scenario with full tracing and write a "
-                      "Perfetto-openable trace file")
-    trace.add_argument("--mode", default="hermes",
-                       choices=[m.value for m in NotificationMode])
-    trace.add_argument("--case", default="case2", choices=_CASES)
-    trace.add_argument("--load", default="medium", choices=_LOADS)
-    trace.add_argument("--workers", type=int, default=8)
-    trace.add_argument("--duration", type=float, default=2.0)
-    trace.add_argument("--ports", type=int, default=1)
-    trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument("--out", default="trace.json",
-                       help="output path (default: trace.json)")
-    trace.add_argument("--format", default="chrome",
-                       choices=("chrome", "jsonl"),
-                       help="chrome trace_event JSON (Perfetto) or JSONL")
-    trace.add_argument("--flight", type=_positive_int, metavar="N",
-                       default=None,
-                       help="flight-recorder mode: keep only the last N "
-                            "events instead of the full trace")
-
-    compare = sub.add_parser(
-        "compare", help="A/B all Table-3 modes on identical traffic")
-    compare.add_argument("--case", default="case3", choices=_CASES)
-    compare.add_argument("--load", default="medium", choices=_LOADS)
-    compare.add_argument("--workers", type=int, default=8)
-    compare.add_argument("--duration", type=float, default=3.0)
-    compare.add_argument("--seed", type=int, default=11)
-    compare.add_argument("--all-modes", action="store_true",
-                         help="include herd/rr/io_uring/dispatcher too")
 
     experiment = sub.add_parser(
         "experiment", help="run a registered paper experiment")
@@ -247,26 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     list_cmd.add_argument("--json", action="store_true", dest="as_json",
                           help="emit machine-readable registry metadata")
 
-    chaos = sub.add_parser(
-        "chaos", help="run one device with a FaultPlan armed against it")
-    chaos.add_argument("--plan", required=True, metavar="PLAN.json",
-                       help="FaultPlan JSON file (see repro.faults.plan)")
-    chaos.add_argument("--mode", default="hermes",
-                       choices=[m.value for m in NotificationMode])
-    chaos.add_argument("--case", default="case1", choices=_CASES)
-    chaos.add_argument("--load", default="light", choices=_LOADS)
-    chaos.add_argument("--workers", type=int, default=8)
-    chaos.add_argument("--duration", type=float, default=3.0)
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--trace", metavar="PATH", default=None,
-                       help="record a Chrome/Perfetto trace to PATH")
-    chaos.add_argument("--out", metavar="PATH", default=None,
-                       help="also write the run summary as canonical JSON")
-    chaos.add_argument("--check", action="store_true",
-                       help="arm invariant monitors and live differential "
-                            "oracles (byte-identical results, or an error)")
-    _add_jobs(chaos)
-
     fleet = sub.add_parser(
         "fleet", help="run an LB fleet (ingress tier + N instances) under "
                       "backend churn and optional instance crash")
@@ -306,26 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "deterministically (output is byte-identical "
                             "for any N; incompatible with --crash-at and "
                             "ring_bounded ingress)")
-
-    resilience = sub.add_parser(
-        "resilience", help="fault x mode resilience matrix")
-    resilience.add_argument("--seed", type=int, default=7)
-    resilience.add_argument("--workers", type=int, default=8)
-    resilience.add_argument("--scenario", action="append", default=None,
-                            metavar="NAME", dest="scenarios",
-                            help="run only this scenario (repeatable)")
-    resilience.add_argument("--mode", action="append", default=None,
-                            metavar="MODE", dest="modes",
-                            choices=[m.value for m in NotificationMode],
-                            help="run only this mode (repeatable; default: "
-                                 "exclusive, reuseport, hermes, prequal, "
-                                 "splice)")
-    resilience.add_argument("--out", metavar="PATH", default=None,
-                            help="also write the matrix as canonical JSON")
-    resilience.add_argument("--set", action="append", default=None,
-                            metavar="KEY=VALUE", dest="overrides",
-                            help="grid override, JSON-parsed (repeatable)")
-    _add_jobs(resilience)
 
     perf = sub.add_parser(
         "perf", help="run the calibrated benchmark suite and write "
@@ -427,12 +362,17 @@ def _finish_check(monitors, stats) -> None:
 
 def _cmd_run(args) -> int:
     from .experiments.common import run_case_cell
-
+    from .faults import FaultArmError, FaultPlan
     from .lb.modes import get_mode, iter_modes
 
+    if args.trace is None and (args.flight is not None
+                               or args.format is not None):
+        print("error: --flight and --format shape the trace file; "
+              "give --trace PATH", file=sys.stderr)
+        return 1
     mode = NotificationMode(args.mode)
     mode_spec = get_mode(mode.value)
-    config_kwargs: Dict[str, Any] = {}
+    options: Dict[str, Any] = {}
     if args.overrides:
         if mode_spec.config_factory is None:
             tunable_modes = ", ".join(
@@ -442,24 +382,39 @@ def _cmd_run(args) -> int:
                   file=sys.stderr)
             return 1
         try:
-            config_kwargs[mode_spec.config_kwarg] = mode_spec.config_factory(
+            options[mode_spec.config_kwarg] = mode_spec.config_factory(
                 _parse_overrides(args.overrides))
         except (argparse.ArgumentTypeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    if args.faults:
+        from .kernel.nic import Nic
+        try:
+            plan = FaultPlan.load(args.faults)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"error: cannot load fault plan {args.faults}: {exc}",
+                  file=sys.stderr)
+            return 1
+        # A lossless Nic, so nic_loss plans arm; it moves no result.
+        options.update(faults=plan, nic=Nic(n_queues=args.workers))
+    recorder = None
+    if args.trace:
+        from .obs import FlightRecorder, Tracer
+        if args.flight is not None:
+            recorder = FlightRecorder(capacity=args.flight)
+        options["tracer"] = Tracer(recorder=recorder,
+                                   keep_events=recorder is None)
     ports = tuple(20001 + i for i in range(args.ports))
-    tracer = None
-    if getattr(args, "trace", None):
-        from .obs import Tracer
-        tracer = Tracer()
     context, monitors, hook = _check_context(args.check)
     try:
         with context as stats:
             result = run_case_cell(mode, args.case, args.load,
                                    n_workers=args.workers,
                                    duration=args.duration, ports=ports,
-                                   seed=args.seed, tracer=tracer,
-                                   env_hook=hook, **config_kwargs)
+                                   seed=args.seed, env_hook=hook, **options)
+    except FaultArmError as exc:
+        print(f"error: cannot arm {args.faults}: {exc}", file=sys.stderr)
+        return 1
     except AssertionError as exc:
         if not args.check:
             raise
@@ -468,103 +423,74 @@ def _cmd_run(args) -> int:
         return 1
     if args.check:
         _finish_check(monitors, stats)
-    print(render_table(
-        ["metric", "value"],
-        [["mode", result.mode],
-         ["workload", result.workload],
-         ["requests completed", result.completed],
-         ["failed", result.failed],
-         ["refused", result.refused],
-         ["avg latency (ms)", f"{result.avg_ms:.3f}"],
-         ["p99 latency (ms)", f"{result.p99_ms:.3f}"],
-         ["throughput (kRPS)", f"{result.throughput_rps / 1e3:.2f}"],
-         ["cpu SD", f"{result.cpu_sd * 100:.2f}%"],
-         ["accepted/worker", str(result.accepted_per_worker)]],
-        title=f"{result.mode} on {result.workload}"))
-    if getattr(args, "out", None):
-        if not _write_json(args.out, json.dumps(result.to_doc(),
-                                                indent=2, sort_keys=True)):
+    injector = result.injector
+    rows = [["mode", result.mode],
+            ["workload", result.workload],
+            ["requests completed", result.completed],
+            ["failed", result.failed],
+            ["refused", result.refused],
+            ["avg latency (ms)", f"{result.avg_ms:.3f}"],
+            ["p99 latency (ms)", f"{result.p99_ms:.3f}"],
+            ["throughput (kRPS)", f"{result.throughput_rps / 1e3:.2f}"],
+            ["cpu SD", f"{result.cpu_sd * 100:.2f}%"],
+            ["accepted/worker", str(result.accepted_per_worker)]]
+    title = f"{result.mode} on {result.workload}"
+    if injector is not None:
+        fault_rows = [[f"{r['t']:.4f}", r["event"], r["kind"],
+                       "-" if r.get("worker") is None else r["worker"]]
+                      for r in injector.log]
+        print(render_table(["t (s)", "event", "fault", "worker"], fault_rows,
+                           title=f"fault timeline ({len(plan.faults)} "
+                                 f"specs, seed {plan.seed})"))
+        rows += [["faults fired", injector.faults_fired],
+                 ["faults cleared", injector.faults_cleared]]
+        title += f" under {args.faults}"
+    if args.trace:
+        events = (recorder.snapshot() if recorder is not None
+                  else options["tracer"].events)
+        rows += _timeline_rows(events, recorder)
+    print(render_table(["metric", "value"], rows, title=title))
+    if args.out:
+        doc = result.to_doc()
+        if injector is not None:
+            doc.update(faults_fired=injector.faults_fired,
+                       faults_cleared=injector.faults_cleared,
+                       fault_log=injector.log)
+        if not _write_json(args.out, json.dumps(doc, indent=2,
+                                                sort_keys=True)):
             return 1
         print(f"summary -> {args.out}")
-    if tracer is not None:
-        from .obs import write_chrome_trace
+    if args.trace:
+        from .obs import write_chrome_trace, write_jsonl
+        jsonl = args.format == "jsonl"
         try:
-            n = write_chrome_trace(tracer.events, args.trace)
+            n = (write_jsonl if jsonl else write_chrome_trace)(events,
+                                                               args.trace)
         except OSError as exc:
             print(f"error: cannot write trace to {args.trace}: {exc}",
                   file=sys.stderr)
             return 1
-        print(f"trace: {n} events -> {args.trace} "
-              f"(open at https://ui.perfetto.dev)")
+        print(f"trace: {n} events -> {args.trace}"
+              + ("" if jsonl else " (open at https://ui.perfetto.dev)"))
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from .experiments.common import run_case_cell
-    from .obs import (FlightRecorder, Tracer, build_timelines,
-                      summarize_timelines, write_chrome_trace, write_jsonl)
+def _timeline_rows(events, recorder) -> List[List[Any]]:
+    """Summary rows of the per-request critical paths in ``events``."""
+    from .obs import build_timelines, summarize_timelines
 
-    mode = NotificationMode(args.mode)
-    ports = tuple(20001 + i for i in range(args.ports))
-    recorder = None
-    if args.flight is not None:
-        recorder = FlightRecorder(capacity=args.flight)
-    tracer = Tracer(recorder=recorder, keep_events=recorder is None)
-    result = run_case_cell(mode, args.case, args.load,
-                           n_workers=args.workers, duration=args.duration,
-                           ports=ports, seed=args.seed, tracer=tracer)
-    events = recorder.snapshot() if recorder is not None else tracer.events
-    try:
-        if args.format == "chrome":
-            n = write_chrome_trace(events, args.out)
-        else:
-            n = write_jsonl(events, args.out)
-    except OSError as exc:
-        print(f"error: cannot write trace to {args.out}: {exc}",
-              file=sys.stderr)
-        return 1
     summary = summarize_timelines(build_timelines(events))
-    rows = [["mode", result.mode],
-            ["workload", result.workload],
-            ["events traced", len(events)],
-            ["requests reassembled", summary["count"]],
-            ["avg latency (ms)", f"{summary['avg_latency'] * 1e3:.3f}"],
-            ["  kernel wait (ms)",
-             f"{summary['avg_kernel_wait'] * 1e3:.3f}"],
-            ["  queue wait (ms)", f"{summary['avg_queue_wait'] * 1e3:.3f}"],
-            ["  service (ms)", f"{summary['avg_service'] * 1e3:.3f}"]]
+    rows: List[List[Any]] = [
+        ["events traced", len(events)],
+        ["requests reassembled", summary["count"]],
+        ["  kernel wait (ms)", f"{summary['avg_kernel_wait'] * 1e3:.3f}"],
+        ["  queue wait (ms)", f"{summary['avg_queue_wait'] * 1e3:.3f}"],
+        ["  service (ms)", f"{summary['avg_service'] * 1e3:.3f}"]]
     if recorder is not None:
         rows.append(["flight recorder",
                      f"kept {len(recorder)}/{recorder.capacity}, "
                      f"saw {recorder.total_recorded}"])
-    print(render_table(["metric", "value"], rows,
-                       title=f"trace of {result.mode} on {result.workload}"))
-    print(f"trace: {n} records -> {args.out}"
-          + (" (open at https://ui.perfetto.dev)"
-             if args.format == "chrome" else ""))
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    from .experiments.common import MODES_UNDER_TEST, run_case_cell
-
-    modes: Sequence[NotificationMode] = MODES_UNDER_TEST
-    if args.all_modes:
-        modes = tuple(NotificationMode)
-    rows = []
-    for mode in modes:
-        result = run_case_cell(mode, args.case, args.load,
-                               n_workers=args.workers,
-                               duration=args.duration, seed=args.seed)
-        rows.append([mode.value, f"{result.avg_ms:.3f}",
-                     f"{result.p99_ms:.3f}",
-                     f"{result.throughput_rps / 1e3:.2f}",
-                     f"{result.cpu_sd * 100:.2f}%"])
-    print(render_table(
-        ["mode", "avg ms", "p99 ms", "thr kRPS", "cpu SD"], rows,
-        title=f"{args.case} {args.load}: identical traffic, "
-              f"{args.workers} workers"))
-    return 0
+    return rows
 
 
 def _cmd_experiment(args) -> int:
@@ -612,90 +538,6 @@ def _cmd_sweep(args) -> int:
         print(f"error: --require-cached but {result.executed} cell(s) "
               f"executed (cache miss)", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    from .cell import build_cell
-    from .faults import FaultPlan
-    from .kernel.nic import Nic
-    from .workloads.cases import build_case_workload
-
-    try:
-        plan = FaultPlan.load(args.plan)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot load fault plan {args.plan}: {exc}",
-              file=sys.stderr)
-        return 1
-    mode = NotificationMode(args.mode)
-    tracer = None
-    if args.trace:
-        from .obs import Tracer
-        tracer = Tracer()
-    spec = build_case_workload(args.case, args.load, n_workers=args.workers,
-                               duration=args.duration)
-    try:
-        # Always attach a Nic so nic_loss plans work out of the box.
-        cell = build_cell(spec, mode, args.seed, n_workers=args.workers,
-                          hash_stream="hash-seed", faults=plan,
-                          nic=Nic(n_queues=args.workers), tracer=tracer)
-    except ValueError as exc:
-        print(f"error: cannot arm {args.plan}: {exc}", file=sys.stderr)
-        return 1
-    server, injector = cell.server, cell.injector
-    context, monitors, hook = _check_context(args.check)
-    if hook is not None:
-        hook(cell.env, server, cell.gen)
-    try:
-        with context as stats:
-            cell.run(until=args.duration + 0.5)
-    except AssertionError as exc:
-        if not args.check:
-            raise
-        print(f"check FAILED: {exc}", file=sys.stderr)
-        return 1
-    if args.check:
-        _finish_check(monitors, stats)
-    summary = server.metrics.summary()
-
-    fault_rows = [[f"{r['t']:.4f}", r["event"], r["kind"],
-                   "-" if r.get("worker") is None else r["worker"]]
-                  for r in injector.log]
-    print(render_table(["t (s)", "event", "fault", "worker"], fault_rows,
-                       title=f"fault timeline ({len(plan.faults)} specs, "
-                             f"seed {plan.seed})"))
-    print(render_table(
-        ["metric", "value"],
-        [["mode", mode.value],
-         ["workload", spec.name],
-         ["faults fired", injector.faults_fired],
-         ["faults cleared", injector.faults_cleared],
-         ["requests completed", summary["completed"]],
-         ["failed", summary["failed"]],
-         ["refused", server.metrics.connections_refused],
-         ["avg latency (ms)", f"{summary['avg_ms']:.3f}"],
-         ["p99 latency (ms)", f"{summary['p99_ms']:.3f}"],
-         ["throughput (kRPS)", f"{summary['throughput_rps'] / 1e3:.2f}"]],
-        title=f"{mode.value} on {spec.name} under {args.plan}"))
-    if getattr(args, "out", None):
-        doc = dict(summary, mode=mode.value, workload=spec.name,
-                   seed=args.seed, faults_fired=injector.faults_fired,
-                   faults_cleared=injector.faults_cleared,
-                   fault_log=injector.log)
-        if not _write_json(args.out, json.dumps(doc, indent=2,
-                                                sort_keys=True)):
-            return 1
-        print(f"summary -> {args.out}")
-    if tracer is not None:
-        from .obs import write_chrome_trace
-        try:
-            n = write_chrome_trace(tracer.events, args.trace)
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"trace: {n} events -> {args.trace} "
-              f"(open at https://ui.perfetto.dev)")
     return 0
 
 
@@ -857,38 +699,6 @@ def _cmd_fleet(args) -> int:
     return 0
 
 
-def _cmd_resilience(args) -> int:
-    from .faults import SCENARIOS
-    from .sweep import run_sweep
-
-    if args.scenarios:
-        unknown = [s for s in args.scenarios if s not in SCENARIOS]
-        if unknown:
-            print(f"error: unknown scenario(s) {', '.join(unknown)}; "
-                  f"choose from {', '.join(SCENARIOS)}", file=sys.stderr)
-            return 1
-    overrides = _grid_overrides("resilience", args.overrides)
-    if overrides is None:
-        return 1
-    overrides["n_workers"] = args.workers
-    if args.scenarios:
-        overrides["scenarios"] = list(args.scenarios)
-    if args.modes:
-        overrides["modes"] = list(args.modes)
-    # The sweep's merged document IS the canonical matrix payload, so the
-    # JSON below is byte-identical to ResilienceMatrix.to_json(indent=2)
-    # whatever --jobs is.
-    result = run_sweep("resilience", seed=args.seed, jobs=args.jobs,
-                       cache=False, overrides=overrides)
-    print(result.render())
-    if args.out:
-        if not _write_json(args.out, json.dumps(result.merged, indent=2,
-                                                sort_keys=True)):
-            return 1
-        print(f"matrix: {len(result.runs)} cells -> {args.out}")
-    return 0
-
-
 def _cmd_perf(args) -> int:
     from .perf import (build_report, calibrate, render_report,
                        run_benchmarks, write_report)
@@ -990,14 +800,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
-        "trace": _cmd_trace,
-        "compare": _cmd_compare,
         "experiment": _cmd_experiment,
         "sweep": _cmd_sweep,
         "list": _cmd_list,
-        "chaos": _cmd_chaos,
         "fleet": _cmd_fleet,
-        "resilience": _cmd_resilience,
         "perf": _cmd_perf,
         "check": _cmd_check,
         "fuzz": _cmd_fuzz,

@@ -16,7 +16,6 @@ from .bitmap import (
     popcount64,
 )
 from .config import HermesConfig, OverheadCosts
-from .control import ControlError, SchedulerControl
 from .degradation import ServiceDegrader
 from .dispatch import HermesDispatchProgram
 from .ebpf import BpfArrayMap, BpfError, ReuseportSockArray
@@ -30,8 +29,6 @@ __all__ = [
     "BpfError",
     "CascadingScheduler",
     "ComponentOverhead",
-    "ControlError",
-    "SchedulerControl",
     "GroupedDispatchProgram",
     "HermesConfig",
     "HermesDispatchProgram",

@@ -282,7 +282,7 @@ class CascadingScheduler:
         self.pass_ratios.add(n / n_workers)
         config = self.config
         if config is not self._costed_config:
-            # The control plane may swap the config at runtime.
+            # The config may be reassigned at runtime; re-cost it then.
             costs = config.costs
             scan = n_workers * (costs.wst_read_per_worker
                                 + costs.scheduler_per_worker)

@@ -9,13 +9,15 @@ derived from the cell, not the mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..cell import build_cell
-from ..core.config import HermesConfig
 from ..lb.server import LBServer, NotificationMode
 from ..workloads.cases import build_case_workload
 from ..workloads.generator import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..faults import FaultInjector, FaultPlan
 
 __all__ = ["CellResult", "run_spec", "run_case_cell", "MODES_UNDER_TEST",
            "DEFAULT_SEED", "resolve_seed"]
@@ -59,13 +61,16 @@ class CellResult:
     #: Kept alive for experiments that probe deeper (overhead, scheduler
     #: stats); None when the caller asked for a detached summary.
     server: Optional[LBServer] = None
+    #: The armed injector when the cell ran with ``faults``.
+    injector: Optional["FaultInjector"] = None
 
     def row(self) -> tuple:
         """(avg_ms, p99_ms, throughput) — the Table 3 cell format."""
         return (self.avg_ms, self.p99_ms, self.throughput_rps / 1e3)
 
     def to_doc(self) -> dict:
-        """JSON-safe document (drops the live ``server`` handle)."""
+        """JSON-safe document (drops the live ``server`` and ``injector``
+        handles)."""
         return {
             "mode": self.mode,
             "workload": self.workload,
@@ -97,27 +102,26 @@ class CellResult:
 
 def run_spec(mode: NotificationMode, spec: WorkloadSpec,
              n_workers: int, seed: Optional[int] = None,
-             config: Optional[HermesConfig] = None,
              settle: float = 0.5,
              keep_server: bool = False,
-             env_hook=None, tracer=None, prequal_config=None,
-             splice_config=None) -> CellResult:
+             env_hook=None, faults: Optional["FaultPlan"] = None,
+             **server_options) -> CellResult:
     """Run one workload spec against a fresh device in the given mode.
 
     ``settle`` extends the simulation beyond the generation window so
     in-flight requests can finish.  ``env_hook(env, server, gen)`` runs
-    before the simulation starts (failure injection, probers, samplers).
-    ``tracer`` (a :class:`repro.obs.Tracer`) enables structured tracing of
-    the whole stack; it observes only and cannot change the results.
+    before the simulation starts (probers, samplers, monitors).
+    ``faults`` arms a :class:`repro.faults.FaultPlan`; ``server_options``
+    (``config``, ``tracer``, ``nic``, ``prequal_config``,
+    ``splice_config``, ...) go verbatim to :func:`repro.cell.build_cell`.
+    A tracer observes only and cannot change the results.
     """
     # The traffic stream is named by the spec, not the mode: every mode
     # replays the same connections and requests.
     cell = build_cell(spec, mode, resolve_seed(seed), n_workers=n_workers,
                       hash_stream="hash-seed",
                       traffic_stream=f"traffic:{spec.name}",
-                      config=config, tracer=tracer,
-                      prequal_config=prequal_config,
-                      splice_config=splice_config)
+                      faults=faults, **server_options)
     server = cell.server
     if env_hook is not None:
         env_hook(cell.env, server, cell.gen)
@@ -138,6 +142,7 @@ def run_spec(mode: NotificationMode, spec: WorkloadSpec,
         accepted_per_worker=[w.accepted
                              for w in server.metrics.workers.values()],
         server=server if keep_server else None,
+        injector=cell.injector,
     )
 
 
@@ -149,7 +154,9 @@ def run_case_cell(mode: NotificationMode, case: str, load: str,
 
     The RNG streams derive from the spec'd seed (``None`` falls back via
     :func:`resolve_seed`), never from mutable module state, so identical
-    arguments produce identical results in any process.
+    arguments produce identical results in any process.  ``kwargs``
+    (``settle``, ``faults``, ``tracer``, ``nic``, ...) go to
+    :func:`run_spec`.
     """
     spec = build_case_workload(case, load, n_workers=n_workers,
                                duration=duration, ports=ports)

@@ -173,13 +173,21 @@ class ExperimentSpec:
     claims: ClaimsFn = no_claims
 
     def check_overrides(self, overrides: Mapping[str, Any]) -> None:
-        """Raise ``ValueError`` if ``overrides`` has a key nothing reads."""
+        """Raise ``ValueError`` if ``overrides`` has a key nothing reads,
+        or a ``modes``/``scenarios`` list names one that does not exist."""
         unknown = sorted(set(overrides) - set(self.tunables))
         if unknown:
             accepted = ", ".join(sorted(self.tunables)) or "none"
             raise ValueError(
                 f"experiment {self.name!r} does not read override(s) "
                 f"{', '.join(unknown)}; accepted: {accepted}")
+        if "modes" in overrides:
+            from ..lb.server import NotificationMode
+            _check_names("modes", overrides["modes"],
+                         [mode.value for mode in NotificationMode])
+        if "scenarios" in overrides:
+            from ..faults.resilience import SCENARIOS
+            _check_names("scenarios", overrides["scenarios"], list(SCENARIOS))
 
     def run(self, seed: Optional[int] = None,
             overrides: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -189,6 +197,18 @@ class ExperimentSpec:
         cells = self.cells(resolved, dict(overrides or {}))
         docs = [normalize_doc(self.run_cell(cell)) for cell in cells]
         return self.merge(cells, docs)
+
+
+def _check_names(key: str, value: Any, choices: Sequence[str]) -> None:
+    """Refuse a ``key`` override that is not a list of ``choices``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"override {key} must be a JSON list, e.g. "
+                         f"{key}=[\"{choices[0]}\"]; got {value!r}")
+    unknown = [name for name in value if name not in choices]
+    if unknown:
+        raise ValueError(
+            f"unknown {key[:-1]}(s) {', '.join(map(str, unknown))}; "
+            f"choose from {', '.join(choices)}")
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}

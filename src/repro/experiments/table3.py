@@ -223,8 +223,9 @@ def run_table3(cases: Sequence[str] = CASE_ORDER,
 
 
 def render_table3(result: Table3Result) -> str:
-    """Paper-layout rows: one row per (case, mode), three numeric cells
-    per load present in the result."""
+    """Paper-layout rows: one row per (case, mode) for every mode the grid
+    ran (in :class:`NotificationMode` order), three numeric cells per load
+    present in the result."""
     loads = result.loads_present() or LOAD_ORDER
     headers = ["Case", "Mode"]
     for load in loads:
@@ -233,7 +234,8 @@ def render_table3(result: Table3Result) -> str:
                         f"{initial}.thr(k)"])
     headers.append("verdict")
     rows: List[List] = []
-    mode_names = [m.value for m in MODES_UNDER_TEST]
+    present = {mode for (_case, _load, mode) in result.cells}
+    mode_names = [m.value for m in NotificationMode if m.value in present]
     for case in CASE_ORDER:
         if not any(key[0] == case for key in result.cells):
             continue

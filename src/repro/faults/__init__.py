@@ -23,7 +23,7 @@ The determinism contract: an empty plan arms nothing (bit-identical to no
 injector), and identical plan + seed reproduces identical results.
 """
 
-from .injector import FaultInjector, inject_hang
+from .injector import FaultArmError, FaultInjector, inject_hang
 from .plan import FaultKind, FaultPlan, FaultSpec
 from .resilience import (
     RESILIENCE_MODES,
@@ -36,6 +36,7 @@ from .resilience import (
 )
 
 __all__ = [
+    "FaultArmError",
     "FaultInjector",
     "FaultKind",
     "FaultPlan",

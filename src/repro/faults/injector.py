@@ -30,7 +30,11 @@ from ..sim.engine import Environment
 from ..sim.rng import RngRegistry, Stream
 from .plan import FLEET_KINDS, FaultKind, FaultPlan, FaultSpec
 
-__all__ = ["FaultInjector", "inject_hang"]
+__all__ = ["FaultArmError", "FaultInjector", "inject_hang"]
+
+
+class FaultArmError(ValueError):
+    """The plan names a fault the device it is armed on cannot host."""
 
 
 def inject_hang(worker, duration: float, tracer=None) -> None:
@@ -114,33 +118,33 @@ class FaultInjector:
         """Fail fast at arm time when the stack can't host the fault."""
         if spec.kind in FLEET_KINDS:
             if self.fleet is None:
-                raise ValueError(f"{spec.kind.value} fault needs a fleet")
+                raise FaultArmError(f"{spec.kind.value} fault needs a fleet")
             if isinstance(spec.target, int) and not \
                     0 <= spec.target < len(self.fleet.cluster.devices):
-                raise ValueError(
+                raise FaultArmError(
                     f"target instance {spec.target} out of range")
             return
         if self.server is None:
-            raise ValueError(
+            raise FaultArmError(
                 f"{spec.kind.value} fault needs a server (fleet-only "
                 f"injector arms only fleet-scope kinds)")
         if spec.kind is FaultKind.NIC_LOSS \
                 and self.server.stack.nic is None:
-            raise ValueError("nic_loss fault needs a server built with a Nic")
+            raise FaultArmError("nic_loss fault needs a server built with a Nic")
         if spec.kind in (FaultKind.BACKEND_BROWNOUT,
                          FaultKind.BACKEND_BLACKOUT) and self.backend is None:
-            raise ValueError(f"{spec.kind.value} fault needs a backend pool")
+            raise FaultArmError(f"{spec.kind.value} fault needs a backend pool")
         if spec.kind in (FaultKind.WST_FREEZE, FaultKind.WST_TORN_BURST,
                          FaultKind.BITMAP_SYNC_LOSS) \
                 and not getattr(self.server, "groups", None):
-            raise ValueError(
+            raise FaultArmError(
                 f"{spec.kind.value} fault needs HERMES mode (WST/eBPF state)")
         if isinstance(spec.target, int) \
                 and not 0 <= spec.target < self.server.n_workers:
-            raise ValueError(f"target worker {spec.target} out of range")
+            raise FaultArmError(f"target worker {spec.target} out of range")
         if spec.kind is FaultKind.BACKEND_BLACKOUT \
                 and not 0 <= spec.server_id < len(self.backend.servers):
-            raise ValueError(f"server_id {spec.server_id} out of range")
+            raise FaultArmError(f"server_id {spec.server_id} out of range")
 
     def arm(self) -> "FaultInjector":
         """Schedule every occurrence of every spec.  Idempotence guard:

@@ -1,6 +1,6 @@
 """Tests for paper-style reporting."""
 
-from repro.analysis import mark_effectiveness, render_series, render_table
+from repro.analysis import mark_effectiveness, render_table
 
 
 class TestRenderTable:
@@ -20,22 +20,6 @@ class TestRenderTable:
         out = render_table(["v"], [[1.23456]], float_fmt="{:.1f}")
         assert "1.2" in out
         assert "1.234" not in out
-
-
-class TestRenderSeries:
-    def test_includes_points(self):
-        out = render_series("s", [(0.0, 1.0), (1.0, 2.0)])
-        assert "s" in out
-        assert "2" in out
-
-    def test_subsampling_keeps_last_point(self):
-        points = [(float(i), float(i * 2)) for i in range(1000)]
-        out = render_series("s", points, max_points=10)
-        assert "1998" in out  # last y value present
-
-    def test_empty(self):
-        out = render_series("empty", [])
-        assert "empty" in out
 
 
 class TestMarkEffectiveness:

@@ -4,8 +4,9 @@ Covers the subsystem's two contracts: (1) tracing observes everything the
 paper's mechanisms do — reuseport selection, wait-queue wakeups, epoll
 dispatch, cascading-filter decisions, request service — and (2) tracing
 never perturbs the simulation: results are identical with it on or off.
-The same holds for the other hooks a cell can carry, an empty fault plan
-and the invariant monitors, whose only footprint is their own ticks.
+The same holds for the other hooks a cell can carry, an empty fault plan,
+a lossless Nic and the invariant monitors, whose only footprint is their
+own ticks.
 """
 
 import functools
@@ -18,6 +19,7 @@ from repro.check import watch
 from repro.experiments.common import run_case_cell
 from repro.experiments.sec7 import run_crash_blast
 from repro.faults import FaultPlan
+from repro.kernel.nic import Nic
 from repro.lb.server import NotificationMode
 from repro.obs import (FlightRecorder, Tracer, build_timelines,
                        summarize_timelines, to_chrome_trace)
@@ -110,11 +112,12 @@ class TestCoverage:
 @functools.lru_cache(maxsize=None)
 def _hooked_run(mode, hook):
     """One small cell built by ``build_cell`` with ``hook`` (None, or one
-    of "tracer", "faults", "watch") attached.  Returns the result, the
-    engine steps and the monitor's ticks."""
+    of "tracer", "faults", "nic", "watch") attached.  Returns the result,
+    the engine steps and the monitor's ticks."""
     spec = build_case_workload("case2", "medium", n_workers=4, duration=0.5)
     options = {"tracer": {"tracer": Tracer()},
-               "faults": {"faults": FaultPlan()}}.get(hook, {})
+               "faults": {"faults": FaultPlan()},
+               "nic": {"nic": Nic(n_queues=4)}}.get(hook, {})
     cell = build_cell(spec, mode, 21, n_workers=4, **options)
     monitor = watch(cell.server) if hook == "watch" else None
     cell.run(until=spec.duration + 0.5)
@@ -128,14 +131,15 @@ def _hooked_run(mode, hook):
 
 
 class TestNonPerturbation:
-    @pytest.mark.parametrize("hook", ["tracer", "faults", "watch"])
+    @pytest.mark.parametrize("hook", ["tracer", "faults", "nic", "watch"])
     @pytest.mark.parametrize("mode", [NotificationMode.HERMES,
                                       NotificationMode.EXCLUSIVE,
                                       NotificationMode.REUSEPORT])
     def test_results_identical_with_tracing_on(self, mode, hook):
-        """A tracer, an empty fault plan and invariant monitors observe
-        only: the result is unchanged, and the only extra engine steps are
-        the monitors' ticks."""
+        """A tracer, an empty fault plan, a lossless Nic (what ``run
+        --faults`` attaches) and invariant monitors observe only: the
+        result is unchanged, and the only extra engine steps are the
+        monitors' ticks."""
         plain, plain_steps, _ = _hooked_run(mode, None)
         hooked, steps, ticks = _hooked_run(mode, hook)
         assert hooked == plain

@@ -75,7 +75,7 @@ class TestChaos:
                                spec)
 
         # The plan survives a JSON round-trip before it's armed — chaos
-        # runs exercise the same serialization path as `repro chaos`.
+        # runs exercise the same serialization path as `repro run --faults`.
         plan = FaultPlan.from_json(build_plan(scenario).to_json())
         injector = FaultInjector(env, server, plan).arm()
         gen.start()

@@ -1,13 +1,26 @@
 """Tests for the command-line interface."""
 
+import argparse
 import importlib
 import json
 import pathlib
+import re
 
 import pytest
 
 import repro.experiments
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.lb.server import NotificationMode
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _subparsers():
+    """Subcommand name -> its argparse parser."""
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 class TestParser:
@@ -44,12 +57,11 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_trace_defaults(self):
-        args = build_parser().parse_args(["trace"])
-        assert args.case == "case2"
-        assert args.load == "medium"
-        assert args.out == "trace.json"
-        assert args.format == "chrome"
+        args = build_parser().parse_args(["run"])
+        assert args.trace is None
+        assert args.format is None
         assert args.flight is None
+        assert args.faults is None
 
     def test_run_trace_flag(self):
         args = build_parser().parse_args(["run", "--trace", "out.json"])
@@ -57,22 +69,36 @@ class TestParser:
 
     def test_chaos_requires_plan(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["chaos"])
-        args = build_parser().parse_args(["chaos", "--plan", "p.json"])
-        assert args.plan == "p.json"
+            build_parser().parse_args(["run", "--faults"])
+        args = build_parser().parse_args(["run", "--faults", "p.json"])
+        assert args.faults == "p.json"
         assert args.mode == "hermes"
 
     def test_resilience_defaults(self):
-        args = build_parser().parse_args(["resilience"])
-        assert args.seed == 7
-        assert args.scenarios is None
+        args = build_parser().parse_args(["experiment", "resilience"])
+        assert args.seed is None
+        assert args.overrides is None
         assert args.out is None
+        assert repro.experiments.registry.get("resilience").default_seed \
+            == 7
 
     def test_resilience_repeatable_scenarios(self):
         args = build_parser().parse_args(
-            ["resilience", "--scenario", "worker_hang",
-             "--scenario", "nic_loss"])
-        assert args.scenarios == ["worker_hang", "nic_loss"]
+            ["experiment", "resilience",
+             "--set", 'scenarios=["worker_hang", "nic_loss"]',
+             "--set", 'modes=["hermes"]'])
+        assert args.overrides == ['scenarios=["worker_hang", "nic_loss"]',
+                                  'modes=["hermes"]']
+
+    def test_exactly_eight_commands(self):
+        assert set(_subparsers()) == {"run", "experiment", "sweep", "list",
+                                      "fleet", "perf", "check", "fuzz"}
+
+    def test_run_refuses_jobs(self):
+        # run drives one cell in-process; a --jobs it would ignore is
+        # refused rather than accepted and dropped.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--jobs", "2"])
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep", "table3"])
@@ -96,6 +122,75 @@ class TestParser:
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "table3", "--jobs", "0"])
+
+
+#: The documents whose ``python -m repro ...`` lines must parse.
+DOC_FILES = ("README.md", "docs/API.md", ".claude/skills/verify/SKILL.md")
+
+_INVOCATION = re.compile(r"python -m repro\s+(\S+)(.*)", re.S)
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def _documented_invocations(text):
+    """``(command, flags)`` for every ``python -m repro <command>`` in
+    markdown ``text``: a fenced-block line with its indented continuation
+    lines (``#`` comments dropped), or an inline code span, which may wrap."""
+    snippets, prose = [], []
+    lines = text.splitlines()
+    fenced = False
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            prose.append(line)
+        elif "python -m repro" in line:
+            block = [line.split(" #")[0]]
+            while (i + 1 < len(lines) and lines[i + 1][:1].isspace()
+                   and lines[i + 1].strip()
+                   and "python -m repro" not in lines[i + 1]):
+                i += 1
+                block.append(lines[i].split("#")[0])
+            snippets.append(" ".join(block))
+        i += 1
+    snippets += [span for span in re.findall(r"`([^`]+)`", "\n".join(prose))
+                 if "python -m repro" in span]
+    found = []
+    for snippet in snippets:
+        match = _INVOCATION.search(snippet)
+        if match:
+            rest = re.split(r"\s(?:&&|\||;)\s", match.group(2))[0]
+            found.append((match.group(1), _FLAG.findall(rest)))
+    return found
+
+
+class TestDocsMatchTheParser:
+    def test_documented_commands_and_flags_exist(self):
+        commands = _subparsers()
+        problems, seen = [], 0
+        for name in DOC_FILES:
+            text = (REPO / name).read_text(encoding="utf-8")
+            for command, flags in _documented_invocations(text):
+                seen += 1
+                if command not in commands:
+                    problems.append(f"{name}: `repro {command}` is not a "
+                                    f"command")
+                    continue
+                known = commands[command]._option_string_actions
+                problems += [f"{name}: `repro {command}` has no {flag}"
+                             for flag in flags if flag not in known]
+        assert seen >= 20
+        assert not problems, "\n".join(problems)
+
+    def test_collector_reads_wrapped_and_continued_invocations(self):
+        text = ("Run `python -m repro\nrun --trace t.json` or:\n\n```\n"
+                "python -m repro sweep <name> [--seed N]  # comment --x\n"
+                "                     [--no-cache]   # --y\n\n"
+                "python -m repro list\n```\n")
+        assert _documented_invocations(text) == [
+            ("sweep", ["--seed", "--no-cache"]), ("list", []),
+            ("run", ["--trace"])]
 
 
 class TestExperimentWiring:
@@ -132,12 +227,18 @@ class TestCommands:
             assert mode in capsys.readouterr().out
 
     def test_compare_prints_all_modes(self, capsys):
-        rc = main(["compare", "--workers", "2", "--duration", "0.5",
-                   "--case", "case1", "--load", "light"])
+        # table3 --set modes=[...] renders a row for every mode it ran.
+        all_modes = [mode.value for mode in NotificationMode]
+        rc = main(["experiment", "table3", "--set", 'cases=["case1"]',
+                   "--set", 'loads=["light"]',
+                   "--set", f"modes={json.dumps(all_modes)}",
+                   "--set", "duration_scale=0.1", "--set", "n_workers=2",
+                   "--set", "ports=[443]", "--set", "settle=0.3"])
         out = capsys.readouterr().out
         assert rc == 0
-        for mode in ("exclusive", "reuseport", "hermes"):
-            assert mode in out
+        rows = [line.split()[1] for line in out.splitlines()
+                if line.startswith("case1 ")]
+        assert rows == all_modes
 
     def test_experiment_dispatch(self, capsys):
         rc = main(["experiment", "table4"])
@@ -163,16 +264,25 @@ class TestCommands:
         assert "request.service" in names
         assert "epoll.dispatch" in names
 
-    def test_trace_subcommand_chrome(self, capsys, tmp_path):
+    def test_run_trace_prints_timeline_rows(self, capsys, tmp_path):
         path = tmp_path / "trace.json"
-        rc = main(["trace", "--workers", "2", "--duration", "0.3",
-                   "--out", str(path)])
+        rc = main(["run", "--workers", "2", "--duration", "0.3",
+                   "--trace", str(path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "requests reassembled" in out
         assert "kernel wait" in out
         document = json.loads(path.read_text())
         assert document["traceEvents"]
+
+    @pytest.mark.parametrize("flag", [["--flight", "64"],
+                                      ["--format", "jsonl"]])
+    def test_trace_shaping_without_trace_is_refused(self, capsys, flag):
+        rc = main(["run", "--workers", "2", "--duration", "0.3"] + flag)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
     def test_chaos_runs_plan_and_prints_timeline(self, capsys, tmp_path):
         from repro.faults import FaultKind, FaultPlan, FaultSpec
@@ -181,7 +291,7 @@ class TestCommands:
             FaultSpec(kind=FaultKind.WORKER_HANG, at=0.3, duration=0.1,
                       target=0),
         ), seed=5).save(str(plan_path))
-        rc = main(["chaos", "--plan", str(plan_path), "--workers", "2",
+        rc = main(["run", "--faults", str(plan_path), "--workers", "2",
                    "--duration", "0.6"])
         out = capsys.readouterr().out
         assert rc == 0
@@ -190,26 +300,70 @@ class TestCommands:
         assert "faults fired" in out
 
     def test_chaos_missing_plan_file_errors(self, capsys, tmp_path):
-        rc = main(["chaos", "--plan", str(tmp_path / "absent.json")])
+        rc = main(["run", "--faults", str(tmp_path / "absent.json")])
         assert rc == 1
         assert "cannot load fault plan" in capsys.readouterr().err
 
+    def test_plan_the_device_cannot_host_is_refused(self, capsys, tmp_path):
+        from repro.faults import FaultKind, FaultPlan, FaultSpec
+        plan_path = tmp_path / "plan.json"
+        FaultPlan(faults=(
+            FaultSpec(kind=FaultKind.WORKER_HANG, at=0.1, duration=0.1,
+                      target=5),
+        )).save(str(plan_path))
+        rc = main(["run", "--faults", str(plan_path), "--workers", "2",
+                   "--duration", "0.3"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "cannot arm" in captured.err and "out of range" in captured.err
+
+    def test_empty_fault_plan_moves_no_result(self, capsys, tmp_path):
+        # run --faults draws run's traffic: an empty plan (and the Nic it
+        # attaches) adds the fault fields and changes nothing else.
+        plan_path = tmp_path / "empty.json"
+        plan_path.write_text('{"faults": [], "seed": 0}\n')
+        base = ["run", "--workers", "2", "--duration", "0.5"]
+        plain, faulted = tmp_path / "plain.json", tmp_path / "faulted.json"
+        assert main(base + ["--out", str(plain)]) == 0
+        assert main(base + ["--faults", str(plan_path),
+                            "--out", str(faulted)]) == 0
+        capsys.readouterr()
+        expected = dict(json.loads(plain.read_text()), faults_fired=0,
+                        faults_cleared=0, fault_log=[])
+        assert json.loads(faulted.read_text()) == expected
+
     def test_resilience_writes_canonical_json(self, capsys, tmp_path):
         path = tmp_path / "matrix.json"
-        rc = main(["resilience", "--workers", "2",
-                   "--scenario", "nic_loss", "--out", str(path)])
+        rc = main(["experiment", "resilience", "--set", "n_workers=2",
+                   "--set", 'scenarios=["nic_loss"]', "--out", str(path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "Resilience matrix" in out
-        document = json.loads(path.read_text())
+        document = json.loads(path.read_text())["merged"]
         assert document["seed"] == 7
         assert {c["mode"] for c in document["cells"]} \
             == {"exclusive", "reuseport", "hermes", "prequal", "splice"}
 
     def test_resilience_unknown_scenario_errors(self, capsys):
-        rc = main(["resilience", "--scenario", "meteor"])
-        assert rc == 1
-        assert "unknown scenario" in capsys.readouterr().err
+        # Refused before any cell runs, on both grid commands.
+        for command, override, message in [
+                (["experiment", "resilience"], 'scenarios=["meteor"]',
+                 "unknown scenario(s) meteor; choose from worker_hang"),
+                (["sweep", "resilience", "--no-cache"],
+                 'scenarios=["meteor"]', "unknown scenario(s) meteor"),
+                (["sweep", "resilience", "--no-cache"], 'modes=["bogus"]',
+                 "unknown mode(s) bogus; choose from herd"),
+                (["experiment", "table3"], 'modes=["bogus"]',
+                 "unknown mode(s) bogus"),
+                (["experiment", "table3"], "modes=hermes",
+                 "must be a JSON list")]:
+            rc = main(command + ["--set", override])
+            captured = capsys.readouterr()
+            assert rc == 1, command
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert message in captured.err
 
     def test_list_plain(self, capsys):
         rc = main(["list"])
@@ -291,7 +445,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", [
         ["experiment", "fig13"], ["sweep", "fig13", "--no-cache"],
-        ["resilience"]])
+        ["experiment", "resilience"]])
     def test_unread_override_is_refused(self, capsys, command):
         # A typo must not silently run the full-scale grid.
         rc = main(command + ["--set", "n_workers=2",
@@ -310,11 +464,11 @@ class TestCommands:
                          if line.startswith(name + " "))
             assert lines[index + 1].split()[0] == "tunables:", name
 
-    def test_trace_subcommand_flight_jsonl(self, capsys, tmp_path):
+    def test_run_trace_flight_jsonl(self, capsys, tmp_path):
         path = tmp_path / "flight.jsonl"
-        rc = main(["trace", "--workers", "2", "--duration", "0.3",
+        rc = main(["run", "--workers", "2", "--duration", "0.3",
                    "--flight", "64", "--format", "jsonl",
-                   "--out", str(path)])
+                   "--trace", str(path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "flight recorder" in out
@@ -399,7 +553,7 @@ class TestCheckCommand:
     def test_run_and_chaos_and_sweep_accept_check_flag(self):
         assert build_parser().parse_args(["run", "--check"]).check is True
         assert build_parser().parse_args(
-            ["chaos", "--plan", "p.json", "--check"]).check is True
+            ["run", "--faults", "p.json", "--check"]).check is True
         assert build_parser().parse_args(
             ["sweep", "table3", "--check"]).check is True
         assert build_parser().parse_args(["run"]).check is False
@@ -450,7 +604,7 @@ class TestCheckCommand:
             FaultSpec(kind=FaultKind.WORKER_CRASH, at=0.3, target=0,
                       detect_delay=0.005),
         ), seed=5).save(str(plan_path))
-        rc = main(["chaos", "--plan", str(plan_path), "--workers", "2",
+        rc = main(["run", "--faults", str(plan_path), "--workers", "2",
                    "--duration", "0.6", "--check"])
         out = capsys.readouterr().out
         assert rc == 0
