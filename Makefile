@@ -1,6 +1,6 @@
 # Convenience targets for the Hermes reproduction.
 
-.PHONY: install test test-fast perf check examples experiments clean
+.PHONY: install test test-fast check examples experiments clean
 
 install:
 	pip install -e .
@@ -10,13 +10,6 @@ test:
 
 test-fast:
 	pytest tests/ -x -q --ignore=tests/runtime
-
-# Full benchmark run; rewrites the committed canonical report.
-# Narrow to one or more benches with BENCH: make perf BENCH=engine_throughput
-# or BENCH="engine_throughput fleet_sharded".
-perf:
-	PYTHONPATH=src python -m repro perf \
-	    $(foreach b,$(BENCH),--bench $(b))
 
 # The full correctness gate: nondeterminism lint, offline differential
 # oracles, and the live scenarios (Table-3 cell + §7 crash, both modes)

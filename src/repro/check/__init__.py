@@ -1,7 +1,7 @@
 """repro.check — runtime invariant monitors, differential oracles, and a
 nondeterminism linter for the simulated LB stack.
 
-Three layers of defence for the repo's bit-identical-reproduction claim:
+Four layers of defence for the repo's bit-identical-reproduction claim:
 
 - :mod:`.invariants` — monitors attachable to a live server; violations
   raise with a flight-recorder dump.
@@ -9,6 +9,8 @@ Three layers of defence for the repo's bit-identical-reproduction claim:
   every fast path, offline (property tests) and live (``--check``).
 - :mod:`.lint` — an AST pass that flags unseeded RNGs, wall-clock reads,
   and unordered iteration at decision points before they ever run.
+- :mod:`.golden` — SHA-256 fingerprints of seeded runs' canonical JSON,
+  pinned by ``tests/test_determinism_golden.py``.
 
 All of it is opt-in: an unchecked run executes zero instructions from
 this package.

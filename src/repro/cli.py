@@ -13,7 +13,6 @@
     python -m repro list --json
     python -m repro fleet --instances 8 --policy stateless --check
     python -m repro fleet --policy stateful --crash-at 0.9
-    python -m repro perf --quick --out BENCH_perf.quick.json
     python -m repro check
     python -m repro check --lint
     python -m repro fuzz --budget 20 --seed 7
@@ -33,15 +32,13 @@ in a content-addressed cache, merged byte-identically to a serial run;
 runs a whole :mod:`repro.fleet` fleet (ECMP/ring ingress tier spraying
 flows over N LB instances) under backend churn and an optional instance
 crash, with ``--check`` arming the per-connection-consistency (PCC)
-monitor on top of the usual invariants; ``perf`` runs the calibrated
-benchmark suite (:mod:`repro.perf`) and writes the canonical
-``BENCH_perf.json`` report (a reporter only: ``bench/run.py compare``
-gives the wall-clock verdict on a change); ``check`` is the correctness
+monitor on top of the usual invariants; ``check`` is the correctness
 gate (:mod:`repro.check`): nondeterminism lint, differential-oracle sweep,
 and monitored end-to-end scenarios; ``fuzz`` runs an adversarial scenario
 campaign.  ``run`` and ``sweep`` additionally accept ``--check`` to arm
 invariant monitors and live oracles on that specific run — results stay
-byte-identical, or the command fails.
+byte-identical, or the command fails.  Wall-clock performance is
+measured by ``bench/run.py``, not by this CLI.
 
 ``run``, ``experiment`` and ``sweep`` share the same ``--seed`` /
 ``--out`` contract: explicit seed, optional canonical-JSON output.
@@ -261,19 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "deterministically (output is byte-identical "
                             "for any N; incompatible with --crash-at and "
                             "ring_bounded ingress)")
-
-    perf = sub.add_parser(
-        "perf", help="run the calibrated benchmark suite and write "
-                     "BENCH_perf.json")
-    perf.add_argument("--quick", action="store_true",
-                      help="reduced scales for CI smoke runs")
-    perf.add_argument("--out", metavar="PATH", default="BENCH_perf.json",
-                      help="report path (default: BENCH_perf.json)")
-    perf.add_argument("--bench", action="append", default=None,
-                      metavar="NAME", dest="benches",
-                      help="run only this bench (repeatable)")
-    perf.add_argument("--repeats", type=_positive_int, default=3,
-                      help="timing repeats per bench (best is kept)")
 
     check = sub.add_parser(
         "check", help="correctness gate: nondeterminism lint, differential "
@@ -699,27 +683,6 @@ def _cmd_fleet(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    from .perf import (build_report, calibrate, render_report,
-                       run_benchmarks, write_report)
-
-    try:
-        results = run_benchmarks(quick=args.quick, only=args.benches,
-                                 repeats=args.repeats)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    report = build_report(results, calibrate(), quick=args.quick)
-    print(render_report(report))
-    try:
-        write_report(report, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"report: {len(report['benches'])} benches -> {args.out}")
-    return 0
-
-
 def _cmd_check(args) -> int:
     from .check import run_check
 
@@ -756,8 +719,8 @@ def _cmd_fuzz(args) -> int:
         fleet_fraction=args.fleet_fraction, progress=print)
     doc = report.document()
     payload = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        _write_json(args.out, payload)
+    if args.out and not _write_json(args.out, payload):
+        return 1
     print(f"fuzz: {args.budget} scenario(s), seed {args.seed}, "
           f"{doc['n_violations']} violation(s), "
           f"{len(report.finds)} find(s)")
@@ -804,7 +767,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": _cmd_sweep,
         "list": _cmd_list,
         "fleet": _cmd_fleet,
-        "perf": _cmd_perf,
         "check": _cmd_check,
         "fuzz": _cmd_fuzz,
     }

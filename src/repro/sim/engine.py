@@ -18,8 +18,8 @@ minimal — only the primitives the load-balancer model needs:
 - :class:`TimedWait` — wait on an event with a deadline (the allocation-free
   form of ``event | env.timeout(delay)``).
 
-Performance notes (the ``repro.perf`` fast path)
-------------------------------------------------
+Performance notes (the fast path)
+---------------------------------
 The engine's per-event cost is the unit economics of every sweep in this
 repo, so the hot path is hand-flattened:
 

@@ -10,7 +10,7 @@ from repro.check.runner import (
     run_monitored_cell,
     run_monitored_crash,
 )
-from repro.perf.golden import cell_fingerprint, fingerprint
+from repro.check.golden import cell_fingerprint, fingerprint
 
 
 class TestCleanRuns:

@@ -161,7 +161,7 @@ class TestSync:
 
 
 class TestFastPath:
-    """repro.perf satellites: hoisted rank table, identity filters,
+    """Scheduler fast path: hoisted rank table, identity filters,
     zero-copy WST reads — all behaviour-preserving."""
 
     def test_rank_table_hoisted_into_init(self):

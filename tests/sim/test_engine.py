@@ -423,7 +423,7 @@ def test_nested_process_failure_propagates():
     assert p.value == "child died"
 
 
-# -- repro.perf fast-path regression coverage -------------------------------
+# -- engine fast-path regression coverage -----------------------------------
 
 def test_allof_wide_condition_incremental():
     # 1k-event AllOf: the incremental done-counter must fire the condition

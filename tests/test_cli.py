@@ -90,9 +90,9 @@ class TestParser:
         assert args.overrides == ['scenarios=["worker_hang", "nic_loss"]',
                                   'modes=["hermes"]']
 
-    def test_exactly_eight_commands(self):
+    def test_exactly_seven_commands(self):
         assert set(_subparsers()) == {"run", "experiment", "sweep", "list",
-                                      "fleet", "perf", "check", "fuzz"}
+                                      "fleet", "check", "fuzz"}
 
     def test_run_refuses_jobs(self):
         # run drives one cell in-process; a --jobs it would ignore is
@@ -125,7 +125,8 @@ class TestParser:
 
 
 #: The documents whose ``python -m repro ...`` lines must parse.
-DOC_FILES = ("README.md", "docs/API.md", ".claude/skills/verify/SKILL.md")
+DOC_FILES = ("README.md", "EXPERIMENTS.md", "docs/API.md",
+             "docs/PERFORMANCE.md", ".claude/skills/verify/SKILL.md")
 
 _INVOCATION = re.compile(r"python -m repro\s+(\S+)(.*)", re.S)
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
@@ -476,6 +477,15 @@ class TestCommands:
         assert len(lines) == 64
         for line in lines:
             json.loads(line)
+
+    def test_fuzz_unwritable_out_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        rc = main(["fuzz", "--budget", "1", "--no-shrink",
+                   "--family", "diurnal", "--fleet-fraction", "0",
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFleetCommand:

@@ -1,23 +1,31 @@
 """Golden-hash determinism: the fast path is bit-identical to the seed.
 
-These hashes were captured on the tree *before* the ``repro.perf`` hot-path
-overhaul landed (commit 4bc651e) by hashing the canonical JSON of full
-seeded experiment outputs.  Every event-ordering or RNG-draw change — event
-pooling, the direct ``yield delay`` timers, incremental conditions, the
-scheduler's zero-copy WST read — must leave them untouched; a mismatch
-means observable behaviour drifted and is a bug, not a baseline refresh.
+These hashes were captured on the tree *before* the simulation-core
+hot-path overhaul landed (commit 4bc651e) by hashing the canonical JSON
+of full seeded experiment outputs.  Every event-ordering or RNG-draw
+change — event pooling, the direct ``yield delay`` timers, incremental
+conditions, the scheduler's zero-copy WST read — must leave them
+untouched; a mismatch means observable behaviour drifted and is a bug,
+not a baseline refresh.  The two engine-step pins at the bottom hold a
+speed-up to the same schedule, event for event.
 
 If a future PR *intentionally* changes simulated behaviour (new feature,
 model fix), re-capture with::
 
-    PYTHONPATH=src python -c "from repro.perf.golden import *; \
-        print(cell_fingerprint(), sec7_fingerprint(), fig13_fingerprint())"
+    PYTHONPATH=src python -c "from repro.check.golden import *; \
+        print(cell_fingerprint(), sec7_fingerprint(), fig13_fingerprint(), \
+              fleet_fingerprint())"
 
-and say so in the PR description.
+and say so in the PR description.  The step pins are re-read from
+``run_case_cell(..., keep_server=True).server.env.steps`` and
+``run_sharded_fleet(...)["steps"]`` with the arguments their tests use.
 """
 
-from repro.perf.golden import (cell_fingerprint, fig13_fingerprint,
-                               fleet_fingerprint, sec7_fingerprint)
+from repro.check.golden import (cell_fingerprint, fig13_fingerprint,
+                                fleet_fingerprint, sec7_fingerprint)
+from repro.experiments.common import run_case_cell
+from repro.fleet.sharded import run_sharded_fleet
+from repro.lb.server import NotificationMode
 
 # Captured at commit 4bc651e (pre-fast-path).
 GOLDEN_CELL = \
@@ -56,3 +64,17 @@ def test_fingerprints_are_run_to_run_stable():
     """Same seed, same process, two runs: byte-identical output."""
     assert cell_fingerprint() == cell_fingerprint()
 
+
+
+def test_hermes_medium_cell_engine_steps():
+    """An engine-event count is exact: a speed-up must keep it."""
+    result = run_case_cell(NotificationMode.HERMES, "case2", "medium",
+                           n_workers=8, duration=2.5, seed=7,
+                           keep_server=True)
+    assert result.server.env.steps == 18_599
+
+
+def test_sharded_fleet_engine_steps():
+    """Eight serial shards dispatch exactly this many events in total."""
+    assert run_sharded_fleet(n_instances=8, duration=1.5,
+                             jobs=1)["steps"] == 27_476
