@@ -365,7 +365,8 @@ class Fleet:
 def reduce_metrics(docs: Sequence[dict]) -> dict:
     """The fleet-level reduction over per-instance metric docs, in order.
 
-    Each doc carries ``latencies`` (raw samples, s), ``completed``,
+    Each doc carries ``latencies`` (raw samples in s, an ``array('d')``
+    or any sequence of floats), ``completed``,
     ``failed``, ``accepted``, ``refused`` and ``elapsed``.  Latency
     percentiles are computed over the *pooled* samples (a mean of
     per-instance p99s would be wrong), counters are summed, and

@@ -311,7 +311,7 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         doc = {
             "shard_index": shard_index,
             "instance": instance.name,
-            "latencies": list(metrics.request_latencies.values),
+            "latencies": metrics.request_latencies.values,
             "completed": metrics.requests_completed,
             "failed": metrics.requests_failed,
             "accepted": metrics.connections_accepted,

@@ -44,8 +44,6 @@ class WorkerMetrics:
         self.flows_spliced = 0
         #: Per-event userspace processing times (Fig. 5a).
         self.event_processing_times = Samples(f"w{worker_id}.event_proc")
-        #: Request latencies completed by this worker.
-        self.request_latencies = Samples(f"w{worker_id}.latency")
 
     @property
     def cpu_utilization(self) -> float:
@@ -90,7 +88,6 @@ class DeviceMetrics:
         worker = self.workers.get(worker_id)
         if worker is not None:
             worker.requests_completed += 1
-            worker.request_latencies.add(latency)
         if tenant_id is not None and tenant_id >= 0:
             # Negative tenant ids are infrastructure (health probes).
             samples = self.tenant_latencies.get(tenant_id)

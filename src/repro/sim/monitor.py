@@ -8,7 +8,10 @@ a callable on a fixed interval (Fig. 13's per-minute SD sampling).
 
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
+from itertools import islice
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .engine import Environment
@@ -17,27 +20,24 @@ __all__ = ["Samples", "TimeWeighted", "PeriodicSampler", "BusyTracker"]
 
 
 class Samples:
-    """An accumulator of raw numeric samples with percentile queries."""
+    """An accumulator of raw numeric samples with percentile queries.
+
+    ``values`` is an ``array('d')``: 8 bytes per sample, with no float
+    object behind each one.  A percentile selects its one or two order
+    statistics instead of sorting; it equals the sort-based value bit for
+    bit for any samples that are not NaN.
+    """
 
     def __init__(self, name: str = ""):
         self.name = name
-        self.values: List[float] = []
-        # Cached sorted copy; invalidated on mutation so repeated
-        # percentile/CDF queries don't re-sort an unchanged accumulator.
-        self._sorted: Optional[List[float]] = None
+        self.values = array("d")
 
     def add(self, value: float) -> None:
-        # No cache reset: the length changes, which _sorted_values checks.
-        self.values.append(float(value))
+        self.values.append(value)
 
     def extend(self, values: Iterable[float]) -> None:
-        self.values.extend(float(v) for v in values)
-        self._sorted = None
-
-    def _sorted_values(self) -> List[float]:
-        if self._sorted is None or len(self._sorted) != len(self.values):
-            self._sorted = sorted(self.values)
-        return self._sorted
+        self.values.extend(values if isinstance(values, array)
+                           else map(float, values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -56,23 +56,45 @@ class Samples:
 
     def percentile(self, p: float) -> float:
         """Linear-interpolated percentile, ``p`` in [0, 100]."""
-        if not self.values:
+        n = len(self.values)
+        if not n:
             return 0.0
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        data = self._sorted_values()
-        if len(data) == 1:
-            return data[0]
-        rank = (p / 100) * (len(data) - 1)
+        rank = (p / 100) * (n - 1)
         low = int(math.floor(rank))
         high = int(math.ceil(rank))
+        lo, hi = self._order_stats(low, high)
         if low == high:
-            return data[low]
+            return lo
         frac = rank - low
         # Clamp to the bracketing samples: the weighted sum can underflow
-        # below data[low] when both neighbours are subnormal.
-        value = data[low] * (1 - frac) + data[high] * frac
-        return min(max(value, data[low]), data[high])
+        # below lo when both neighbours are subnormal.
+        value = lo * (1 - frac) + hi * frac
+        return min(max(value, lo), hi)
+
+    def _order_stats(self, low: int, high: int) -> Tuple[float, float]:
+        """``sorted(values)[low]`` and ``[high]`` (``high - low <= 1``),
+        selected from whichever end of the order is nearer."""
+        values = self.values
+        n = len(values)
+        if high < n - low:
+            head = heapq.nsmallest(high + 1, values)
+            pair = (head[low], head[high])
+        else:
+            tail = heapq.nlargest(n - low, values)  # tail[i] is rank n-1-i
+            pair = (tail[n - 1 - low], tail[n - 1 - high])
+        # -0.0 and 0.0 compare equal, and the heaps break that tie
+        # differently from the stable sort: a zero takes the sign of the
+        # zero the sort would place at its rank.
+        return (self._zero_at(low) if pair[0] == 0.0 else pair[0],
+                self._zero_at(high) if pair[1] == 0.0 else pair[1])
+
+    def _zero_at(self, rank: int) -> float:
+        """The zero at ``rank`` in stable sorted order (it must be one)."""
+        negatives = sum(1 for v in self.values if v < 0.0)
+        zeros = (v for v in self.values if v == 0.0)
+        return next(islice(zeros, rank - negatives, None))
 
     @property
     def p50(self) -> float:
@@ -102,7 +124,7 @@ class Samples:
         """(value, cumulative fraction) pairs for plotting a CDF."""
         if not self.values:
             return []
-        data = self._sorted_values()
+        data = sorted(self.values)
         n = len(data)
         step = max(1, n // points)
         out = [(data[i], (i + 1) / n) for i in range(0, n, step)]

@@ -89,8 +89,9 @@ class TestByteIdentity:
         first = run_shard(_payload(1))
         run_shard(_payload(0))  # pollute the process
         again = run_shard(_payload(1))
-        assert json.dumps(first, sort_keys=True) \
-            == json.dumps(again, sort_keys=True)
+        # ``latencies`` is the shard's ``array('d')``; list it for JSON.
+        assert json.dumps(first, sort_keys=True, default=list) \
+            == json.dumps(again, sort_keys=True, default=list)
 
 
 class TestArrivalSpine:

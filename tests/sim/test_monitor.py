@@ -1,7 +1,12 @@
 """Tests for measurement instruments."""
 
+import math
+import random
+import struct
+import tracemalloc
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.sim import BusyTracker, Environment, PeriodicSampler, Samples, TimeWeighted
 
@@ -70,17 +75,9 @@ class TestSamples:
         s.extend([10, 20])
         assert s.percentile(100) == 20.0
 
-    def test_sorted_cache_reused_between_queries(self):
-        s = Samples()
-        s.extend(range(100))
-        first = s._sorted_values()
-        assert s._sorted_values() is first  # no re-sort, same list object
-        s.add(-1)
-        assert s._sorted_values() is not first
-
     def test_sorted_cache_survives_direct_values_mutation(self):
         # `values` is a public attribute some call sites extend directly;
-        # the length guard must catch that and re-sort.
+        # a query after that must see the appended sample.
         s = Samples()
         s.extend([3, 1])
         assert s.p50 == 2.0
@@ -93,6 +90,93 @@ class TestSamples:
         assert s.cdf()[-1][0] == 2.0
         s.add(5)
         assert s.cdf()[-1][0] == 5.0
+
+
+def _sorted_percentile(values, p):
+    """The sort-based percentile ``Samples`` answered before it selected."""
+    if not values:
+        return 0.0
+    data = sorted(values)
+    if len(data) == 1:
+        return data[0]
+    rank = (p / 100) * (len(data) - 1)
+    low = int(math.floor(rank))
+    high = int(math.ceil(rank))
+    if low == high:
+        return data[low]
+    frac = rank - low
+    value = data[low] * (1 - frac) + data[high] * frac
+    return min(max(value, data[low]), data[high])
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+#: Both zeros, the smallest subnormals and an ordinary latency.
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-3]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: Up to 400 samples, half of them from a pool of up to 8, so ties are
+#: common.
+_SAMPLE_LISTS = st.lists(st.one_of(_FINITE, st.sampled_from(_SPECIALS)),
+                         min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.one_of(st.sampled_from(pool), _FINITE),
+                          min_size=1, max_size=400))
+
+
+_PS = (0, 1, 50, 90, 99, 99.9, 100)
+
+
+def _assert_matches_sort(values, ps):
+    s = Samples()
+    s.extend(values)
+    for p in ps:
+        assert _bits(s.percentile(p)) == _bits(
+            _sorted_percentile(values, p)), p
+
+
+class TestPercentileSelection:
+    @given(values=_SAMPLE_LISTS, drawn=st.floats(min_value=0, max_value=100))
+    @example(values=[-0.0, 0.0], drawn=100.0)
+    @example(values=[-1.0] * 18 + [-0.0, 0.0], drawn=100.0)
+    def test_property_equals_sort_bit_for_bit(self, values, drawn):
+        _assert_matches_sort(values, _PS + (drawn,))
+
+    def test_seeded_large_samples_equal_sort_bit_for_bit(self):
+        # Long enough for heaps of every size up to half the samples.
+        rng = random.Random(7)
+        for n in (10, 20, 101, 1000):
+            values = [rng.choice(_SPECIALS) if rng.random() < 0.5
+                      else rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300)
+                      for _ in range(n)]
+            _assert_matches_sort(values, tuple(i / 10 for i in range(1001)))
+
+    @given(zeros=st.lists(st.sampled_from([0.0, -0.0]), min_size=2,
+                          max_size=40),
+           others=st.integers(min_value=0, max_value=400),
+           sign=st.sampled_from([1.0, -1.0]),
+           drawn=st.floats(min_value=0, max_value=100))
+    def test_property_signed_zero_ties_bit_for_bit(self, zeros, others,
+                                                   sign, drawn):
+        # With every other sample on one side the zeros fill one end of
+        # the order, and ranks at the top end come from nlargest, which
+        # breaks the -0.0/0.0 tie the other way from the stable sort.
+        _assert_matches_sort([sign] * others + zeros, _PS + (drawn,))
+
+    def test_memory_per_sample_and_per_percentile(self):
+        s = Samples()
+        tracemalloc.start()
+        try:
+            for i in range(100_000):
+                s.add(i * 1e-6)  # a fresh float object per sample
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            s.percentile(99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= 1_000 * 1024
+        assert peak - held <= 256 * 1024
 
 
 class TestTimeWeighted:
