@@ -12,8 +12,9 @@ test-fast:
 	pytest tests/ -x -q --ignore=tests/runtime
 
 # The full correctness gate: nondeterminism lint, offline differential
-# oracles, and the live scenarios (Table-3 cell + §7 crash, both modes)
-# with invariant monitors armed.  What the CI check job runs.
+# oracles, and the live scenarios (Table-3 cell, §7 crash in both modes,
+# and the stateless fleet under churn) with invariant monitors armed.
+# What the CI check job runs.
 check:
 	PYTHONPATH=src python -m repro check
 

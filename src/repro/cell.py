@@ -16,12 +16,15 @@ samplers before :meth:`Cell.run`::
 
 RNG streams are keyed by name, so two cells built from the same spec,
 seed and stream names see byte-identical traffic whatever their mode.
+
+A fleet scenario is a cell too: :func:`repro.fleet.build_fleet` returns
+one whose ``server`` is the :class:`~repro.fleet.Fleet`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from .lb.server import LBServer, NotificationMode
 from .sim.engine import Environment
@@ -30,17 +33,19 @@ from .workloads.generator import TrafficGenerator, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .faults import FaultInjector, FaultPlan
+    from .fleet import Fleet
 
 __all__ = ["Cell", "build_cell"]
 
 
 @dataclass
 class Cell:
-    """A built, unrun device: everything a caller may hook into."""
+    """A built, unrun device or fleet: everything a caller may hook into."""
 
     env: Environment
     registry: RngRegistry
-    server: LBServer
+    #: The device or fleet the traffic enters.
+    server: Union[LBServer, "Fleet"]
     gen: TrafficGenerator
     #: The armed injector when the cell was built with ``faults``.
     injector: Optional["FaultInjector"] = None

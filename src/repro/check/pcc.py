@@ -15,8 +15,8 @@ connection was reset), so it leaves the live set.  A *migrated* record
 instance crash must NOT change the backend, and the recomputation proves
 it.
 
-A second check audits routing agreement: the cluster's per-connection
-device map must name the same instance the flow record does (the ingress
+A second check audits routing agreement: the fleet's per-connection
+instance map must name the same instance the flow record does (the ingress
 tier and the PCC ledger can't disagree about ownership).
 
 Like :class:`~repro.check.InvariantMonitor`, the monitor only reads: an
@@ -115,13 +115,13 @@ class PccMonitor:
     def _check_routing(self) -> None:
         fleet = self.fleet
         for record in fleet.live_records():
-            device = fleet.cluster.device_for(record.conn)
+            device = fleet.instance_for(record.conn)
             if device is None:
-                continue  # connection refused before the cluster pinned it
+                continue  # connection refused before the fleet pinned it
             if device.name != record.instance_name:
                 self._violate(
                     "pcc_routing",
-                    f"conn {record.conn.id}: cluster routes to "
+                    f"conn {record.conn.id}: fleet routes to "
                     f"{device.name} but the flow record says "
                     f"{record.instance_name}")
                 return

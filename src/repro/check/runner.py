@@ -7,8 +7,9 @@ Three phases, all opt-in subsets via flags:
   against its fast path (the deep version lives in the hypothesis suites;
   this is the seconds-fast smoke that CI and the CLI run).
 - **scenarios** — real end-to-end runs with invariant monitors armed and
-  live differential oracles patched in: one Table 3 cell and the §7
-  crash-blast scenario in both exclusive and Hermes modes.
+  live differential oracles patched in: one Table 3 cell, the §7
+  crash-blast scenario in both exclusive and Hermes modes, and the
+  stateless fleet under backend churn.
 
 :func:`run_monitored_crash` is also the harness for the deliberate-
 corruption drill: with ``corrupt_bitmap=True`` every scheduler sync is
@@ -201,24 +202,20 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
     Returns ``(pcc_monitor, passes, summary)`` where ``passes`` merges
     the PCC counters with every instance monitor's.
     """
-    from ..faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-    from ..fleet import build_fleet
+    from ..fleet import build_fleet, fleet_faults
     from ..fleet.sharded import fleet_spec
     from ..obs import FlightRecorder, Tracer
-    from ..sim.engine import Environment
-    from ..sim.rng import RngRegistry
-    from ..workloads.generator import TrafficGenerator
     from .pcc import watch_fleet
 
-    env = Environment()
-    registry = RngRegistry(seed)
-    recorder = FlightRecorder(capacity=256)
-    tracer = Tracer(env, recorder=recorder, keep_events=False)
-    fleet = build_fleet(env, n_instances, n_workers, ports=[443],
-                        mode="hermes", policy=policy,
-                        hash_seed=registry.stream("hash").randrange(2 ** 32),
-                        tracer=tracer)
-    fleet.start()
+    cell = build_fleet(
+        fleet_spec(duration, conn_rate), "hermes", seed,
+        n_instances=n_instances, n_workers=n_workers, policy=policy,
+        ingress="ecmp",
+        faults=fleet_faults(seed, churn_at=churn_at, churn_k=churn_k,
+                            crash_at=crash_at, detect_delay=detect_delay),
+        tracer=Tracer(recorder=FlightRecorder(capacity=256),
+                      keep_events=False))
+    fleet = cell.server
     pcc = watch_fleet(fleet, interval=interval,
                       raise_on_violation=raise_on_violation)
     monitors = [watch(instance) for instance in fleet.instances]
@@ -234,26 +231,14 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
 
         backend_map.update = corrupted_update
 
-    gen = TrafficGenerator(env, fleet, registry.stream("traffic"),
-                           fleet_spec(duration, conn_rate))
-    faults = [FaultSpec(kind=FaultKind.BACKEND_CHURN, at=churn_at,
-                        magnitude=churn_k)]
-    if crash_at is not None:
-        faults.append(FaultSpec(kind=FaultKind.INSTANCE_CRASH, at=crash_at,
-                                target="busiest",
-                                detect_delay=detect_delay))
-    plan = FaultPlan(faults=tuple(faults), seed=seed)
-    injector = FaultInjector(env, None, plan, tracer=tracer,
-                             fleet=fleet).arm()
-    gen.start()
-    env.run(until=duration)
+    cell.run(until=duration)
     passes = pcc.finalize()
     for monitor in monitors:
         for name, count in monitor.finalize().items():
             passes[name] = passes.get(name, 0) + count
     summary = fleet.summary()
     summary["seed"] = seed
-    summary["faults_fired"] = injector.faults_fired
+    summary["faults_fired"] = cell.injector.faults_fired
     summary["pcc_violations"] = len(pcc.violations)
     return pcc, passes, summary
 

@@ -578,32 +578,39 @@ def _cmd_fleet_sharded(args) -> int:
 def _cmd_fleet(args) -> int:
     from contextlib import nullcontext
 
+    from .fleet import build_fleet, fleet_faults
+
     for flag, value in (("--rate", args.rate), ("--duration", args.duration)):
         if not 0 < value < float("inf"):
             print(f"error: {flag} must be finite and > 0, got {value}",
                   file=sys.stderr)
             return 1
+    try:
+        # Built for the sharded path too, so both refuse the same specs.
+        plan = fleet_faults(args.seed, churn_at=args.churn_at,
+                            churn_k=args.churn_k, crash_at=args.crash_at,
+                            detect_delay=args.detect_delay)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.jobs is not None:
         return _cmd_fleet_sharded(args)
 
-    from .faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-    from .fleet import build_fleet
+    from .faults import FaultArmError
     from .fleet.sharded import fleet_spec
     from .obs import FlightRecorder, Tracer
-    from .sim.engine import Environment
-    from .sim.rng import RngRegistry
-    from .workloads.generator import TrafficGenerator
 
-    env = Environment()
-    registry = RngRegistry(args.seed)
-    recorder = FlightRecorder(capacity=256)
-    tracer = Tracer(env, recorder=recorder, keep_events=False)
-    fleet = build_fleet(
-        env, args.instances, args.workers, ports=[443],
-        mode=NotificationMode(args.mode), policy=args.policy,
-        ingress=args.ingress,
-        hash_seed=registry.stream("hash").randrange(2 ** 32), tracer=tracer)
-    fleet.start()
+    try:
+        cell = build_fleet(
+            fleet_spec(args.duration, args.rate), args.mode, args.seed,
+            n_instances=args.instances, n_workers=args.workers,
+            policy=args.policy, ingress=args.ingress, faults=plan,
+            tracer=Tracer(recorder=FlightRecorder(capacity=256),
+                          keep_events=False))
+    except FaultArmError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    fleet = cell.server
 
     context: Any = nullcontext()
     pcc = None
@@ -614,23 +621,9 @@ def _cmd_fleet(args) -> int:
         pcc = watch_fleet(fleet)
         monitors = [watch(instance) for instance in fleet.instances]
 
-    gen = TrafficGenerator(env, fleet, registry.stream("traffic"),
-                           fleet_spec(args.duration, args.rate))
-    faults = []
-    if args.churn_at is not None and args.churn_at >= 0:
-        faults.append(FaultSpec(kind=FaultKind.BACKEND_CHURN,
-                                at=args.churn_at, magnitude=args.churn_k))
-    if args.crash_at is not None:
-        faults.append(FaultSpec(kind=FaultKind.INSTANCE_CRASH,
-                                at=args.crash_at, target="busiest",
-                                detect_delay=args.detect_delay))
-    plan = FaultPlan(faults=tuple(faults), seed=args.seed)
-    injector = FaultInjector(env, None, plan, tracer=tracer,
-                             fleet=fleet).arm()
-    gen.start()
     try:
         with context as stats:
-            env.run(until=args.duration)
+            cell.run(until=args.duration)
             if pcc is not None:
                 passes = pcc.finalize()
                 for monitor in monitors:
@@ -651,7 +644,7 @@ def _cmd_fleet(args) -> int:
         fault_rows = [[f"{r['t']:.4f}", r["event"], r["kind"],
                        r.get("instance", "-" if "churn" not in r
                              else f"churn k={r['churn']}")]
-                      for r in injector.log]
+                      for r in cell.injector.log]
         print(render_table(["t (s)", "event", "fault", "target"], fault_rows,
                            title=f"fault timeline ({len(plan.faults)} specs, "
                                  f"seed {plan.seed})"))
@@ -673,7 +666,7 @@ def _cmd_fleet(args) -> int:
               f"({args.policy} lookup, {args.ingress} ingress)"))
     if args.out:
         doc = dict(summary, seed=args.seed,
-                   faults_fired=injector.faults_fired)
+                   faults_fired=cell.injector.faults_fired)
         if pcc is not None:
             doc["pcc_violations"] = len(pcc.violations)
         if not _write_json(args.out, json.dumps(doc, indent=2,

@@ -1,14 +1,12 @@
-"""Cluster layer: multi-device LB clusters, canary releases, autoscaling."""
+"""Cluster layer: canary releases, autoscaling, shuffle sharding."""
 
 from .autoscale import AutoscaleModel, UnitCostPoint, unit_cost_series
 from .canary import CanaryRelease
-from .cluster import LBCluster
 from .sharding import ShuffleShardedFleet, TenantPlacement, VMGroup
 
 __all__ = [
     "AutoscaleModel",
     "CanaryRelease",
-    "LBCluster",
     "ShuffleShardedFleet",
     "TenantPlacement",
     "UnitCostPoint",

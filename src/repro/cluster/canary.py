@@ -1,4 +1,4 @@
-"""Canary release of Hermes into a running cluster (§6.2, Fig. 11).
+"""Canary release of Hermes into a running fleet (§6.2, Fig. 11).
 
 "During the rollout, new-version VMs with Hermes are gradually added to the
 L7 LB cluster, while old-version VMs are phased out.  Once a VM is removed,
@@ -14,25 +14,25 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from ..fleet.fleet import Fleet
 from ..lb.server import LBServer
-from ..sim.engine import Environment, Interrupt
-from .cluster import LBCluster
+from ..sim.engine import Interrupt
 
 __all__ = ["CanaryRelease"]
 
 
 class CanaryRelease:
-    """Replaces old-version devices with new-version ones, batch by batch."""
+    """Replaces a fleet's old-version devices with new-version ones, batch
+    by batch, through the fleet's own membership and draining."""
 
-    def __init__(self, env: Environment, cluster: LBCluster,
-                 old_devices: List[LBServer],
+    def __init__(self, fleet: Fleet, old_devices: List[LBServer],
                  make_new_device: Callable[[int], LBServer],
                  batch_size: int = 1, batch_interval: float = 1.0,
                  drain_poll: float = 0.5):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        self.env = env
-        self.cluster = cluster
+        self.env = fleet.env
+        self.fleet = fleet
         self.remaining_old = list(old_devices)
         self.make_new_device = make_new_device
         self.batch_size = batch_size
@@ -59,7 +59,7 @@ class CanaryRelease:
     @property
     def fraction_new(self) -> float:
         """Share of active (non-draining) devices running the new version."""
-        active = self.cluster.active_devices
+        active = self.fleet.active_instances
         if not active:
             return 0.0
         return sum(1 for d in active if d in self.new_devices) / len(active)
@@ -73,9 +73,10 @@ class CanaryRelease:
                 for old in batch:
                     new = self.make_new_device(batch_index)
                     new.start()
-                    self.cluster.add_device(new)
+                    self.fleet.add_instance(new)
                     self.new_devices.append(new)
-                    self.cluster.drain_device(old)
+                    self.fleet.drain_instance(
+                        self.fleet.instances.index(old))
                     self.draining.append(old)
                     batch_index += 1
                 yield self.env.timeout(self.batch_interval)
@@ -83,8 +84,8 @@ class CanaryRelease:
             while self.draining:
                 yield self.env.timeout(self.drain_poll)
                 for old in list(self.draining):
-                    if self.cluster.device_drained(old):
-                        self.cluster.remove_device(old)
+                    if self.fleet.instance_drained(old):
+                        self.fleet.remove_instance(old)
                         self.draining.remove(old)
                         self.retired.append(old)
             self.completed_at = self.env.now

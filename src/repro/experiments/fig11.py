@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..cluster.canary import CanaryRelease
-from ..cluster.cluster import LBCluster
+from ..fleet import Fleet
 from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, ConnState, Request
 from ..lb.probes import Prober
@@ -46,13 +46,13 @@ class ProbeTimelineResult:
 
 
 class _LivedPool:
-    """Keeps a population of long-lived connections through the cluster,
+    """Keeps a population of long-lived connections through the fleet,
     replacing each connection when its lifetime expires."""
 
-    def __init__(self, env: Environment, cluster: LBCluster, rng,
+    def __init__(self, env: Environment, fleet: Fleet, rng,
                  population: int, mean_lifetime: float):
         self.env = env
-        self.cluster = cluster
+        self.fleet = fleet
         self.rng = rng
         self.population = population
         self.mean_lifetime = mean_lifetime
@@ -64,7 +64,7 @@ class _LivedPool:
             FourTuple(0x0A000000 + self.rng.randrange(1 << 20),
                       self.rng.randrange(1024, 65535), 0xC0A80001, 443),
             created_time=self.env.now)
-        if self.cluster.connect(conn):
+        if self.fleet.connect(conn):
             self.conns.append(conn)
             self.env.process(self._lifetime(conn), name=f"life:{conn.id}")
 
@@ -93,7 +93,7 @@ class _LivedPool:
                               ConnState.CLOSED):
                 continue
             for _ in range(requests):
-                self.cluster.deliver(conn, Request(
+                self.fleet.deliver(conn, Request(
                     event_times=(event_time, event_time)))
 
 
@@ -117,10 +117,10 @@ def run_fig11(n_devices: int = 4, n_workers: int = 8,
                    for i in range(n_devices)]
     for device in old_devices:
         device.start()
-    cluster = LBCluster(env, old_devices,
-                        hash_seed=registry.stream("l4").randrange(2 ** 32))
+    fleet = Fleet(env, old_devices, ingress="ecmp",
+                  hash_seed=registry.stream("l4").randrange(2 ** 32))
 
-    pool = _LivedPool(env, cluster, registry.stream("lived"),
+    pool = _LivedPool(env, fleet, registry.stream("lived"),
                       population=population,
                       mean_lifetime=conn_lifetime_days * day_seconds)
 
@@ -150,7 +150,7 @@ def run_fig11(n_devices: int = 4, n_workers: int = 8,
         attach_prober(device)
         return device
 
-    canary = CanaryRelease(env, cluster, old_devices, make_new,
+    canary = CanaryRelease(fleet, old_devices, make_new,
                            batch_size=1, batch_interval=day_seconds / 2,
                            drain_poll=day_seconds / 10)
     env.schedule_callback(rollout_day * day_seconds, canary.start)

@@ -120,9 +120,16 @@ class FaultInjector:
             if self.fleet is None:
                 raise FaultArmError(f"{spec.kind.value} fault needs a fleet")
             if isinstance(spec.target, int) and not \
-                    0 <= spec.target < len(self.fleet.cluster.devices):
+                    0 <= spec.target < len(self.fleet.instances):
                 raise FaultArmError(
                     f"target instance {spec.target} out of range")
+            if spec.kind is FaultKind.BACKEND_CHURN:
+                from ..fleet import check_churn
+                try:
+                    check_churn(int(spec.magnitude),
+                                len(self.fleet.backend_map.backends))
+                except ValueError as exc:
+                    raise FaultArmError(str(exc)) from None
             return
         if self.server is None:
             raise FaultArmError(
@@ -184,7 +191,7 @@ class FaultInjector:
     def _resolve_instance(self, spec: FaultSpec, index: int) -> int:
         """Victim LB instance *index* for fleet-scope kinds."""
         target = spec.target if spec.target is not None else "busiest"
-        devices = self.fleet.cluster.devices
+        devices = self.fleet.instances
         if isinstance(target, int):
             return target
         indexed = list(enumerate(devices))
@@ -382,7 +389,7 @@ class FaultInjector:
                              occurrence: int) -> None:
         fleet = self.fleet
         victim = self._resolve_instance(spec, index)
-        instance = fleet.cluster.devices[victim]
+        instance = fleet.instances[victim]
         if not instance.alive_workers:
             self._emit("fire", spec, index, instance=instance.name,
                        occurrence=occurrence, skipped="already down")
@@ -415,8 +422,8 @@ class FaultInjector:
     def _fire_instance_drain(self, spec: FaultSpec, index: int,
                              occurrence: int) -> None:
         victim = self._resolve_instance(spec, index)
-        instance = self.fleet.cluster.devices[victim]
-        if self.fleet.cluster.is_draining(instance):
+        instance = self.fleet.instances[victim]
+        if self.fleet.is_draining(instance):
             self._emit("fire", spec, index, instance=instance.name,
                        occurrence=occurrence, skipped="already draining")
             return

@@ -7,7 +7,8 @@ lookup) and per-connection consistency (PCC) as the correctness bar
 under instance failover and backend churn.
 """
 
-from .fleet import Fleet, FlowRecord, aggregate_metrics, build_fleet
+from .fleet import (Fleet, FlowRecord, aggregate_metrics, build_fleet,
+                    check_churn, fleet_faults, fleet_instance)
 from .ingress import (INGRESS_POLICIES, ConsistentHashRing, EcmpIngress,
                       make_ingress)
 from .lookup import (BackendMap, FleetPolicy, StatefulLookup,
@@ -18,6 +19,9 @@ __all__ = [
     "FlowRecord",
     "aggregate_metrics",
     "build_fleet",
+    "check_churn",
+    "fleet_faults",
+    "fleet_instance",
     "EcmpIngress",
     "ConsistentHashRing",
     "make_ingress",

@@ -1,17 +1,18 @@
 """Fleet orchestration: N LB instances behind an ingress tier (§6 at scale).
 
-A :class:`Fleet` composes the existing building blocks end to end:
+A :class:`Fleet` is the one multi-instance container:
 
-- membership, draining, and per-connection device consistency come from
-  :class:`~repro.cluster.LBCluster` (one cluster = one fleet), now fed by
-  a pluggable ingress policy (``repro.fleet.ingress``);
+- membership, draining and per-connection device consistency live here:
+  an ingress policy (``repro.fleet.ingress``) steers each new connection
+  to an active instance, and the connection -> instance ledger routes its
+  data there for life;
 - each instance is a full :class:`~repro.lb.server.LBServer` with its
-  per-worker reuseport stack — nothing about the single-device model
-  changes;
+  per-worker reuseport stack, built by :func:`fleet_instance` —
+  nothing about the single-device model changes;
 - connection -> backend resolution is a :class:`FleetPolicy` from
   ``repro.fleet.lookup`` (stateful table vs Concury-style stateless);
-- rolling canary and fleet sizing reuse the §6.2 models
-  (:class:`~repro.cluster.CanaryRelease`, AutoscaleModel) unchanged.
+- a rolling release is :class:`~repro.cluster.CanaryRelease` driving the
+  fleet's own membership.
 
 Fleet-scope scenarios: :meth:`Fleet.crash_instance` kills a whole
 instance (every worker at once) with a detection window, after which the
@@ -23,6 +24,11 @@ version stamp) while the stateful policy loses its table and breaks them;
 birth-version backend (PCC) and only connections whose backend was
 removed break.
 
+:func:`build_fleet` assembles the fleet scenario — environment, RNG
+registry, instances, traffic and faults — as an unrun
+:class:`~repro.cell.Cell`, the way :func:`~repro.cell.build_cell` does
+for one device.
+
 Every fleet-scope transition emits a ``fleet.*`` trace event, and
 ``repro.check``'s :class:`~repro.check.PccMonitor` can audit the PCC
 contract live against :meth:`live_records` / :meth:`expected_backend`.
@@ -30,22 +36,26 @@ contract live against :meth:`live_records` / :meth:`expected_backend`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
-from ..cluster.autoscale import AutoscaleModel
-from ..cluster.canary import CanaryRelease
-from ..cluster.cluster import LBCluster
+from ..cell import Cell
+from ..faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from ..kernel.hash import jhash_words
 from ..kernel.tcp import ConnState, Connection, Request
 from ..lb.server import LBServer, NotificationMode
 from ..sim.engine import Environment
 from ..sim.monitor import Samples
+from ..sim.rng import RngRegistry
+from ..workloads.generator import TrafficGenerator, WorkloadSpec
 from .ingress import make_ingress
 from .lookup import BackendMap, FleetPolicy, make_lookup
 
 __all__ = ["FlowRecord", "Fleet", "aggregate_metrics", "build_fleet",
-           "reduce_metrics"]
+           "check_churn", "fleet_faults", "fleet_instance", "reduce_metrics"]
+
+#: Backends a fleet starts with unless told otherwise.
+N_BACKENDS = 8
 
 #: Connection states with no live data path (nothing left to protect).
 _DEAD_STATES = (ConnState.CLOSED, ConnState.RESET, ConnState.REFUSED)
@@ -69,11 +79,16 @@ class FlowRecord:
 
 
 class Fleet:
-    """N LB instances, one ingress policy, one backend-lookup policy."""
+    """N LB instances, one ingress policy, one backend-lookup policy.
+
+    The ingress policy sprays each new connection over the active
+    (non-draining) instances; a draining instance keeps its established
+    connections until they run out.
+    """
 
     def __init__(self, env: Environment, instances: Sequence[LBServer],
                  policy=FleetPolicy.STATELESS, ingress="ecmp",
-                 hash_seed: int = 0x5eed, n_backends: int = 8,
+                 hash_seed: int = 0x5eed, n_backends: int = N_BACKENDS,
                  n_slots: int = 128, tracer=None):
         if not instances:
             raise ValueError("need at least one instance")
@@ -86,8 +101,10 @@ class Fleet:
         if isinstance(ingress, str):
             ingress = make_ingress(ingress, hash_seed=hash_seed)
         self.ingress = ingress
-        self.cluster = LBCluster(env, list(instances), hash_seed=hash_seed,
-                                 ingress=ingress)
+        self.instances: List[LBServer] = list(instances)
+        self._draining: Set[LBServer] = set()
+        #: conn id -> owning instance (per-connection consistency).
+        self._owner: Dict[int, LBServer] = {}
         self.backend_map = BackendMap(list(range(n_backends)),
                                       n_slots=n_slots, hash_seed=hash_seed)
         self._next_backend_id = n_backends
@@ -105,31 +122,59 @@ class Fleet:
 
     # -- membership --------------------------------------------------------
     @property
-    def instances(self) -> List[LBServer]:
-        return self.cluster.devices
-
-    @property
     def active_instances(self) -> List[LBServer]:
-        return self.cluster.active_devices
+        return [d for d in self.instances if d not in self._draining]
 
     def start(self) -> None:
-        for instance in self.cluster.devices:
+        for instance in self.instances:
             instance.start()
+
+    def add_instance(self, instance: LBServer) -> None:
+        if instance in self.instances:
+            raise ValueError("instance already in fleet")
+        self.instances.append(instance)
+
+    def is_draining(self, instance: LBServer) -> bool:
+        return instance in self._draining
+
+    def instance_drained(self, instance: LBServer) -> bool:
+        """True when no worker on the instance holds connections anymore."""
+        return all(len(w.conns) == 0 for w in instance.workers)
+
+    def remove_instance(self, instance: LBServer) -> int:
+        """Remove a (drained) instance; returns its residual connections."""
+        self.instances.remove(instance)
+        self._draining.discard(instance)
+        return sum(len(w.conns) for w in instance.workers)
+
+    def instance_for(self, connection: Connection) -> Optional[LBServer]:
+        return self._owner.get(connection.id)
 
     # -- traffic entry (the generator's ``_Target`` protocol) ---------------
     def connect(self, connection: Connection) -> bool:
-        accepted = self.cluster.connect(connection)
-        if accepted and connection.tenant_id >= 0:
-            instance = self.cluster.device_for(connection)
+        """Spray a new connection to an active instance by flow hash."""
+        active = self.active_instances
+        if not active:
+            connection.reset("no active devices")
+            return False
+        instance = self.ingress.pick(connection.four_tuple, active)
+        if not instance.connect(connection):
+            return False
+        self._owner[connection.id] = instance
+        if connection.tenant_id >= 0:
             backend, version = self.lookup.assign(
                 connection.four_tuple, instance.name, connection.id)
             self.records[connection.id] = FlowRecord(
                 conn=connection, instance_name=instance.name,
                 backend=backend, version=version)
-        return accepted
+        return True
 
     def deliver(self, connection: Connection, request: Request) -> None:
-        self.cluster.deliver(connection, request)
+        """Route data to the instance owning this connection."""
+        instance = self._owner.get(connection.id)
+        if instance is None:
+            raise KeyError(f"unknown connection {connection.id}")
+        instance.deliver(connection, request)
 
     # -- fleet-scope faults --------------------------------------------------
     def crash_instance(self, index: int,
@@ -144,7 +189,7 @@ class Fleet:
         remaining instances; the stateful policy drops the instance's
         lookup table, breaking them.
         """
-        instance = self.cluster.devices[index]
+        instance = self.instances[index]
         if not any(w.is_alive for w in instance.workers):
             raise RuntimeError(f"instance {instance.name} already down")
         if self.tracer is not None:
@@ -152,8 +197,7 @@ class Fleet:
             self.tracer.instant("fleet.instance_crash", "fleet",
                                 instance=instance.name, conns=conns,
                                 policy=self.policy.value)
-        if not self.cluster.is_draining(instance):
-            self.cluster.drain_device(instance)
+        self._draining.add(instance)
         for worker in instance.workers:
             if worker.is_alive:
                 instance.crash_worker(worker.worker_id)
@@ -163,9 +207,10 @@ class Fleet:
         return instance
 
     def drain_instance(self, index: int) -> LBServer:
-        """Take one instance out of new-connection rotation (canary-style)."""
-        instance = self.cluster.devices[index]
-        self.cluster.drain_device(instance)
+        """Take one instance out of new-connection rotation; its
+        established connections stay until they run out."""
+        instance = self.instances[index]
+        self._draining.add(instance)
         if self.tracer is not None:
             self.tracer.instant("fleet.drain", "fleet",
                                 instance=instance.name)
@@ -204,7 +249,7 @@ class Fleet:
         Probe connections (negative tenant ids) are infrastructure and are
         left for ``detect_and_clean_worker``; their prober re-pins them.
         """
-        survivors = [d for d in self.cluster.active_devices
+        survivors = [d for d in self.active_instances
                      if d is not instance and d.alive_workers]
         if not survivors:
             return 0
@@ -257,7 +302,7 @@ class Fleet:
                 old_fd.close()
                 worker.metrics.closed += 1
                 worker.metrics.connections.decrement()
-        self.cluster._conn_device[conn.id] = target
+        self._owner[conn.id] = target
         record = self.records.get(conn.id)
         if record is not None:
             self.lookup.migrate(conn.id, record.instance_name, target.name)
@@ -279,8 +324,7 @@ class Fleet:
         new version.  Returns the number of connections broken.
         """
         current = self.backend_map.backends
-        if k < 1 or k >= len(current):
-            raise ValueError("churn size must be in [1, n_backends)")
+        check_churn(k, len(current))
         removed = sorted(current)[-k:]
         kept = [b for b in current if b not in removed]
         added = [self._next_backend_id + i for i in range(k)]
@@ -303,28 +347,6 @@ class Fleet:
                                 removed=removed, added=added,
                                 version=version, broken=broken)
         return broken
-
-    # -- §6.2 model reuse ----------------------------------------------------
-    def rolling_canary(self, make_new_instance: Callable[[int], LBServer],
-                       batch_size: int = 1, batch_interval: float = 1.0,
-                       drain_poll: float = 0.5) -> CanaryRelease:
-        """A fleet-wide rolling release, driven by the §6.2 canary model.
-
-        The release operates on this fleet's cluster, so draining, device
-        retirement, and per-connection consistency all flow through the
-        same membership the ingress tier uses.  Call ``.start()`` on the
-        returned release to begin the rollout.
-        """
-        return CanaryRelease(
-            self.env, self.cluster, list(self.cluster.active_devices),
-            make_new_instance, batch_size=batch_size,
-            batch_interval=batch_interval, drain_poll=drain_poll)
-
-    def instances_needed(self, traffic: float, fraction_hermes: float = 1.0,
-                         model: Optional[AutoscaleModel] = None) -> int:
-        """Fleet sizing via the §6.2 autoscale model (reused, not rebuilt)."""
-        model = model if model is not None else AutoscaleModel()
-        return model.devices_needed(traffic, fraction_hermes)
 
     # -- PCC audit surface (consumed by repro.check.PccMonitor) --------------
     def live_records(self) -> List[FlowRecord]:
@@ -349,7 +371,7 @@ class Fleet:
         return self.broken_instance + self.broken_backend
 
     def summary(self) -> dict:
-        doc = aggregate_metrics(self.cluster.devices)
+        doc = aggregate_metrics(self.instances)
         doc["policy"] = self.policy.value
         doc["ingress"] = self.ingress.name
         doc["backend_version"] = self.backend_map.version
@@ -404,28 +426,74 @@ def aggregate_metrics(devices: Sequence[LBServer]) -> dict:
         for device in devices])
 
 
-def build_fleet(env: Environment, n_instances: int, n_workers: int,
-                ports: Sequence[int], mode=NotificationMode.HERMES,
-                policy=FleetPolicy.STATELESS, ingress="ecmp",
-                hash_seed: int = 0x5eed, n_backends: int = 8,
-                n_slots: int = 128, tracer=None, profile=None,
-                config=None) -> Fleet:
-    """Construct N uniform LB instances plus the fleet around them.
+def check_churn(k: int, n_backends: int) -> None:
+    """Refuse a backend churn of ``k`` that a set of ``n_backends`` cannot
+    honour: at least one backend must retire and one must stay."""
+    if not 1 <= k < n_backends:
+        raise ValueError(
+            f"churn size must be in [1, {n_backends}), got {k}")
 
-    Each instance gets a distinct, deterministically derived kernel hash
-    seed (``jhash([index], hash_seed)``) so the per-port reuseport sprays
-    of different instances are decorrelated, as distinct VMs' skb hash
-    seeds are.
+
+def fleet_instance(env: Environment, index: int, fleet_seed: int, *,
+                   n_workers: int, ports: Sequence[int], mode,
+                   **server_options) -> LBServer:
+    """Fleet instance ``index``: every fleet instance is built here.
+
+    It is named ``lb{index}`` and gets a distinct, deterministically
+    derived kernel hash seed (``jhash([index], fleet_seed)``), so the
+    per-port reuseport sprays of different instances are decorrelated,
+    as distinct VMs' skb hash seeds are.  ``server_options`` go verbatim
+    to :class:`~repro.lb.server.LBServer`.
     """
-    if isinstance(mode, str):
-        mode = NotificationMode(mode)
-    instances = []
-    for index in range(n_instances):
-        instances.append(LBServer(
-            env, n_workers, ports, mode,
-            hash_seed=jhash_words([index], hash_seed),
-            name=f"lb{index}", tracer=tracer, profile=profile,
-            config=config))
-    return Fleet(env, instances, policy=policy, ingress=ingress,
-                 hash_seed=hash_seed, n_backends=n_backends,
-                 n_slots=n_slots, tracer=tracer)
+    return LBServer(env, n_workers, list(ports), NotificationMode(mode),
+                    hash_seed=jhash_words([index], fleet_seed),
+                    name=f"lb{index}", **server_options)
+
+
+def fleet_faults(seed: int, *, churn_at: Optional[float], churn_k: int,
+                 crash_at: Optional[float] = None,
+                 detect_delay: float = 0.005) -> FaultPlan:
+    """The fleet scenario's fault plan: a backend churn of ``churn_k`` at
+    ``churn_at`` (none when it is None or negative) and, with
+    ``crash_at``, a crash of the busiest instance detected
+    ``detect_delay`` later."""
+    faults = []
+    if churn_at is not None and churn_at >= 0:
+        faults.append(FaultSpec(kind=FaultKind.BACKEND_CHURN, at=churn_at,
+                                magnitude=churn_k))
+    if crash_at is not None:
+        faults.append(FaultSpec(kind=FaultKind.INSTANCE_CRASH, at=crash_at,
+                                target="busiest", detect_delay=detect_delay))
+    return FaultPlan(faults=tuple(faults), seed=seed)
+
+
+def build_fleet(spec: WorkloadSpec, mode, seed: int, *, n_instances: int,
+                n_workers: int, policy, ingress,
+                faults: Optional[FaultPlan] = None,
+                **server_options) -> Cell:
+    """Build a fleet of ``n_instances`` listening on ``spec.ports`` and its
+    traffic, as an unrun :class:`~repro.cell.Cell` whose ``server`` is
+    the :class:`Fleet`.
+
+    The fleet hash seed is drawn from the ``"hash"`` stream and the
+    traffic from ``"traffic"``, as :func:`~repro.cell.build_cell` draws
+    them.  ``server_options`` go to every :func:`fleet_instance`; their
+    ``tracer`` is also the fleet's.  ``faults`` arms a
+    :class:`~repro.faults.FaultInjector` on the fleet; it draws from
+    ``RngRegistry(faults.seed)``.
+    """
+    env = Environment()
+    registry = RngRegistry(seed)
+    hash_seed = registry.stream("hash").randrange(2 ** 32)
+    fleet = Fleet(env, [fleet_instance(env, index, hash_seed,
+                                       n_workers=n_workers, ports=spec.ports,
+                                       mode=mode, **server_options)
+                        for index in range(n_instances)],
+                  policy=policy, ingress=ingress, hash_seed=hash_seed,
+                  tracer=server_options.get("tracer"))
+    fleet.start()
+    gen = TrafficGenerator(env, fleet, registry.stream("traffic"), spec)
+    injector = None
+    if faults is not None:
+        injector = FaultInjector(env, None, faults, fleet=fleet).arm()
+    return Cell(env, registry, fleet, gen, injector)

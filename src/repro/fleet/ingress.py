@@ -5,10 +5,10 @@ one of N LB instances by hashing the packet 5-tuple.  Two policies are
 modelled, both fully deterministic under a fixed ``hash_seed``:
 
 - :class:`EcmpIngress` — router-style ECMP: ``hash(4-tuple) mod N`` via the
-  kernel's ``reciprocal_scale``, exactly the spray the single-tier
-  :class:`~repro.cluster.LBCluster` has always used.  Cheap and stateless,
-  but shrinking or growing the active set remaps ~``(N-1)/N`` of the flow
-  space (every slot boundary moves).
+  kernel's ``reciprocal_scale``, the default spray of every
+  :class:`~repro.fleet.Fleet` (Fig. 11's canary fleet included).  Cheap
+  and stateless, but shrinking or growing the active set remaps
+  ~``(N-1)/N`` of the flow space (every slot boundary moves).
 - :class:`ConsistentHashRing` — a vnode ring (à la Karger/Maglev-family
   consistent hashing): each instance owns ``vnodes`` pseudo-random points
   on a 32-bit ring; a flow maps to the first point clockwise of its hash.
@@ -52,9 +52,7 @@ def _name_words(name: str) -> List[int]:
 class EcmpIngress:
     """Router-style ECMP: flow-hash modulo the active instance count.
 
-    This is byte-for-byte the historical :class:`~repro.cluster.LBCluster`
-    spray — ``active[reciprocal_scale(jhash_4tuple(ft, seed), len(active))]``
-    — factored out so cluster and fleet share one implementation.
+    ``active[reciprocal_scale(jhash_4tuple(ft, seed), len(active))]``.
     """
 
     name = "ecmp"

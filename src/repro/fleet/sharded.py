@@ -46,11 +46,12 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..kernel.hash import FourTuple, jhash_words
+from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, ConnState
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry, Stream
-from .fleet import Fleet, FleetPolicy, reduce_metrics
+from .fleet import (N_BACKENDS, Fleet, FleetPolicy, check_churn,
+                    fleet_instance, reduce_metrics)
 from .ingress import make_ingress
 
 __all__ = ["ShardIngress", "fleet_spec", "fleet_arrivals", "run_shard",
@@ -238,17 +239,15 @@ class _ShardedTrafficGenerator:
 def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one fleet instance end to end; return a picklable doc.
 
-    Mirrors :func:`repro.check.runner.run_monitored_fleet`'s
-    construction exactly — same registry streams, same instance naming
-    and per-instance hash-seed derivation as :func:`build_fleet`, same
-    workload spec and churn fault — scoped down to one instance.  The
+    Mirrors :func:`~repro.fleet.build_fleet`'s construction exactly —
+    same registry streams, the same :func:`~repro.fleet.fleet_instance`,
+    same workload spec and churn — scoped down to one instance.  The
     shard schedules ``payload["arrivals"]``, its slice of
     :func:`fleet_arrivals`, and counts the rest of
     ``payload["total_arrivals"]`` as foreign.
     """
     from ..check.invariants import watch
     from ..check.pcc import watch_fleet
-    from ..lb.server import LBServer, NotificationMode
     from ..obs import FlightRecorder, Tracer
 
     shard_index = payload["shard_index"]
@@ -275,10 +274,10 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
             tracer = Tracer(env, recorder=recorder, keep_events=keep_trace)
         ingress = ShardIngress(ingress_policy, fleet_hash_seed, n_instances,
                                shard_index)
-        instance = LBServer(
-            env, payload["n_workers"], [443], NotificationMode.HERMES,
-            hash_seed=jhash_words([shard_index], fleet_hash_seed),
-            name=f"lb{shard_index}", tracer=tracer)
+        instance = fleet_instance(
+            env, shard_index, fleet_hash_seed,
+            n_workers=payload["n_workers"], ports=[443], mode="hermes",
+            tracer=tracer)
         fleet = Fleet(env, [instance], policy=payload["policy"],
                       ingress=ingress, hash_seed=fleet_hash_seed,
                       tracer=tracer)
@@ -402,6 +401,8 @@ def run_sharded_fleet(policy: str = "stateless", n_instances: int = 4,
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     FleetPolicy(policy)  # validate early, before any worker spawns
+    if churn_at is not None:
+        check_churn(churn_k, N_BACKENDS)
     # Also refuses ring_bounded ingress and rates or durations that
     # cannot be honoured.
     slices, total = fleet_arrivals(seed, n_instances, duration, conn_rate,

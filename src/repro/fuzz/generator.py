@@ -27,7 +27,7 @@ __all__ = ["Scenario", "generate_scenarios", "random_plan",
 DEFAULT_MODES: Tuple[str, ...] = (
     "hermes", "exclusive", "reuseport", "prequal", "splice")
 
-#: Modes fleet scenarios draw from (``build_fleet``-supported paths).
+#: Modes fleet scenarios draw from (what a ``fleet_instance`` supports).
 FLEET_MODES: Tuple[str, ...] = ("hermes", "reuseport", "exclusive")
 
 #: Single-device fault kinds that arm against any mode.

@@ -70,7 +70,7 @@ def build_scenario_trace(scenario: Scenario,
 def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     """Execute one scenario with monitors, oracles, and faults armed."""
     from ..faults.injector import FaultInjector
-    from ..fleet import build_fleet
+    from ..fleet import Fleet, fleet_instance
     from ..kernel.nic import Nic
     from ..lb.server import LBServer, NotificationMode
     from ..obs import FlightRecorder, Tracer
@@ -82,22 +82,25 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     tracer = Tracer(env, recorder=recorder, keep_events=False)
     trace = build_scenario_trace(scenario, registry)
     hash_seed = registry.stream("hash").randrange(2 ** 32)
+    ports = _trace_ports(trace)
 
     fleet = None
     monitors = []
     if scenario.is_fleet:
-        fleet = build_fleet(env, scenario.n_instances, scenario.n_workers,
-                            ports=_trace_ports(trace),
-                            mode=scenario.mode, policy=scenario.policy,
-                            hash_seed=hash_seed, tracer=tracer)
+        fleet = Fleet(env, [fleet_instance(env, index, hash_seed,
+                                           n_workers=scenario.n_workers,
+                                           ports=ports, mode=scenario.mode,
+                                           tracer=tracer)
+                            for index in range(scenario.n_instances)],
+                      policy=scenario.policy, hash_seed=hash_seed,
+                      tracer=tracer)
         fleet.start()
         target: Any = fleet
         pcc = watch_fleet(fleet)
         monitors = [watch(instance) for instance in fleet.instances]
         drill_host = fleet.instances[0]
     else:
-        server = LBServer(env, n_workers=scenario.n_workers,
-                          ports=_trace_ports(trace),
+        server = LBServer(env, n_workers=scenario.n_workers, ports=ports,
                           mode=NotificationMode(scenario.mode),
                           hash_seed=hash_seed,
                           nic=Nic(n_queues=scenario.n_workers,

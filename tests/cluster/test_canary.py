@@ -1,6 +1,7 @@
 """Tests for canary releases."""
 
-from repro.cluster import CanaryRelease, LBCluster
+from repro.cluster import CanaryRelease
+from repro.fleet import Fleet
 from repro.kernel import Connection, FourTuple
 from repro.lb import LBServer, NotificationMode
 from repro.sim import Environment
@@ -13,20 +14,20 @@ def setup(n_old=3):
            for i in range(n_old)]
     for d in old:
         d.start()
-    cluster = LBCluster(env, old)
+    fleet = Fleet(env, old)
 
     def make_new(index):
         device = LBServer(env, n_workers=2, ports=[443],
                           mode=NotificationMode.HERMES, name=f"new{index}")
         return device
 
-    return env, cluster, old, make_new
+    return env, fleet, old, make_new
 
 
 class TestRollout:
     def test_full_replacement(self):
-        env, cluster, old, make_new = setup()
-        canary = CanaryRelease(env, cluster, old, make_new,
+        env, fleet, old, make_new = setup()
+        canary = CanaryRelease(fleet, old, make_new,
                                batch_size=1, batch_interval=0.5,
                                drain_poll=0.1)
         canary.start()
@@ -35,11 +36,11 @@ class TestRollout:
         assert len(canary.new_devices) == 3
         assert canary.retired == old
         assert all(d.mode is NotificationMode.HERMES
-                   for d in cluster.devices)
+                   for d in fleet.instances)
 
     def test_fraction_new_rises(self):
-        env, cluster, old, make_new = setup()
-        canary = CanaryRelease(env, cluster, old, make_new,
+        env, fleet, old, make_new = setup()
+        canary = CanaryRelease(fleet, old, make_new,
                                batch_size=1, batch_interval=1.0,
                                drain_poll=0.2)
         canary.start()
@@ -51,12 +52,12 @@ class TestRollout:
         assert fractions[-1] == 1.0
 
     def test_drain_blocks_retirement(self):
-        env, cluster, old, make_new = setup(n_old=1)
+        env, fleet, old, make_new = setup(n_old=1)
         # Plant a long-lived connection on the old device.
         conn = Connection(FourTuple(1, 2, 3, 443), created_time=0.0)
-        cluster.connect(conn)
+        fleet.connect(conn)
         env.run(until=0.2)
-        canary = CanaryRelease(env, cluster, old, make_new,
+        canary = CanaryRelease(fleet, old, make_new,
                                batch_size=1, batch_interval=0.2,
                                drain_poll=0.1)
         canary.start()
@@ -67,8 +68,8 @@ class TestRollout:
         assert canary.rollout_complete
 
     def test_new_devices_receive_traffic_after_rollout(self):
-        env, cluster, old, make_new = setup()
-        canary = CanaryRelease(env, cluster, old, make_new,
+        env, fleet, old, make_new = setup()
+        canary = CanaryRelease(fleet, old, make_new,
                                batch_size=3, batch_interval=0.1,
                                drain_poll=0.1)
         canary.start()
@@ -76,7 +77,7 @@ class TestRollout:
         conns = [Connection(FourTuple(i, 40000 + i, 9, 443),
                             created_time=env.now) for i in range(20)]
         for c in conns:
-            cluster.connect(c)
+            fleet.connect(c)
         env.run(until=2.0)
         for c in conns:
-            assert cluster.device_for(c) in canary.new_devices
+            assert fleet.instance_for(c) in canary.new_devices

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.cell import Cell
 from repro.check.runner import run_monitored_fleet
-from repro.cluster import CanaryRelease, LBCluster
-from repro.fleet import Fleet, aggregate_metrics, build_fleet
+from repro.cluster import CanaryRelease
+from repro.faults import FaultArmError
+from repro.fleet import (Fleet, aggregate_metrics, build_fleet, fleet_faults,
+                         fleet_instance)
+from repro.fleet.sharded import fleet_spec
 from repro.kernel import Connection, FourTuple
 from repro.lb import LBServer, NotificationMode
 from repro.sim import Environment
@@ -15,11 +19,14 @@ def conn(i=0):
                                 0xC0A80001, 443), created_time=0.0)
 
 
-def small_fleet(policy="stateless", n_instances=3, **kwargs):
+def small_fleet(policy="stateless", n_instances=3, hash_seed=0x5eed,
+                **kwargs):
     env = Environment()
-    fleet = build_fleet(env, n_instances, 2, ports=[443],
-                        mode=NotificationMode.HERMES, policy=policy,
-                        **kwargs)
+    instances = [fleet_instance(env, index, hash_seed, n_workers=2,
+                                ports=[443], mode=NotificationMode.HERMES)
+                 for index in range(n_instances)]
+    fleet = Fleet(env, instances, policy=policy, hash_seed=hash_seed,
+                  **kwargs)
     fleet.start()
     return env, fleet
 
@@ -105,11 +112,22 @@ class TestFleetMechanics:
         assert [inst.name for inst in fleet.instances] == \
             [f"lb{i}" for i in range(4)]
 
-    def test_instances_needed_reuses_autoscale_model(self):
-        env, fleet = small_fleet()
-        few = fleet.instances_needed(100_000.0)
-        many = fleet.instances_needed(1_000_000.0)
-        assert 0 < few < many
+    def test_build_fleet_returns_an_unrun_cell(self):
+        cell = build_fleet(fleet_spec(1.0, 150.0), "hermes", 31,
+                           n_instances=2, n_workers=2, policy="stateless",
+                           ingress="ecmp")
+        assert isinstance(cell, Cell) and isinstance(cell.server, Fleet)
+        assert cell.injector is None
+        assert cell.env.now == 0.0
+        assert [inst.name for inst in cell.server.instances] == \
+            ["lb0", "lb1"]
+
+    def test_churn_the_fleet_cannot_honour_is_refused_at_arm_time(self):
+        faults = fleet_faults(31, churn_at=0.6, churn_k=8)
+        with pytest.raises(FaultArmError, match="churn size"):
+            build_fleet(fleet_spec(1.0, 150.0), "hermes", 31,
+                        n_instances=2, n_workers=2, policy="stateless",
+                        ingress="ecmp", faults=faults)
 
 
 class TestCanaryReuse:
@@ -121,13 +139,13 @@ class TestCanaryReuse:
                             mode=NotificationMode.HERMES,
                             name=f"new{index}")
 
-        release = fleet.rolling_canary(make_new, batch_size=1,
-                                       batch_interval=0.5, drain_poll=0.1)
-        assert isinstance(release, CanaryRelease)
+        release = CanaryRelease(fleet, list(fleet.active_instances),
+                                make_new, batch_size=1, batch_interval=0.5,
+                                drain_poll=0.1)
         release.start()
         env.run(until=5.0)
         assert release.rollout_complete
-        assert {d.name for d in fleet.cluster.devices} == \
+        assert {d.name for d in fleet.instances} == \
             {"new0", "new1", "new2"}
 
 
@@ -150,8 +168,8 @@ class TestAggregatesAndShims:
                    for i in range(2)]
         for d in devices:
             d.start()
-        cluster = LBCluster(env, devices)
-        summary = aggregate_metrics(cluster.devices)
+        fleet = Fleet(env, devices)
+        summary = aggregate_metrics(fleet.instances)
         assert summary["completed"] == 0
         assert summary["throughput_rps"] == 0.0
         assert summary["instances"] == 2

@@ -39,7 +39,7 @@ names = st.lists(st.integers(min_value=0, max_value=50).map(lambda i: f"lb{i}"),
 
 class TestEcmp:
     def test_matches_kernel_spray(self):
-        # Bit-identical to the historical LBCluster inline spray.
+        # Bit-identical to the kernel-style inline flow-hash spray.
         ingress = EcmpIngress(hash_seed=1234)
         active = [FakeInstance(f"lb{i}") for i in range(5)]
         for i in range(200):
@@ -131,7 +131,7 @@ class TestRing:
     @given(flows, seeds)
     def test_single_instance_agrees_with_ecmp(self, ft, seed):
         # With one instance there is nothing to choose: every policy must
-        # land on it (the fleet degenerates to a plain LBCluster).
+        # land on it (the fleet degenerates to a single device).
         only = [FakeInstance("solo")]
         assert ConsistentHashRing(hash_seed=seed).pick(ft, only) is only[0]
         assert EcmpIngress(seed).pick(ft, only) is only[0]

@@ -170,6 +170,16 @@ class TestRefusals:
         with pytest.raises(ValueError, match="duration"):
             _doc(duration=duration)
 
+    @pytest.mark.parametrize("churn_k", [0, 8])
+    def test_churn_that_cannot_be_honoured_refused_before_any_shard(
+            self, churn_k, monkeypatch):
+        def no_shard(payload):
+            raise AssertionError("a shard ran")
+
+        monkeypatch.setattr("repro.fleet.sharded.run_shard", no_shard)
+        with pytest.raises(ValueError, match="churn size"):
+            _doc(churn_k=churn_k)
+
 
 class TestMergeSemantics:
     def test_counters_sum_and_elapsed_maxes(self):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import argparse
+import hashlib
 import importlib
 import json
 import pathlib
@@ -515,6 +516,29 @@ class TestFleetCommand:
         assert stateless["migrated"] > 0
         assert stateless["pcc_violations"] == 0
 
+    #: SHA-256 of the unsharded ``--out`` document, per extra argument set.
+    PINS = {
+        "check": ("--check",
+                  "1c26fb3d16a40d4645ab4bb760deec1f"
+                  "3da9be39b665bc2903e7e7714fb39cb7"),
+        "stateful-crash-ring-bounded": (
+            "--policy stateful --crash-at 0.9 --ingress ring_bounded",
+            "ac6287cc5aa0e15f49479f298fd94f0d"
+            "d248118f197dfe1b87f2b73864dd367a"),
+        "exclusive-check": ("--mode exclusive --check",
+                            "f7be0f8e5aa4b531ea07c529a1e1e363"
+                            "0cb35d936098ebcdb19f36514dda8457"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_unsharded_document_is_pinned(self, capsys, tmp_path, name):
+        extra, digest = self.PINS[name]
+        path = tmp_path / "fleet.json"
+        rc = main(self.SMALL + extra.split() + ["--out", str(path)])
+        capsys.readouterr()
+        assert rc == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_sharded_output_is_identical_across_jobs(self, tmp_path, capsys):
         outputs = []
         for jobs in ("1", "2"):
@@ -528,14 +552,22 @@ class TestFleetCommand:
 
     @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]],
                              ids=["unsharded", "sharded"])
-    @pytest.mark.parametrize("bad", [["--rate", "0"], ["--rate", "-5"],
-                                     ["--duration", "0"]],
-                             ids=["rate0", "rate-5", "duration0"])
+    @pytest.mark.parametrize("bad, message", [
+        (["--rate", "0"], "must be finite and > 0"),
+        (["--rate", "-5"], "must be finite and > 0"),
+        (["--duration", "0"], "must be finite and > 0"),
+        (["--churn-k", "8"], "churn size must be in [1, 8), got 8"),
+        (["--crash-at", "0.9", "--detect-delay", "-1"],
+         "detect_delay must be >= 0"),
+    ], ids=["rate0", "rate-5", "duration0", "churn-k8", "detect-delay-1"])
     def test_rate_or_duration_that_cannot_be_honoured_exits_1(
-            self, capsys, bad, jobs):
+            self, capsys, bad, message, jobs):
+        # Every input the fleet cannot honour is refused before it runs.
         rc = main(["fleet", "--instances", "2"] + bad + jobs)
+        err = capsys.readouterr().err
         assert rc == 1
-        assert "must be finite and > 0" in capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
 
     def test_sharded_crash_is_refused(self, capsys):
         rc = main(["fleet", "--jobs", "2", "--crash-at", "0.9"])

@@ -257,16 +257,15 @@ LBSERVER_CALLS = {
     "cell.py": (1, "build_cell, the builder itself"),
     "experiments/appc.py": (2, "multi-device: the sandbox and phased-scaling "
                                "fleets"),
-    "experiments/fig11.py": (1, "multi-device: the old and new device "
-                                "clusters"),
+    "experiments/fig11.py": (1, "multi-device: the old and new devices of "
+                                "one canary-released fleet"),
     "experiments/figa4.py": (1, "no generator: five hand-placed requests "
                                 "on a fixed hash seed"),
     "experiments/isolation.py": (1, "listens on two tenants' ports while "
                                     "each generator's spec names one"),
     "experiments/pool_capacity.py": (1, "no generator: connections fed by "
                                         "hand"),
-    "fleet/fleet.py": (1, "build_fleet: one server per fleet instance"),
-    "fleet/sharded.py": (1, "run_shard: one server per shard process"),
+    "fleet/fleet.py": (1, "fleet_instance: every fleet instance"),
     "fuzz/runner.py": (1, "traffic is a TraceReplayer, not a generator"),
 }
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kernel.tcp import Request
 from repro.sim import RngRegistry
+from repro.sim.rng import Stream
 from repro.workloads import FixedFactory, QuantileSampler, RequestFactory
 from repro.workloads.cases import CASES
 from repro.workloads.regions import REGIONS
@@ -99,6 +100,20 @@ class TestBuildMatchesReference:
                 assert factory.build(fast, tenant_id=i % 3) \
                     == reference_build(factory, slow, tenant_id=i % 3)
                 assert fast.getstate() == slow.getstate()
+
+
+class TestRandbelowPin:
+    """``RequestFactory.build`` calls the private ``Stream._randbelow``;
+    pin it to the public ``randint`` it stands in for."""
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+           span=st.integers(min_value=1, max_value=2 ** 32),
+           draws=st.integers(min_value=1, max_value=20))
+    def test_randbelow_matches_randint(self, seed, span, draws):
+        fast, slow = Stream(seed), Stream(seed)
+        assert [fast._randbelow(span) for _ in range(draws)] \
+            == [slow.randint(0, span - 1) for _ in range(draws)]
+        assert fast.getstate() == slow.getstate()
 
 
 class TestQuantileSampler:
