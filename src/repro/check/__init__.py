@@ -12,8 +12,10 @@ Four layers of defence for the repo's bit-identical-reproduction claim:
 - :mod:`.golden` — SHA-256 fingerprints of seeded runs' canonical JSON,
   pinned by ``tests/test_determinism_golden.py``.
 
-All of it is opt-in: an unchecked run executes zero instructions from
-this package.
+All of it is opt-in: an unchecked run neither imports this package nor
+executes any of its instructions.  Callers import it inside the branch
+that arms a check; ``tests/test_fanout.py`` pins this for a serial
+sharded fleet.
 """
 
 from .invariants import InvariantMonitor, InvariantViolation, watch

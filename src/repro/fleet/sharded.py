@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..fanout import fan_out
 from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, ConnState
 from ..sim.engine import Environment
@@ -246,10 +246,6 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     :func:`fleet_arrivals`, and counts the rest of
     ``payload["total_arrivals"]`` as foreign.
     """
-    from ..check.invariants import watch
-    from ..check.pcc import watch_fleet
-    from ..obs import FlightRecorder, Tracer
-
     shard_index = payload["shard_index"]
     n_instances = payload["n_instances"]
     seed = payload["seed"]
@@ -270,6 +266,8 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         tracer = None
         recorder = None
         if keep_trace or check:
+            from ..obs import FlightRecorder, Tracer
+
             recorder = FlightRecorder(capacity=256)
             tracer = Tracer(env, recorder=recorder, keep_events=keep_trace)
         ingress = ShardIngress(ingress_policy, fleet_hash_seed, n_instances,
@@ -285,6 +283,9 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         pcc = None
         monitors = []
         if check:
+            from ..check.invariants import watch
+            from ..check.pcc import watch_fleet
+
             pcc = watch_fleet(fleet)
             monitors = [watch(instance)]
         gen = _ShardedTrafficGenerator(
@@ -392,9 +393,10 @@ def run_sharded_fleet(policy: str = "stateless", n_instances: int = 4,
                       keep_trace: bool = False) -> Dict[str, Any]:
     """Run a fleet as ``n_instances`` independent shards, then merge.
 
-    ``jobs=1`` runs every shard serially in this process; ``jobs>1``
-    fans shards across a :class:`ProcessPoolExecutor`.  Output is
-    byte-identical either way (slot-indexed collection, enumeration-
+    Shards run through :func:`repro.fanout.fan_out`: ``jobs=1`` runs
+    them serially in this process, reclaiming each finished shard before
+    the next starts; ``jobs>1`` fans them across a process pool.  Output
+    is byte-identical either way (slot-indexed collection, enumeration-
     order merge).  The arrival stream is drawn once, here, and each
     shard's payload carries only its own slice.
     """
@@ -426,17 +428,7 @@ def run_sharded_fleet(policy: str = "stateless", n_instances: int = 4,
         }
         for index in range(n_instances)
     ]
-    results: List[Optional[Dict[str, Any]]] = [None] * n_instances
-    if jobs == 1 or n_instances == 1:
-        for index, payload in enumerate(payloads):
-            results[index] = run_shard(payload)
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_instances)) as pool:
-            futures = {pool.submit(run_shard, payload): index
-                       for index, payload in enumerate(payloads)}
-            for future, index in futures.items():
-                results[index] = future.result()
-    merged = merge_shards([doc for doc in results if doc is not None])
+    merged = merge_shards(fan_out(run_shard, payloads, jobs))
     merged["policy"] = policy
     merged["ingress"] = ingress
     merged["seed"] = seed

@@ -13,14 +13,11 @@ to the serial order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..check.invariants import InvariantViolation, watch
-from ..check.oracles import OracleMismatch, live_oracles
-from ..check.pcc import watch_fleet
 from ..experiments.registry import CellSpec, normalize_doc
+from ..fanout import fan_out
 from ..sim.rng import RngRegistry
 from ..sweep.fingerprint import code_fingerprint
 from ..workloads.library import build_family_trace
@@ -69,6 +66,9 @@ def build_scenario_trace(scenario: Scenario,
 
 def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     """Execute one scenario with monitors, oracles, and faults armed."""
+    from ..check.invariants import InvariantViolation, watch
+    from ..check.oracles import OracleMismatch, live_oracles
+    from ..check.pcc import watch_fleet
     from ..faults.injector import FaultInjector
     from ..fleet import Fleet, fleet_instance
     from ..kernel.nic import Nic
@@ -180,7 +180,8 @@ def _trace_ports(trace: Trace) -> List[int]:
 
 
 def _execute_scenario(payload: dict) -> Dict[str, Any]:
-    """Process-pool entry point: rebuild the scenario and run it."""
+    """Fan-out entry point, serial or pooled: rebuild the scenario from
+    its dict and run it."""
     return run_scenario(Scenario.from_dict(payload))
 
 
@@ -242,41 +243,22 @@ def run_fuzz(budget: int, seed: int = 7, jobs: int = 1,
     report = FuzzReport(seed=seed, budget=budget)
     fingerprint = code_fingerprint() if cache is not None else ""
 
-    def cached_run(scenario: Scenario) -> Optional[Dict[str, Any]]:
-        """Cache lookup; None = miss (caller must execute)."""
-        if cache is None:
-            return None
-        cell = _scenario_cell(scenario)
-        return cache.get(cache.key_for(cell, fingerprint))
+    cells = [_scenario_cell(scenario) for scenario in scenarios]
+    docs: List[Optional[Dict[str, Any]]] = [
+        None if cache is None else cache.get(cache.key_for(cell, fingerprint))
+        for cell in cells]
+    pending = [index for index, doc in enumerate(docs) if doc is None]
 
-    def store(scenario: Scenario, doc: Dict[str, Any]) -> None:
+    def finish(slot: int, doc: Dict[str, Any]) -> None:
+        index = pending[slot]
+        docs[index] = doc
         if cache is not None:
-            cell = _scenario_cell(scenario)
-            cache.put(cache.key_for(cell, fingerprint), cell, doc)
+            cache.put(cache.key_for(cells[index], fingerprint), cells[index],
+                      doc)
 
-    docs: List[Optional[Dict[str, Any]]] = [None] * len(scenarios)
-    pending: List[int] = []
-    for index, scenario in enumerate(scenarios):
-        hit = cached_run(scenario)
-        if hit is not None:
-            docs[index] = hit
-        else:
-            pending.append(index)
-
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_execute_scenario,
-                            scenarios[index].to_dict()): index
-                for index in pending}
-            for future in as_completed(futures):
-                index = futures[future]
-                docs[index] = future.result()
-                store(scenarios[index], docs[index])
-    else:
-        for index in pending:
-            docs[index] = run_scenario(scenarios[index])
-            store(scenarios[index], docs[index])
+    fan_out(_execute_scenario,
+            [scenarios[index].to_dict() for index in pending], jobs,
+            on_done=finish)
 
     for index, scenario in enumerate(scenarios):
         doc = docs[index]

@@ -3,9 +3,10 @@
 ``run_sweep`` decomposes an experiment (via its registered
 :class:`~repro.experiments.registry.ExperimentSpec`) into independent
 seeded cells, satisfies as many as possible from the
-:class:`~repro.sweep.cache.CellCache`, executes the rest across a
-``ProcessPoolExecutor``, and merges the documents **in enumeration
-order**.
+:class:`~repro.sweep.cache.CellCache`, executes the rest through
+:func:`repro.fanout.fan_out` (serially with ``jobs=1``, else across a
+process pool of at most one worker per pending cell), and merges the
+documents **in enumeration order**.
 
 The determinism contract carried over from the fast-path PR: the merged
 output of ``--jobs N`` is byte-identical to ``--jobs 1``.  Three
@@ -28,13 +29,12 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..experiments import registry as _registry
 from ..experiments.registry import CellSpec, normalize_doc
+from ..fanout import fan_out
 from .cache import DEFAULT_CACHE_DIR, CellCache
 from .fingerprint import code_fingerprint
 
@@ -162,7 +162,7 @@ def run_sweep(experiment: str,
         experiment's registered default (so results match the legacy
         ``run_*`` entry point byte for byte).
     jobs:
-        Worker processes.  ``1`` runs in-process (no pool).
+        Worker processes.  ``1`` runs in-process (no pool is loaded).
     cache:
         ``None`` disables memoization; ``True`` uses the default cache
         dir; a path or :class:`CellCache` selects one explicitly.
@@ -207,7 +207,6 @@ def run_sweep(experiment: str,
 
     docs: List[Optional[Dict[str, Any]]] = [None] * len(cells)
     seconds: List[float] = [0.0] * len(cells)
-    cached_flags: List[bool] = [False] * len(cells)
     keys: List[Optional[str]] = [None] * len(cells)
     pending: List[int] = []
     for index, cell in enumerate(cells):
@@ -217,51 +216,35 @@ def run_sweep(experiment: str,
                 doc = store.get(keys[index])
                 if doc is not None:
                     docs[index] = normalize_doc(doc)
-                    cached_flags[index] = True
                     emit("sweep.cell.done", key=cell.key, cached=True,
                          seconds=0.0)
                     continue
         pending.append(index)
 
-    def finish(index: int, doc: Dict[str, Any], elapsed: float) -> None:
-        docs[index] = doc
-        seconds[index] = elapsed
-        if store is not None and keys[index] is not None:
-            store.put(keys[index], cells[index], doc)
+    def finish(slot: int, result: Tuple[str, Dict[str, Any], float]
+               ) -> None:
+        index = pending[slot]
+        _key, docs[index], seconds[index] = result
+        if store is not None:
+            store.put(keys[index], cells[index], docs[index])
         emit("sweep.cell.done", key=cells[index].key, cached=False,
-             seconds=round(elapsed, 6))
+             seconds=round(seconds[index], 6))
 
-    if pending and jobs > 1:
-        payloads = {
-            index: (experiment, cells[index].key,
-                    dict(cells[index].params), cells[index].seed, check)
-            for index in pending
-        }
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_execute_cell, payloads[index]): index
-                       for index in pending}
-            for future in as_completed(futures):
-                index = futures[future]
-                _key, doc, elapsed = future.result()
-                finish(index, doc, elapsed)
-    else:
-        for index in pending:
-            _key, doc, elapsed = _execute_cell(
-                (experiment, cells[index].key, dict(cells[index].params),
-                 cells[index].seed, check))
-            finish(index, doc, elapsed)
+    fan_out(_execute_cell,
+            [(experiment, cells[index].key, dict(cells[index].params),
+              cells[index].seed, check) for index in pending],
+            jobs, on_done=finish)
 
     # Merge strictly in enumeration order: worker completion order (and
     # which cells were memoized) must never reach the merged document.
-    merged = spec.merge(cells, [doc for doc in docs if doc is not None]
-                        if all(doc is not None for doc in docs)
-                        else docs)  # type: ignore[arg-type]
+    merged = spec.merge(cells, docs)  # type: ignore[arg-type]
     wall = time.perf_counter() - start
     emit("sweep.done", experiment=experiment, cells=len(cells),
          executed=len(pending), seconds=round(wall, 6))
+    executed = set(pending)
     runs = tuple(
         CellRun(cell=cell, doc=docs[index],  # type: ignore[arg-type]
-                cached=cached_flags[index], seconds=seconds[index])
+                cached=index not in executed, seconds=seconds[index])
         for index, cell in enumerate(cells))
     return SweepResult(
         experiment=experiment, seed=resolved_seed, jobs=jobs, runs=runs,

@@ -1,6 +1,7 @@
 """Scenario generation: determinism, validity, serialization."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.faults import FaultPlan
 from repro.faults.plan import FLEET_KINDS, FaultKind
@@ -87,6 +88,18 @@ class TestSerialization:
         for scenario in generate_scenarios(10, seed=17):
             clone = Scenario.from_dict(scenario.to_dict())
             assert clone.to_dict() == scenario.to_dict()
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @given(seed=st.integers(0, 2 ** 31),
+           drill=st.sampled_from([None, "corrupt_bitmap"]),
+           fleet_fraction=st.sampled_from([0.0, 1.0]))
+    def test_round_trip_property(self, family, seed, drill, fleet_fraction):
+        # The fan-out ships every scenario as its dict, pooled or not.
+        for scenario in generate_scenarios(
+                3, seed=seed, families=[family], drill=drill,
+                fleet_fraction=fleet_fraction):
+            doc = scenario.to_dict()
+            assert Scenario.from_dict(doc).to_dict() == doc
 
     def test_drill_propagates(self):
         scenarios = generate_scenarios(3, seed=7, drill="corrupt_bitmap")
