@@ -130,15 +130,15 @@ class ConnSocket:
     Readability is level-triggered on the count of undelivered events the
     connection holds (incoming request data, FIN, errors).  The owning
     worker's epoll instance registers a non-exclusive entry on
-    ``wait_queue``.
+    ``wait_queue``.  The connection owns its fd and the fd holds no
+    reference back, so a finished flow is freed by refcount.
     """
 
     _next_fd = 1000
 
-    def __init__(self, connection: "Connection"):
+    def __init__(self):
         ConnSocket._next_fd += 1
         self.fd = ConnSocket._next_fd
-        self.connection = connection
         self.wait_queue = WaitQueue()
         #: Number of readable events not yet returned to userspace.
         self._pending_events = 0

@@ -174,7 +174,7 @@ class Connection:
         self.state = ConnState.ACCEPTED
         self.worker = worker
         self.accepted_time = now
-        self.fd = ConnSocket(self)
+        self.fd = ConnSocket()
         pending_units = sum(
             request.n_events - request.next_event for request in self.inbox)
         if pending_units:

@@ -544,6 +544,14 @@ class Process(Event):
                     return
 
     def _finalize(self, ok: bool, value: Any) -> None:
+        # A finished process must be freed by refcount, not by the cyclic
+        # GC: drop the bound method that refers back to it and, on a
+        # failure, the traceback entry of the engine frame that caught the
+        # exception (its locals hold this process).  The generator's own
+        # frames stay on the traceback.
+        self._resumer = None
+        if not ok and value.__traceback__ is not None:
+            value.__traceback__ = value.__traceback__.tb_next
         self._ok = ok
         self._value = value
         env = self.env
@@ -572,6 +580,8 @@ class _Condition(Event):
         if not self.events:
             self.succeed({})
             return
+        # The bound checker refers back to this condition; resolving it
+        # drops the slot, so a resolved condition is freed by refcount.
         checker = self._checker = self._check
         for event in self.events:
             if event.callbacks is None or event._processed:
@@ -592,15 +602,18 @@ class _Condition(Event):
         if self._value is not _PENDING:
             return
         if not event._ok:
+            self._checker = None
             self.fail(event._value)
             return
         done = self._done + 1
         self._done = done
         if self._satisfied(done, len(self.events)):
+            self._checker = None
             self.succeed(self._collect())
 
     def _evaluate(self, final: bool = False) -> None:
         if self._satisfied(self._done, len(self.events)):
+            self._checker = None
             self.succeed(self._collect())
         elif final:
             raise SimulationError("condition can never be satisfied")

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import gc
+import traceback
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -213,7 +215,7 @@ def test_interrupt_dead_process_rejected():
 
     p = env.process(quick(env))
     env.run()
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="terminated"):
         p.interrupt()
 
 
@@ -831,3 +833,65 @@ def test_callback_pool_does_not_change_the_run(monkeypatch):
     pooled = _drive_mixed([0.0105, 0.3])
     monkeypatch.setattr(engine, "_POOL_LIMIT", 0)
     assert _drive_mixed([0.0105, 0.3]) == pooled
+
+
+# -- reclamation: finished processes and resolved conditions hold no cycle --
+
+def _returns(env):
+    yield env.timeout(1)
+    return "done"
+
+
+def _raises(env):
+    yield env.timeout(1)
+    raise RuntimeError("kaboom")
+
+
+@pytest.mark.parametrize("until", [None, 10.0], ids=["run", "run_until"])
+@pytest.mark.parametrize("body", [_returns, _raises])
+def test_finished_process_is_freed_by_refcount(body, until):
+    # Process has __slots__ and no __weakref__; it alone owns its
+    # generator, so the generator's weakref tracks the process.
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        generator = body(env)
+        probe = weakref.ref(generator)
+        env.process(generator)
+        del generator
+        env.run(until=until)
+        assert probe() is None
+    finally:
+        gc.enable()
+
+
+def test_failed_process_keeps_its_generator_frames_on_the_traceback():
+    env = Environment()
+    p = env.process(_raises(env))
+    env.run()
+    names = [frame.f_code.co_name
+             for frame, _line in traceback.walk_tb(p.value.__traceback__)]
+    assert names == ["_raises"]
+
+
+class _Token:
+    """A weakref-able value; the resolved condition's value dict holds it."""
+
+
+def test_resolved_any_of_is_freed_once_its_late_sub_event_fires():
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        value = _Token()
+        probe = weakref.ref(value)
+        fast, slow = env.timeout(1, value), env.timeout(5, "slow")
+        AnyOf(env, [fast, slow])
+        del value, fast, slow
+        env.run(until=2)
+        assert probe() is not None  # the slow sub-event still holds it
+        env.run()
+        assert probe() is None
+    finally:
+        gc.enable()
