@@ -15,11 +15,7 @@ Quickstart::
     print(cell.server.metrics.summary())
 """
 
-from .cell import Cell, build_cell
-from .core import HermesConfig
-from .lb import LBServer, NotificationMode, ServiceProfile
-from .obs import FlightRecorder, Tracer
-from .sim import Environment, RngRegistry
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -36,3 +32,11 @@ __all__ = [
     "__version__",
     "build_cell",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cell": ("Cell", "build_cell"),
+    ".core": ("HermesConfig",),
+    ".lb": ("LBServer", "NotificationMode", "ServiceProfile"),
+    ".obs": ("FlightRecorder", "Tracer"),
+    ".sim": ("Environment", "RngRegistry"),
+})

@@ -1,15 +1,6 @@
 """Analysis helpers: statistics and paper-style reporting."""
 
-from .reporting import mark_effectiveness, render_table
-from .stats import (
-    cdf_points,
-    coefficient_of_variation,
-    jains_fairness,
-    mean,
-    normalize,
-    percentile,
-    population_sd,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "cdf_points",
@@ -22,3 +13,9 @@ __all__ = [
     "population_sd",
     "render_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".reporting": ("mark_effectiveness", "render_table"),
+    ".stats": ("cdf_points", "coefficient_of_variation", "jains_fairness",
+               "mean", "normalize", "percentile", "population_sd"),
+})

@@ -12,28 +12,17 @@ Four layers of defence for the repo's bit-identical-reproduction claim:
 - :mod:`.golden` — SHA-256 fingerprints of seeded runs' canonical JSON,
   pinned by ``tests/test_determinism_golden.py``.
 
-All of it is opt-in: an unchecked run neither imports this package nor
-executes any of its instructions.  Callers import it inside the branch
-that arms a check; ``tests/test_fanout.py`` pins this for a serial
-sharded fleet.
+All of it is opt-in: an unchecked run executes none of its instructions.
+The package's re-exports resolve on first use, so a caller that imports
+:mod:`.invariants` to have ``watch`` at hand loads that one module and
+this file, never the linter, the oracles, the PCC monitor or the
+``repro check`` runner (``tests/test_import_footprint.py`` pins this for
+an unchecked device run).  The library's own callers import it inside
+the branch that arms a check, so a serial sharded fleet does not import
+it at all (``tests/test_fanout.py``).
 """
 
-from .invariants import InvariantMonitor, InvariantViolation, watch
-from .lint import Finding, lint_paths, lint_source
-from .pcc import PccMonitor, watch_fleet
-from .oracles import (
-    OracleMismatch,
-    OracleStats,
-    checked,
-    live_oracles,
-    ref_cascade,
-    ref_find_nth_set_bit,
-    ref_jhash_4tuple,
-    ref_jhash_words,
-    ref_popcount64,
-    ref_reciprocal_scale,
-)
-from .runner import CheckReport, run_check
+from .._lazy import lazy_exports
 
 __all__ = [
     "InvariantMonitor",
@@ -57,3 +46,13 @@ __all__ = [
     "CheckReport",
     "run_check",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".invariants": ("InvariantMonitor", "InvariantViolation", "watch"),
+    ".lint": ("Finding", "lint_paths", "lint_source"),
+    ".pcc": ("PccMonitor", "watch_fleet"),
+    ".oracles": ("OracleMismatch", "OracleStats", "checked", "live_oracles",
+                 "ref_cascade", "ref_find_nth_set_bit", "ref_jhash_4tuple",
+                 "ref_jhash_words", "ref_popcount64", "ref_reciprocal_scale"),
+    ".runner": ("CheckReport", "run_check"),
+})

@@ -1,8 +1,6 @@
 """Cluster layer: canary releases, autoscaling, shuffle sharding."""
 
-from .autoscale import AutoscaleModel, UnitCostPoint, unit_cost_series
-from .canary import CanaryRelease
-from .sharding import ShuffleShardedFleet, TenantPlacement, VMGroup
+from .._lazy import lazy_exports
 
 __all__ = [
     "AutoscaleModel",
@@ -13,3 +11,9 @@ __all__ = [
     "VMGroup",
     "unit_cost_series",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".autoscale": ("AutoscaleModel", "UnitCostPoint", "unit_cost_series"),
+    ".canary": ("CanaryRelease",),
+    ".sharding": ("ShuffleShardedFleet", "TenantPlacement", "VMGroup"),
+})

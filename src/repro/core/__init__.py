@@ -5,24 +5,7 @@ cascading scheduler (Algorithm 1), the eBPF dispatch program (Algorithm 2),
 map emulation, worker grouping, and overhead accounting.
 """
 
-from .bitmap import (
-    WORD_BITS,
-    bit_clear,
-    bit_set,
-    bit_test,
-    bitmap_from_ids,
-    find_nth_set_bit,
-    ids_from_bitmap,
-    popcount64,
-)
-from .config import HermesConfig, OverheadCosts
-from .degradation import ServiceDegrader
-from .dispatch import HermesDispatchProgram
-from .ebpf import BpfArrayMap, BpfError, ReuseportSockArray
-from .groups import GroupedDispatchProgram, HermesGroup, build_groups
-from .overhead import ComponentOverhead, compute_overhead
-from .scheduler import CascadingScheduler, ScheduleResult
-from .wst import WorkerStatusTable, WstSnapshot
+from .._lazy import lazy_exports
 
 __all__ = [
     "BpfArrayMap",
@@ -50,3 +33,17 @@ __all__ = [
     "ids_from_bitmap",
     "popcount64",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bitmap": ("WORD_BITS", "bit_clear", "bit_set", "bit_test",
+                "bitmap_from_ids", "find_nth_set_bit", "ids_from_bitmap",
+                "popcount64"),
+    ".config": ("HermesConfig", "OverheadCosts"),
+    ".degradation": ("ServiceDegrader",),
+    ".dispatch": ("HermesDispatchProgram",),
+    ".ebpf": ("BpfArrayMap", "BpfError", "ReuseportSockArray"),
+    ".groups": ("GroupedDispatchProgram", "HermesGroup", "build_groups"),
+    ".overhead": ("ComponentOverhead", "compute_overhead"),
+    ".scheduler": ("CascadingScheduler", "ScheduleResult"),
+    ".wst": ("WorkerStatusTable", "WstSnapshot"),
+})

@@ -29,7 +29,7 @@ claims of its ``ExperimentSpec.claims``.
 | baselines   | Every notification mode on identical traffic            |
 """
 
-from .common import CellResult, MODES_UNDER_TEST, compare_modes, run_case_cell, run_spec
+from .._lazy import lazy_exports
 
 __all__ = [
     "CellResult",
@@ -38,3 +38,8 @@ __all__ = [
     "run_case_cell",
     "run_spec",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".common": ("CellResult", "MODES_UNDER_TEST", "compare_modes",
+                "run_case_cell", "run_spec"),
+})

@@ -45,8 +45,10 @@ def run_fig45(mode: NotificationMode = NotificationMode.EXCLUSIVE,
     # A mix of small and heavier requests so processing-time CDFs differ.
     spec = build_case_workload("case3", "medium", n_workers=n_workers,
                                duration=duration, ports=(443, 444))
-    server = build_cell(spec, mode, seed, n_workers=n_workers).run(
-        until=duration + 0.5).server
+    cell = build_cell(spec, mode, seed, n_workers=n_workers)
+    for worker in cell.server.workers:
+        worker.epoll.collect_stats = True
+    server = cell.run(until=duration + 0.5).server
 
     timeout = server.config.epoll_timeout
     events_cdf, proc_cdf, block_cdf = {}, {}, {}

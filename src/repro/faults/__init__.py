@@ -23,17 +23,7 @@ The determinism contract: an empty plan arms nothing (bit-identical to no
 injector), and identical plan + seed reproduces identical results.
 """
 
-from .injector import FaultArmError, FaultInjector, inject_hang
-from .plan import FaultKind, FaultPlan, FaultSpec
-from .resilience import (
-    RESILIENCE_MODES,
-    SCENARIOS,
-    ResilienceCell,
-    ResilienceMatrix,
-    render_matrix,
-    run_resilience_cell,
-    run_resilience_matrix,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "FaultArmError",
@@ -50,3 +40,11 @@ __all__ = [
     "run_resilience_cell",
     "run_resilience_matrix",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".injector": ("FaultArmError", "FaultInjector", "inject_hang"),
+    ".plan": ("FaultKind", "FaultPlan", "FaultSpec"),
+    ".resilience": ("RESILIENCE_MODES", "SCENARIOS", "ResilienceCell",
+                    "ResilienceMatrix", "render_matrix",
+                    "run_resilience_cell", "run_resilience_matrix"),
+})

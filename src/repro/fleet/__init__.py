@@ -7,12 +7,7 @@ lookup) and per-connection consistency (PCC) as the correctness bar
 under instance failover and backend churn.
 """
 
-from .fleet import (Fleet, FlowRecord, aggregate_metrics, build_fleet,
-                    check_churn, fleet_faults, fleet_instance)
-from .ingress import (INGRESS_POLICIES, ConsistentHashRing, EcmpIngress,
-                      make_ingress)
-from .lookup import (BackendMap, FleetPolicy, StatefulLookup,
-                     StatelessLookup, make_lookup)
+from .._lazy import lazy_exports
 
 __all__ = [
     "Fleet",
@@ -32,3 +27,12 @@ __all__ = [
     "StatelessLookup",
     "make_lookup",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".fleet": ("Fleet", "FlowRecord", "aggregate_metrics", "build_fleet",
+               "check_churn", "fleet_faults", "fleet_instance"),
+    ".ingress": ("INGRESS_POLICIES", "ConsistentHashRing", "EcmpIngress",
+                 "make_ingress"),
+    ".lookup": ("BackendMap", "FleetPolicy", "StatefulLookup",
+                "StatelessLookup", "make_lookup"),
+})

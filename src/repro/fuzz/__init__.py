@@ -16,9 +16,7 @@ Everything is a pure function of the seed: the same
 list and the same report, byte for byte.
 """
 
-from .generator import Scenario, generate_scenarios, random_plan
-from .runner import FuzzReport, run_fuzz, run_scenario
-from .shrink import register_find, shrink_scenario, violation_signature
+from .._lazy import lazy_exports
 
 __all__ = [
     "FuzzReport",
@@ -31,3 +29,9 @@ __all__ = [
     "shrink_scenario",
     "violation_signature",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".generator": ("Scenario", "generate_scenarios", "random_plan"),
+    ".runner": ("FuzzReport", "run_fuzz", "run_scenario"),
+    ".shrink": ("register_find", "shrink_scenario", "violation_signature"),
+})

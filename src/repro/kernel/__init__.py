@@ -6,21 +6,7 @@ queues, SO_REUSEPORT groups with the eBPF selection hook, flow hashing, and
 NIC RSS.
 """
 
-from .epoll import MAX_EVENTS, Epoll, EpollEvent
-from .hash import FourTuple, jhash_4tuple, jhash_words, reciprocal_scale
-from .nic import Nic, RssPlusPlusBalancer
-from .reuseport import ReuseportContext, ReuseportGroup
-from .socket import (
-    EPOLLERR,
-    EPOLLHUP,
-    EPOLLIN,
-    EPOLLOUT,
-    SOMAXCONN,
-    ConnSocket,
-    ListeningSocket,
-)
-from .tcp import Connection, ConnState, NetStack, PortBinding, Request
-from .waitqueue import WaitEntry, WaitPolicy, WaitQueue
+from .._lazy import lazy_exports
 
 __all__ = [
     "Connection",
@@ -50,3 +36,14 @@ __all__ = [
     "jhash_words",
     "reciprocal_scale",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".epoll": ("MAX_EVENTS", "Epoll", "EpollEvent"),
+    ".hash": ("FourTuple", "jhash_4tuple", "jhash_words", "reciprocal_scale"),
+    ".nic": ("Nic", "RssPlusPlusBalancer"),
+    ".reuseport": ("ReuseportContext", "ReuseportGroup"),
+    ".socket": ("EPOLLERR", "EPOLLHUP", "EPOLLIN", "EPOLLOUT", "SOMAXCONN",
+                "ConnSocket", "ListeningSocket"),
+    ".tcp": ("Connection", "ConnState", "NetStack", "PortBinding", "Request"),
+    ".waitqueue": ("WaitEntry", "WaitPolicy", "WaitQueue"),
+})

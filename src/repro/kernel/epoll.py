@@ -50,7 +50,7 @@ class Epoll:
     """An epoll instance bound to one worker."""
 
     def __init__(self, env: Environment, name: str = "",
-                 collect_stats: bool = True, worker_id: Optional[int] = None,
+                 collect_stats: bool = False, worker_id: Optional[int] = None,
                  tracer=None):
         self.env = env
         self.name = name
@@ -65,6 +65,9 @@ class Epoll:
         self._sleeper: Optional[Event] = None
         self._timed_wait = TimedWait()
         # -- statistics (Figs. 4 & 5) ---------------------------------------
+        #: Record the Fig. 4/5 distributions: this epoll's events per wait
+        #: and blocking times, and its worker's event processing times.
+        #: Off unless a caller that reads them turns it on.
         self.collect_stats = collect_stats
         self.events_per_wait = Samples("events_per_wait")
         self.blocking_times = Samples("blocking_time")

@@ -1,14 +1,6 @@
 """The L7 load-balancer application layer."""
 
-from .backend import BackendPool, BackendServer
-from .dispatcher import DispatcherWorker
-from .metrics import DeviceMetrics, WorkerMetrics, stddev
-from .modes import (ArchitectureSpec, ModeOptions, get_mode, iter_modes,
-                    mode_names, register_mode)
-from .probes import ProbeReport, Prober
-from .server import LBServer, NotificationMode
-from .tenant import Tenant, TenantDirectory
-from .worker import HermesBinding, ServiceProfile, Worker, WorkerState
+from .._lazy import lazy_exports
 
 __all__ = [
     "ArchitectureSpec",
@@ -34,3 +26,15 @@ __all__ = [
     "WorkerState",
     "stddev",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".backend": ("BackendPool", "BackendServer"),
+    ".dispatcher": ("DispatcherWorker",),
+    ".metrics": ("DeviceMetrics", "WorkerMetrics", "stddev"),
+    ".modes": ("ArchitectureSpec", "ModeOptions", "get_mode", "iter_modes",
+               "mode_names", "register_mode"),
+    ".probes": ("ProbeReport", "Prober"),
+    ".server": ("LBServer", "NotificationMode"),
+    ".tenant": ("Tenant", "TenantDirectory"),
+    ".worker": ("HermesBinding", "ServiceProfile", "Worker", "WorkerState"),
+})

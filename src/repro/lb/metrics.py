@@ -9,7 +9,9 @@ event statistics (Figs. 4 & 5), and failure counters.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from array import array
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional
 
 from ..sim.engine import Environment
 from ..sim.monitor import BusyTracker, Samples, TimeWeighted
@@ -42,7 +44,8 @@ class WorkerMetrics:
         #: Flows this worker handed to the kernel splice path
         #: (``repro.splice``); 0 in every other mode.
         self.flows_spliced = 0
-        #: Per-event userspace processing times (Fig. 5a).
+        #: Per-event userspace processing times (Fig. 5a); recorded only
+        #: while the worker's ``epoll.collect_stats`` is on.
         self.event_processing_times = Samples(f"w{worker_id}.event_proc")
 
     @property
@@ -63,10 +66,9 @@ class DeviceMetrics:
         self.workers: Dict[int, WorkerMetrics] = {}
         #: End-to-end request latencies (arrival → response complete).
         self.request_latencies = Samples("latency")
-        #: Per-tenant latency breakdown — the performance-isolation view
-        #: (§1: "preventing worker overload is crucial to preserving
-        #: inter-tenant performance isolation").
-        self.tenant_latencies: Dict[int, Samples] = {}
+        #: The tenant of each ``request_latencies`` sample, index for
+        #: index (-1: none), so each latency is stored once.
+        self._tenants = array("i")
         self.requests_completed = 0
         self.requests_failed = 0
         #: Requests completed on the kernel splice path (a subset of
@@ -84,21 +86,34 @@ class DeviceMetrics:
     def record_request(self, latency: float, worker_id: int,
                        tenant_id: Optional[int] = None) -> None:
         self.request_latencies.add(latency)
+        # Negative tenant ids are infrastructure (health probes).
+        self._tenants.append(
+            tenant_id if tenant_id is not None and tenant_id >= 0 else -1)
         self.requests_completed += 1
         worker = self.workers.get(worker_id)
         if worker is not None:
             worker.requests_completed += 1
-        if tenant_id is not None and tenant_id >= 0:
-            # Negative tenant ids are infrastructure (health probes).
-            samples = self.tenant_latencies.get(tenant_id)
-            if samples is None:
-                samples = Samples(f"tenant{tenant_id}.latency")
-                self.tenant_latencies[tenant_id] = samples
-            samples.add(latency)
 
-    def tenant_p99(self, tenant_id: int) -> float:
-        samples = self.tenant_latencies.get(tenant_id)
-        return samples.p99 if samples is not None else 0.0
+    @property
+    def tenant_latencies(self) -> Mapping[int, Samples]:
+        """Per-tenant latency breakdown — the performance-isolation view
+        (§1: "preventing worker overload is crucial to preserving
+        inter-tenant performance isolation").
+
+        Built on each read from the latency and tenant columns: tenants in
+        order of first completion, each tenant's latencies in completion
+        order.
+        """
+        view: Dict[int, Samples] = {}
+        for tenant, latency in zip(self._tenants,
+                                   self.request_latencies.values):
+            if tenant >= 0:
+                samples = view.get(tenant)
+                if samples is None:
+                    samples = view[tenant] = Samples(
+                        f"tenant{tenant}.latency")
+                samples.add(latency)
+        return MappingProxyType(view)
 
     def record_failure(self) -> None:
         self.requests_failed += 1

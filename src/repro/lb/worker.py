@@ -449,7 +449,8 @@ class Worker:
         cpu.end()
         request.next_event += 1
         self.metrics.events_processed += 1
-        self.metrics.event_processing_times.add(service)
+        if self.epoll.collect_stats:
+            self.metrics.event_processing_times.add(service)
         if tracer is not None:
             tracer.end("request.service", "worker", worker=self.worker_id,
                        conn=conn.id, request=rid)

@@ -21,29 +21,7 @@ defaulting to ``None``, and a ``None`` tracer leaves the simulated system
 bit-identical to an uninstrumented run (no RNG draws, no scheduled events).
 """
 
-from .context import TraceContext
-from .recorder import FlightRecorder
-from .export import (
-    event_to_dict,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .timeline import (
-    RequestTimeline,
-    build_timelines,
-    summarize_timelines,
-)
-from .trace import (
-    CAT_FAULT,
-    CAT_KERNEL,
-    CAT_NET,
-    CAT_SCHED,
-    CAT_SWEEP,
-    CAT_WORKER,
-    TraceEvent,
-    Tracer,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "CAT_FAULT",
@@ -64,3 +42,13 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".context": ("TraceContext",),
+    ".recorder": ("FlightRecorder",),
+    ".export": ("event_to_dict", "to_chrome_trace", "write_chrome_trace",
+                "write_jsonl"),
+    ".timeline": ("RequestTimeline", "build_timelines", "summarize_timelines"),
+    ".trace": ("CAT_FAULT", "CAT_KERNEL", "CAT_NET", "CAT_SCHED",
+               "CAT_SWEEP", "CAT_WORKER", "TraceEvent", "Tracer"),
+})

@@ -15,13 +15,14 @@ paper are documented in ``docs/API.md``.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
+from .._lazy import lazy_exports
 from ..sim.rng import Stream
-from .config import POLICIES, PrequalConfig, config_from_overrides
-from .dispatch import PrequalDispatchProgram, PrequalState
-from .pool import ProbePool, ProbeSample
-from .probes import PrequalProber
-from .selector import PrequalDecision, PrequalSelector
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .config import PrequalConfig
+    from .dispatch import PrequalState
 
 __all__ = [
     "POLICIES", "PrequalConfig", "config_from_overrides",
@@ -30,6 +31,14 @@ __all__ = [
     "PrequalProber", "PrequalDispatchProgram", "PrequalState",
     "build_prequal",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("POLICIES", "PrequalConfig", "config_from_overrides"),
+    ".dispatch": ("PrequalDispatchProgram", "PrequalState"),
+    ".pool": ("ProbePool", "ProbeSample"),
+    ".probes": ("PrequalProber",),
+    ".selector": ("PrequalDecision", "PrequalSelector"),
+})
 
 
 def build_prequal(env, server, config: PrequalConfig,
@@ -41,6 +50,11 @@ def build_prequal(env, server, config: PrequalConfig,
     streams, so probe schedules are reproducible and independent of every
     traffic stream.
     """
+    from .dispatch import PrequalDispatchProgram, PrequalState
+    from .pool import ProbePool
+    from .probes import PrequalProber
+    from .selector import PrequalSelector
+
     pool = ProbePool(capacity=config.pool_size, max_age=config.max_age,
                      reuse_budget=config.reuse_budget)
     selector = PrequalSelector(pool, config)

@@ -9,10 +9,7 @@
   originator (the eBPF hook's stand-in; see DESIGN.md).
 """
 
-from .connector import HashConnector, HermesConnector, RequestResult
-from .echo import RealWorkerPool, worker_main
-from .reuseport_probe import ReuseportProbeResult, probe_kernel_reuseport
-from .shm import ShmSelectionMap, ShmWorkerStatusTable
+from .._lazy import lazy_exports
 
 __all__ = [
     "HashConnector",
@@ -25,3 +22,10 @@ __all__ = [
     "probe_kernel_reuseport",
     "worker_main",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".connector": ("HashConnector", "HermesConnector", "RequestResult"),
+    ".echo": ("RealWorkerPool", "worker_main"),
+    ".reuseport_probe": ("ReuseportProbeResult", "probe_kernel_reuseport"),
+    ".shm": ("ShmSelectionMap", "ShmWorkerStatusTable"),
+})

@@ -4,19 +4,7 @@ The engine (:mod:`repro.sim.engine`) is a SimPy-style coroutine kernel; the
 kernel/LB/workload layers are all built as processes on top of it.
 """
 
-from .engine import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    TimedWait,
-    Timeout,
-)
-from .monitor import BusyTracker, PeriodicSampler, Samples, TimeWeighted
-from .rng import RngRegistry, Stream
+from .._lazy import lazy_exports
 
 __all__ = [
     "AllOf",
@@ -35,3 +23,10 @@ __all__ = [
     "TimedWait",
     "Timeout",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("AllOf", "AnyOf", "Environment", "Event", "Interrupt",
+                "Process", "SimulationError", "TimedWait", "Timeout"),
+    ".monitor": ("BusyTracker", "PeriodicSampler", "Samples", "TimeWeighted"),
+    ".rng": ("RngRegistry", "Stream"),
+})

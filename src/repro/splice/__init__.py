@@ -20,17 +20,28 @@ lifetime to map where each datapath wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .config import SpliceConfig, config_from_overrides
-from .dispatch import CharonDispatchProgram
-from .engine import SpliceEngine, SpliceLane, SplicePath
-from .sockmap import SockMap
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .config import SpliceConfig
+    from .dispatch import CharonDispatchProgram
+    from .engine import SpliceEngine
+    from .sockmap import SockMap
 
 __all__ = [
     "SpliceConfig", "config_from_overrides",
     "SockMap", "SpliceEngine", "SpliceLane", "SplicePath",
     "CharonDispatchProgram", "SpliceState", "build_splice",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": ("SpliceConfig", "config_from_overrides"),
+    ".dispatch": ("CharonDispatchProgram",),
+    ".engine": ("SpliceEngine", "SpliceLane", "SplicePath"),
+    ".sockmap": ("SockMap",),
+})
 
 
 @dataclass
@@ -61,6 +72,10 @@ def build_splice(env, server, config: SpliceConfig,
     so a SPLICE run is byte-identical across process shards like every
     other mode.
     """
+    from .dispatch import CharonDispatchProgram
+    from .engine import SpliceEngine
+    from .sockmap import SockMap
+
     sockmap = SockMap(config.sockmap_capacity)
     engine = SpliceEngine(env, server.metrics, sockmap, config,
                           tracer=tracer)

@@ -12,9 +12,7 @@ Entry points:
 - :func:`code_fingerprint` — the source-tree digest in every cache key.
 """
 
-from .cache import CACHE_SCHEMA, DEFAULT_CACHE_DIR, CellCache, cell_cache_key
-from .fingerprint import code_fingerprint, reset_fingerprint_cache
-from .orchestrator import SWEEP_SCHEMA, CellRun, SweepResult, run_sweep
+from .._lazy import lazy_exports
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -28,3 +26,10 @@ __all__ = [
     "SweepResult",
     "run_sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("CACHE_SCHEMA", "DEFAULT_CACHE_DIR", "CellCache",
+               "cell_cache_key"),
+    ".fingerprint": ("code_fingerprint", "reset_fingerprint_cache"),
+    ".orchestrator": ("SWEEP_SCHEMA", "CellRun", "SweepResult", "run_sweep"),
+})

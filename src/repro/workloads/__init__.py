@@ -1,30 +1,7 @@
 """Workload generation: the arrival process, request distributions, the
 paper's four traffic cases, region profiles, traces, and tenant skew."""
 
-from .arrivals import PoissonArrivals
-from .cases import (
-    CASE_MIX,
-    CASES,
-    LOAD_MULTIPLIERS,
-    CaseDefinition,
-    build_case_workload,
-)
-from .distributions import FixedFactory, QuantileSampler, RequestFactory
-from .generator import ClientStats, TrafficGenerator, WorkloadSpec
-from .library import (
-    FAMILIES,
-    WorkloadFamily,
-    build_family_trace,
-    family_names,
-)
-from .regions import REGIONS, RegionProfile
-from .skew import (
-    PAPER_TOP3_REGION_A,
-    PAPER_TOP3_REGION_B,
-    top_heavy_weights,
-    zipf_weights,
-)
-from .trace import Trace, TraceEvent, TraceReplayer, build_trace_from_spec
+from .._lazy import lazy_exports
 
 __all__ = [
     "CASE_MIX",
@@ -54,3 +31,18 @@ __all__ = [
     "top_heavy_weights",
     "zipf_weights",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".arrivals": ("PoissonArrivals",),
+    ".cases": ("CASE_MIX", "CASES", "LOAD_MULTIPLIERS", "CaseDefinition",
+               "build_case_workload"),
+    ".distributions": ("FixedFactory", "QuantileSampler", "RequestFactory"),
+    ".generator": ("ClientStats", "TrafficGenerator", "WorkloadSpec"),
+    ".library": ("FAMILIES", "WorkloadFamily", "build_family_trace",
+                 "family_names"),
+    ".regions": ("REGIONS", "RegionProfile"),
+    ".skew": ("PAPER_TOP3_REGION_A", "PAPER_TOP3_REGION_B",
+              "top_heavy_weights", "zipf_weights"),
+    ".trace": ("Trace", "TraceEvent", "TraceReplayer",
+               "build_trace_from_spec"),
+})

@@ -9,10 +9,13 @@ at small scale.
 import pytest
 
 from repro.experiments import table1, table2, table4, table5
+from repro.cell import build_cell
 from repro.experiments import fig3, fig7, fig12, fig14, fig15, figa4, figa5
+from repro.experiments import fig45
 from repro.experiments import sec7, appc
 from repro.experiments.common import run_case_cell
 from repro.lb import NotificationMode
+from repro.workloads import build_case_workload
 
 
 class TestCommon:
@@ -202,6 +205,30 @@ class TestPoolCapacity:
                                      label="hermes+capacity")
         assert capacity.stranded < reuseport.stranded
         assert capacity.capacity_utilization > 0.95
+
+
+class TestFig45:
+    """The Fig. 4/5 distributions are recorded only where fig45 reads
+    them."""
+
+    def test_default_cell_records_none(self):
+        spec = build_case_workload("case3", "medium", n_workers=2,
+                                   duration=0.5, ports=(443, 444))
+        server = build_cell(spec, NotificationMode.EXCLUSIVE, 31,
+                            n_workers=2).run(until=1.0).server
+        assert sum(w.metrics.events_processed for w in server.workers) > 0
+        for worker in server.workers:
+            assert worker.epoll.total_waits > 0
+            assert not worker.epoll.events_per_wait.values
+            assert not worker.epoll.blocking_times.values
+            assert not worker.metrics.event_processing_times.values
+
+    def test_fig45_records_all_three_for_every_worker(self):
+        result = fig45.run_fig45(n_workers=2, duration=0.5)
+        for series in (result.events_per_wait, result.processing_times,
+                       result.blocking_times):
+            assert sorted(series) == [0, 1]
+            assert all(series.values())
 
 
 class TestIsolation:

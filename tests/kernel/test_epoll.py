@@ -234,7 +234,7 @@ class TestExclusiveWakeup:
 class TestStats:
     def test_events_per_wait_recorded(self):
         env = Environment()
-        ep = Epoll(env)
+        ep = Epoll(env, collect_stats=True)
         sock = ListeningSocket(8001)
         ep.ctl_add(sock)
         sock.enqueue(make_conn())
@@ -243,11 +243,23 @@ class TestStats:
 
     def test_blocking_time_recorded_on_timeout(self):
         env = Environment()
-        ep = Epoll(env)
+        ep = Epoll(env, collect_stats=True)
         sock = ListeningSocket(8001)
         ep.ctl_add(sock)
         run_wait(env, ep, timeout=0.005)
         assert list(ep.blocking_times.values) == [pytest.approx(0.005)]
+
+    def test_stats_off_by_default_record_nothing(self):
+        env = Environment()
+        ep = Epoll(env)
+        sock = ListeningSocket(8001)
+        ep.ctl_add(sock)
+        run_wait(env, ep, timeout=0.005)  # blocks to the timeout
+        sock.enqueue(make_conn())
+        run_wait(env, ep, timeout=0.005)  # returns at once
+        assert ep.total_waits == 2
+        assert not ep.events_per_wait.values
+        assert not ep.blocking_times.values
 
     def test_max_events_batching(self):
         env = Environment()

@@ -1,12 +1,19 @@
 """Tests for per-tenant metrics, tenant_ids mapping, and 499 timeouts."""
 
+import hashlib
+import struct
+import tracemalloc
+
 import pytest
 
+from repro.experiments import isolation
+from repro.experiments.common import run_spec
 from repro.kernel import Connection, FourTuple, Request
 from repro.lb import LBServer, NotificationMode
 from repro.lb.metrics import DeviceMetrics
 from repro.sim import Environment, RngRegistry
-from repro.workloads import FixedFactory, TrafficGenerator, WorkloadSpec
+from repro.workloads import (FixedFactory, TrafficGenerator, WorkloadSpec,
+                             build_case_workload)
 
 
 class TestTenantLatencies:
@@ -18,11 +25,6 @@ class TestTenantLatencies:
         metrics.record_request(0.500, 0, tenant_id=2)
         assert metrics.tenant_latencies[1].mean == pytest.approx(0.015)
         assert metrics.tenant_latencies[2].mean == pytest.approx(0.5)
-        assert metrics.tenant_p99(2) == pytest.approx(0.5)
-
-    def test_unknown_tenant_p99_zero(self):
-        metrics = DeviceMetrics(Environment())
-        assert metrics.tenant_p99(42) == 0.0
 
     def test_probe_tenant_excluded(self):
         metrics = DeviceMetrics(Environment())
@@ -41,6 +43,65 @@ class TestTenantLatencies:
             0.01, lambda: server.deliver(conn, Request(tenant_id=9)))
         env.run(until=0.2)
         assert 9 in server.metrics.tenant_latencies
+
+
+def _fingerprint(view):
+    """Per tenant, in key order: its sample count and a digest of the
+    exact bits of its latencies, in order."""
+    return [(tenant, len(samples), hashlib.sha256(b"".join(
+        struct.pack("<d", value) for value in samples.values)).hexdigest()[:16])
+        for tenant, samples in view.items()]
+
+
+class TestTenantView:
+    """``tenant_latencies`` is rebuilt from one latency column and one
+    tenant column; the fingerprints were taken when every latency was
+    also stored in a per-tenant list as it completed."""
+
+    def test_hermes_case1_four_ports(self):
+        spec = build_case_workload("case1", "medium", n_workers=4,
+                                   duration=0.3,
+                                   ports=(443, 444, 445, 446))
+        result = run_spec(NotificationMode.HERMES, spec, n_workers=4,
+                          seed=7, keep_server=True)
+        assert _fingerprint(result.server.metrics.tenant_latencies) == [
+            (1, 634, "cb23c9a54afd7b17"), (2, 724, "0c1587cc8975f245"),
+            (0, 709, "7660e2ff660d715d"), (3, 720, "c0b7306f04cb3fe0")]
+
+    def test_isolation_cell(self, monkeypatch):
+        built = []
+
+        class Capturing(LBServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(isolation, "LBServer", Capturing)
+        isolation.run_isolation(NotificationMode.HERMES, n_workers=2,
+                                duration=0.3)
+        assert _fingerprint(built[0].metrics.tenant_latencies) == [
+            (1, 360, "a02b72c361921898"), (2, 100, "6e21cb7685055a74")]
+
+    def test_view_is_read_only(self):
+        metrics = DeviceMetrics(Environment())
+        metrics.record_request(0.010, 0, tenant_id=1)
+        with pytest.raises(TypeError):
+            metrics.tenant_latencies[2] = metrics.tenant_latencies[1]
+
+    def test_each_latency_stored_once(self):
+        metrics = DeviceMetrics(Environment())
+        metrics.register_worker(0)
+        n = 50_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                metrics.record_request(i * 1e-6, 0, tenant_id=i % 4)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 8 B of latency + 4 B of tenant id, plus the arrays' headroom.
+        assert held / n <= 13.0
 
 
 class TestTenantIds:
