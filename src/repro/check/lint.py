@@ -1,7 +1,7 @@
 """Nondeterminism linter: an AST pass over the simulation sources.
 
 The whole repo rests on seeded, bit-identical runs; the golden hashes can
-only catch nondeterminism *after* it ships.  This linter catches the three
+only catch nondeterminism *after* it ships.  This linter catches the four
 ways it usually sneaks in, at review time:
 
 - ``unseeded-random`` — ``random.Random()`` with no seed, or any call into
@@ -15,6 +15,9 @@ ways it usually sneaks in, at review time:
   scheduling or merge decision (``select``, ``merge``, ``dispatch`` …).
   Set order is salted per process; feeding it into a decision makes the
   decision unreproducible.
+- ``refcount-dependence`` — any use of ``sys.getrefcount``: its counts
+  are an interpreter detail (3.12's immortal objects changed them), so
+  behaviour gated on one may differ across Python versions.
 
 Findings are suppressed by ``allowlist.txt`` (same directory), one
 ``fnmatch`` pattern per line matched against ``path:rule:qualname`` — the
@@ -46,6 +49,8 @@ RULES = {
         "real-time clock call inside simulated code",
     "unordered-iteration":
         "set/dict iteration order feeding a scheduling or merge decision",
+    "refcount-dependence":
+        "sys.getrefcount use (counts differ across Python versions)",
 }
 
 #: Function names that mark scheduling / merge decision points.
@@ -137,6 +142,17 @@ class _ModuleLinter(ast.NodeVisitor):
         if bucket is not None:
             for alias in node.names:
                 bucket.add(alias.asname or alias.name)
+        if node.module == "sys" and any(alias.name == "getrefcount"
+                                        for alias in node.names):
+            self._flag(node, "refcount-dependence",
+                       "getrefcount imported from sys")
+        self.generic_visit(node)
+
+    # -- rule: refcount-dependence ----------------------------------------
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        # Any reference, not just a call: ``f = sys.getrefcount`` counts.
+        if attr_chain(node) == "sys.getrefcount":
+            self._flag(node, "refcount-dependence", "sys.getrefcount use")
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:

@@ -79,6 +79,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_positive(*flags: Tuple[str, float]) -> bool:
+    """True if every ``(flag, value)`` is finite and > 0; else print why."""
+    for flag, value in flags:
+        if not 0 < value < float("inf"):
+            print(f"error: {flag} must be finite and > 0, got {value}",
+                  file=sys.stderr)
+            return False
+    return True
+
+
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=1,
                         metavar="N",
@@ -143,9 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[m.value for m in NotificationMode])
     run.add_argument("--case", default="case1", choices=_CASES)
     run.add_argument("--load", default="light", choices=_LOADS)
-    run.add_argument("--workers", type=int, default=8)
+    run.add_argument("--workers", type=_positive_int, default=8)
     run.add_argument("--duration", type=float, default=2.0)
-    run.add_argument("--ports", type=int, default=1,
+    run.add_argument("--ports", type=_positive_int, default=1,
                      help="number of tenant ports")
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--trace", metavar="PATH", default=None,
@@ -349,6 +359,8 @@ def _cmd_run(args) -> int:
     from .faults import FaultArmError, FaultPlan
     from .lb.modes import get_mode, iter_modes
 
+    if not _finite_positive(("--duration", args.duration)):
+        return 1
     if args.trace is None and (args.flight is not None
                                or args.format is not None):
         print("error: --flight and --format shape the trace file; "
@@ -580,11 +592,9 @@ def _cmd_fleet(args) -> int:
 
     from .fleet import build_fleet, fleet_faults
 
-    for flag, value in (("--rate", args.rate), ("--duration", args.duration)):
-        if not 0 < value < float("inf"):
-            print(f"error: {flag} must be finite and > 0, got {value}",
-                  file=sys.stderr)
-            return 1
+    if not _finite_positive(("--rate", args.rate),
+                            ("--duration", args.duration)):
+        return 1
     try:
         # Built for the sharded path too, so both refuse the same specs.
         plan = fleet_faults(args.seed, churn_at=args.churn_at,

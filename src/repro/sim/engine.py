@@ -21,35 +21,29 @@ minimal — only the primitives the load-balancer model needs:
 Performance notes (the fast path)
 ---------------------------------
 The engine's per-event cost is the unit economics of every sweep in this
-repo, so the hot path is hand-flattened:
+repo.  It keeps only the shortcuts that paired CPU-time runs show to pay
+(docs/PERFORMANCE.md, "Fast-path ledger"):
 
-- ``Environment.run`` inlines the pop/dispatch loop (no ``step()`` call,
-  no repeated attribute loads per event).
 - A process may ``yield delay`` (a plain float/int) instead of
   ``yield env.timeout(delay)``: the engine schedules the resume directly
   on the heap with the same (time, priority, insertion-order) key the
   equivalent ``Timeout`` would have used, but allocates no event object
   and runs no callback list.  The yield expression evaluates to ``None``,
   exactly like a value-less timeout.
-- ``Environment.timeout``/``event`` inline the whole construct+schedule
-  sequence and draw from per-class free lists.  A processed ``Event`` or
-  ``Timeout`` is recycled back into its pool only when
-  ``sys.getrefcount`` proves the dispatch loop holds the sole remaining
-  reference, so user code that retains an event (``t = env.timeout(5);
-  yield t; t.value``) keeps exactly the semantics it always had.
 - Scheduling is one flat sequence (eid bump + ``heappush``), which
   ``Event.succeed``/``fail``/``Timeout.__init__`` perform inline.
 - ``AnyOf``/``AllOf`` maintain an incremental done-counter instead of
   recounting every sub-event per trigger (O(n) total, was O(n²)).
 - ``schedule_callback`` allocates no per-event closure: the callable is
   carried on a slot of the event and invoked by one shared function.
-- Callback events are recycled through their own free list under the same
-  ``sys.getrefcount`` gate, so holding the event ``schedule_callback``
-  returns keeps it out of the pool.  A recycled event gets a fresh
-  ``[trampoline]`` callback list, since a process that yielded on it
-  appended its resumer.
 - A :class:`TimedWait` arms its deadline as the process's own direct
   timer, so a blocking ``epoll_wait`` builds no Timeout and no AnyOf.
+
+The engine keeps no free list: once dispatched, an event is referenced
+only by whoever still holds it, and is freed by refcount when they let go.
+``Environment.run`` is the body of :meth:`Environment.step` with the queue
+and step counter held in locals, one loop for both ``run()`` and
+``run(until)``.
 
 None of this changes observable behaviour: event ordering (time, priority,
 insertion order), RNG draws, and error semantics are bit-identical to the
@@ -70,7 +64,6 @@ Example
 
 from __future__ import annotations
 
-import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -90,9 +83,6 @@ __all__ = [
 URGENT = 0
 #: Priority for ordinary events.
 NORMAL = 1
-
-#: Free-list capacity per event class (beyond this, objects fall to the GC).
-_POOL_LIMIT = 1024
 
 
 class SimulationError(Exception):
@@ -227,7 +217,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # NaN too: it would break the heap order
             raise SimulationError(f"negative timeout delay: {delay}")
         # Flat init: every slot set exactly once, scheduling inlined (no
         # super().__init__ that first writes PENDING just to overwrite it).
@@ -255,7 +245,7 @@ class _Callback(Timeout):
 
     def __init__(self, env: "Environment", delay: float,
                  fn: Callable[[], None]):
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         self.env = env
         self.callbacks = [_invoke_callback]
@@ -492,7 +482,7 @@ class Process(Event):
 
             if cls is TimedWait:
                 delay = target.delay
-                if delay < 0:
+                if not delay >= 0:
                     target = delay  # fails the process like ``yield -1``
                     continue
                 event = target.event
@@ -648,8 +638,7 @@ class Environment:
     key is the engine's whole ordering contract.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process", "steps",
-                 "_event_pool", "_timeout_pool", "_callback_pool")
+    __slots__ = ("_now", "_queue", "_eid", "_active_process", "steps")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -658,10 +647,6 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: Events dispatched so far (the engine-throughput denominator).
         self.steps = 0
-        # Free lists for recycled one-shot events (exact-class matched).
-        self._event_pool: list = []
-        self._timeout_pool: list = []
-        self._callback_pool: list = []
 
     @property
     def now(self) -> float:
@@ -676,29 +661,10 @@ class Environment:
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
         """A fresh untriggered event."""
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event._value = _PENDING
-            event._ok = True
-            return event
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` units from now."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
-            event = pool.pop()
-            event._value = value
-            event._ok = True
-            event._scheduled = True
-            event.delay = delay
-            eid = self._eid
-            self._eid = eid + 1
-            heappush(self._queue, (self._now + delay, NORMAL, eid, event))
-            return event
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -714,20 +680,6 @@ class Environment:
     # -- scheduling ----------------------------------------------------------
     def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run a plain callable after ``delay`` (no process needed)."""
-        pool = self._callback_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
-            event = pool.pop()
-            event._value = None
-            event._ok = True
-            event._scheduled = True
-            event.delay = delay
-            event.fn = fn
-            eid = self._eid
-            self._eid = eid + 1
-            heappush(self._queue, (self._now + delay, NORMAL, eid, event))
-            return event
         return _Callback(self, delay, fn)
 
     def _stage_timer(self, process: "Process", when: float) -> int:
@@ -744,39 +696,6 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def _dispatch(self, event: Event) -> None:
-        """Process one popped event: run callbacks, maybe recycle it.
-
-        Recycling is gated on ``sys.getrefcount``: exactly two references
-        (the caller's local + the getrefcount argument) prove that no
-        process, condition, or user variable still holds the event, so
-        resetting it for reuse is invisible.
-        """
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        for callback in callbacks:
-            callback(event)
-        cls = event.__class__
-        if cls is Timeout:
-            pool = self._timeout_pool
-            if sys.getrefcount(event) == 2 and len(pool) < _POOL_LIMIT:
-                callbacks.clear()
-                event.callbacks = callbacks
-                event._processed = False
-                event._scheduled = False
-                event._value = _PENDING
-                pool.append(event)
-        elif cls is Event:
-            pool = self._event_pool
-            if sys.getrefcount(event) == 2 and len(pool) < _POOL_LIMIT:
-                callbacks.clear()
-                event.callbacks = callbacks
-                event._processed = False
-                event._scheduled = False
-                event._value = _PENDING
-                pool.append(event)
-
     def step(self) -> None:
         """Process the next scheduled event."""
         if not self._queue:
@@ -791,7 +710,11 @@ class Environment:
                 event._resume(_TICK)  # direct timer fired
                 return
             # else: the completion entry — dispatch normally below.
-        self._dispatch(event)
+        callbacks = event.callbacks
+        event.callbacks = None
+        event._processed = True
+        for callback in callbacks:
+            callback(event)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.
@@ -800,162 +723,35 @@ class Environment:
         the queue drains earlier, so post-run measurements see a consistent
         horizon.
         """
-        # The dispatch loop is inlined (no step()/_dispatch() call per
-        # event); keep the three copies of the recycle block in sync.
-        # Callback events are recycled only here: under step() the extra
-        # frame's reference fails the getrefcount gate anyway.
-        queue = self._queue
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        callback_pool = self._callback_pool
-        pool_limit = _POOL_LIMIT
-        getrefcount = sys.getrefcount
-        steps = 0
-        try:
-            if until is None:
-                while queue:
-                    when, _prio, eid, event = heappop(queue)
-                    self._now = when
-                    steps += 1
-                    cls = event.__class__
-                    if cls is Process:
-                        if event._sched_eid != eid:
-                            continue  # stale direct-timer entry
-                        if event._value is _PENDING:
-                            # Direct timer fired.  Inline the dominant
-                            # send → yield-another-delay cycle; defer any
-                            # other outcome to the generic machinery.
-                            self._active_process = event
-                            try:
-                                target = event.generator.send(None)
-                            except StopIteration as exc:
-                                self._active_process = None
-                                event._finalize(True, exc.value)
-                                continue
-                            except BaseException as exc:
-                                self._active_process = None
-                                event._finalize(False, exc)
-                                continue
-                            tcls = target.__class__
-                            if (tcls is float or tcls is int) and target >= 0:
-                                neid = self._eid
-                                self._eid = neid + 1
-                                heappush(queue,
-                                         (when + target, NORMAL, neid, event))
-                                event._sched_eid = neid
-                                self._active_process = None
-                                continue
-                            event._continue(target)
-                            self._active_process = None
-                            continue
-                        # else: completion entry — dispatch normally.
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    if cls is Timeout:
-                        if getrefcount(event) == 2 and \
-                                len(timeout_pool) < pool_limit:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                            event._processed = False
-                            event._scheduled = False
-                            event._value = _PENDING
-                            timeout_pool.append(event)
-                    elif cls is Event:
-                        if getrefcount(event) == 2 and \
-                                len(event_pool) < pool_limit:
-                            callbacks.clear()
-                            event.callbacks = callbacks
-                            event._processed = False
-                            event._scheduled = False
-                            event._value = _PENDING
-                            event_pool.append(event)
-                    elif cls is _Callback:
-                        if getrefcount(event) == 2 and \
-                                len(callback_pool) < pool_limit:
-                            # A fresh list: a process that yielded on the
-                            # event appended its resumer after the
-                            # trampoline.
-                            event.callbacks = [_invoke_callback]
-                            event.fn = None
-                            event._processed = False
-                            event._scheduled = False
-                            event._value = _PENDING
-                            callback_pool.append(event)
-                return
+        if until is None:
+            limit = float("inf")
+        else:
             limit = float(until)
-            if limit < self._now:
+            # Written so that NaN fails it too.
+            if not limit >= self._now:
                 raise SimulationError(
                     f"cannot run backwards: now={self._now}, until={limit}")
+        # The body of step(), with the queue and step count held in locals.
+        queue = self._queue
+        steps = 0
+        try:
             while queue and queue[0][0] <= limit:
                 when, _prio, eid, event = heappop(queue)
                 self._now = when
                 steps += 1
-                cls = event.__class__
-                if cls is Process:
+                if event.__class__ is Process:
                     if event._sched_eid != eid:
                         continue  # stale direct-timer entry
                     if event._value is _PENDING:
-                        # Direct timer fired (see the until=None loop).
-                        self._active_process = event
-                        try:
-                            target = event.generator.send(None)
-                        except StopIteration as exc:
-                            self._active_process = None
-                            event._finalize(True, exc.value)
-                            continue
-                        except BaseException as exc:
-                            self._active_process = None
-                            event._finalize(False, exc)
-                            continue
-                        tcls = target.__class__
-                        if (tcls is float or tcls is int) and target >= 0:
-                            neid = self._eid
-                            self._eid = neid + 1
-                            heappush(queue,
-                                     (when + target, NORMAL, neid, event))
-                            event._sched_eid = neid
-                            self._active_process = None
-                            continue
-                        event._continue(target)
-                        self._active_process = None
+                        event._resume(_TICK)  # direct timer fired
                         continue
-                    # else: completion entry — dispatch normally.
+                    # else: the completion entry — dispatch normally.
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True
                 for callback in callbacks:
                     callback(event)
-                if cls is Timeout:
-                    if getrefcount(event) == 2 and \
-                            len(timeout_pool) < pool_limit:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._processed = False
-                        event._scheduled = False
-                        event._value = _PENDING
-                        timeout_pool.append(event)
-                elif cls is Event:
-                    if getrefcount(event) == 2 and \
-                            len(event_pool) < pool_limit:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._processed = False
-                        event._scheduled = False
-                        event._value = _PENDING
-                        event_pool.append(event)
-                elif cls is _Callback:
-                    if getrefcount(event) == 2 and \
-                            len(callback_pool) < pool_limit:
-                        event.callbacks = [_invoke_callback]
-                        event.fn = None
-                        event._processed = False
-                        event._scheduled = False
-                        event._value = _PENDING
-                        callback_pool.append(event)
-            self._now = limit
+            if until is not None:
+                self._now = limit
         finally:
             self.steps += steps
-

@@ -127,6 +127,19 @@ class TestUnorderedIteration:
         """) == []
 
 
+class TestRefcountDependence:
+    def test_getrefcount_call_and_alias_flagged(self):
+        findings = _lint("""
+            import sys
+            from sys import getrefcount
+            def recycle(event, pool):
+                count = sys.getrefcount
+                if sys.getrefcount(event) == 2:
+                    pool.append(event)
+        """)
+        assert [f.rule for f in findings] == ["refcount-dependence"] * 3
+
+
 class TestAllowlist:
     def test_allowlist_suppresses(self, tmp_path):
         target = tmp_path / "clocky.py"

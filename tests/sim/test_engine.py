@@ -62,6 +62,28 @@ def test_run_backwards_rejected():
         env.run(until=1)
 
 
+def test_run_until_nan_rejected():
+    env = Environment(initial_time=5)
+    env.timeout(1)
+    with pytest.raises(SimulationError, match="cannot run backwards"):
+        env.run(until=float("nan"))
+    assert env.now == 5 and env.steps == 0
+
+
+@pytest.mark.parametrize("schedule", [
+    lambda env, delay: env.timeout(delay),
+    lambda env, delay: env.schedule_callback(delay, lambda: None),
+], ids=["timeout", "schedule_callback"])
+def test_nan_delay_rejected(schedule):
+    # NaN compares false both ways; accepted, it would break heap order.
+    env = Environment()
+    with pytest.raises(SimulationError, match="negative timeout delay"):
+        schedule(env, float("nan"))
+    assert env.peek() == float("inf")
+    env.run()
+    assert env.now == 0.0
+
+
 def test_events_fire_in_time_order():
     env = Environment()
     log = []
@@ -471,7 +493,7 @@ def test_schedule_callback_allocates_no_closure():
 
 
 def test_pooled_timeout_retained_by_user_is_not_recycled():
-    # getrefcount guard: a timeout the user still holds keeps its value.
+    # A timeout the user still holds keeps its value.
     env = Environment()
     held = env.timeout(1.0, value="keep me")
     results = []
@@ -491,7 +513,7 @@ def test_pooled_timeout_retained_by_user_is_not_recycled():
 
 
 def test_event_pool_reuse_preserves_semantics():
-    # Anonymous timeouts are recycled; behaviour stays indistinguishable.
+    # A long run of anonymous timeouts resumes the process once each.
     env = Environment()
     seen = []
 
@@ -503,7 +525,6 @@ def test_event_pool_reuse_preserves_semantics():
     env.process(proc(env))
     env.run()
     assert len(seen) == 2000
-    assert len(env._timeout_pool) >= 1  # the free list actually engaged
 
 
 def test_steps_counter_counts_dispatched_events():
@@ -676,92 +697,43 @@ def test_run_until_splits_do_not_change_the_run():
     assert _drive_mixed([0.0105, 0.02, 0.0213, 0.3, 2.0]) == whole
 
 
-def _churn_timeouts(env, log):
-    def round_trip(tag):
-        for i in range(20):
-            got = yield env.timeout(0.001, value=(tag, i))
-            log.append((got, env.now))
-
-    env.process(round_trip("a"))
-    env.process(round_trip("b"))
-    env.run()
-
-
-def test_pool_cap_bounds_free_lists(monkeypatch):
-    from repro.sim import engine
-
-    monkeypatch.setattr(engine, "_POOL_LIMIT", 4)
-    env = Environment()
-
-    # Burn through far more events than the cap; the pools must never
-    # grow past it.
-    def churn():
-        for _ in range(100):
-            yield env.timeout(0.001)
-
-    env.process(churn())
-    env.run()
-    assert len(env._event_pool) <= 4
-    assert len(env._timeout_pool) <= 4
-
-
-def test_pool_overflow_falls_back_to_gc_without_leaking_state(monkeypatch):
-    from repro.sim import engine
-
-    monkeypatch.setattr(engine, "_POOL_LIMIT", 2)
+def test_step_alone_matches_run():
+    # step() and run() are two copies of one dispatch body.
     env = Environment()
     log = []
-    _churn_timeouts(env, log)
-    assert log[-1][0] == ("b", 19)
-    assert len(env._event_pool) <= 2
-    assert len(env._timeout_pool) <= 2
+    _mixed_workload(env, log)
+    while env.peek() != float("inf"):
+        env.step()
+    assert (log, env.steps) == _drive_mixed([])
+
+
+def test_dispatched_events_are_not_retained():
+    # Once dispatched, an event is freed by refcount: the engine keeps no
+    # free list of processed Event/Timeout/_Callback objects.
+    from repro.sim.engine import Event, Timeout, _Callback
+
+    def churn(env):
+        for i in range(2000):
+            assert (yield env.timeout(0.001, value=i)) == i
+            if i % 100 == 0:
+                ev = env.event()
+                env.schedule_callback(0.0005, lambda: ev.succeed(i))
+                assert (yield ev) == i
+
+    def leftovers(env):
+        return [o for o in gc.get_objects()
+                if type(o) in (Event, Timeout, _Callback) and o.env is env]
+
     gc.collect()
-    # Pooled events are fully scrubbed: no value or callback leaks into
-    # the next user through the free list.
-    for pool in (env._event_pool, env._timeout_pool):
-        for ev in pool:
-            assert ev.callbacks == []
-            assert ev._value is engine._PENDING
-            assert not ev._processed and not ev._scheduled
-
-
-def test_pool_cap_zero_disables_pooling(monkeypatch):
-    from repro.sim import engine
-
-    monkeypatch.setattr(engine, "_POOL_LIMIT", 0)
-    env = Environment()
-    _churn_timeouts(env, [])
-    assert env._event_pool == [] and env._timeout_pool == []
-
-
-def test_pool_cap_does_not_change_event_order(monkeypatch):
-    from repro.sim import engine
-
-    def drive():
+    gc.disable()
+    try:
         env = Environment()
-        log = []
-        _churn_timeouts(env, log)
-        return log, env.steps
-
-    pooled = drive()
-    monkeypatch.setattr(engine, "_POOL_LIMIT", 0)
-    assert drive() == pooled
-
-
-# -- recycled callback events -------------------------------------------------
-
-def test_callback_pool_reuses_events():
-    env = Environment()
-    fired = []
-    for i in range(50):
-        env.schedule_callback(float(i % 5), lambda i=i: fired.append(i))
-    env.run()
-    assert sorted(fired) == list(range(50))
-    assert 1 <= len(env._callback_pool) <= 50
-    pooled = env._callback_pool[-1]
-    assert env.schedule_callback(1.0, lambda: fired.append("again")) is pooled
-    env.run()
-    assert fired[-1] == "again"
+        done = env.process(churn(env))
+        env.run()
+        assert done.ok and env.steps > 2000
+        assert leftovers(env) == []
+    finally:
+        gc.enable()
 
 
 def test_held_callback_event_is_never_recycled():
@@ -771,7 +743,6 @@ def test_held_callback_event_is_never_recycled():
     for i in range(20):
         env.schedule_callback(0.5 + i, lambda i=i: fired.append(i))
     env.run()
-    assert all(ev is not held for ev in env._callback_pool)
     for _ in range(30):
         assert env.schedule_callback(0.1, lambda: None) is not held
     env.run()
@@ -780,10 +751,8 @@ def test_held_callback_event_is_never_recycled():
 
 
 def test_process_waiting_on_callback_event_resumes_exactly_once():
-    # A waiter appends its resumer to the event's callback list; a recycled
-    # event must not carry it into its next use.
-    from repro.sim import engine
-
+    # A waiter appends its resumer to the event's callback list; it must
+    # run once, after the callable, and never again.
     env = Environment()
     log = []
 
@@ -794,7 +763,7 @@ def test_process_waiting_on_callback_event_resumes_exactly_once():
             log.append(("resumed", i, value, env.now))
 
     def bystander():
-        # Draws recycled events while the waiter's are in use.
+        # Schedules more callback events while the waiter's are in use.
         for _ in range(10):
             yield env.schedule_callback(0.25, lambda: None)
 
@@ -806,33 +775,6 @@ def test_process_waiting_on_callback_event_resumes_exactly_once():
         now = 0.5 * (i + 1)
         expected += [("fired", now), ("resumed", i, None, now)]
     assert log == expected
-    for ev in env._callback_pool:
-        assert ev.callbacks == [engine._invoke_callback]
-        assert ev.fn is None and ev._value is engine._PENDING
-        assert not ev._processed and not ev._scheduled
-
-
-def test_callback_pool_stays_within_the_limit(monkeypatch):
-    from repro.sim import engine
-
-    monkeypatch.setattr(engine, "_POOL_LIMIT", 4)
-    env = Environment()
-    fired = []
-    for i in range(100):
-        env.schedule_callback(float(i % 7), lambda: fired.append(1))
-    env.run(until=3.5)
-    assert len(env._callback_pool) <= 4
-    env.run()
-    assert len(fired) == 100
-    assert len(env._callback_pool) == 4
-
-
-def test_callback_pool_does_not_change_the_run(monkeypatch):
-    from repro.sim import engine
-
-    pooled = _drive_mixed([0.0105, 0.3])
-    monkeypatch.setattr(engine, "_POOL_LIMIT", 0)
-    assert _drive_mixed([0.0105, 0.3]) == pooled
 
 
 # -- reclamation: finished processes and resolved conditions hold no cycle --

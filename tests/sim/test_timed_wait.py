@@ -238,6 +238,19 @@ def test_negative_delay_fails_the_process_like_a_negative_timer():
     assert "negative timeout delay" in str(process.value)
 
 
+def test_nan_delay_fails_the_process_like_a_negative_timer():
+    env = Environment()
+
+    def proc():
+        yield TimedWait(env.event(), float("nan"))
+
+    process = env.process(proc())
+    env.run()
+    assert not process.ok
+    assert isinstance(process.value, SimulationError)
+    assert "negative timeout delay" in str(process.value)
+
+
 def test_deadline_of_a_won_wait_never_fires():
     env = Environment()
     resumed = []

@@ -286,6 +286,27 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("duration", ["nan", "0", "-1", "inf"])
+    def test_run_duration_that_cannot_be_honoured_exits_1(self, capsys,
+                                                          duration):
+        # Refused before it simulates, like the fleet's --rate/--duration.
+        rc = main(["run", "--workers", "2", "--duration", duration])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--duration must be finite and > 0" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--workers", "--ports"])
+    def test_run_count_below_one_is_refused(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", flag, "0"])
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be >= 1, got 0" in err
+        assert "Traceback" not in err
+
     def test_chaos_runs_plan_and_prints_timeline(self, capsys, tmp_path):
         from repro.faults import FaultKind, FaultPlan, FaultSpec
         plan_path = tmp_path / "plan.json"
