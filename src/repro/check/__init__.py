@@ -30,6 +30,7 @@ __all__ = [
     "watch",
     "PccMonitor",
     "watch_fleet",
+    "finalize_monitors",
     "Finding",
     "lint_paths",
     "lint_source",
@@ -50,7 +51,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".invariants": ("InvariantMonitor", "InvariantViolation", "watch"),
     ".lint": ("Finding", "lint_paths", "lint_source"),
-    ".pcc": ("PccMonitor", "watch_fleet"),
+    ".pcc": ("PccMonitor", "watch_fleet", "finalize_monitors"),
     ".oracles": ("OracleMismatch", "OracleStats", "checked", "live_oracles",
                  "ref_cascade", "ref_find_nth_set_bit", "ref_jhash_4tuple",
                  "ref_jhash_words", "ref_popcount64", "ref_reciprocal_scale"),

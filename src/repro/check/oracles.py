@@ -306,11 +306,7 @@ def live_oracles():
     fast_prequal = saved[6]
 
     def checked_select(self, snapshot, now):
-        # Copy the columns first: ``snapshot`` may be the scheduler's
-        # zero-copy WstView over live lists.
-        times = tuple(snapshot.times)
-        events = tuple(snapshot.events)
-        conns = tuple(snapshot.conns)
+        times, events, conns = snapshot.times, snapshot.events, snapshot.conns
         selected = fast_select(self, snapshot, now)
         want = ref_cascade(
             times, events, conns, now, self.worker_ids,

@@ -27,11 +27,11 @@ attached when a recorder is wired.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .invariants import InvariantViolation
 
-__all__ = ["PccMonitor", "watch_fleet"]
+__all__ = ["PccMonitor", "finalize_monitors", "watch_fleet"]
 
 
 class PccMonitor:
@@ -140,3 +140,21 @@ def watch_fleet(fleet, interval: Optional[float] = None, recorder=None,
     """Attach a :class:`PccMonitor` to ``fleet`` and return it."""
     return PccMonitor(fleet, interval=interval, recorder=recorder,
                       raise_on_violation=raise_on_violation).attach()
+
+
+def finalize_monitors(pcc: Optional[PccMonitor], monitors: Iterable,
+                      passes: Optional[Dict[str, int]] = None
+                      ) -> Dict[str, int]:
+    """Finalize ``pcc`` (if any), then each instance monitor, in order.
+
+    Sums their pass counters per name into ``passes`` (a new dict by
+    default) and returns it.  Each monitor's counts land before the next
+    one finalizes, so when a final check raises, ``passes`` keeps the
+    counts of the monitors finalized before it.
+    """
+    if passes is None:
+        passes = {}
+    for monitor in ([pcc] if pcc is not None else []) + list(monitors):
+        for name, count in monitor.finalize().items():
+            passes[name] = passes.get(name, 0) + count
+    return passes

@@ -205,7 +205,7 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
     from ..fleet import build_fleet, fleet_faults
     from ..fleet.sharded import fleet_spec
     from ..obs import FlightRecorder, Tracer
-    from .pcc import watch_fleet
+    from .pcc import finalize_monitors, watch_fleet
 
     cell = build_fleet(
         fleet_spec(duration, conn_rate), "hermes", seed,
@@ -232,10 +232,7 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
         backend_map.update = corrupted_update
 
     cell.run(until=duration)
-    passes = pcc.finalize()
-    for monitor in monitors:
-        for name, count in monitor.finalize().items():
-            passes[name] = passes.get(name, 0) + count
+    passes = finalize_monitors(pcc, monitors)
     summary = fleet.summary()
     summary["seed"] = seed
     summary["faults_fired"] = cell.injector.faults_fired

@@ -626,7 +626,7 @@ def _cmd_fleet(args) -> int:
     pcc = None
     monitors: List[Any] = []
     if args.check:
-        from .check import live_oracles, watch, watch_fleet
+        from .check import finalize_monitors, live_oracles, watch, watch_fleet
         context = live_oracles()
         pcc = watch_fleet(fleet)
         monitors = [watch(instance) for instance in fleet.instances]
@@ -635,10 +635,7 @@ def _cmd_fleet(args) -> int:
         with context as stats:
             cell.run(until=args.duration)
             if pcc is not None:
-                passes = pcc.finalize()
-                for monitor in monitors:
-                    for name, count in monitor.finalize().items():
-                        passes[name] = passes.get(name, 0) + count
+                passes = finalize_monitors(pcc, monitors)
     except AssertionError as exc:
         if not args.check:
             raise

@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Tuple
 
 from ..sim.rng import Stream
 
-__all__ = ["WorkerStatusTable", "WstSnapshot", "WstView"]
+__all__ = ["WorkerStatusTable", "WstSnapshot"]
 
 _LO32 = 0xFFFFFFFF
 
@@ -40,30 +40,6 @@ class WstSnapshot:
     times: Tuple[float, ...]
     events: Tuple[int, ...]
     conns: Tuple[int, ...]
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.times)
-
-
-class WstView:
-    """A zero-copy read of the table: the scheduler's hot-path snapshot.
-
-    Exposes the same ``times``/``events``/``conns`` sequence attributes as
-    :class:`WstSnapshot`, but referencing the table's *live* columns instead
-    of copied tuples.  Valid only for a synchronous read-then-filter (the
-    cascade runs to completion before any worker can publish again — the
-    simulated single-threaded event loop guarantees it); callers must not
-    retain a view across updates nor mutate through it.  One view per table
-    is cached and reused, so the steady-state read path allocates nothing.
-    """
-
-    __slots__ = ("times", "events", "conns")
-
-    def __init__(self, times, events, conns):
-        self.times = times
-        self.events = events
-        self.conns = conns
 
     @property
     def n_workers(self) -> int:
@@ -102,8 +78,6 @@ class WorkerStatusTable:
         self.read_ops = 0
         #: Torn values actually served (diagnostics).
         self.torn_reads_served = 0
-        # The one reusable zero-copy view (atomic mode only; see read_view).
-        self._view = WstView(self._times, self._events, self._conns)
 
     def _check_worker(self, worker_id: int) -> None:
         if not 0 <= worker_id < self.n_workers:
@@ -153,8 +127,6 @@ class WorkerStatusTable:
     # -- scheduler-side reads ------------------------------------------------
     def _maybe_torn(self, current: int, previous: int) -> int:
         """In torn mode, occasionally mix halves of the old and new values."""
-        if self.atomic or self.torn_read_prob <= 0 or self._rng is None:
-            return current
         if current != previous and self._rng.random() < self.torn_read_prob:
             self.torn_reads_served += 1
             return (previous & ~_LO32) | (current & _LO32) \
@@ -163,8 +135,15 @@ class WorkerStatusTable:
         return current
 
     def read_all(self) -> WstSnapshot:
-        """Read every worker's column (the scheduler's lock-free scan)."""
+        """Read every worker's column (the scheduler's lock-free scan).
+
+        The snapshot's tuples are copies, so later updates never change it.
+        Torn mode synthesizes each cell; atomic mode copies the columns.
+        """
         self.read_ops += 1
+        if self.atomic or self.torn_read_prob <= 0 or self._rng is None:
+            return WstSnapshot(tuple(self._times), tuple(self._events),
+                               tuple(self._conns))
         events = tuple(
             self._maybe_torn(self._events[i], self._prev_events[i])
             for i in range(self.n_workers))
@@ -173,21 +152,6 @@ class WorkerStatusTable:
             for i in range(self.n_workers))
         return WstSnapshot(times=tuple(self._times), events=events,
                            conns=conns)
-
-    def read_view(self):
-        """Read the table without copying (the scheduler's fast path).
-
-        In atomic mode every cell read is already consistent, so the cached
-        :class:`WstView` over the live columns is exactly equivalent to a
-        :meth:`read_all` snapshot for a synchronous read-then-filter — and
-        allocates nothing.  Torn mode must synthesize per-cell mixes, so it
-        falls back to the copying snapshot (read_ops is counted once either
-        way).
-        """
-        if self.atomic or self.torn_read_prob <= 0 or self._rng is None:
-            self.read_ops += 1
-            return self._view
-        return self.read_all()
 
     def read_worker(self, worker_id: int) -> Tuple[float, int, int]:
         """Read one column (diagnostics; not on the scheduling path)."""

@@ -46,6 +46,8 @@ class FleetPolicy(Enum):
     STATELESS = "stateless"
 
 
+# Serves 30 of the 32 tables a seed-7 ``fleet16`` run builds (fast-path
+# ledger, docs/PERFORMANCE.md).
 @lru_cache(maxsize=256)
 def hrw_table(backends: Tuple[int, ...], n_slots: int,
               hash_seed: int) -> Tuple[int, ...]:

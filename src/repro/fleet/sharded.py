@@ -284,7 +284,7 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         monitors = []
         if check:
             from ..check.invariants import watch
-            from ..check.pcc import watch_fleet
+            from ..check.pcc import finalize_monitors, watch_fleet
 
             pcc = watch_fleet(fleet)
             monitors = [watch(instance)]
@@ -302,10 +302,7 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         passes: Dict[str, int] = {}
         violations = 0
         if pcc is not None:
-            passes = dict(pcc.finalize())
-            for monitor in monitors:
-                for name, count in monitor.finalize().items():
-                    passes[name] = passes.get(name, 0) + count
+            passes = finalize_monitors(pcc, monitors)
             violations = len(pcc.violations)
         metrics = instance.metrics
         doc = {

@@ -68,7 +68,7 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     """Execute one scenario with monitors, oracles, and faults armed."""
     from ..check.invariants import InvariantViolation, watch
     from ..check.oracles import OracleMismatch, live_oracles
-    from ..check.pcc import watch_fleet
+    from ..check.pcc import finalize_monitors, watch_fleet
     from ..faults.injector import FaultInjector
     from ..fleet import Fleet, fleet_instance
     from ..kernel.nic import Nic
@@ -129,12 +129,7 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     try:
         with live_oracles() as stats:
             env.run(until=horizon)
-            for monitor in monitors:
-                for name, count in monitor.finalize().items():
-                    passes[name] = passes.get(name, 0) + count
-            if pcc is not None:
-                for name, count in pcc.finalize().items():
-                    passes[name] = passes.get(name, 0) + count
+            finalize_monitors(pcc, monitors, passes)
         comparisons = stats.total
     except (InvariantViolation, OracleMismatch, AssertionError) as exc:
         kind = ("invariant" if isinstance(exc, InvariantViolation)

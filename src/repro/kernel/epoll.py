@@ -196,6 +196,8 @@ class Epoll:
         entered = env._now
         if tracer is not None:
             tracer.begin("epoll.wait", "worker", worker=self.worker_id)
+        # Every blocking wait: without it splice_case3 and fleet16 take
+        # 1.22x and 1.27x the CPU time (fast-path ledger).
         timed_wait = self._timed_wait
         timed_wait.event = self._sleeper = env.event()
         timed_wait.delay = timeout

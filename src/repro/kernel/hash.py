@@ -86,16 +86,6 @@ def _jhash_final(a: int, b: int, c: int) -> int:
 def jhash_words(words: list[int], initval: int = 0) -> int:
     """Jenkins lookup3 hash over 32-bit words (the kernel's ``jhash2``)."""
     length = len(words)
-    # Straight-line paths for the hot lengths (4-tuples, ECMP/HRW keys).
-    if length == 3:
-        init = (JHASH_INITVAL + 12 + initval) & _MASK32
-        return _jhash_final((init + words[0]) & _MASK32,
-                            (init + words[1]) & _MASK32,
-                            (init + words[2]) & _MASK32)
-    if length == 2:
-        init = (JHASH_INITVAL + 8 + initval) & _MASK32
-        return _jhash_final((init + words[0]) & _MASK32,
-                            (init + words[1]) & _MASK32, init)
     a = b = c = (JHASH_INITVAL + (length << 2) + initval) & _MASK32
     index = 0
     while length > 3:

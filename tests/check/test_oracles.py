@@ -117,7 +117,7 @@ class TestCascadeDifferential:
             wst._events[rank] = events[rank]
             wst._conns[rank] = conns[rank]
         scheduler = CascadingScheduler(wst, BpfArrayMap(1))
-        selected = scheduler.select_workers(wst.read_view(), now)
+        selected = scheduler.select_workers(wst.read_all(), now)
         want = ref_cascade(
             times, events, conns, now, scheduler.worker_ids,
             scheduler.config.hang_threshold, scheduler.config.theta_ratio,

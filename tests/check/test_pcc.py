@@ -11,7 +11,7 @@ dump attached.
 
 import pytest
 
-from repro.check import InvariantViolation, PccMonitor
+from repro.check import InvariantViolation, PccMonitor, finalize_monitors
 from repro.check.runner import run_monitored_fleet
 
 
@@ -68,3 +68,37 @@ class TestMonitorLifecycle:
         pcc, _passes, _summary = run_monitored_fleet(
             policy="stateless", duration=0.6, churn_at=0.3)
         assert pcc._armed is False
+
+
+class _Finalizes:
+    def __init__(self, log, name, counts, error=None):
+        self.log, self.name, self.counts, self.error = log, name, counts, error
+
+    def finalize(self):
+        self.log.append(self.name)
+        if self.error is not None:
+            raise self.error
+        return dict(self.counts)
+
+
+class TestFinalizeMonitors:
+    def test_pcc_first_then_instances_summed_per_name(self):
+        log = []
+        pcc = _Finalizes(log, "pcc", {"pcc": 2, "shared": 1})
+        monitors = [_Finalizes(log, "a", {"shared": 3, "conservation": 4}),
+                    _Finalizes(log, "b", {"shared": 5})]
+        passes = finalize_monitors(pcc, monitors)
+        assert log == ["pcc", "a", "b"]
+        assert passes == {"pcc": 2, "shared": 9, "conservation": 4}
+        assert list(passes) == ["pcc", "shared", "conservation"]
+
+    def test_no_pcc_and_partial_counts_survive_a_raise(self):
+        log = []
+        passes = {}
+        monitors = [_Finalizes(log, "a", {"conservation": 4}),
+                    _Finalizes(log, "b", {}, InvariantViolation("x", "y")),
+                    _Finalizes(log, "c", {"conservation": 1})]
+        with pytest.raises(InvariantViolation):
+            finalize_monitors(None, monitors, passes)
+        assert log == ["a", "b"]
+        assert passes == {"conservation": 4}

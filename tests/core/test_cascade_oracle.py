@@ -153,7 +153,7 @@ def test_shuffled_worker_ids_keep_their_own_column_values():
     # must gather: worker 1 has 0 connections and survives, worker 0 not.
     scheduler = _scheduler(2, 0.0, [0.0, 0.0], [0, 0], [10, 0], ("conn",),
                            0.0, None, worker_ids=[1, 0])
-    assert scheduler.select_workers(scheduler.wst.read_view(), 0.0) == [1]
+    assert scheduler.select_workers(scheduler.wst.read_all(), 0.0) == [1]
 
 
 def test_cpu_cost_follows_a_swapped_config():
@@ -267,26 +267,26 @@ def test_memo_returns_the_previous_survivors_until_an_input_changes():
     scheduler = _scheduler(4, 0.0, [0.0] * 4, [0] * 4, [9, 0, 0, 0],
                            DEFAULT_ORDER, 0.5, None)
     wst = scheduler.wst
-    first = scheduler.select_workers(wst.read_view(), 0.0)
+    first = scheduler.select_workers(wst.read_all(), 0.0)
     assert first == [1, 2, 3]
     # Equal columns and the same config object: the same list comes back.
-    assert scheduler.select_workers(wst.read_view(), 0.0) is first
+    assert scheduler.select_workers(wst.read_all(), 0.0) is first
     wst.add_events(2, 1)
     wst.add_events(2, -1)  # a round trip leaves the column equal
-    assert scheduler.select_workers(wst.read_view(), 0.0) is first
-    # The memo keeps copies: an in-place update of the live column misses.
+    assert scheduler.select_workers(wst.read_all(), 0.0) is first
+    # An updated column misses.
     wst.add_conns(1, 1)
-    second = scheduler.select_workers(wst.read_view(), 0.0)
+    second = scheduler.select_workers(wst.read_all(), 0.0)
     assert second is not first and second == [1, 2, 3]
     # A config swap misses even when its values are equal.
     scheduler.config = scheduler.config.with_overrides()
-    assert scheduler.select_workers(wst.read_view(), 0.0) is not second
+    assert scheduler.select_workers(wst.read_all(), 0.0) is not second
     # New capacity limits miss too (conns are now [9, 1, 0, 0]).
     scheduler.config = HermesConfig(filter_order=("capacity",))
-    assert scheduler.select_workers(wst.read_view(), 0.0) == [0, 1, 2, 3]
+    assert scheduler.select_workers(wst.read_all(), 0.0) == [0, 1, 2, 3]
     scheduler.capacity_limits = (1,) * 4
-    assert scheduler.select_workers(wst.read_view(), 0.0) == [2, 3]
+    assert scheduler.select_workers(wst.read_all(), 0.0) == [2, 3]
     scheduler.config = HermesConfig()
     # A hung worker bypasses the memo, and the cascade drops it.
-    assert scheduler.select_workers(wst.read_view(), HANG) == []
+    assert scheduler.select_workers(wst.read_all(), HANG) == []
 

@@ -188,7 +188,7 @@ class TestFastPath:
 
     def test_identity_fast_path_when_nothing_dropped(self):
         sched, wst, _, clock = make_scheduler(4)
-        snapshot = wst.read_view()
+        snapshot = wst.read_all()
         selected = sched.select_workers(snapshot, clock())
         assert selected is sched._all_candidates
 
@@ -288,43 +288,8 @@ class TestFastPath:
         # The identity fast path shares one list across calls: two no-drop
         # cascades must return the same object with stable contents.
         sched, wst, _, clock = make_scheduler(3)
-        a = sched.select_workers(wst.read_view(), clock())
-        b = sched.select_workers(wst.read_view(), clock())
+        a = sched.select_workers(wst.read_all(), clock())
+        b = sched.select_workers(wst.read_all(), clock())
         assert a is b
         assert a == [0, 1, 2]
 
-
-class TestWstView:
-    def test_view_matches_snapshot(self):
-        clock = FakeClock()
-        wst = WorkerStatusTable(3, clock)
-        wst.add_events(1, 4)
-        wst.add_conns(2, 7)
-        clock.now = 1.5
-        wst.touch_timestamp(0)
-        view = wst.read_view()
-        snap = wst.read_all()
-        assert tuple(view.times) == snap.times
-        assert tuple(view.events) == snap.events
-        assert tuple(view.conns) == snap.conns
-        assert view.n_workers == snap.n_workers == 3
-
-    def test_view_is_cached_and_counts_read_ops(self):
-        clock = FakeClock()
-        wst = WorkerStatusTable(2, clock)
-        before = wst.read_ops
-        v1 = wst.read_view()
-        v2 = wst.read_view()
-        assert v1 is v2  # zero-allocation steady state
-        assert wst.read_ops == before + 2
-
-    def test_torn_mode_falls_back_to_copying_snapshot(self):
-        from repro.core.wst import WstSnapshot
-        from repro.sim.rng import RngRegistry
-
-        clock = FakeClock()
-        rng = RngRegistry(3).stream("torn")
-        wst = WorkerStatusTable(2, clock, atomic=False,
-                                torn_read_prob=0.5, rng=rng)
-        snap = wst.read_view()
-        assert isinstance(snap, WstSnapshot)

@@ -123,3 +123,77 @@ class TestSchedulerInvariants:
         b = build(n, times, events, conns, now, theta_ratio=theta)
         assert a.schedule_and_sync().bitmap == \
             b.schedule_and_sync().bitmap
+
+
+class _Clock:
+    def __init__(self):
+        self.now = 1.0
+
+    def __call__(self):
+        return self.now
+
+
+_HANG = 0.05
+_COSTS = (HermesConfig().costs,
+          HermesConfig().costs.__class__(wst_read_per_worker=1e-6))
+_ORDERS = (("time", "conn", "event", "capacity"), ("time", "conn", "event"),
+           ("capacity", "conn"), ("event", "conn"))
+
+_history_op = st.one_of(
+    st.tuples(st.just("tick"), st.sampled_from([0.0, _HANG / 2, 2 * _HANG])),
+    st.tuples(st.just("touch"), st.integers(0, 5)),
+    st.tuples(st.just("events"), st.integers(0, 5), st.integers(-3, 3)),
+    st.tuples(st.just("conns"), st.integers(0, 5), st.integers(-3, 3)),
+    st.tuples(st.just("sync"), st.booleans()),
+    st.tuples(st.just("config"), st.sampled_from([0.0, 0.5, 1.0]),
+              st.sampled_from(_ORDERS), st.sampled_from(_COSTS)),
+    st.tuples(st.just("limits"), st.one_of(
+        st.none(), st.lists(st.one_of(st.none(), st.integers(0, 3)),
+                            min_size=6, max_size=6))),
+    st.just(("repeat",)),
+)
+
+
+class TestNoHiddenHistory:
+    @given(n=st.integers(min_value=1, max_value=6),
+           subset=st.booleans(),
+           ops=st.lists(_history_op, max_size=30))
+    @settings(max_examples=200)
+    def test_long_lived_scheduler_matches_a_fresh_one(self, n, subset, ops):
+        """Every reuse path the scheduler keeps (the exact memo and the
+        result reuse) must be invisible: after any history, a long-lived
+        scheduler decides exactly as one built just now."""
+        clock = _Clock()
+        wst = WorkerStatusTable(n, clock)
+        worker_ids = list(range(0, n, 2)) if subset else None
+        config = HermesConfig(hang_threshold=_HANG, filter_order=_ORDERS[0])
+        sched = CascadingScheduler(wst, BpfArrayMap(1), config=config,
+                                   clock=clock, worker_ids=worker_ids)
+        # Each step changes one input (or none) and then schedules.
+        for op in [("repeat",)] + ops:
+            kind = op[0]
+            if kind == "tick":
+                clock.now += op[1]
+            elif kind == "touch":
+                wst.touch_timestamp(op[1] % n)
+            elif kind == "events":
+                wst.add_events(op[1] % n, op[2])
+            elif kind == "conns":
+                wst.add_conns(op[1] % n, op[2])
+            elif kind == "sync":
+                sched.sync_enabled = op[1]
+            elif kind == "config":
+                sched.config = HermesConfig(
+                    hang_threshold=_HANG, theta_ratio=op[1],
+                    filter_order=op[2], costs=op[3])
+            elif kind == "limits":
+                sched.capacity_limits = (None if op[1] is None
+                                         else tuple(op[1][:n]))
+            got = sched.schedule_and_sync()
+            fresh = CascadingScheduler(
+                wst, BpfArrayMap(1), config=sched.config, clock=clock,
+                worker_ids=worker_ids,
+                capacity_limits=sched.capacity_limits)
+            fresh.sync_enabled = sched.sync_enabled
+            # Equal bitmap, n_selected and cpu_cost.
+            assert got == fresh.schedule_and_sync()

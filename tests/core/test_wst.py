@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (BpfArrayMap, CascadingScheduler, HermesConfig,
-                        WorkerStatusTable, ids_from_bitmap)
+                        WorkerStatusTable, WstSnapshot, ids_from_bitmap)
 from repro.sim import RngRegistry
 
 
@@ -177,6 +177,53 @@ class TestAtomicity:
             wst.add_conns(0, 1)
             wst.read_all()
         assert wst.torn_reads_served == 0
+
+
+class TestReadAll:
+    def test_snapshot_equals_the_columns_and_is_detached(self):
+        # The scheduler's memo keeps the snapshot's tuples across calls, so
+        # a later update must not reach into an earlier snapshot.
+        clock = FakeClock()
+        wst = WorkerStatusTable(3, clock)
+        wst.add_events(1, 4)
+        wst.add_conns(2, 7)
+        clock.now = 1.5
+        wst.touch_timestamp(0)
+        snap = wst.read_all()
+        assert (snap.times, snap.events, snap.conns) == (
+            wst.times, wst.events, wst.conns)
+        assert snap.times == (1.5, 0.0, 0.0)
+        assert snap.events == (0, 4, 0)
+        assert snap.conns == (0, 0, 7)
+        assert snap.n_workers == 3
+        clock.now = 2.0
+        for wid in range(3):
+            wst.touch_timestamp(wid)
+            wst.add_events(wid, 1)
+            wst.add_conns(wid, 1)
+        assert snap.times == (1.5, 0.0, 0.0)
+        assert snap.events == (0, 4, 0)
+        assert snap.conns == (0, 0, 7)
+        assert wst.read_all().conns == (1, 1, 8)
+
+    @pytest.mark.parametrize("atomic", [True, False], ids=["atomic", "torn"])
+    def test_each_read_adds_one_read_op(self, atomic):
+        rng = RngRegistry(3).stream("torn")
+        wst = WorkerStatusTable(4, FakeClock(), atomic=atomic,
+                                torn_read_prob=0.5, rng=rng)
+        for expected in range(1, 6):
+            wst.add_conns(expected % 4, 1)
+            wst.read_all()
+            assert wst.read_ops == expected
+
+    def test_torn_mode_returns_a_snapshot(self):
+        rng = RngRegistry(3).stream("torn")
+        wst = WorkerStatusTable(2, FakeClock(), atomic=False,
+                                torn_read_prob=0.5, rng=rng)
+        wst.add_conns(0, 3)
+        snap = wst.read_all()
+        assert isinstance(snap, WstSnapshot)
+        assert isinstance(snap.conns, tuple) and len(snap.conns) == 2
 
 
 class TestReadWorkerConsistency:

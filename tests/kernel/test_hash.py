@@ -50,7 +50,7 @@ class TestJhash:
 
 
 # Words past 32 bits (HRW keys, ``words + [replica]``) must hash as their
-# low 32 bits do, on the unrolled 2-/3-word paths and the loop alike.
+# low 32 bits do, at every length.
 _WIDE = st.one_of(st.integers(min_value=0, max_value=0xFFFFFFFF),
                   st.integers(min_value=2 ** 32, max_value=2 ** 70))
 
