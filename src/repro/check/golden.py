@@ -5,9 +5,10 @@ constraint: bit-identical behaviour.  Event ordering (time, priority,
 insertion order) and RNG draws must be exactly what they were before the
 fast path landed.  These helpers canonicalise the full metrics output of a
 seeded experiment into JSON and hash it; the golden tests in
-``tests/test_determinism_golden.py`` pin the hashes that the *unoptimised*
-engine produced, so any behavioural drift — a reordered wakeup, a stolen
-RNG draw, a float computed in a different order — flips the digest.
+``tests/test_determinism_golden.py`` check them against the hashes the
+*unoptimised* engine produced (``tests/pins.json``), so any behavioural
+drift — a reordered wakeup, a stolen RNG draw, a float computed in a
+different order — flips the digest.
 
 The fingerprints deliberately cover the whole stack, not just the engine:
 

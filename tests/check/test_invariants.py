@@ -53,14 +53,13 @@ class TestCleanRuns:
         monitors[0].finalize()
         assert armed == fp(None)
 
-    def test_armed_monitor_matches_pinned_golden_cell(self):
+    @pytest.mark.pin
+    def test_armed_monitor_matches_pinned_golden_cell(self, pin):
         """And the full pinned golden cell digest is reproduced while a
         separate monitored run of the same cell stays green."""
-        from tests.test_determinism_golden import GOLDEN_CELL
-
         result, _passes = run_monitored_cell(seed=7)
         assert result.completed > 0
-        assert cell_fingerprint() == GOLDEN_CELL
+        pin("golden/cell", cell_fingerprint())
 
 
 class TestCorruptionDrills:

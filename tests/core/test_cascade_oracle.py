@@ -8,6 +8,7 @@ the ``capacity`` stage), and a tracer armed, whose ``sched.filter`` events
 must say exactly what each reference stage kept and dropped.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,17 +172,29 @@ def test_cpu_cost_follows_a_swapped_config():
     assert scheduler.schedule_and_sync().cpu_cost == 0.0
 
 
-def test_live_oracles_check_a_monitored_hermes_cell():
+@pytest.fixture(scope="module")
+def monitored_hermes_cell():
     from repro.check.runner import run_monitored_cell
 
     with live_oracles() as stats:
         result, passes = run_monitored_cell(n_workers=4, duration=0.5)
+    return result, passes, stats
+
+
+def test_live_oracles_check_a_monitored_hermes_cell(monitored_hermes_cell):
+    result, passes, stats = monitored_hermes_cell
     assert result.completed > 0
     assert all(count > 0 for count in passes.values())
+    assert stats.comparisons["cascade"] > 0
+    assert stats.mismatches == 0
+
+
+@pytest.mark.pin
+def test_live_oracles_compare_every_schedule(monitored_hermes_cell, pin):
     # One comparison per schedule_and_sync: a fast path that skipped the
     # select_workers seam would lower this exact count.
-    assert stats.comparisons["cascade"] == 911
-    assert stats.mismatches == 0
+    _, _, stats = monitored_hermes_cell
+    pin("oracle/cascade_comparisons", stats.comparisons["cascade"])
 
 
 # -- the exact memo and result reuse over a run of updates --------------------

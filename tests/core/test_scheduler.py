@@ -162,7 +162,7 @@ class TestSync:
 
 class TestFastPath:
     """Scheduler fast path: hoisted rank table, identity filters,
-    zero-copy WST reads — all behaviour-preserving."""
+    whole-column filter shortcuts — all behaviour-preserving."""
 
     def test_rank_table_hoisted_into_init(self):
         sched, _, _, _ = make_scheduler(4)

@@ -146,21 +146,17 @@ class TestBlastRegression:
     hermes-vs-exclusive story (modes without a splice path must be
     byte-for-byte unaffected by the accounting change)."""
 
-    def test_hang_blast_values_pinned(self):
-        exclusive = run_resilience_cell("worker_hang",
-                                        NotificationMode.EXCLUSIVE, seed=7)
-        hermes = run_resilience_cell("worker_hang",
-                                     NotificationMode.HERMES, seed=7)
-        assert exclusive.blast_radius == pytest.approx(0.878205, abs=1e-6)
-        assert hermes.blast_radius == pytest.approx(0.166667, abs=1e-6)
+    @pytest.mark.pin
+    def test_hang_blast_values_pinned(self, pin):
+        for mode in (NotificationMode.EXCLUSIVE, NotificationMode.HERMES):
+            cell = run_resilience_cell("worker_hang", mode, seed=7)
+            pin(f"blast/worker_hang/{mode.value}", cell.blast_radius)
 
-    def test_crash_blast_values_pinned(self):
-        exclusive = run_resilience_cell("worker_crash",
-                                        NotificationMode.EXCLUSIVE, seed=7)
-        hermes = run_resilience_cell("worker_crash",
-                                     NotificationMode.HERMES, seed=7)
-        assert exclusive.blast_radius == pytest.approx(0.857143, abs=1e-6)
-        assert hermes.blast_radius == pytest.approx(0.160173, abs=1e-6)
+    @pytest.mark.pin
+    def test_crash_blast_values_pinned(self, pin):
+        for mode in (NotificationMode.EXCLUSIVE, NotificationMode.HERMES):
+            cell = run_resilience_cell("worker_crash", mode, seed=7)
+            pin(f"blast/worker_crash/{mode.value}", cell.blast_radius)
 
     def test_splice_showdown(self):
         # The modeled asymmetry: every at-risk connection on the hung

@@ -537,28 +537,26 @@ class TestFleetCommand:
         assert stateless["migrated"] > 0
         assert stateless["pcc_violations"] == 0
 
-    #: SHA-256 of the unsharded ``--out`` document, per extra argument set.
-    PINS = {
-        "check": ("--check",
-                  "1c26fb3d16a40d4645ab4bb760deec1f"
-                  "3da9be39b665bc2903e7e7714fb39cb7"),
-        "stateful-crash-ring-bounded": (
+    #: Pin name -> the extra arguments of a run whose unsharded ``--out``
+    #: document's SHA-256 is pinned as ``fleet_out/<name>``.
+    PINNED_ARGS = {
+        "check": "--check",
+        "stateful-crash-ring-bounded":
             "--policy stateful --crash-at 0.9 --ingress ring_bounded",
-            "ac6287cc5aa0e15f49479f298fd94f0d"
-            "d248118f197dfe1b87f2b73864dd367a"),
-        "exclusive-check": ("--mode exclusive --check",
-                            "f7be0f8e5aa4b531ea07c529a1e1e363"
-                            "0cb35d936098ebcdb19f36514dda8457"),
+        "exclusive-check": "--mode exclusive --check",
     }
 
-    @pytest.mark.parametrize("name", sorted(PINS))
-    def test_unsharded_document_is_pinned(self, capsys, tmp_path, name):
-        extra, digest = self.PINS[name]
+    @pytest.mark.pin
+    @pytest.mark.parametrize("name", sorted(PINNED_ARGS))
+    def test_unsharded_document_is_pinned(self, capsys, tmp_path, name,
+                                          pin):
         path = tmp_path / "fleet.json"
-        rc = main(self.SMALL + extra.split() + ["--out", str(path)])
+        rc = main(self.SMALL + self.PINNED_ARGS[name].split()
+                  + ["--out", str(path)])
         capsys.readouterr()
         assert rc == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        pin(f"fleet_out/{name}",
+            hashlib.sha256(path.read_bytes()).hexdigest())
 
     def test_sharded_output_is_identical_across_jobs(self, tmp_path, capsys):
         outputs = []
