@@ -5,11 +5,12 @@
 install:
 	pip install -e .
 
+# PYTHONPATH=src, so both run on a checkout without `pip install -e .`.
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest tests/
 
 test-fast:
-	pytest tests/ -x -q --ignore=tests/runtime
+	PYTHONPATH=src python -m pytest tests/ -x -q --ignore=tests/runtime
 
 # The full correctness gate: nondeterminism lint, offline differential
 # oracles, and the live scenarios (Table-3 cell, §7 crash in both modes,

@@ -14,20 +14,23 @@ Run:  python examples/cache_locality_groups.py
 """
 
 from repro.analysis import render_table
-from repro.experiments.appc import run_group_locality, run_wide_device
+from repro.experiments.registry import get
 
 
 def main() -> None:
+    # The registered App. C grid: group sizes 1, 2, 4, 8 on an 8-worker,
+    # 16-port device, plus a 128-worker device
+    # (`python -m repro experiment appc` prints the same cells).
+    cells = get("appc").run()["cells"]
     rows = []
     for group_size in (1, 2, 4, 8):
-        point = run_group_locality(group_size, n_workers=8, n_ports=16,
-                                   duration=3.0)
+        point = cells[f"group{group_size}"]
         rows.append([
             group_size,
-            point.n_groups,
-            f"{point.locality_score:.2f}",
-            f"{point.balance_score:.3f}",
-            f"{point.avg_ms:.2f}",
+            point["n_groups"],
+            f"{point['locality_score']:.2f}",
+            f"{point['balance_score']:.3f}",
+            f"{point['avg_ms']:.2f}",
         ])
     print(render_table(
         ["group size", "#groups", "locality", "balance (Jain)", "avg ms"],
@@ -36,11 +39,12 @@ def main() -> None:
     print("\ngroup size 1 == reuseport-per-destination (max locality, "
           "worst balance); one big group == standard Hermes.")
 
-    wide = run_wide_device(n_workers=128, duration=2.0)
-    print(f"\n128-worker device: {wide.n_groups} groups of 64 "
+    wide = cells["wide"]
+    print(f"\n128-worker device: {wide['n_groups']} groups of 64 "
           f"(one atomic 64-bit word each), both dispatching: "
-          f"{wide.all_groups_used}; connection fairness "
-          f"{wide.conn_fairness:.3f}; {wide.completed} requests completed.")
+          f"{wide['all_groups_used']}; connection fairness "
+          f"{wide['conn_fairness']:.3f}; {wide['completed']} requests "
+          f"completed.")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,16 @@
-"""Experiment harnesses — one module per table/figure of the paper.
+"""Experiment harnesses — one registered module per table/figure.
 
-Each module exposes ``run_*`` functions returning structured results and a
-``__main__`` harness that prints the paper-style rows/series.  Each
-registered experiment checks the shape of its result with the paper
-claims of its ``ExperimentSpec.claims``.
+Each module registers one :class:`~repro.experiments.registry.ExperimentSpec`
+(its cells, merge, rendered table and paper claims), and the registry is
+the one way to run it::
+
+    python -m repro experiment table3 --set cases='["case2"]'
+    python -m repro sweep table3 --jobs 4        # same cells, in parallel
+
+or, in Python, ``registry.get("table3").run(seed, overrides)``, which
+returns the merged JSON document that ``claims`` and ``render`` read.
+``--set key=value`` accepts only the spec's declared tunables (``repro
+list`` shows them), so a smaller grid is one flag away.
 
 | Module      | Reproduces                                              |
 |-------------|---------------------------------------------------------|
@@ -27,6 +34,14 @@ claims of its ``ExperimentSpec.claims``.
 |             | sandbox isolation and phased scaling (case 2)           |
 | ablations   | Design-choice ablations (§5)                            |
 | baselines   | Every notification mode on identical traffic            |
+| pool_capacity | Connection-pool exhaustion under uneven distribution  |
+| isolation   | Tenant performance isolation                            |
+| scaling     | Mode ordering vs worker count                           |
+| resilience  | Fault × mode resilience matrix                          |
+| prequal_ablation | Prequal tunables under load spikes                 |
+| fleet_scale | Fleet scale-out: stateful vs stateless under churn      |
+| splice_crossover | Splice vs Hermes p99 crossover                     |
+| fuzz_regressions | Fuzzer finds replayed as regression scenarios      |
 """
 
 from .._lazy import lazy_exports
@@ -34,12 +49,11 @@ from .._lazy import lazy_exports
 __all__ = [
     "CellResult",
     "MODES_UNDER_TEST",
-    "compare_modes",
     "run_case_cell",
     "run_spec",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".common": ("CellResult", "MODES_UNDER_TEST", "compare_modes",
-                "run_case_cell", "run_spec"),
+    ".common": ("CellResult", "MODES_UNDER_TEST", "run_case_cell",
+                "run_spec"),
 })

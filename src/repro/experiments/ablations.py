@@ -78,7 +78,8 @@ def run_scheduler_placement_ablation(
     """End-of-loop scheduling sees post-batch status; start-of-loop sees a
     pre-``epoll_wait`` snapshot that can look idle right before a burst
     lands (§5.3.2)."""
-    from ..lb.worker import Worker
+    from ..lb.worker import Worker, WorkerState
+    from ..sim.engine import Interrupt
 
     results = {}
     results["end_of_loop"] = _run_hermes(
@@ -111,8 +112,8 @@ def run_scheduler_placement_ablation(
                     charge = self._pending_charge
                     self._pending_charge = 0.0
                     yield from self._busy(charge)
-        except Exception:
-            self.state = type(self.state).CRASHED
+        except Interrupt:
+            self.state = WorkerState.CRASHED
             self.metrics.cpu.end()
             return
 
@@ -435,24 +436,3 @@ register(ExperimentSpec(
     claims=_claims,
     tunables={"n_workers": "workers behind every ablation device",
               "duration_scale": "multiplier on every section's duration"}))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print("filter order ablation (case2 medium):")
-    for order, r in run_filter_order_ablation().items():
-        print(f"  {','.join(order) or '(none)':24s} avg {r.avg_ms:8.2f} ms  "
-              f"p99 {r.p99_ms:9.2f} ms")
-    print("scheduler placement:")
-    for name, r in run_scheduler_placement_ablation().items():
-        print(f"  {name:14s} avg {r.avg_ms:8.2f} ms  p99 {r.p99_ms:9.2f} ms")
-    print("two-stage vs single worker (case1 medium):")
-    for name, r in run_single_worker_ablation().items():
-        print(f"  {name:14s} avg {r.avg_ms:8.2f} ms  p99 {r.p99_ms:9.2f} ms")
-    print("min_workers (case2 heavy):")
-    for k, r in run_min_workers_ablation().items():
-        print(f"  n>={k}: avg {r.avg_ms:8.2f} ms  p99 {r.p99_ms:9.2f} ms")
-    print("metric collection cost (case1 medium):")
-    for name, r in run_metric_cost_ablation().items():
-        print(f"  {name:18s} avg {r.avg_ms:8.2f} ms  thr "
-              f"{r.throughput_rps:8.0f} rps")
-    print(_update_channel_line(update_channel_costs()))

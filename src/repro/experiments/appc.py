@@ -340,13 +340,3 @@ register(ExperimentSpec(
               "duration": "locality workload duration (s)",
               "wide_workers": "workers on the wide device (default 128)",
               "wide_duration": "wide-device workload duration (s)"}))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    for size in (1, 2, 4, 8):
-        print(_locality_line(run_group_locality(size)))
-    wide = run_wide_device()
-    print(f"128 workers: {wide.n_groups} groups, all used: "
-          f"{wide.all_groups_used}, fairness {wide.conn_fairness:.3f}")
-    print(_sandbox_line(run_sandbox_isolation()))
-    print(_phased_line(run_phased_scaling()))

@@ -9,7 +9,7 @@ derived from the cell, not the mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..cell import build_cell
 from ..lb.server import LBServer, NotificationMode
@@ -63,10 +63,6 @@ class CellResult:
     server: Optional[LBServer] = None
     #: The armed injector when the cell ran with ``faults``.
     injector: Optional["FaultInjector"] = None
-
-    def row(self) -> tuple:
-        """(avg_ms, p99_ms, throughput) — the Table 3 cell format."""
-        return (self.avg_ms, self.p99_ms, self.throughput_rps / 1e3)
 
     def to_doc(self) -> dict:
         """JSON-safe document (drops the live ``server`` and ``injector``
@@ -162,17 +158,3 @@ def run_case_cell(mode: NotificationMode, case: str, load: str,
                                duration=duration, ports=ports)
     return run_spec(mode, spec, n_workers=n_workers,
                     seed=resolve_seed(seed), **kwargs)
-
-
-def compare_modes(case: str, load: str, n_workers: int = 16,
-                  duration: float = 4.0, ports: Sequence[int] = (443,),
-                  seed: Optional[int] = None,
-                  modes: Sequence[NotificationMode] = MODES_UNDER_TEST,
-                  **kwargs) -> Dict[str, CellResult]:
-    """All modes on identical traffic for one (case, load) cell.
-
-    Every mode sees the same resolved seed, hence byte-identical traffic."""
-    resolved = resolve_seed(seed)
-    return {mode.value: run_case_cell(
-        mode, case, load, n_workers=n_workers, duration=duration,
-        ports=ports, seed=resolved, **kwargs) for mode in modes}

@@ -223,7 +223,3 @@ simple_experiment("fig11", "Delayed probes before/after rollout",
                             "n_workers": "workers per device",
                             "days": "simulated days",
                             "population": "long-lived client connections"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rendered(run_fig11()))

@@ -94,7 +94,3 @@ simple_experiment("fig12", "Normalized unit cost of the fleet (analytic)",
                   tunables={"months": "months in the series",
                             "rollout_start": "month the rollout begins",
                             "rollout_months": "months the rollout takes"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rendered(run_fig12()))

@@ -14,8 +14,7 @@ periodically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..analysis.stats import mean, population_sd
 from ..cell import build_cell
@@ -25,19 +24,7 @@ from ..workloads.cases import build_case_workload
 from .common import MODES_UNDER_TEST
 from .registry import CellSpec, ExperimentSpec, check_claims, register
 
-__all__ = ["LoadBalanceResult", "run_fig13"]
-
-
-@dataclass
-class LoadBalanceResult:
-    #: mode -> average SD of per-worker CPU utilization across samples.
-    cpu_sd: Dict[str, float]
-    #: mode -> average SD of per-worker connection counts across samples.
-    conn_sd: Dict[str, float]
-    #: mode -> (time, cpu SD) series.
-    cpu_sd_series: Dict[str, List[Tuple[float, float]]]
-    #: mode -> (time, conn SD) series.
-    conn_sd_series: Dict[str, List[Tuple[float, float]]]
+__all__: list = []
 
 
 def _run_mode(mode: NotificationMode, n_workers: int, duration: float,
@@ -75,23 +62,6 @@ def _run_mode(mode: NotificationMode, n_workers: int, duration: float,
     PeriodicSampler(env, duration / 40, sample, name="fig13")
     cell.run(until=duration + 0.5)
     return cpu_series, conn_series
-
-
-def run_fig13(n_workers: int = 8, duration: float = 8.0,
-              seed: int = 47) -> LoadBalanceResult:
-    cpu_sd, conn_sd = {}, {}
-    cpu_series, conn_series = {}, {}
-    for mode in MODES_UNDER_TEST:
-        cpu, conns = _run_mode(mode, n_workers, duration, seed)
-        # Skip the warm-up third of the run.
-        skip = len(cpu) // 3
-        cpu_sd[mode.value] = mean([v for _, v in cpu[skip:]])
-        conn_sd[mode.value] = mean([v for _, v in conns[skip:]])
-        cpu_series[mode.value] = cpu
-        conn_series[mode.value] = conns
-    return LoadBalanceResult(cpu_sd=cpu_sd, conn_sd=conn_sd,
-                             cpu_sd_series=cpu_series,
-                             conn_sd_series=conn_series)
 
 
 def _cells(seed, overrides):
@@ -159,10 +129,3 @@ register(ExperimentSpec(
     claims=_claims,
     tunables={"n_workers": "workers behind the device",
               "duration": "workload duration (s)"}))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    result = run_fig13()
-    for mode in result.cpu_sd:
-        print(f"{mode:12s} cpu SD {result.cpu_sd[mode] * 100:6.2f}%   "
-              f"conn SD {result.conn_sd[mode]:8.2f}")

@@ -17,7 +17,7 @@ from ..workloads.cases import build_case_workload
 from .common import run_spec
 from .registry import CellSpec, ExperimentSpec, check_claims, register
 
-__all__ = ["FilterFrequencyPoint", "run_fig14"]
+__all__ = ["FilterFrequencyPoint"]
 
 #: The load multipliers the grid sweeps by default.
 LOAD_FRACTIONS = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -56,14 +56,6 @@ def _run_point(case: str, multiplier: float, n_workers: int,
         scheduler_calls_per_sec=total_calls / elapsed,
         empty_ratio=empties / total_calls if total_calls else 0.0,
     )
-
-
-def run_fig14(n_workers: int = 8, duration: float = 3.0, seed: int = 59,
-              load_fractions: List[float] = LOAD_FRACTIONS,
-              case: str = "case2") -> List[FilterFrequencyPoint]:
-    """Sweep load multipliers (1.0 == the case's light operating point)."""
-    return [_run_point(case, multiplier, n_workers, duration, seed)
-            for multiplier in load_fractions]
 
 
 def _point_line(p: FilterFrequencyPoint) -> str:
@@ -141,12 +133,3 @@ register(ExperimentSpec(
               "load_fractions": "load multipliers to sweep",
               "n_workers": "workers behind the device",
               "duration": "workload duration per point (s)"}))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    # Pass-ratio decline shows best on the heterogeneous case2 workload;
-    # the frequency rise shows best on the high-CPS case1 workload.
-    for case in ("case2", "case1"):
-        print(f"-- {case} --")
-        for p in run_fig14(case=case):
-            print(_point_line(p))

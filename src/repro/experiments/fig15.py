@@ -17,7 +17,7 @@ from ..workloads.cases import build_case_workload
 from .common import run_spec
 from .registry import CellSpec, Claim, ExperimentSpec, check_claims, register
 
-__all__ = ["ThetaPoint", "run_fig15", "best_theta", "THETA_RATIOS"]
+__all__ = ["ThetaPoint", "best_theta", "THETA_RATIOS"]
 
 #: The θ/Avg ratios the grid sweeps by default.
 THETA_RATIOS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -62,17 +62,6 @@ def _average_point(ratio: float, samples: Sequence[dict]) -> ThetaPoint:
         throughput_rps=sum(s["throughput_rps"] for s in samples) / n,
         pass_ratio=sum(s["pass_ratio"] for s in samples) / n,
     )
-
-
-def run_fig15(theta_ratios: Sequence[float] = THETA_RATIOS,
-              n_workers: int = 8, duration: float = 4.0,
-              seeds: Sequence[int] = (61, 62, 63),
-              case: str = "case4", load: str = "medium") -> List[ThetaPoint]:
-    return [
-        _average_point(ratio, [
-            _run_one(ratio, case, load, n_workers, duration, seed)
-            for seed in seeds])
-        for ratio in theta_ratios]
 
 
 def best_theta(points: List[ThetaPoint]) -> float:
@@ -158,10 +147,3 @@ register(ExperimentSpec(
               "duration": "workload duration per cell (s)",
               "case": "workload case (default case4)",
               "load": "load level (default medium)"}))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    points = run_fig15()
-    for p in points:
-        print(_point_line(p))
-    print("best theta/avg:", best_theta(points))

@@ -200,8 +200,3 @@ lined_experiment("fig3", "Lag effect of connection load imbalance",
                  tunables={"n_workers": "workers behind the device",
                            "n_connections": "long-lived connections "
                                             "before the surge"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    for mode in (NotificationMode.EXCLUSIVE, NotificationMode.HERMES):
-        print(_line(run_fig3(mode)))

@@ -121,7 +121,3 @@ simple_experiment("fig45", "Per-worker epoll statistics (Figs. 4 & 5)",
                   tunables={"mode": "notification mode (default exclusive)",
                             "n_workers": "workers behind the device",
                             "duration": "workload duration (s)"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rendered(run_fig45()))

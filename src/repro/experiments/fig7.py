@@ -144,8 +144,3 @@ lined_experiment("fig7", "RSS packet spread vs CPU imbalance",
                  tunables={"n_workers": "workers behind the device",
                            "duration": "workload duration (s)",
                            "load": "load level (default medium)"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    for rss_pp in (False, True):
-        print(_rendered(run_fig7(rss_plus_plus=rss_pp), rss_pp))

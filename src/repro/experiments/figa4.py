@@ -151,11 +151,11 @@ def _claims(merged):
         _completes("exclusive"), _completes("reuseport"),
         _completes("hermes"),
         ("reuseport_hashes_a_b_behind_a", ["reuseport"],
-         lambda doc: (_worst_b(doc) >= 4.5,
-                      f"slowest b {_worst_b(doc):.2f}t >= 4.5t")),
-        ("hermes_bounds_every_b_by_3.3t", ["hermes"],
-         lambda doc: (_worst_b(doc) <= 3.3,
-                      f"slowest b {_worst_b(doc):.2f}t <= 3.3t")),
+         lambda doc: (_worst_b(doc) >= 4.8,
+                      f"slowest b {_worst_b(doc):.2f}t >= 4.8t")),
+        ("hermes_bounds_every_b_by_3.2t", ["hermes"],
+         lambda doc: (_worst_b(doc) <= 3.2,
+                      f"slowest b {_worst_b(doc):.2f}t <= 3.2t")),
         ("hermes_uses_all_three_workers", ["hermes"],
          lambda doc: (doc["workers_used"] == 3,
                       f"{doc['workers_used']} workers used")),
@@ -166,9 +166,3 @@ lined_experiment("figa4", "Walkthrough example (Figs. A3/A4)",
                  _cells, _run_cell, default_seed=3, claims=_claims,
                  tunables={"n_workers": "workers behind the device",
                            "hash_seed": "kernel reuseport hash seed"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    for mode in (NotificationMode.EXCLUSIVE, NotificationMode.REUSEPORT,
-                 NotificationMode.HERMES):
-        print(_line(run_figa4(mode)))

@@ -78,7 +78,3 @@ simple_experiment("figa5", "CDF of forwarding rules per port",
                   tunables={"n_tenants": "tenants in the directory",
                             "ports_per_tenant": "ports each tenant owns",
                             "mean_rules": "mean forwarding rules per port"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rendered(run_figa5()))

@@ -161,9 +161,3 @@ lined_experiment("isolation", "Tenant performance isolation",
                  _cells, _run_cell, default_seed=71, claims=_claims,
                  tunables={"n_workers": "workers behind the device",
                            "duration": "workload duration (s)"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    for mode in (NotificationMode.EXCLUSIVE, NotificationMode.REUSEPORT,
-                 NotificationMode.HERMES):
-        print(_line(run_isolation(mode)))

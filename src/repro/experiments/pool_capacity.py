@@ -98,27 +98,6 @@ def run_pool_capacity(mode: NotificationMode, n_workers: int = 8,
     )
 
 
-def run_all_pool_arms(n_workers: int = 8, pool_size: int = 50,
-                      seed: int = 113) -> List[PoolCapacityResult]:
-    """The four arms: 3 modes + Hermes with the capacity filter stage."""
-    from ..core.config import HermesConfig
-
-    results = [
-        run_pool_capacity(mode, n_workers=n_workers, pool_size=pool_size,
-                          seed=seed)
-        for mode in (NotificationMode.EXCLUSIVE,
-                     NotificationMode.REUSEPORT,
-                     NotificationMode.HERMES)
-    ]
-    capacity_config = HermesConfig(
-        filter_order=("time", "capacity", "conn", "event"))
-    results.append(run_pool_capacity(
-        NotificationMode.HERMES, n_workers=n_workers,
-        pool_size=pool_size, seed=seed, config=capacity_config,
-        label="hermes+capacity"))
-    return results
-
-
 def _arm_line(r: PoolCapacityResult) -> str:
     return (f"{r.mode:16s} established {r.established}/"
             f"{r.n_workers * r.pool_size} "
@@ -176,8 +155,3 @@ lined_experiment("pool_capacity",
                  _cells, _run_cell, default_seed=113, claims=_claims,
                  tunables={"n_workers": "workers behind the device",
                            "pool_size": "connection-pool slots per worker"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    for r in run_all_pool_arms():
-        print(_arm_line(r))

@@ -32,9 +32,11 @@ contract:
 
 Every experiment module registers its spec at import time;
 :func:`get`/:func:`load_all` import lazily so ``repro list`` stays fast.
-Each module also keeps its typed ``run_*`` function: the cells are built
-on it, and callers that need arguments a JSON cell cannot carry (a
-``FlightRecorder``, a ``NotificationMode``) call it directly.
+:meth:`ExperimentSpec.run` (or ``python -m repro experiment <name>``) is
+the one way to run a grid.  A module keeps a typed function only for one
+cell, which its ``run_cell`` calls and which callers that need an
+argument a JSON cell cannot carry (a ``FlightRecorder``) may call
+directly.
 """
 
 from __future__ import annotations

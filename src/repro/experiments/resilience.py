@@ -64,8 +64,3 @@ register(ExperimentSpec(
         "modes": "mode subset (default: exclusive/reuseport/hermes/prequal)",
         "n_workers": "workers behind each device",
     }))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    from ..faults.resilience import run_resilience_matrix
-    print(render_matrix(run_resilience_matrix()))

@@ -10,13 +10,13 @@ benches speak for the paper-sized configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from ..lb.server import NotificationMode
 from .common import CellResult, run_case_cell
 from .registry import CellSpec, check_claims, lined_experiment
 
-__all__ = ["ScalingPoint", "run_scaling", "WORKER_COUNTS"]
+__all__ = ["ScalingPoint", "WORKER_COUNTS"]
 
 #: Worker counts the grid sweeps by default, up to the paper's 32 cores.
 WORKER_COUNTS = (4, 8, 16, 32)
@@ -53,16 +53,6 @@ def _point(n_workers: int, mode: NotificationMode, case: str, load: str,
         cpu_sd=cell.cpu_sd,
         accept_imbalance=_imbalance(cell.accepted_per_worker),
     )
-
-
-def run_scaling(worker_counts: Sequence[int] = WORKER_COUNTS,
-                case: str = "case3", load: str = "medium",
-                duration: float = 3.0, seed: int = 73,
-                ) -> List[ScalingPoint]:
-    return [_point(n_workers, mode, case, load, duration, seed)
-            for n_workers in worker_counts
-            for mode in (NotificationMode.EXCLUSIVE,
-                         NotificationMode.HERMES)]
 
 
 def _point_line(p: ScalingPoint) -> str:
@@ -136,8 +126,3 @@ lined_experiment("scaling", "Mode ordering vs worker count",
                            "case": "workload case (default case3)",
                            "load": "load level (default medium)",
                            "duration": "workload duration per cell (s)"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    for p in run_scaling():
-        print(_point_line(p))

@@ -286,10 +286,3 @@ register(ExperimentSpec(
     claims=_claims,
     tunables={"n_workers": "workers behind the crash-blast device",
               "n_connections": "connections open at the crash"}))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(_rr_line(run_backend_rr()))
-    print(_reuse_line(run_connection_reuse()))
-    for mode in (NotificationMode.EXCLUSIVE, NotificationMode.HERMES):
-        print(_blast_line(run_crash_blast(mode)))

@@ -102,7 +102,3 @@ simple_experiment(
     "table1", "Region size/time quantiles (measured vs paper)",
     _runner, default_seed=5, claims=_claims,
     tunables={"n_samples": "requests sampled per region (default 40000)"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table1(run_table1()))

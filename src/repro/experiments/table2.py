@@ -10,7 +10,7 @@ mixes and report the same statistics.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..analysis.reporting import render_table
 from ..analysis.stats import mean
@@ -19,7 +19,7 @@ from ..workloads.cases import build_case_workload
 from .common import CellResult, run_spec
 from .registry import CellSpec, Claim, ExperimentSpec, register
 
-__all__ = ["DeviceImbalance", "run_table2", "render_table2"]
+__all__ = ["DeviceImbalance", "render_table2"]
 
 #: Per-device tenant mix: devices cycle through these cases.
 _CASE_CYCLE = ("case3", "case1", "case3", "case4")
@@ -64,23 +64,6 @@ def _device_plan(n_devices: int) -> List[Tuple[str, float]]:
     return [(_CASE_CYCLE[i % len(_CASE_CYCLE)],
              0.4 + 0.6 * (i / max(1, n_devices - 1)))
             for i in range(n_devices)]
-
-
-def run_table2(n_devices: int = 8, n_workers: int = 8,
-               duration: float = 3.0, seed: int = 23,
-               mode: NotificationMode = NotificationMode.EXCLUSIVE,
-               ) -> List[DeviceImbalance]:
-    """Simulate a mini-region of exclusive-mode devices.
-
-    Device heterogeneity comes from different tenant mixes: each device
-    serves a different blend of the four cases at a different intensity
-    (its tenant population), like real devices hosting different ALB
-    instances.
-    """
-    return [
-        _run_device(i, case, intensity, n_workers, duration,
-                    seed + i, mode)
-        for i, (case, intensity) in enumerate(_device_plan(n_devices))]
 
 
 def region_summary(devices: List[DeviceImbalance]) -> DeviceImbalance:
@@ -159,7 +142,3 @@ register(ExperimentSpec(
               "n_workers": "workers per device",
               "duration": "workload duration per device (s)",
               "mode": "notification mode (default exclusive)"}))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table2(run_table2()))

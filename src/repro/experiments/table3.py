@@ -17,15 +17,14 @@ Expected shape (paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.reporting import mark_effectiveness, render_table
 from ..lb.server import NotificationMode
 from .common import MODES_UNDER_TEST, CellResult, run_case_cell
-from .registry import (CellSpec, Claim, ExperimentSpec, check_claims, get,
-                       register)
+from .registry import CellSpec, Claim, ExperimentSpec, check_claims, register
 
-__all__ = ["Table3Result", "run_table3", "render_table3", "TABLE3_PORTS",
+__all__ = ["Table3Result", "render_table3", "TABLE3_PORTS",
            "CASE_ORDER", "LOAD_ORDER", "table3_result_from_doc"]
 
 #: Multi-tenant port plan: 200 tenant ports, exposing exclusive's
@@ -46,9 +45,6 @@ class Table3Result:
 
     cells: Dict[Tuple[str, str, str], CellResult]
     marks: Dict[Tuple[str, str, str], str]
-
-    def cell(self, case: str, load: str, mode: str) -> CellResult:
-        return self.cells[(case, load, mode)]
 
     def mode_mark(self, case: str, mode: str) -> str:
         """The paper's per-case verdict: ✗ if a mode is marked bad in any
@@ -118,7 +114,7 @@ def _table3_merge(cells: Sequence[CellSpec],
 
 
 def table3_result_from_doc(merged: Dict) -> Table3Result:
-    """Rebuild the legacy result object from a merged sweep document."""
+    """Rebuild the typed result object from a merged sweep document."""
     cells = {tuple(key.split("/")): CellResult.from_doc(doc)
              for key, doc in merged["cells"].items()}
     marks = {tuple(key.split("/")): mark
@@ -204,24 +200,6 @@ register(ExperimentSpec(
               "settle": "drain time after traffic stops (s)"}))
 
 
-def run_table3(cases: Sequence[str] = CASE_ORDER,
-               loads: Sequence[str] = LOAD_ORDER,
-               n_workers: int = 8, seed: int = 11,
-               ports: Sequence[int] = TABLE3_PORTS,
-               durations: Optional[Dict[str, float]] = None,
-               settle: float = 1.5) -> Table3Result:
-    """Run the grid serially through the registry.  ~3-4 minutes at the
-    default scale; ``repro sweep table3 --jobs N`` runs the same cells in
-    parallel with byte-identical output."""
-    overrides: Dict = {"cases": list(cases), "loads": list(loads),
-                       "n_workers": n_workers, "ports": list(ports),
-                       "settle": settle}
-    if durations:
-        overrides["durations"] = dict(durations)
-    merged = get("table3").run(seed=seed, overrides=overrides)
-    return table3_result_from_doc(merged)
-
-
 def render_table3(result: Table3Result) -> str:
     """Paper-layout rows: one row per (case, mode) for every mode the grid
     ran (in :class:`NotificationMode` order), three numeric cells per load
@@ -255,7 +233,3 @@ def render_table3(result: Table3Result) -> str:
     return render_table(headers, rows,
                         title="Table 3: case x mode x load "
                               "(avg/P99 latency, throughput)")
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table3(run_table3()))

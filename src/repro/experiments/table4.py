@@ -110,7 +110,3 @@ simple_experiment(
     _runner, default_seed=0, claims=_claims,
     tunables={"ineffective": "mode -> cases it is ineffective in "
                              "(default: the paper's Table 3 marks)"})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table4(run_table4()))

@@ -23,7 +23,7 @@ from ..workloads.cases import build_case_workload
 from .common import run_spec
 from .registry import CellSpec, Claim, ExperimentSpec, check_claims, register
 
-__all__ = ["OverheadRow", "run_table5", "render_table5"]
+__all__ = ["OverheadRow", "render_table5"]
 
 _LOADS = ("light", "medium", "heavy")
 
@@ -68,12 +68,6 @@ def _run_load(load: str, n_workers: int, duration: float, seed: int,
         syscall_pct=pct["syscall"],
         dispatcher_pct=pct["dispatcher"],
     )
-
-
-def run_table5(n_workers: int = 8, duration: float = 3.0,
-               seed: int = 53, case: str = "case1") -> List[OverheadRow]:
-    return [_run_load(load, n_workers, duration, seed, case)
-            for load in _LOADS]
 
 
 def render_table5(rows: List[OverheadRow]) -> str:
@@ -160,7 +154,3 @@ register(ExperimentSpec(
               "n_workers": "workers behind the device",
               "duration": "workload duration (s)",
               "case": "workload case (default case1)"}))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual harness
-    print(render_table5(run_table5()))

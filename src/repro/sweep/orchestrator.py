@@ -159,8 +159,8 @@ def run_sweep(experiment: str,
         A registered experiment name (see ``repro list``).
     seed:
         Base seed threaded into every cell; ``None`` uses the
-        experiment's registered default (so results match the legacy
-        ``run_*`` entry point byte for byte).
+        experiment's registered default (so results match
+        ``get(experiment).run()`` byte for byte).
     jobs:
         Worker processes.  ``1`` runs in-process (no pool is loaded).
     cache:

@@ -116,7 +116,7 @@ SMOKE_CLAIMS = {
               "reuseport_completes_every_request",
               "hermes_completes_every_request",
               "reuseport_hashes_a_b_behind_a",
-              "hermes_bounds_every_b_by_3.3t",
+              "hermes_bounds_every_b_by_3.2t",
               "hermes_uses_all_three_workers"],
     "figa5": ["rule_counts_long_tailed", "rules_cdf_well_formed"],
     "sec7": ["synchronized_rr_overloads_head_servers",

@@ -8,7 +8,8 @@ at larger scale.
 import pytest
 
 from repro.core import HermesConfig
-from repro.experiments.common import run_case_cell, run_spec
+from repro.experiments.common import CellResult
+from repro.experiments.registry import get
 from repro.kernel import Connection, FourTuple, Request
 from repro.lb import LBServer, NotificationMode
 from repro.sim import Environment, RngRegistry
@@ -20,12 +21,12 @@ class TestModeContrast:
 
     @pytest.fixture(scope="class")
     def case3_results(self):
-        results = {}
-        for mode in (NotificationMode.EXCLUSIVE, NotificationMode.REUSEPORT,
-                     NotificationMode.HERMES):
-            results[mode.value] = run_case_cell(
-                mode, "case3", "medium", n_workers=4, duration=2.0, seed=5)
-        return results
+        """Table 3's case3/medium cell, one device port, at seed 5."""
+        merged = get("table3").run(seed=5, overrides={
+            "cases": ["case3"], "loads": ["medium"], "n_workers": 4,
+            "durations": {"case3": 2.0}, "ports": [443], "settle": 0.5})
+        return {key.rsplit("/", 1)[1]: CellResult.from_doc(doc)
+                for key, doc in merged["cells"].items()}
 
     def test_identical_traffic_across_modes(self, case3_results):
         completed = {r.completed for r in case3_results.values()}

@@ -1,4 +1,4 @@
-"""Tests for the unified experiment registry and the typed entry points."""
+"""Tests for the unified experiment registry."""
 
 import pytest
 
@@ -86,14 +86,3 @@ class TestClaims:
         assert spec.claims is no_claims
         assert spec.claims({"cells": {}}) == ()
 
-
-class TestTypedEntryPoints:
-    def test_registry_render_matches_typed_run(self):
-        from repro.experiments.scaling import _point_line, run_scaling
-
-        points = run_scaling(worker_counts=(2,), duration=0.4)
-        merged = registry.get("scaling").run(
-            overrides={"worker_counts": [2], "duration": 0.4})
-        # Registry cells render exactly the typed function's points.
-        assert merged["rendered"].splitlines() \
-            == [_point_line(p) for p in points]
