@@ -7,7 +7,8 @@ hung worker turns a 30 ms request into a 440 s one under epoll-exclusive
 connections (§7).  This example runs the declarative fault scenarios from
 ``repro.faults`` — hang trains, crashes with detection windows and
 restarts, slow workers, NIC loss bursts — against EXCLUSIVE, REUSEPORT,
-and HERMES on identical traffic, and prints the resulting matrix:
+HERMES, PREQUAL and SPLICE on identical traffic, through the registered
+``resilience`` experiment, and prints the resulting matrix:
 
 - **blast radius** — fraction of in-flight connections stalled or killed;
 - **recovery time** — how long the completion-latency p99 stays degraded
@@ -21,13 +22,14 @@ HERMES (spreading + steering away from the victim) the smallest.
 Run:  python examples/resilience_matrix.py
 """
 
-from repro.faults import (SCENARIOS, render_matrix, run_resilience_cell,
-                          run_resilience_matrix)
+from repro.experiments.registry import get
+from repro.experiments.resilience import matrix_from_doc
+from repro.faults import SCENARIOS, render_matrix, run_resilience_cell
 from repro.lb.server import NotificationMode
 
 
 def main() -> None:
-    matrix = run_resilience_matrix(seed=7, n_workers=8)
+    matrix = matrix_from_doc(get("resilience").run(7, {"n_workers": 8}))
     print(render_matrix(matrix))
 
     hang_ex = matrix.cell("worker_hang", "exclusive")

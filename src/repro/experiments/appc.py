@@ -26,12 +26,13 @@ from ..analysis.stats import jains_fairness
 from ..cell import build_cell
 from ..cluster.sharding import ShuffleShardedFleet
 from ..core.config import HermesConfig
-from ..kernel.tcp import Connection, FourTuple
+from ..kernel.tcp import Connection
 from ..lb.server import LBServer, NotificationMode
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.distributions import FixedFactory
+from ..workloads.generator import client_four_tuple
 from .registry import CellSpec, Claim, ExperimentSpec, check_claims, register
 
 __all__ = ["GroupLocalityResult", "run_group_locality",
@@ -149,11 +150,8 @@ def run_sandbox_isolation(seed: int = 91) -> Dict[str, Dict[str, float]]:
     def drive(tenant, factory, period):
         def proc(env):
             while True:
-                conn = Connection(
-                    FourTuple(0x0A000000 + conn_rng.randrange(1 << 20),
-                              conn_rng.randrange(1024, 65535),
-                              0xC0A80001, 443),
-                    tenant_id=tenant, created_time=env.now)
+                conn = Connection(client_four_tuple(conn_rng, 1 << 20, 443),
+                                  tenant_id=tenant, created_time=env.now)
                 if fleet.connect(conn):
                     request = factory.build(conn_rng, tenant_id=tenant)
                     fleet.deliver(conn, request)

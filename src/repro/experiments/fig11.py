@@ -23,12 +23,12 @@ from typing import List, Tuple
 
 from ..cluster.canary import CanaryRelease
 from ..fleet import Fleet
-from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, ConnState, Request
 from ..lb.probes import Prober
 from ..lb.server import LBServer, NotificationMode
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
+from ..workloads.generator import client_four_tuple
 from .registry import Claim, simple_experiment
 
 __all__ = ["ProbeTimelineResult", "run_fig11"]
@@ -60,10 +60,8 @@ class _LivedPool:
         env.process(self._seed(), name="lived-pool")
 
     def _open_one(self):
-        conn = Connection(
-            FourTuple(0x0A000000 + self.rng.randrange(1 << 20),
-                      self.rng.randrange(1024, 65535), 0xC0A80001, 443),
-            created_time=self.env.now)
+        conn = Connection(client_four_tuple(self.rng, 1 << 20, 443),
+                          created_time=self.env.now)
         if self.fleet.connect(conn):
             self.conns.append(conn)
             self.env.process(self._lifetime(conn), name=f"life:{conn.id}")

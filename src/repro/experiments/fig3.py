@@ -60,8 +60,8 @@ def run_fig3(mode: NotificationMode = NotificationMode.EXCLUSIVE,
 
     # Long-lived connections established during the connect window; they
     # stay open (no FIN) and idle until the surge.
-    from ..kernel.hash import FourTuple
     from ..kernel.tcp import Connection
+    from ..workloads.generator import client_four_tuple
 
     lived_rng = registry.stream("lived")
     lived_conns: List[Connection] = []
@@ -69,10 +69,8 @@ def run_fig3(mode: NotificationMode = NotificationMode.EXCLUSIVE,
     def establish_lived(env):
         gap = connect_window / n_connections
         for i in range(n_connections):
-            conn = Connection(
-                FourTuple(0x0A000000 + lived_rng.randrange(1 << 16),
-                          lived_rng.randrange(1024, 65535), 0xC0A80001, 443),
-                created_time=env.now)
+            conn = Connection(client_four_tuple(lived_rng, 1 << 16, 443),
+                              created_time=env.now)
             if server.connect(conn):
                 lived_conns.append(conn)
             yield env.timeout(gap)

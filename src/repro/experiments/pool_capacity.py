@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection
 from ..lb.server import LBServer, NotificationMode
 from ..lb.worker import ServiceProfile
 from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
+from ..workloads.generator import client_four_tuple
 from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["PoolCapacityResult", "run_pool_capacity"]
@@ -68,10 +68,8 @@ def run_pool_capacity(mode: NotificationMode, n_workers: int = 8,
 
     def feeder(env):
         for i in range(total):
-            conn = Connection(
-                FourTuple(0x0A000000 + rng.randrange(1 << 20),
-                          rng.randrange(1024, 65535), 0xC0A80001, 443),
-                created_time=env.now)
+            conn = Connection(client_four_tuple(rng, 1 << 20, 443),
+                              created_time=env.now)
             server.connect(conn)
             conns.append(conn)
             yield env.timeout(0.002)

@@ -3,10 +3,10 @@
 The implementation lives in :mod:`repro.faults.resilience`; this module
 exposes it through the unified experiment registry so the matrix can be
 decomposed into independent (scenario, mode) cells, swept in parallel,
-and memoized like every table and figure.  The merged document is the
-exact canonical payload :meth:`ResilienceMatrix.to_json` produces, so a
-sweep of the full default grid is byte-identical to
-``run_resilience_matrix()``.
+and memoized like every table and figure.  ``get("resilience").run(seed,
+overrides)`` is the one way to run the matrix; its merged document is the
+canonical payload :meth:`ResilienceMatrix.to_json` writes, and
+:func:`matrix_from_doc` turns it back into a :class:`ResilienceMatrix`.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ register(ExperimentSpec(
     render=_render, default_seed=7,
     tunables={
         "scenarios": "scenario subset (default: all four)",
-        "modes": "mode subset (default: exclusive/reuseport/hermes/prequal)",
+        "modes": "mode subset (default: exclusive/reuseport/hermes/"
+                 "prequal/splice)",
         "n_workers": "workers behind each device",
     }))

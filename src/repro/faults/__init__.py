@@ -38,7 +38,6 @@ __all__ = [
     "inject_hang",
     "render_matrix",
     "run_resilience_cell",
-    "run_resilience_matrix",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -46,5 +45,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".plan": ("FaultKind", "FaultPlan", "FaultSpec"),
     ".resilience": ("RESILIENCE_MODES", "SCENARIOS", "ResilienceCell",
                     "ResilienceMatrix", "render_matrix",
-                    "run_resilience_cell", "run_resilience_matrix"),
+                    "run_resilience_cell"),
 })

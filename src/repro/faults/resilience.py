@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cell import build_cell
 from ..kernel.nic import Nic
@@ -45,8 +45,7 @@ from .injector import FaultInjector
 from .plan import FaultKind, FaultPlan, FaultSpec
 
 __all__ = ["ResilienceCell", "ResilienceMatrix", "SCENARIOS",
-           "RESILIENCE_MODES", "run_resilience_cell", "run_resilience_matrix",
-           "render_matrix"]
+           "RESILIENCE_MODES", "run_resilience_cell", "render_matrix"]
 
 #: Modes compared in the matrix: the Table 3 trio plus PREQUAL, the
 #: probe-based latency balancer (``repro.prequal``), plus SPLICE, the
@@ -230,19 +229,6 @@ def run_resilience_cell(scenario: str, mode: NotificationMode,
         blast_radius=_blast_radius(injector), recovery_time=recovery,
         completed=summary["completed"], failed=summary["failed"],
         faults_fired=injector.faults_fired)
-
-
-def run_resilience_matrix(
-        seed: int = 7, n_workers: int = 8,
-        scenarios: Optional[Sequence[str]] = None,
-        modes: Sequence[NotificationMode] = RESILIENCE_MODES,
-) -> ResilienceMatrix:
-    """The full matrix: every scenario against every mode."""
-    names = list(scenarios) if scenarios is not None else list(SCENARIOS)
-    cells = tuple(
-        run_resilience_cell(name, mode, seed=seed, n_workers=n_workers)
-        for name in names for mode in modes)
-    return ResilienceMatrix(cells=cells, seed=seed)
 
 
 def render_matrix(matrix: ResilienceMatrix) -> str:

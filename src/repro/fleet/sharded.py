@@ -20,11 +20,13 @@ How determinism is kept byte-identical across ``--jobs N``:
   a fresh per-connection seed, in that order — and hands each arrival to
   the instance the global ingress function picks.  Each shard receives
   only its own slice of ``(time, four_tuple, conn_seed)`` records and
-  schedules exactly those; it never draws, hashes or times a foreign
-  arrival.
+  hands it to :meth:`TrafficGenerator.replay
+  <repro.workloads.generator.TrafficGenerator.replay>`, the client driver
+  every cell uses; it never draws, hashes or times a foreign arrival.
 - Per-connection client behaviour (request payloads, think-time gaps)
   draws from a private ``Stream(conn_seed)``, so a connection behaves
-  the same whichever shard, in whichever process, simulates it.
+  the same whichever shard, in whichever process, simulates it, and
+  whatever other arrivals share its shard.
 - Merging reuses the slot-indexed collection + enumeration-order merge
   pattern ``repro.sweep`` proved byte-identical: shard results land in
   a list indexed by shard id, and all reductions (pooled latency
@@ -35,31 +37,28 @@ Not supported sharded (refused loudly rather than silently wrong):
 instance crashes (cross-shard failover migrates connections between
 instances), bounded-load ring ingress (the pick depends on live remote
 load), and client reconnect-on-reset (the retry would need to re-enter
-the global arrival stream).
+the global arrival stream; ``replay`` refuses it).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..fanout import fan_out
 from ..kernel.hash import FourTuple
-from ..kernel.tcp import Connection, ConnState
+from ..kernel.tcp import Connection
 from ..sim.engine import Environment
-from ..sim.rng import RngRegistry, Stream
+from ..sim.rng import RngRegistry
+from ..workloads.generator import (Arrival, TrafficGenerator, WorkloadSpec,
+                                   client_four_tuple)
 from .fleet import (N_BACKENDS, Fleet, FleetPolicy, check_churn,
                     fleet_instance, reduce_metrics)
 from .ingress import make_ingress
 
 __all__ = ["ShardIngress", "fleet_spec", "fleet_arrivals", "run_shard",
            "run_sharded_fleet", "merge_shards", "SHARDED_UNSUPPORTED"]
-
-#: The LB device's own address in synthetic 4-tuples (mirrors
-#: ``repro.workloads.generator.LB_IP``).
-_LB_IP = 0xC0A80001
 
 SHARDED_UNSUPPORTED = (
     "instance crashes (--crash-at)",
@@ -117,15 +116,10 @@ class ShardIngress:
         return active[0]
 
 
-#: One fleet-wide arrival: (time, 4-tuple, per-connection seed).
-Arrival = Tuple[float, FourTuple, int]
-
-
 def fleet_spec(duration: float, conn_rate: float):
     """The fleet workload, sharded or not: arrivals stop 0.3 s before
     the run ends; each connection sends 20 fixed 200 µs requests."""
     from ..workloads.distributions import FixedFactory
-    from ..workloads.generator import WorkloadSpec
 
     return WorkloadSpec(name="fleet", conn_rate=conn_rate,
                         duration=max(0.1, duration - 0.3),
@@ -170,70 +164,10 @@ def fleet_arrivals(seed: int, n_instances: int, duration: float,
             return slices, total
         now = now + gap
         rng.random()                                  # port pick
-        src_ip = 0x0A000000 + rng.randrange(n_ips)
-        src_port = rng.randrange(1024, 65535)
+        four_tuple = client_four_tuple(rng, n_ips, port)
         conn_seed = rng.getrandbits(64)
-        four_tuple = FourTuple(src_ip, src_port, _LB_IP, port)
         slices[owner(four_tuple)].append((now, four_tuple, conn_seed))
         total += 1
-
-
-class _ShardedTrafficGenerator:
-    """Opens one shard's slice of the fleet-wide arrival stream.
-
-    Every owned arrival is scheduled at set-up for its exact spine time
-    (``0.0 + time == time``); everything per-connection afterwards uses
-    the connection's private stream.
-    """
-
-    def __init__(self, env: Environment, fleet: Fleet,
-                 arrivals: Sequence[Arrival], total: int, spec) -> None:
-        if spec.reconnect_on_reset:
-            raise ValueError(
-                "reconnect_on_reset cannot be sharded: the retry would "
-                "re-enter the global arrival stream")
-        self.env = env
-        self.fleet = fleet
-        self.arrivals = arrivals
-        self.spec = spec
-        self.opened = 0
-        self.refused = 0
-        self.reset = 0
-        self.requests_sent = 0
-        #: Fleet-wide arrivals another shard owns.
-        self.foreign = total - len(arrivals)
-
-    def start(self) -> None:
-        schedule = self.env.schedule_callback
-        for time, four_tuple, conn_seed in self.arrivals:
-            schedule(time, partial(self._open, four_tuple, conn_seed))
-
-    def _open(self, four_tuple: FourTuple, conn_seed: int) -> None:
-        conn = Connection(four_tuple, tenant_id=0,
-                          created_time=self.env.now)
-        self.opened += 1
-        if not self.fleet.connect(conn):
-            self.refused += 1
-            return
-        self.env.process(self._client(conn, Stream(conn_seed)),
-                         name=f"client:{conn.id}")
-
-    def _client(self, conn: Connection, crng: Stream):
-        spec = self.spec
-        n = spec.requests_per_conn
-        for i in range(n):
-            if conn.state in (ConnState.RESET, ConnState.REFUSED):
-                self.reset += 1
-                return
-            request = spec.factory.build(crng, tenant_id=conn.tenant_id)
-            self.fleet.deliver(conn, request)
-            self.requests_sent += 1
-            if spec.request_gap_mean > 0 and i < n - 1:
-                yield crng.expovariate(1.0 / spec.request_gap_mean)
-        if conn.state in (ConnState.RESET, ConnState.REFUSED):
-            self.reset += 1
-            return
-        conn.client_close()
 
 
 def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -288,15 +222,14 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
 
             pcc = watch_fleet(fleet)
             monitors = [watch(instance)]
-        gen = _ShardedTrafficGenerator(
-            env, fleet, payload["arrivals"], payload["total_arrivals"],
-            fleet_spec(duration, payload["conn_rate"]))
+        gen = TrafficGenerator(env, fleet, None,
+                               fleet_spec(duration, payload["conn_rate"]))
         churn_at = payload.get("churn_at")
         if churn_at is not None:
             env.schedule_callback(
                 churn_at,
                 lambda: fleet.churn_backends(payload.get("churn_k", 2)))
-        gen.start()
+        gen.replay(payload["arrivals"])
         env.run(until=duration)
 
         passes: Dict[str, int] = {}
@@ -318,11 +251,11 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
             "churn_events": fleet.churn_events,
             "broken_backend": fleet.broken_backend,
             "broken": fleet.broken_connections(),
-            "opened": gen.opened,
-            "conn_refused": gen.refused,
-            "conn_reset": gen.reset,
-            "requests_sent": gen.requests_sent,
-            "foreign": gen.foreign,
+            "opened": gen.stats.connections_opened,
+            "conn_refused": gen.stats.connections_refused,
+            "conn_reset": gen.stats.connections_reset,
+            "requests_sent": gen.stats.requests_sent,
+            "foreign": payload["total_arrivals"] - len(payload["arrivals"]),
             "pcc_violations": violations,
             "passes": passes,
             "steps": env.steps,

@@ -1,4 +1,4 @@
-"""Workload generation: the arrival process, request distributions, the
+"""Workload generation: the client driver, request distributions, the
 paper's four traffic cases, region profiles, traces, and tenant skew."""
 
 from .._lazy import lazy_exports
@@ -13,7 +13,6 @@ __all__ = [
     "LOAD_MULTIPLIERS",
     "PAPER_TOP3_REGION_A",
     "PAPER_TOP3_REGION_B",
-    "PoissonArrivals",
     "QuantileSampler",
     "REGIONS",
     "RegionProfile",
@@ -33,7 +32,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".arrivals": ("PoissonArrivals",),
     ".cases": ("CASE_MIX", "CASES", "LOAD_MULTIPLIERS", "CaseDefinition",
                "build_case_workload"),
     ".distributions": ("FixedFactory", "QuantileSampler", "RequestFactory"),

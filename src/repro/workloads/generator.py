@@ -1,31 +1,47 @@
 """The traffic generator: open-loop clients driving an LB device.
 
-A :class:`TrafficGenerator` owns client-side state: it opens connections
-(sampling 4-tuples, tenants, ports), delivers request data on them, closes
-them, and optionally reconnects when the LB resets a connection (the
-client-retry behaviour behind the paper's service-degradation and
-crash-blast-radius discussions).
+A :class:`TrafficGenerator` is the one client driver: it opens every
+synthetic connection (sampling 4-tuples, tenants, ports, or taking them
+from a listed arrival), delivers request data on it, closes it, and
+optionally reconnects when the LB resets a connection (the client-retry
+behaviour behind the paper's service-degradation and crash-blast-radius
+discussions).
+
+Arrivals are open-loop: they occur at their own pace regardless of how
+the LB keeps up, which is what exposes overload behaviour (closed-loop
+clients would implicitly throttle and mask it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from functools import partial
+from typing import Iterable, Optional, Protocol, Sequence, Tuple
 
 from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, ConnState, Request
-from ..sim.engine import Environment, Interrupt
+from ..sim.engine import Environment
 from ..sim.rng import Stream
-from .arrivals import PoissonArrivals
 
 __all__ = ["TrafficGenerator", "WorkloadSpec", "ClientStats"]
 
 #: The LB device's own address in synthetic 4-tuples.
 LB_IP = 0xC0A80001
 
+#: One listed arrival: (time, 4-tuple, per-connection seed).
+Arrival = Tuple[float, FourTuple, int]
+
+
+def client_four_tuple(rng: Stream, n_client_ips: int,
+                      port: int) -> FourTuple:
+    """A synthetic client's 4-tuple to ``LB_IP:port``: the source IP
+    (one of ``n_client_ips`` from 10.0.0.0), then the source port."""
+    return FourTuple(0x0A000000 + rng.randrange(n_client_ips),
+                     rng.randrange(1024, 65535), LB_IP, port)
+
 
 class _Target(Protocol):
-    """What the generator drives (an LBServer or a cluster frontend)."""
+    """What the generator drives (an LBServer or a Fleet)."""
 
     def connect(self, connection: Connection) -> bool: ...  # pragma: no cover
 
@@ -69,6 +85,39 @@ class WorkloadSpec:
     request_timeout: Optional[float] = None
 
 
+class PortPicker:
+    """A spec's per-connection ``(tenant id, port)`` pick.
+
+    Calling it draws one ``random()`` and picks a port weighted by
+    ``tenant_weights``; ``tenant_of`` maps each port to its tenant id.
+    """
+
+    def __init__(self, spec: WorkloadSpec):
+        ports = spec.ports
+        weights = (list(spec.tenant_weights) if spec.tenant_weights
+                   else [1.0] * len(ports))
+        if len(weights) != len(ports):
+            raise ValueError("tenant_weights must match ports")
+        ids = spec.tenant_ids if spec.tenant_ids is not None \
+            else range(len(ports))
+        if len(ids) != len(ports):
+            raise ValueError("tenant_ids must match ports")
+        total = sum(weights)
+        acc, cumulative = 0.0, []
+        for w in weights:
+            acc += w / total
+            cumulative.append(acc)
+        self._choices = list(zip(cumulative, zip(ids, ports)))
+        self.tenant_of = {port: tenant for tenant, port in zip(ids, ports)}
+
+    def __call__(self, rng: Stream) -> Tuple[int, int]:
+        u = rng.random()
+        for threshold, choice in self._choices:
+            if u <= threshold:
+                return choice
+        return self._choices[-1][1]
+
+
 @dataclass
 class ClientStats:
     """Client-observed outcomes."""
@@ -83,87 +132,91 @@ class ClientStats:
 
 
 class TrafficGenerator:
-    """Drives one workload spec against a target LB."""
+    """Drives one workload spec against a target LB.
 
-    def __init__(self, env: Environment, target: _Target, rng: Stream,
-                 spec: WorkloadSpec):
+    :meth:`start` draws Poisson arrivals and every per-connection value
+    from the shared ``rng``; :meth:`replay` opens a given list of
+    arrivals, each client drawing from its own ``Stream(conn_seed)``, and
+    needs no ``rng``.
+    """
+
+    def __init__(self, env: Environment, target: _Target,
+                 rng: Optional[Stream], spec: WorkloadSpec):
         self.env = env
         self.target = target
         self.rng = rng
         self.spec = spec
         self.stats = ClientStats()
-        self._arrivals: Optional[PoissonArrivals] = None
-        self._cumulative_weights = self._build_weights()
-
-    def _build_weights(self) -> List[float]:
-        spec = self.spec
-        weights = (list(spec.tenant_weights) if spec.tenant_weights
-                   else [1.0] * len(spec.ports))
-        if len(weights) != len(spec.ports):
-            raise ValueError("tenant_weights must match ports")
-        total = sum(weights)
-        acc, cumulative = 0.0, []
-        for w in weights:
-            acc += w / total
-            cumulative.append(acc)
-        return cumulative
-
-    def _tenant_for(self, index: int) -> int:
-        ids = self.spec.tenant_ids
-        if ids is None:
-            return index
-        if len(ids) != len(self.spec.ports):
-            raise ValueError("tenant_ids must match ports")
-        return ids[index]
-
-    def _pick_port(self) -> Tuple[int, int]:
-        """(tenant id, port) weighted by tenant share."""
-        u = self.rng.random()
-        for index, threshold in enumerate(self._cumulative_weights):
-            if u <= threshold:
-                return self._tenant_for(index), self.spec.ports[index]
-        last = len(self.spec.ports) - 1
-        return self._tenant_for(last), self.spec.ports[last]
-
-    def _four_tuple(self, port: int) -> FourTuple:
-        src_ip = 0x0A000000 + self.rng.randrange(self.spec.n_client_ips)
-        src_port = self.rng.randrange(1024, 65535)
-        return FourTuple(src_ip, src_port, LB_IP, port)
+        self._pick_port = PortPicker(spec)
 
     # -- public API -------------------------------------------------------
     def start(self) -> None:
         """Begin opening connections per the spec's arrival process."""
-        self._arrivals = PoissonArrivals(
-            self.env, self.rng, self.spec.conn_rate,
-            sink=lambda _i: self.open_connection(),
-            until=self.spec.duration, name=f"gen:{self.spec.name}")
+        self.env.process(self._poisson(), name=f"gen:{self.spec.name}")
 
-    def stop(self) -> None:
-        if self._arrivals is not None:
-            self._arrivals.stop()
+    def replay(self, arrivals: Iterable[Arrival]) -> None:
+        """Open a connection at each listed ``(time, four_tuple,
+        conn_seed)``; all are scheduled now, so call this at time 0."""
+        if self.spec.reconnect_on_reset:
+            raise ValueError(
+                "reconnect_on_reset cannot replay listed arrivals: the "
+                "retry would re-enter the global arrival stream")
+        schedule = self.env.schedule_callback
+        for time, four_tuple, conn_seed in arrivals:
+            schedule(time, partial(self.open_connection, four_tuple,
+                                   conn_seed))
 
-    def open_connection(self, tenant_id: Optional[int] = None,
-                        port: Optional[int] = None,
-                        requests: Optional[int] = None) -> Connection:
-        """Open one connection and spawn its client process."""
-        if port is None or tenant_id is None:
-            tenant_id, port = self._pick_port()
-        conn = Connection(self._four_tuple(port), tenant_id=tenant_id,
+    def open_connection(self, four_tuple: Optional[FourTuple] = None,
+                        conn_seed: Optional[int] = None) -> Connection:
+        """Open one connection and spawn its client process.
+
+        With no arguments the port, tenant and 4-tuple come from the
+        shared stream, and so does everything the client draws.  A listed
+        arrival passes its 4-tuple and seed: its tenant is its port's,
+        and its client draws from ``Stream(conn_seed)``.
+        """
+        if four_tuple is None:
+            tenant_id, port = self._pick_port(self.rng)
+            four_tuple = client_four_tuple(self.rng, self.spec.n_client_ips,
+                                           port)
+        else:
+            tenant_id = self._pick_port.tenant_of[four_tuple.dst_port]
+        conn = Connection(four_tuple, tenant_id=tenant_id,
                           created_time=self.env.now)
-        self.stats.connections_opened += 1
-        accepted = self.target.connect(conn)
-        if not accepted:
-            self.stats.connections_refused += 1
-            return conn
-        n = requests if requests is not None else self.spec.requests_per_conn
-        self.env.process(self._client(conn, n), name=f"client:{conn.id}")
+        rng = self.rng if conn_seed is None else Stream(conn_seed)
+        self._connect(conn, rng, self.spec.requests_per_conn)
         return conn
 
-    # -- client behaviour -------------------------------------------------
-    def _client(self, conn: Connection, n_requests: int,
+    # -- arrivals and client behaviour ------------------------------------
+    def _connect(self, conn: Connection, rng: Stream, n_requests: int,
+                 is_retry: bool = False) -> None:
+        """Count ``conn`` as opened and connect it; if the target accepts
+        it, start the client that sends its ``n_requests``."""
+        self.stats.connections_opened += 1
+        if not self.target.connect(conn):
+            self.stats.connections_refused += 1
+            return
+        name = f"client:{conn.id}:retry" if is_retry else f"client:{conn.id}"
+        self.env.process(self._client(conn, rng, n_requests, is_retry),
+                         name=name)
+
+    def _poisson(self):
+        """Poisson arrivals at ``conn_rate`` until ``duration`` (none at a
+        rate <= 0)."""
+        env = self.env
+        rate = float(self.spec.conn_rate)
+        until = self.spec.duration
+        if rate <= 0:
+            return
+        while env.now < until:
+            yield env.timeout(self.rng.expovariate(rate))
+            if env.now >= until:
+                return
+            self.open_connection()
+
+    def _client(self, conn: Connection, rng: Stream, n_requests: int,
                 is_retry: bool = False):
         spec = self.spec
-        rng = self.rng
         build = spec.factory.build
         deliver = self.target.deliver
         stats = self.stats
@@ -173,28 +226,25 @@ class TrafficGenerator:
         last = n_requests - 1 if gap_mean > 0 else -1
         dead = (ConnState.RESET, ConnState.REFUSED)
         tenant_id = conn.tenant_id
-        try:
-            if spec.first_request_delay > 0:
-                yield spec.first_request_delay  # direct timer
-            for i in range(n_requests):
-                if conn.state in dead:
-                    self._on_reset(conn, n_requests - i, is_retry)
-                    return
-                request = build(rng, tenant_id)
-                deliver(conn, request)
-                stats.requests_sent += 1
-                if timeout is not None:
-                    self._arm_timeout(request, timeout)
-                if i < last:
-                    # Direct timer: the RNG draw order and the heap key are
-                    # identical to the env.timeout(...) form.
-                    yield rng.expovariate(1.0 / gap_mean)
+        if spec.first_request_delay > 0:
+            yield spec.first_request_delay  # direct timer
+        for i in range(n_requests):
             if conn.state in dead:
-                self._on_reset(conn, 0, is_retry)
+                self._on_reset(conn, n_requests - i, is_retry)
                 return
-            conn.client_close()
-        except Interrupt:
+            request = build(rng, tenant_id)
+            deliver(conn, request)
+            stats.requests_sent += 1
+            if timeout is not None:
+                self._arm_timeout(request, timeout)
+            if i < last:
+                # Direct timer: the RNG draw order and the heap key are
+                # identical to the env.timeout(...) form.
+                yield rng.expovariate(1.0 / gap_mean)
+        if conn.state in dead:
+            self._on_reset(conn, 0, is_retry)
             return
+        conn.client_close()
 
     def _arm_timeout(self, request: Request, deadline: float) -> None:
         def check():
@@ -210,12 +260,8 @@ class TrafficGenerator:
         self.stats.connections_reset += 1
         if self.spec.reconnect_on_reset and not is_retry and remaining > 0:
             self.stats.reconnects += 1
-            fresh = Connection(self._four_tuple(conn.port),
-                               tenant_id=conn.tenant_id,
-                               created_time=self.env.now)
-            self.stats.connections_opened += 1
-            if self.target.connect(fresh):
-                self.env.process(self._client(fresh, remaining, is_retry=True),
-                                 name=f"client:{fresh.id}:retry")
-            else:
-                self.stats.connections_refused += 1
+            fresh = Connection(
+                client_four_tuple(self.rng, self.spec.n_client_ips,
+                                  conn.port),
+                tenant_id=conn.tenant_id, created_time=self.env.now)
+            self._connect(fresh, self.rng, remaining, is_retry=True)

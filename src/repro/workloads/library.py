@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Tuple
 
 from ..kernel.hash import FourTuple
 from ..sim.rng import Stream
+from .generator import client_four_tuple
 from .trace import Trace
 
 __all__ = [
@@ -40,13 +41,6 @@ __all__ = [
     "build_family_trace",
     "family_names",
 ]
-
-
-def _four_tuple(rng: Stream, n_client_ips: int, port: int) -> FourTuple:
-    from .generator import LB_IP
-
-    return FourTuple(0x0A000000 + rng.randrange(n_client_ips),
-                     rng.randrange(1024, 65535), LB_IP, port)
 
 
 def _service_times(rng: Stream, mean_us: float, n: int) -> Tuple[float, ...]:
@@ -154,8 +148,8 @@ def _build_diurnal(params: Dict[str, object], rng: Stream) -> Trace:
     for conn_key, at in enumerate(
             _thinned_arrivals(rng, duration, peak, rate_at), start=1):
         tenant = rng.randrange(len(ports))
-        four_tuple = _four_tuple(rng, int(params["n_client_ips"]),
-                                 ports[tenant])
+        four_tuple = client_four_tuple(rng, int(params["n_client_ips"]),
+                                       ports[tenant])
         _record_conn(trace, rng, at, conn_key, four_tuple, tenant,
                      int(params["requests_per_conn"]),
                      float(params["mean_service_us"]),
@@ -194,8 +188,8 @@ def _build_flash_crowd(params: Dict[str, object], rng: Stream) -> Trace:
     for conn_key, at in enumerate(
             _thinned_arrivals(rng, duration, peak, rate_at), start=1):
         tenant = rng.randrange(len(ports))
-        four_tuple = _four_tuple(rng, int(params["n_client_ips"]),
-                                 ports[tenant])
+        four_tuple = client_four_tuple(rng, int(params["n_client_ips"]),
+                                       ports[tenant])
         _record_conn(trace, rng, at, conn_key, four_tuple, tenant,
                      int(params["requests_per_conn"]),
                      float(params["mean_service_us"]),
@@ -233,8 +227,8 @@ def _build_heavy_hitter(params: Dict[str, object], rng: Stream) -> Trace:
             tenant = rng.randrange(n_tenants - 1)
             if tenant >= hot:
                 tenant += 1
-        four_tuple = _four_tuple(rng, int(params["n_client_ips"]),
-                                 base_port + tenant)
+        four_tuple = client_four_tuple(rng, int(params["n_client_ips"]),
+                                       base_port + tenant)
         _record_conn(trace, rng, at, conn_key, four_tuple, tenant,
                      int(params["requests_per_conn"]),
                      float(params["mean_service_us"]),
@@ -268,7 +262,7 @@ def _build_fanout(params: Dict[str, object], rng: Stream) -> Trace:
         nonlocal conn_key
         conn_key += 1
         port = ports[level % len(ports)]
-        four_tuple = _four_tuple(rng, int(params["n_client_ips"]), port)
+        four_tuple = client_four_tuple(rng, int(params["n_client_ips"]), port)
         _record_conn(trace, rng, at, conn_key, four_tuple, level, 1,
                      float(params["mean_service_us"]),
                      int(params["size"]), 0.0)
@@ -306,8 +300,8 @@ def _build_longlived(params: Dict[str, object], rng: Stream) -> Trace:
     for conn_key in range(1, n_connections + 1):
         at = rng.uniform(0.0, connect_window)
         tenant = rng.randrange(len(ports))
-        four_tuple = _four_tuple(rng, int(params["n_client_ips"]),
-                                 ports[tenant])
+        four_tuple = client_four_tuple(rng, int(params["n_client_ips"]),
+                                       ports[tenant])
         trace.record_open(at, conn_key, four_tuple, tenant_id=tenant)
         conns.append((conn_key, four_tuple, tenant))
     close_at = surge_at

@@ -86,8 +86,9 @@ class Trace:
             tuple(event_times), size))
 
     def record_close(self, time: float, conn_key: int,
-                     four_tuple: FourTuple) -> None:
-        self.events.append(TraceEvent(time, "close", conn_key, four_tuple))
+                     four_tuple: FourTuple, tenant_id: int = 0) -> None:
+        self.events.append(TraceEvent(time, "close", conn_key, four_tuple,
+                                      tenant_id))
 
     def sorted_events(self) -> List[TraceEvent]:
         return sorted(self.events, key=lambda e: e.time)
@@ -112,12 +113,14 @@ def build_trace_from_spec(spec, rng) -> Trace:
     """Materialize a workload spec into a concrete trace.
 
     Samples the same arrival process, tuples, and request shapes a
-    :class:`~repro.workloads.generator.TrafficGenerator` would produce,
-    but records them instead of sending them — the "collect and replay"
-    workflow of §6.2.
+    :class:`~repro.workloads.generator.TrafficGenerator` would produce —
+    ports weighted by ``tenant_weights``, events tagged with the port's
+    ``tenant_ids`` entry — but records them instead of sending them: the
+    "collect and replay" workflow of §6.2.
     """
-    from .generator import LB_IP
+    from .generator import PortPicker, client_four_tuple
 
+    pick_port = PortPicker(spec)
     trace = Trace()
     time = 0.0
     conn_key = 0
@@ -126,20 +129,19 @@ def build_trace_from_spec(spec, rng) -> Trace:
         if time >= spec.duration:
             break
         conn_key += 1
-        port_index = rng.randrange(len(spec.ports))
-        four_tuple = FourTuple(
-            0x0A000000 + rng.randrange(spec.n_client_ips),
-            rng.randrange(1024, 65535), LB_IP, spec.ports[port_index])
-        trace.record_open(time, conn_key, four_tuple, tenant_id=port_index)
+        tenant_id, port = pick_port(rng)
+        four_tuple = client_four_tuple(rng, spec.n_client_ips, port)
+        trace.record_open(time, conn_key, four_tuple, tenant_id=tenant_id)
         request_time = time + spec.first_request_delay
         for i in range(spec.requests_per_conn):
-            request = spec.factory.build(rng, tenant_id=port_index)
+            request = spec.factory.build(rng, tenant_id=tenant_id)
             trace.record_request(request_time, conn_key, four_tuple,
                                  request.event_times, request.size_bytes,
-                                 tenant_id=port_index)
+                                 tenant_id=tenant_id)
             if spec.request_gap_mean > 0:
                 request_time += rng.expovariate(1.0 / spec.request_gap_mean)
-        trace.record_close(request_time, conn_key, four_tuple)
+        trace.record_close(request_time, conn_key, four_tuple,
+                           tenant_id=tenant_id)
     return trace
 
 

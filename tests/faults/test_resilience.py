@@ -3,12 +3,20 @@ direction (HERMES degrades less and recovers faster than EXCLUSIVE)."""
 
 import pytest
 
+from repro.experiments.registry import get
+from repro.experiments.resilience import matrix_from_doc
 from repro.faults import (RESILIENCE_MODES, SCENARIOS, FaultInjector,
                           FaultPlan, ResilienceMatrix, render_matrix,
-                          run_resilience_cell, run_resilience_matrix)
+                          run_resilience_cell)
 from repro.lb import LBServer, NotificationMode
 from repro.sim import Environment, RngRegistry
 from repro.workloads import FixedFactory, TrafficGenerator, WorkloadSpec
+
+
+def run_matrix(seed: int, scenarios, modes) -> ResilienceMatrix:
+    """A 4-worker matrix through the registry."""
+    return matrix_from_doc(get("resilience").run(
+        seed, {"n_workers": 4, "scenarios": scenarios, "modes": modes}))
 
 
 def run_device(seed: int, empty_injector: bool):
@@ -54,10 +62,8 @@ class TestDeterminism:
 
     def test_matrix_json_is_byte_stable(self):
         def matrix() -> str:
-            return run_resilience_matrix(
-                seed=5, n_workers=4, scenarios=["worker_hang"],
-                modes=(NotificationMode.EXCLUSIVE,
-                       NotificationMode.HERMES)).to_json(indent=2)
+            return run_matrix(5, ["worker_hang"],
+                              ["exclusive", "hermes"]).to_json(indent=2)
 
         assert matrix() == matrix()
 
@@ -80,10 +86,8 @@ class TestCellShape:
             run_resilience_cell("meteor_strike", NotificationMode.HERMES)
 
     def test_matrix_lookup_and_render(self):
-        matrix = run_resilience_matrix(
-            seed=5, n_workers=4, scenarios=["slow_worker"],
-            modes=(NotificationMode.HERMES,))
-        assert isinstance(matrix, ResilienceMatrix)
+        matrix = run_matrix(5, ["slow_worker"], ["hermes"])
+        assert matrix.seed == 5
         cell = matrix.cell("slow_worker", "hermes")
         assert cell.scenario == "slow_worker"
         with pytest.raises(KeyError):

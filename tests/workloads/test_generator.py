@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.kernel import FourTuple, Request
 from repro.lb import LBServer, NotificationMode
 from repro.sim import Environment, RngRegistry
 from repro.workloads import FixedFactory, TrafficGenerator, WorkloadSpec
@@ -104,3 +105,58 @@ class TestSourceDiversity:
                 ips.add(conn.four_tuple.src_ip)
         # All observed IPs from the 4-address pool.
         assert len(ips) <= 4
+
+
+class DrawingFactory:
+    """Each request's service time is a draw from the client's stream."""
+
+    def build(self, rng, tenant_id=0):
+        return Request(tenant_id=tenant_id, event_times=(rng.random(),))
+
+
+class RecordingTarget:
+    """Accepts every connection and records each delivery."""
+
+    def __init__(self, env):
+        self.env = env
+        self.sent = []
+
+    def connect(self, connection):
+        return True
+
+    def deliver(self, connection, request):
+        self.sent.append((self.env.now, connection.four_tuple,
+                          request.event_times))
+
+
+def tup(i):
+    return FourTuple(0x0A000000 + i, 40000 + i, 0xC0A80001, 443)
+
+
+class TestReplay:
+    @staticmethod
+    def _replay(arrivals, **spec_kwargs):
+        env = Environment()
+        target = RecordingTarget(env)
+        spec = WorkloadSpec(name="listed", conn_rate=0.0, duration=1.0,
+                            factory=DrawingFactory(), requests_per_conn=4,
+                            request_gap_mean=0.02, **spec_kwargs)
+        gen = TrafficGenerator(env, target, None, spec)
+        gen.replay(arrivals)
+        env.run(until=2.0)
+        return gen, target.sent
+
+    def test_record_behaves_the_same_among_others(self):
+        record = (0.05, tup(1), 1234)
+        _, alone = self._replay([record])
+        gen, mixed = self._replay([(0.01, tup(2), 99), record,
+                                   (0.05, tup(3), 7), (0.06, tup(4), 1234)])
+        assert len(alone) == 4
+        assert alone[0][0] == 0.05
+        assert [s for s in mixed if s[1] == tup(1)] == alone
+        assert gen.stats.connections_opened == 4
+        assert gen.stats.requests_sent == len(mixed) == 16
+
+    def test_reconnect_on_reset_refused(self):
+        with pytest.raises(ValueError, match="reconnect_on_reset"):
+            self._replay([(0.05, tup(1), 1)], reconnect_on_reset=True)
