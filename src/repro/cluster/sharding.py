@@ -40,10 +40,6 @@ class VMGroup:
     #: Sandbox groups only host quarantined tenants.
     sandbox: bool = False
 
-    @property
-    def capacity(self) -> int:
-        return sum(d.n_workers for d in self.devices)
-
 
 @dataclass
 class TenantPlacement:

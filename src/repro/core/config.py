@@ -15,7 +15,7 @@ switch; the eBPF dispatcher is a handful of bitwise ops).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Tuple
 
 __all__ = ["HermesConfig", "OverheadCosts"]
@@ -93,6 +93,3 @@ class HermesConfig:
         if set(self.filter_order) - valid:
             raise ValueError(f"filter_order entries must be in {valid}")
 
-    def with_overrides(self, **kwargs) -> "HermesConfig":
-        """A copy with some fields replaced (sweep helper)."""
-        return replace(self, **kwargs)

@@ -8,9 +8,9 @@ replayable experiments:
 
 - :mod:`repro.faults.plan` — :class:`FaultPlan` / :class:`FaultSpec`: a
   JSON-serializable schedule of timed faults (hang trains, crashes with
-  detection windows and restarts, slow workers, backend brownouts and
-  blackouts, WST timestamp freezes and torn-read bursts, eBPF bitmap sync
-  loss, NIC loss bursts).
+  detection windows and restarts, slow workers, WST timestamp freezes
+  and torn-read bursts, eBPF bitmap sync loss, NIC loss bursts, and the
+  fleet-scope instance crashes, drains and backend churn).
 - :mod:`repro.faults.injector` — :class:`FaultInjector`: arms a plan
   against a running :class:`~repro.lb.LBServer` through one uniform API,
   emitting ``fault.arm/fire/clear`` into the observability tracer and

@@ -66,9 +66,6 @@ class FaultInjector:
         to ``RngRegistry(plan.seed)``, created lazily on first need.
     tracer:
         Optional :class:`~repro.obs.Tracer`; defaults to the server's.
-    backend:
-        Optional :class:`~repro.lb.backend.BackendPool` that backend
-        brownout/blackout faults act on.
     fleet:
         Optional :class:`~repro.fleet.Fleet` that fleet-scope kinds
         (``instance_crash``/``instance_drain``/``backend_churn``) act on.
@@ -77,7 +74,7 @@ class FaultInjector:
 
     def __init__(self, env: Environment, server, plan: FaultPlan,
                  registry: Optional[RngRegistry] = None, tracer=None,
-                 backend=None, fleet=None):
+                 fleet=None):
         self.env = env
         self.server = server
         self.plan = plan
@@ -86,7 +83,6 @@ class FaultInjector:
             tracer = fleet.tracer
         self.tracer = tracer if tracer is not None \
             else getattr(server, "tracer", None)
-        self.backend = backend
         self._registry = registry
         #: Structured record of every arm/fire/clear, tracer or not.
         self.log: List[Dict[str, Any]] = []
@@ -138,9 +134,6 @@ class FaultInjector:
         if spec.kind is FaultKind.NIC_LOSS \
                 and self.server.stack.nic is None:
             raise FaultArmError("nic_loss fault needs a server built with a Nic")
-        if spec.kind in (FaultKind.BACKEND_BROWNOUT,
-                         FaultKind.BACKEND_BLACKOUT) and self.backend is None:
-            raise FaultArmError(f"{spec.kind.value} fault needs a backend pool")
         if spec.kind in (FaultKind.WST_FREEZE, FaultKind.WST_TORN_BURST,
                          FaultKind.BITMAP_SYNC_LOSS) \
                 and not getattr(self.server, "groups", None):
@@ -149,9 +142,6 @@ class FaultInjector:
         if isinstance(spec.target, int) \
                 and not 0 <= spec.target < self.server.n_workers:
             raise FaultArmError(f"target worker {spec.target} out of range")
-        if spec.kind is FaultKind.BACKEND_BLACKOUT \
-                and not 0 <= spec.server_id < len(self.backend.servers):
-            raise FaultArmError(f"server_id {spec.server_id} out of range")
 
     def arm(self) -> "FaultInjector":
         """Schedule every occurrence of every spec.  Idempotence guard:
@@ -212,8 +202,6 @@ class FaultInjector:
             FaultKind.WORKER_HANG: self._fire_hang,
             FaultKind.WORKER_CRASH: self._fire_crash,
             FaultKind.SLOW_WORKER: self._fire_slow,
-            FaultKind.BACKEND_BROWNOUT: self._fire_brownout,
-            FaultKind.BACKEND_BLACKOUT: self._fire_blackout,
             FaultKind.WST_FREEZE: self._fire_wst_freeze,
             FaultKind.WST_TORN_BURST: self._fire_torn_burst,
             FaultKind.BITMAP_SYNC_LOSS: self._fire_sync_loss,
@@ -313,23 +301,6 @@ class FaultInjector:
             worker.service_multiplier = 1.0
 
         self._schedule_clear(spec, index, restore)
-
-    def _fire_brownout(self, spec: FaultSpec, index: int,
-                       occurrence: int) -> None:
-        self.backend.set_brownout(spec.magnitude)
-        self._emit("fire", spec, index, occurrence=occurrence,
-                   multiplier=spec.magnitude, duration=spec.duration)
-        self._schedule_clear(spec, index,
-                             lambda: self.backend.set_brownout(1.0))
-
-    def _fire_blackout(self, spec: FaultSpec, index: int,
-                       occurrence: int) -> None:
-        self.backend.set_server_down(spec.server_id, True)
-        self._emit("fire", spec, index, occurrence=occurrence,
-                   server_id=spec.server_id, duration=spec.duration)
-        self._schedule_clear(
-            spec, index,
-            lambda: self.backend.set_server_down(spec.server_id, False))
 
     def _fire_wst_freeze(self, spec: FaultSpec, index: int,
                          occurrence: int) -> None:

@@ -11,8 +11,6 @@ entries describing *every* failure class the paper's evaluation touches:
   comes back ``restart_after`` seconds after the crash.
 - ``slow_worker`` — one worker's userspace service time is multiplied by
   ``magnitude`` for ``duration`` (thermal throttling, noisy neighbour).
-- ``backend_brownout`` / ``backend_blackout`` — the upstream pool degrades
-  (handshake cost × ``magnitude``) or one backend goes dark entirely.
 - ``wst_freeze`` — one worker's WST loop-entry timestamp stops advancing
   (a stuck time source / dead publisher): the paper's staleness filter is
   what must catch it.
@@ -44,7 +42,7 @@ bit-identical to a run without an injector.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Iterator, Optional, Tuple, Union
 
@@ -55,8 +53,6 @@ class FaultKind(Enum):
     WORKER_HANG = "worker_hang"
     WORKER_CRASH = "worker_crash"
     SLOW_WORKER = "slow_worker"
-    BACKEND_BROWNOUT = "backend_brownout"
-    BACKEND_BLACKOUT = "backend_blackout"
     WST_FREEZE = "wst_freeze"
     WST_TORN_BURST = "wst_torn_burst"
     BITMAP_SYNC_LOSS = "bitmap_sync_loss"
@@ -86,11 +82,6 @@ PROBABILITY_KINDS = frozenset({FaultKind.WST_TORN_BURST, FaultKind.NIC_LOSS})
 #: Kinds with a failure-detection window (accept ``detect_delay``).
 CRASH_KINDS = frozenset({FaultKind.WORKER_CRASH, FaultKind.INSTANCE_CRASH})
 
-#: Kinds that address one backend server (accept ``server_id``).
-BACKEND_POOL_KINDS = frozenset({
-    FaultKind.BACKEND_BROWNOUT, FaultKind.BACKEND_BLACKOUT,
-})
-
 #: Kinds that pick a single victim (accept ``target``).
 TARGETED_KINDS = WORKER_KINDS | INSTANCE_KINDS
 
@@ -102,9 +93,9 @@ class FaultSpec:
     ``target`` selects the victim for worker-scoped kinds: an explicit
     worker id, ``"busiest"`` (most connections at fire time, lowest id on
     ties), or ``"random"`` (drawn from the plan's RNG stream among alive
-    workers).  ``magnitude`` is kind-specific: a service/handshake
-    multiplier for ``slow_worker``/``backend_brownout``, a probability for
-    ``wst_torn_burst``/``nic_loss``.
+    workers).  ``magnitude`` is kind-specific: a service-time multiplier
+    for ``slow_worker``, a probability for ``wst_torn_burst``/``nic_loss``
+    and the churn size for ``backend_churn``.
     """
 
     kind: FaultKind
@@ -123,9 +114,6 @@ class FaultSpec:
     #: Crash only: restart the worker this long after the crash fired
     #: (requires ``detect_delay`` and must not precede it).
     restart_after: Optional[float] = None
-    #: Backend faults: which server (required for blackout; None = whole
-    #: pool for brownout).
-    server_id: Optional[int] = None
     #: Uniform ±jitter applied to each occurrence time (seeded stream).
     jitter: float = 0.0
 
@@ -172,12 +160,6 @@ class FaultSpec:
                     f"not {self.kind.value}")
             if self.detect_delay < 0:
                 raise ValueError("detect_delay must be >= 0")
-        if self.server_id is not None and self.kind not in BACKEND_POOL_KINDS:
-            raise ValueError(
-                f"server_id only applies to backend faults, "
-                f"not {self.kind.value}")
-        if self.kind is FaultKind.BACKEND_BLACKOUT and self.server_id is None:
-            raise ValueError("backend_blackout needs a server_id")
         if self.kind is FaultKind.BACKEND_CHURN and self.magnitude < 1:
             raise ValueError(
                 "backend_churn magnitude is the churn size, must be >= 1")
@@ -199,6 +181,9 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "FaultSpec":
         known = dict(data)
+        unknown = sorted(set(known) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown fault field(s): {', '.join(unknown)}")
         kind = known.pop("kind")
         return cls(kind=FaultKind(kind), **known)
 

@@ -18,7 +18,7 @@ import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..faults.plan import FLEET_KINDS, FaultKind, FaultPlan
+from ..faults.plan import FLEET_KINDS, FaultPlan
 from ..sim.rng import RngRegistry
 from ..workloads.library import FAMILIES
 from .generator import Scenario
@@ -44,10 +44,6 @@ def _with(scenario: Scenario, **changes) -> Scenario:
     data = scenario.to_dict()
     data.update(changes)
     return Scenario.from_dict(data)
-
-
-def _plan_kinds(scenario: Scenario) -> List[FaultKind]:
-    return [spec.kind for spec in FaultPlan.from_dict(scenario.plan)]
 
 
 def _inline_trace(scenario: Scenario) -> List[dict]:
@@ -78,8 +74,7 @@ def _candidates(scenario: Scenario) -> List[Tuple[str, Scenario]]:
                                              seed=plan.seed).to_dict())))
 
     if scenario.n_instances is not None:
-        kinds = _plan_kinds(scenario)
-        if not any(kind in FLEET_KINDS for kind in kinds):
+        if not any(spec.kind in FLEET_KINDS for spec in plan):
             out.append(("drop-fleet", _with(scenario, n_instances=None)))
         if scenario.n_instances > 2:
             out.append(("halve-fleet",

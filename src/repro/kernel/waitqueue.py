@@ -90,9 +90,6 @@ class WaitQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, entry: WaitEntry) -> bool:
-        return entry in self._entries
-
     @property
     def entries(self) -> List[WaitEntry]:
         """Snapshot of entries in traversal (head-first) order."""

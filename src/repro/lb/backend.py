@@ -33,9 +33,6 @@ class BackendServer:
     #: Idle upstream connections currently pooled to this server,
     #: keyed by pool owner ("shared" or a worker id).
     idle_connections: Dict[object, int] = field(default_factory=dict)
-    #: Blackout fault (``repro.faults``): a down server is skipped by
-    #: round-robin, concentrating its share on the survivors.
-    down: bool = False
 
 
 class BackendPool:
@@ -55,9 +52,6 @@ class BackendPool:
         self.handshake_cost = handshake_cost
         #: Per-worker round-robin cursor.
         self._cursors: List[int] = [0] * n_workers
-        #: Brownout fault (``repro.faults``): multiplies the handshake cost
-        #: paid on pool misses (degraded upstream).  1.0 = healthy.
-        self.brownout_factor = 1.0
         # -- statistics -----------------------------------------------------
         self.list_updates = 0
         self.pool_hits = 0
@@ -86,33 +80,16 @@ class BackendPool:
         else:
             self._cursors = [0] * self.n_workers
 
-    # -- fault injection ----------------------------------------------------
-    def set_brownout(self, factor: float) -> None:
-        """Degrade (or with 1.0 restore) the upstream handshake cost."""
-        if factor < 0:
-            raise ValueError(f"brownout factor must be >= 0, got {factor}")
-        self.brownout_factor = factor
-
-    def set_server_down(self, server_id: int, down: bool = True) -> None:
-        """Mark one backend dark (blackout fault) or bring it back."""
-        self.servers[server_id].down = down
-        if down and all(s.down for s in self.servers):
-            raise ValueError("cannot black out every backend server")
-
     # -- request forwarding -------------------------------------------------
     def next_server(self, worker_id: int) -> BackendServer:
-        """Round-robin pick for one forwarded request, skipping down
-        servers (identical cursor walk when none are down)."""
+        """Round-robin pick for one forwarded request."""
         if not 0 <= worker_id < self.n_workers:
             raise IndexError(f"worker id {worker_id} out of range")
-        for _ in range(len(self.servers)):
-            cursor = self._cursors[worker_id]
-            server = self.servers[cursor % len(self.servers)]
-            self._cursors[worker_id] = (cursor + 1) % len(self.servers)
-            if not server.down:
-                server.requests_received += 1
-                return server
-        raise RuntimeError("every backend server is down")
+        cursor = self._cursors[worker_id]
+        server = self.servers[cursor % len(self.servers)]
+        self._cursors[worker_id] = (cursor + 1) % len(self.servers)
+        server.requests_received += 1
+        return server
 
     def forward(self, worker_id: int) -> float:
         """Forward one request; returns the upstream latency penalty.
@@ -131,7 +108,7 @@ class BackendPool:
         self.pool_misses += 1
         server.idle_connections[key] = \
             server.idle_connections.get(key, 0) + 1
-        return self.handshake_cost * self.brownout_factor
+        return self.handshake_cost
 
     # -- diagnostics -----------------------------------------------------------
     def request_counts(self) -> List[int]:

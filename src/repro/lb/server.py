@@ -319,9 +319,6 @@ class LBServer:
     def connection_counts(self) -> List[int]:
         return [len(w.conns) for w in self.workers]
 
-    def cpu_utilizations(self) -> List[float]:
-        return self.metrics.cpu_utilizations()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<LBServer {self.name} mode={self.mode.value} "
                 f"workers={len(self.workers)} ports={len(self.ports)}>")

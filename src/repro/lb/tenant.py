@@ -109,6 +109,3 @@ class TenantDirectory:
         """Forwarding-rule counts across all ports (Fig. A5 input)."""
         return [tenant.rules_per_port[port]
                 for tenant in self.tenants for port in tenant.ports]
-
-    def __len__(self) -> int:
-        return len(self.tenants)

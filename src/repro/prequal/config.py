@@ -10,7 +10,7 @@ each field and summarized in ``docs/API.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..core import tunables as _tunables
@@ -74,9 +74,6 @@ class PrequalConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
 
-    def with_overrides(self, **kwargs) -> "PrequalConfig":
-        """A copy with some fields replaced (sweep helper)."""
-        return replace(self, **kwargs)
 
     def tunables(self) -> dict:
         """Field -> value, for ``repro list`` metadata and run summaries."""

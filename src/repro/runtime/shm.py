@@ -26,6 +26,7 @@ eBPF array map carrying the selected-worker bitmap.
 from __future__ import annotations
 
 import struct
+import time
 from multiprocessing import shared_memory
 from typing import List, Optional, Tuple
 
@@ -62,7 +63,7 @@ class ShmWorkerStatusTable:
         if n_workers < 1:
             raise ValueError("need at least one worker")
         self.n_workers = n_workers
-        self._clock = clock or _monotonic
+        self._clock = clock or time.monotonic
         size = SLOT_SIZE * n_workers
         if create:
             self._shm = shared_memory.SharedMemory(
@@ -256,8 +257,3 @@ class ShmSelectionMap:
     def unlink(self) -> None:
         if self._owns:
             self._shm.unlink()
-
-
-def _monotonic() -> float:
-    import time
-    return time.monotonic()

@@ -7,7 +7,6 @@ kernel/LB/workload layers are all built as processes on top of it.
 from .._lazy import lazy_exports
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "BusyTracker",
     "Environment",
@@ -25,8 +24,8 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".engine": ("AllOf", "AnyOf", "Environment", "Event", "Interrupt",
-                "Process", "SimulationError", "TimedWait", "Timeout"),
+    ".engine": ("AnyOf", "Environment", "Event", "Interrupt", "Process",
+                "SimulationError", "TimedWait", "Timeout"),
     ".monitor": ("BusyTracker", "PeriodicSampler", "Samples", "TimeWeighted"),
     ".rng": ("RngRegistry", "Stream"),
 })

@@ -14,7 +14,8 @@ minimal — only the primitives the load-balancer model needs:
 - :class:`Timeout` — an event that fires after a delay.
 - :class:`Process` — a running generator; itself an event that fires when
   the generator returns; supports :meth:`Process.interrupt`.
-- :class:`AnyOf` / :class:`AllOf` — condition events.
+- :class:`AnyOf` — a condition event that fires with its first sub-event
+  (``event | other``).
 - :class:`TimedWait` — wait on an event with a deadline (the allocation-free
   form of ``event | env.timeout(delay)``).
 
@@ -32,8 +33,6 @@ repo.  It keeps only the shortcuts that paired CPU-time runs show to pay
   exactly like a value-less timeout.
 - Scheduling is one flat sequence (eid bump + ``heappush``), which
   ``Event.succeed``/``fail``/``Timeout.__init__`` perform inline.
-- ``AnyOf``/``AllOf`` maintain an incremental done-counter instead of
-  recounting every sub-event per trigger (O(n) total, was O(n²)).
 - ``schedule_callback`` allocates no per-event closure: the callable is
   carried on a slot of the event and invoked by one shared function.
 - A :class:`TimedWait` arms its deadline as the process's own direct
@@ -74,7 +73,6 @@ __all__ = [
     "Process",
     "Interrupt",
     "AnyOf",
-    "AllOf",
     "TimedWait",
     "SimulationError",
 ]
@@ -177,19 +175,9 @@ class Event:
         self._scheduled = True
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (triggered) event."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     # -- composition -----------------------------------------------------
     def __or__(self, other: "Event") -> "AnyOf":
         return AnyOf(self.env, [self, other])
-
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self._processed else (
@@ -553,9 +541,10 @@ class Process(Event):
 
 
 class _Condition(Event):
-    """Base for AnyOf/AllOf composition events."""
+    """Base for composition events: a subclass's ``_satisfied(done,
+    total)`` decides when enough sub-events have fired."""
 
-    __slots__ = ("events", "_pending", "_done", "_checker")
+    __slots__ = ("events", "_done", "_checker")
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -563,7 +552,6 @@ class _Condition(Event):
         for event in self.events:
             if event.env is not env:
                 raise SimulationError("all condition events must share an environment")
-        self._pending = 0
         #: Sub-events seen done (processed + ok) so far — incremented by
         #: ``_check`` instead of recounting the whole list per trigger.
         self._done = 0
@@ -577,16 +565,7 @@ class _Condition(Event):
             if event.callbacks is None or event._processed:
                 checker(event)
             else:
-                self._pending += 1
                 event.callbacks.append(checker)
-        if self._value is _PENDING and self._pending == 0:
-            # All already processed but condition not yet met (AllOf met it
-            # inside _check; AnyOf with zero events handled above).
-            self._evaluate(final=True)
-
-    # Subclasses decide when the condition is satisfied.
-    def _satisfied(self, done: int, total: int) -> bool:
-        raise NotImplementedError
 
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
@@ -601,13 +580,6 @@ class _Condition(Event):
             self._checker = None
             self.succeed(self._collect())
 
-    def _evaluate(self, final: bool = False) -> None:
-        if self._satisfied(self._done, len(self.events)):
-            self._checker = None
-            self.succeed(self._collect())
-        elif final:
-            raise SimulationError("condition can never be satisfied")
-
     def _collect(self) -> dict:
         """Values of sub-events that have fired, in declaration order."""
         return {ev: ev._value for ev in self.events if ev._processed and ev._ok}
@@ -620,15 +592,6 @@ class AnyOf(_Condition):
 
     def _satisfied(self, done: int, total: int) -> bool:
         return done >= 1
-
-
-class AllOf(_Condition):
-    """Fires when all sub-events have fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self, done: int, total: int) -> bool:
-        return done >= total
 
 
 class Environment:
@@ -670,12 +633,6 @@ class Environment:
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def schedule_callback(self, delay: float, fn: Callable[[], None]) -> Event:

@@ -43,10 +43,6 @@ class Samples:
         return len(self.values)
 
     @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
     def mean(self) -> float:
         return sum(self.values) / len(self.values) if self.values else 0.0
 

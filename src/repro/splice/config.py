@@ -12,7 +12,7 @@ program dispatch ~100 ns).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..core import tunables as _tunables
@@ -65,9 +65,6 @@ class SpliceConfig:
         if self.max_weight < 1:
             raise ValueError("max_weight must be >= 1")
 
-    def with_overrides(self, **kwargs) -> "SpliceConfig":
-        """A copy with some fields replaced (sweep helper)."""
-        return replace(self, **kwargs)
 
     def tunables(self) -> dict:
         """Field -> value, for ``repro list`` metadata and run summaries."""

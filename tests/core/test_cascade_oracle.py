@@ -8,6 +8,8 @@ the ``capacity`` stage), and a tracer armed, whose ``sched.filter`` events
 must say exactly what each reference stage kept and dropped.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,7 +170,7 @@ def test_cpu_cost_follows_a_swapped_config():
     assert scheduler.schedule_and_sync().cpu_cost == scan
     cheaper = costs.__class__(wst_read_per_worker=0.0,
                               scheduler_per_worker=0.0)
-    scheduler.config = scheduler.config.with_overrides(costs=cheaper)
+    scheduler.config = replace(scheduler.config, costs=cheaper)
     assert scheduler.schedule_and_sync().cpu_cost == 0.0
 
 
@@ -292,7 +294,7 @@ def test_memo_returns_the_previous_survivors_until_an_input_changes():
     second = scheduler.select_workers(wst.read_all(), 0.0)
     assert second is not first and second == [1, 2, 3]
     # A config swap misses even when its values are equal.
-    scheduler.config = scheduler.config.with_overrides()
+    scheduler.config = replace(scheduler.config)
     assert scheduler.select_workers(wst.read_all(), 0.0) is not second
     # New capacity limits miss too (conns are now [9, 1, 0, 0]).
     scheduler.config = HermesConfig(filter_order=("capacity",))

@@ -1,5 +1,7 @@
 """Tests for Hermes configuration validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import HermesConfig, OverheadCosts
@@ -52,7 +54,7 @@ class TestValidation:
 
     def test_with_overrides(self):
         config = HermesConfig()
-        tweaked = config.with_overrides(theta_ratio=1.0)
+        tweaked = replace(config, theta_ratio=1.0)
         assert tweaked.theta_ratio == 1.0
         assert tweaked.epoll_timeout == config.epoll_timeout
         assert config.theta_ratio == 0.5  # original untouched

@@ -1,5 +1,7 @@
 """Tests for the cascading scheduler (Algorithm 1)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -242,7 +244,7 @@ class TestFastPath:
         dearer = costs.__class__(
             wst_read_per_worker=2 * costs.wst_read_per_worker,
             scheduler_per_worker=costs.scheduler_per_worker)
-        sched.config = sched.config.with_overrides(costs=dearer)
+        sched.config = replace(sched.config, costs=dearer)
         after = sched.schedule_and_sync()
         assert after is not before
         assert after.cpu_cost == 4 * (dearer.wst_read_per_worker

@@ -84,13 +84,6 @@ class TestArming:
         with pytest.raises(ValueError, match="out of range"):
             FaultInjector(env, server, plan).arm()
 
-    def test_backend_fault_needs_backend(self):
-        env, _, server = build_device()
-        plan = plan_of(FaultSpec(kind=FaultKind.BACKEND_BROWNOUT, at=0.5,
-                                 duration=0.1, magnitude=3.0))
-        with pytest.raises(ValueError, match="backend"):
-            FaultInjector(env, server, plan).arm()
-
 
 class TestTargeting:
     def test_int_target_hits_that_worker(self):

@@ -47,10 +47,6 @@ class TestFaultSpecValidation:
             FaultSpec(kind=FaultKind.WORKER_CRASH, at=0.0, detect_delay=0.5,
                       restart_after=0.2)
 
-    def test_blackout_needs_server_id(self):
-        with pytest.raises(ValueError, match="server_id"):
-            FaultSpec(kind=FaultKind.BACKEND_BLACKOUT, at=0.0, duration=0.1)
-
     def test_needs_rng_only_for_random_draws(self):
         assert not FaultSpec(kind=FaultKind.WORKER_HANG, at=0.0,
                              target="busiest").needs_rng
@@ -125,20 +121,14 @@ class TestKindApplicability:
                   detect_delay=0.005)
 
     def test_server_id_rejected_on_worker_scoped_kinds(self):
+        # No kind takes a server_id: a plan naming one is refused.
         with pytest.raises(ValueError, match="server_id"):
-            FaultSpec(kind=FaultKind.WORKER_CRASH, at=1.0,
-                      detect_delay=0.005, server_id=2)
-
-    def test_server_id_allowed_on_backend_kinds(self):
-        FaultSpec(kind=FaultKind.BACKEND_BROWNOUT, at=1.0, duration=0.5,
-                  magnitude=3.0, server_id=1)
-        FaultSpec(kind=FaultKind.BACKEND_BLACKOUT, at=1.0, duration=0.5,
-                  server_id=1)
+            FaultSpec.from_dict({"kind": "worker_crash", "at": 1.0,
+                                 "detect_delay": 0.005, "server_id": 2})
 
     @pytest.mark.parametrize("kind", [FaultKind.BACKEND_CHURN,
                                       FaultKind.NIC_LOSS,
-                                      FaultKind.BITMAP_SYNC_LOSS,
-                                      FaultKind.BACKEND_BROWNOUT])
+                                      FaultKind.BITMAP_SYNC_LOSS])
     def test_target_rejected_on_untargeted_kinds(self, kind):
         kwargs = {"magnitude": 0.5} if kind is FaultKind.NIC_LOSS else {}
         with pytest.raises(ValueError, match="target"):
@@ -159,4 +149,4 @@ class TestKindApplicability:
             '{"faults": [{"at": 2.5, "count": 1, "detect_delay": 0.005, '
             '"duration": 0.0, "jitter": 0.0, "kind": "worker_crash", '
             '"magnitude": 1.0, "period": 0.0, "restart_after": null, '
-            '"server_id": null, "target": "busiest"}], "seed": 7}')
+            '"target": "busiest"}], "seed": 7}')

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from repro.faults import FaultPlan
 from repro.faults.plan import FLEET_KINDS, FaultKind
 from repro.fuzz import Scenario, generate_scenarios
-from repro.fuzz.generator import DEFAULT_MODES, FLEET_MODES
+from repro.fuzz.generator import (
+    _DEVICE_KINDS, _FLEET_KINDS, _HERMES_KINDS, DEFAULT_MODES, FLEET_MODES)
 from repro.workloads import FAMILIES
 
 
@@ -31,6 +32,11 @@ class TestDeterminism:
 
 
 class TestValidity:
+    def test_every_fault_kind_is_drawable(self):
+        # A kind the generator cannot draw is a kind no campaign fires.
+        drawable = _DEVICE_KINDS + _HERMES_KINDS + _FLEET_KINDS
+        assert set(drawable) == set(FaultKind)
+
     def test_plans_parse_and_are_canonical(self):
         for scenario in generate_scenarios(30, seed=99):
             plan = FaultPlan.from_dict(scenario.plan)

@@ -39,7 +39,6 @@ def fault_specs(draw):
     kwargs["jitter"] = draw(st.floats(min_value=0.0, max_value=0.5))
     if kind in (FaultKind.WORKER_HANG, FaultKind.SLOW_WORKER,
                 FaultKind.WST_FREEZE, FaultKind.INSTANCE_DRAIN,
-                FaultKind.BACKEND_BROWNOUT, FaultKind.BACKEND_BLACKOUT,
                 FaultKind.BITMAP_SYNC_LOSS):
         kwargs["duration"] = draw(durations)
     if kind in (FaultKind.WORKER_HANG, FaultKind.WORKER_CRASH,
@@ -49,8 +48,7 @@ def fault_specs(draw):
     if kind in (FaultKind.WST_TORN_BURST, FaultKind.NIC_LOSS):
         kwargs["duration"] = draw(durations)
         kwargs["magnitude"] = draw(probabilities)
-    elif kind is FaultKind.SLOW_WORKER or \
-            kind is FaultKind.BACKEND_BROWNOUT:
+    elif kind is FaultKind.SLOW_WORKER:
         kwargs["magnitude"] = draw(st.floats(min_value=1.0, max_value=16.0))
     elif kind is FaultKind.BACKEND_CHURN:
         kwargs["magnitude"] = draw(st.integers(min_value=1, max_value=8))
@@ -60,8 +58,6 @@ def fault_specs(draw):
         if kind is FaultKind.WORKER_CRASH and draw(st.booleans()):
             kwargs["restart_after"] = detect + draw(
                 st.floats(min_value=0.0, max_value=2.0))
-    if kind in (FaultKind.BACKEND_BROWNOUT, FaultKind.BACKEND_BLACKOUT):
-        kwargs["server_id"] = draw(st.integers(min_value=0, max_value=15))
     return FaultSpec(**kwargs)
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.faults import FaultInjector, FaultKind
 from repro.fuzz import Scenario, generate_scenarios, run_fuzz, run_scenario
 from repro.sweep.cache import CellCache
 
@@ -103,6 +104,23 @@ class TestRunFuzz:
         assert warm.cache_stats["hits"] == 2
         assert warm.cache_stats["misses"] == 0
         assert [d for d in cold.results] == [d for d in warm.results]
+
+    def test_campaign_fires_every_fault_kind(self, monkeypatch):
+        # ``repro fuzz --budget 9 --seed 29 --mode hermes --family
+        # diurnal``: the seed and budget are chosen so that every kind the
+        # generator draws fires at least once (~1 s).
+        fired = set()
+        real_fire = FaultInjector._fire
+
+        def spy(injector, spec, index, occurrence):
+            fired.add(spec.kind)
+            real_fire(injector, spec, index, occurrence)
+
+        monkeypatch.setattr(FaultInjector, "_fire", spy)
+        report = run_fuzz(9, seed=29, shrink=False, modes=["hermes"],
+                          families=["diurnal"])
+        assert report.ok
+        assert fired == set(FaultKind)
 
     def test_report_document_shape(self):
         report = run_fuzz(2, seed=7, shrink=False, families=["diurnal"])

@@ -20,15 +20,11 @@ def rng(name="conn"):
 
 class TestPoolLifecycle:
     def test_start_serve_stop(self):
-        pool = RealWorkerPool(2)
-        pool.start()
-        try:
+        with RealWorkerPool(2) as pool:
             connector = HashConnector(ports=pool.ports, rng=rng())
             result = connector.request(b"hello")
             assert result.ok
             assert result.latency < 1.0
-        finally:
-            pool.stop()
 
     def test_bitmap_published_by_real_schedulers(self):
         pool = RealWorkerPool(3)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Environment,
     Interrupt,
@@ -276,31 +275,19 @@ def test_any_of_fires_on_first():
     assert p.value == (1, ["fast"])
 
 
-def test_all_of_waits_for_all():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(3, "slow")
-        t2 = env.timeout(1, "fast")
-        result = yield AllOf(env, [t1, t2])
-        return (env.now, sorted(result.values()))
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == (3, ["fast", "slow"])
-
-
 def test_or_and_operators():
+    # ``|`` composes an AnyOf; ``&`` composes nothing.
     env = Environment()
 
     def proc(env):
         first = yield env.timeout(1, "a") | env.timeout(5, "b")
-        both = yield env.timeout(1, "c") & env.timeout(2, "d")
-        return (list(first.values()), sorted(both.values()), env.now)
+        return (list(first.values()), env.now)
 
     p = env.process(proc(env))
     env.run()
-    assert p.value == (["a"], ["c", "d"], 3)
+    assert p.value == (["a"], 1)
+    with pytest.raises(TypeError):
+        env.event() & env.event()
 
 
 def test_yield_non_event_fails_process():
@@ -448,21 +435,6 @@ def test_nested_process_failure_propagates():
 
 
 # -- engine fast-path regression coverage -----------------------------------
-
-def test_allof_wide_condition_incremental():
-    # 1k-event AllOf: the incremental done-counter must fire the condition
-    # exactly when the last sub-event processes (the recounting form was
-    # O(n^2) here) and collect every value.
-    env = Environment()
-    width = 1000
-    events = [env.timeout(float(i % 7), value=i) for i in range(width)]
-    cond = AllOf(env, events)
-    env.run()
-    assert cond.ok
-    assert len(cond.value) == width
-    assert sorted(cond.value.values()) == list(range(width))
-    assert cond._done == width
-
 
 def test_anyof_wide_condition_incremental():
     env = Environment()

@@ -1,5 +1,7 @@
 """SpliceConfig: defaults, validation, override coercion."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.splice import SpliceConfig, config_from_overrides
@@ -18,8 +20,7 @@ class TestDefaults:
         assert SpliceConfig(**config.tunables()) == config
 
     def test_with_overrides(self):
-        config = SpliceConfig().with_overrides(splice_after=3,
-                                               sockmap_capacity=8)
+        config = replace(SpliceConfig(), splice_after=3, sockmap_capacity=8)
         assert config.splice_after == 3
         assert config.sockmap_capacity == 8
         assert config.setup_cost == SpliceConfig().setup_cost

@@ -327,6 +327,19 @@ class TestCommands:
         assert rc == 1
         assert "cannot load fault plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, named", [
+        ({"kind": "slow_worker", "at": 0.1, "magnitde": 2.0}, "magnitde"),
+        ({"kind": "backend_brownout", "at": 0.1}, "backend_brownout"),
+        ({"kind": "worker_hang", "at": 0.1, "server_id": 0}, "server_id"),
+    ])
+    def test_malformed_plan_is_refused(self, capsys, tmp_path, fault, named):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"faults": [fault], "seed": 0}))
+        rc = main(["run", "--faults", str(plan_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: cannot load fault plan" in err and named in err
+
     def test_plan_the_device_cannot_host_is_refused(self, capsys, tmp_path):
         from repro.faults import FaultKind, FaultPlan, FaultSpec
         plan_path = tmp_path / "plan.json"
