@@ -79,7 +79,8 @@ def main() -> None:
     act1_churn_is_survivable()
     act2_crash_head_to_head()
     act3_pcc_corruption_drill()
-    print("done — the swept version is `python -m repro sweep fleet_scale`, "
+    print("done — the swept version is "
+          "`python -m repro experiment fleet_scale`, "
           "the CLI version `python -m repro fleet --check`.")
 
 

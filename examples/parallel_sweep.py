@@ -58,8 +58,7 @@ def main() -> None:
     # Changing any leg of a cell's identity (seed, params, code) misses
     # the cache; the cells re-run rather than alias stale results.
     print("\nsame grid at a different seed (fresh cache keys):")
-    shifted = run_sweep("fig15", seed=62, jobs=jobs, cache=False,
-                        overrides=GRID)
+    shifted = run_sweep("fig15", seed=62, jobs=jobs, overrides=GRID)
     print(f"  {shifted.executed} executed (no aliasing across seeds)")
 
 

@@ -9,7 +9,7 @@
     python -m repro run --mode prequal --set pool_size=32 --set policy=hcl
     python -m repro experiment table3
     python -m repro experiment resilience --set 'scenarios=["nic_loss"]'
-    python -m repro sweep table3 --jobs 4
+    python -m repro experiment table3 --jobs 4 --cache-dir .sweep-cache
     python -m repro list --json
     python -m repro fleet --instances 8 --policy stateless --check
     python -m repro fleet --policy stateful --crash-at 0.9
@@ -23,11 +23,11 @@ Chrome/Perfetto trace (``--format jsonl`` for JSONL, ``--flight N`` to keep
 only the last N events) and prints the per-request critical-path
 breakdown; ``--faults`` arms a declarative :class:`repro.faults.FaultPlan`
 and prints the fault timeline next to the usual metrics.
-``experiment`` runs one registered experiment through the unified
-Scenario API and prints its paper table and one ``claim <name>:
-holds|FAILS`` line per paper claim; ``sweep`` runs the same grid
-decomposed into cells — parallel across processes (``--jobs``), memoized
-in a content-addressed cache, merged byte-identically to a serial run;
+``experiment`` runs one registered experiment's grid of cells —
+parallel across processes (``--jobs``), memoized in a content-addressed
+cache when given ``--cache-dir``, merged byte-identically to a serial
+run — and prints its paper table, one ``claim <name>: holds|FAILS`` line
+per paper claim and a cells/executed/cached summary line;
 ``list`` prints registry metadata (``--json`` for machines); ``fleet``
 runs a whole :mod:`repro.fleet` fleet (ECMP/ring ingress tier spraying
 flows over N LB instances) under backend churn and an optional instance
@@ -35,18 +35,18 @@ crash, with ``--check`` arming the per-connection-consistency (PCC)
 monitor on top of the usual invariants; ``check`` is the correctness
 gate (:mod:`repro.check`): nondeterminism lint, differential-oracle sweep,
 and monitored end-to-end scenarios; ``fuzz`` runs an adversarial scenario
-campaign.  ``run`` and ``sweep`` additionally accept ``--check`` to arm
+campaign.  ``run`` and ``experiment`` additionally accept ``--check`` to arm
 invariant monitors and live oracles on that specific run — results stay
 byte-identical, or the command fails.  Wall-clock performance is
 measured by ``bench/run.py``, not by this CLI.
 
-``run``, ``experiment`` and ``sweep`` share the same ``--seed`` /
+``run`` and ``experiment`` share the same ``--seed`` /
 ``--out`` contract: explicit seed, optional canonical-JSON output.
 ``--set KEY=VALUE`` is the uniform override spelling: on ``run`` it sets
 the selected mode's config tunables — any architecture whose registry
 spec declares a ``config_factory`` accepts it (prequal, splice; ``repro
 list`` shows both experiment and per-mode tunables) — on
-``experiment``/``sweep`` it overrides the grid (``experiment resilience
+``experiment`` it overrides the grid (``experiment resilience
 --set 'scenarios=["nic_loss"]'`` is the fault × mode matrix for one
 scenario).
 """
@@ -56,7 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .analysis.reporting import render_table
 from .experiments.registry import EXPERIMENT_MODULES
@@ -64,7 +64,7 @@ from .lb.server import NotificationMode
 
 __all__ = ["main", "build_parser"]
 
-#: Experiment names exposed through ``experiment``/``sweep``/``list`` —
+#: Experiment names exposed through ``experiment``/``list`` —
 #: sourced from the registry so the CLI cannot drift from the package.
 EXPERIMENTS = list(EXPERIMENT_MODULES)
 
@@ -189,40 +189,21 @@ def build_parser() -> argparse.ArgumentParser:
                             help="base seed (default: the experiment's "
                                  "registered default)")
     experiment.add_argument("--out", metavar="PATH", default=None,
-                            help="also write the merged result as "
-                                 "canonical JSON")
+                            help="also write the canonical sweep document "
+                                 "(cells and merged result) to PATH")
     experiment.add_argument("--set", action="append", default=None,
                             metavar="KEY=VALUE", dest="overrides",
                             help="grid override, JSON-parsed (repeatable); "
                                  "see the experiment's tunables in "
                                  "`repro list`")
     _add_jobs(experiment)
-
-    sweep = sub.add_parser(
-        "sweep", help="run an experiment as a parallel, cached cell sweep")
-    sweep.add_argument("name", choices=EXPERIMENTS)
-    sweep.add_argument("--seed", type=int, default=None,
-                       help="base seed (default: the experiment's "
-                            "registered default)")
-    sweep.add_argument("--out", metavar="PATH", default=None,
-                       help="write the canonical sweep document to PATH")
-    _add_jobs(sweep)
-    sweep.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="cell cache directory (default: .sweep-cache)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable cell memoization entirely")
-    sweep.add_argument("--force", action="store_true",
-                       help="ignore cached cells (still refresh the cache)")
-    sweep.add_argument("--set", action="append", default=None,
-                       metavar="KEY=VALUE", dest="overrides",
-                       help="grid override, JSON-parsed (repeatable), "
-                            "e.g. --set n_workers=2")
-    sweep.add_argument("--require-cached", action="store_true",
-                       help="fail if any cell had to execute (CI check "
-                            "that a warm cache fully covers the grid)")
-    sweep.add_argument("--check", action="store_true",
-                       help="arm live differential oracles around every "
-                            "executed cell (cache hits skip the check)")
+    experiment.add_argument("--cache-dir", metavar="DIR", default=None,
+                            help="memoize cells in the cache at DIR "
+                                 "(default: no cache)")
+    experiment.add_argument("--check", action="store_true",
+                            help="arm live differential oracles around "
+                                 "every executed cell (cache hits skip "
+                                 "the check)")
 
     list_cmd = sub.add_parser(
         "list", help="list registered experiments (registry metadata)")
@@ -496,44 +477,23 @@ def _cmd_experiment(args) -> int:
     overrides = _grid_overrides(args.name, args.overrides)
     if overrides is None:
         return 1
-    result = run_sweep(args.name, seed=args.seed, jobs=args.jobs,
-                       cache=False, overrides=overrides)
-    print(result.render())
-    if args.out:
-        if not _write_json(args.out, result.to_json()):
-            return 1
-        print(f"result: {len(result.runs)} cells -> {args.out}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    from .sweep import run_sweep
-
-    overrides = _grid_overrides(args.name, args.overrides)
-    if overrides is None:
-        return 1
-    cache = False if args.no_cache else (args.cache_dir or True)
     try:
         result = run_sweep(args.name, seed=args.seed, jobs=args.jobs,
-                           cache=cache, overrides=overrides,
-                           force=args.force, check=args.check)
+                           cache=args.cache_dir, overrides=overrides,
+                           check=args.check)
     except AssertionError as exc:
         if not args.check:
             raise
         print(f"check FAILED: {exc}", file=sys.stderr)
         return 1
     print(result.render())
-    print(f"sweep: {len(result.runs)} cells "
+    print(f"{len(result.runs)} cells "
           f"({result.executed} executed, {result.cached} cached) "
           f"jobs={result.jobs} wall={result.wall_seconds:.2f}s")
     if args.out:
         if not _write_json(args.out, result.to_json()):
             return 1
         print(f"sweep document -> {args.out}")
-    if args.require_cached and result.executed:
-        print(f"error: --require-cached but {result.executed} cell(s) "
-              f"executed (cache miss)", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -764,7 +724,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "run": _cmd_run,
         "experiment": _cmd_experiment,
-        "sweep": _cmd_sweep,
         "list": _cmd_list,
         "fleet": _cmd_fleet,
         "check": _cmd_check,

@@ -5,7 +5,7 @@ Each module registers one :class:`~repro.experiments.registry.ExperimentSpec`
 the one way to run it::
 
     python -m repro experiment table3 --set cases='["case2"]'
-    python -m repro sweep table3 --jobs 4        # same cells, in parallel
+    python -m repro experiment table3 --jobs 4   # same cells, in parallel
 
 or, in Python, ``registry.get("table3").run(seed, overrides)``, which
 returns the merged JSON document that ``claims`` and ``render`` read.

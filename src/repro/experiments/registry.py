@@ -193,12 +193,10 @@ class ExperimentSpec:
 
     def run(self, seed: Optional[int] = None,
             overrides: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Serial convenience path: enumerate, run, merge in-process."""
-        self.check_overrides(overrides or {})
-        resolved = self.default_seed if seed is None else seed
-        cells = self.cells(resolved, dict(overrides or {}))
-        docs = [normalize_doc(self.run_cell(cell)) for cell in cells]
-        return self.merge(cells, docs)
+        """The merged document of a serial, uncached
+        :func:`~repro.sweep.run_sweep` of this experiment."""
+        from ..sweep import run_sweep
+        return run_sweep(self.name, seed=seed, overrides=overrides).merged
 
 
 def _check_names(key: str, value: Any, choices: Sequence[str]) -> None:

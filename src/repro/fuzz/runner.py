@@ -6,9 +6,9 @@ the target (one device or a fleet), arm invariant monitors + live
 oracles + the fault injector (+ the optional deliberate-corruption
 drill), replay, and report a JSON-safe document.  The same scenario dict
 always yields the same document, byte for byte — which is what lets
-:func:`run_fuzz` memoize through the sweep :class:`~repro.sweep.
-CellCache` and run cells in parallel with a slot-indexed merge identical
-to the serial order.
+:func:`run_fuzz` run its scenarios as cells through
+:func:`repro.sweep.run_cells`: memoized in the sweep cell cache, and
+in parallel with results merged in the serial order.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..experiments.registry import CellSpec, normalize_doc
-from ..fanout import fan_out
 from ..sim.rng import RngRegistry
-from ..sweep.fingerprint import code_fingerprint
+from ..sweep.orchestrator import run_cells
 from ..workloads.library import build_family_trace
 from ..workloads.trace import Trace, TraceReplayer
 from .generator import Scenario, generate_scenarios
@@ -174,10 +173,10 @@ def _trace_ports(trace: Trace) -> List[int]:
     return ports or [443]
 
 
-def _execute_scenario(payload: dict) -> Dict[str, Any]:
-    """Fan-out entry point, serial or pooled: rebuild the scenario from
-    its dict and run it."""
-    return run_scenario(Scenario.from_dict(payload))
+def _execute_scenario(cell: CellSpec) -> Dict[str, Any]:
+    """Cell entry point, serial or pooled: rebuild the scenario from the
+    cell's params and run it."""
+    return run_scenario(Scenario.from_dict(cell.params))
 
 
 @dataclass
@@ -236,27 +235,10 @@ def run_fuzz(budget: int, seed: int = 7, jobs: int = 1,
                                    families=families, drill=drill,
                                    fleet_fraction=fleet_fraction)
     report = FuzzReport(seed=seed, budget=budget)
-    fingerprint = code_fingerprint() if cache is not None else ""
-
     cells = [_scenario_cell(scenario) for scenario in scenarios]
-    docs: List[Optional[Dict[str, Any]]] = [
-        None if cache is None else cache.get(cache.key_for(cell, fingerprint))
-        for cell in cells]
-    pending = [index for index, doc in enumerate(docs) if doc is None]
+    docs, _ran = run_cells(cells, _execute_scenario, jobs, cache)
 
-    def finish(slot: int, doc: Dict[str, Any]) -> None:
-        index = pending[slot]
-        docs[index] = doc
-        if cache is not None:
-            cache.put(cache.key_for(cells[index], fingerprint), cells[index],
-                      doc)
-
-    fan_out(_execute_scenario,
-            [scenarios[index].to_dict() for index in pending], jobs,
-            on_done=finish)
-
-    for index, scenario in enumerate(scenarios):
-        doc = docs[index]
+    for scenario, doc in zip(scenarios, docs):
         report.results.append(doc)
         status = "ok" if doc["ok"] else \
             f"VIOLATION {doc['violation']['name']}"

@@ -28,7 +28,6 @@ __all__ = [
     "CAT_KERNEL",
     "CAT_NET",
     "CAT_SCHED",
-    "CAT_SWEEP",
     "CAT_WORKER",
     "FlightRecorder",
     "RequestTimeline",
@@ -50,5 +49,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                 "write_jsonl"),
     ".timeline": ("RequestTimeline", "build_timelines", "summarize_timelines"),
     ".trace": ("CAT_FAULT", "CAT_KERNEL", "CAT_NET", "CAT_SCHED",
-               "CAT_SWEEP", "CAT_WORKER", "TraceEvent", "Tracer"),
+               "CAT_WORKER", "TraceEvent", "Tracer"),
 })

@@ -35,7 +35,6 @@ __all__ = [
     "CAT_WORKER",
     "CAT_SCHED",
     "CAT_FAULT",
-    "CAT_SWEEP",
     "CAT_CHECK",
 ]
 
@@ -49,9 +48,6 @@ CAT_WORKER = "worker"
 CAT_SCHED = "sched"
 #: Fault injection: ``fault.arm`` / ``fault.fire`` / ``fault.clear``.
 CAT_FAULT = "fault"
-#: Sweep orchestration: ``sweep.start`` / ``sweep.cell.done`` / ``sweep.done``.
-CAT_SWEEP = "sweep"
-
 #: Runtime invariant monitors and differential oracles (repro.check).
 CAT_CHECK = "check"
 

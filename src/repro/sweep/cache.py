@@ -25,10 +25,7 @@ from typing import Any, Dict, Optional, Union
 
 from ..experiments.registry import CellSpec
 
-__all__ = ["CellCache", "DEFAULT_CACHE_DIR", "cell_cache_key"]
-
-#: Default cache root (relative to the working directory).
-DEFAULT_CACHE_DIR = ".sweep-cache"
+__all__ = ["CellCache", "cell_cache_key"]
 
 #: Entry schema marker; bump when the payload layout changes.
 CACHE_SCHEMA = "repro.sweep.cache/v1"
@@ -46,7 +43,7 @@ def cell_cache_key(cell: CellSpec, code_fingerprint: str) -> str:
 class CellCache:
     """On-disk cell memoizer with hit/miss accounting."""
 
-    def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0

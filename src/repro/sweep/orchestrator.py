@@ -20,25 +20,30 @@ mechanisms enforce it:
    JSON round-trip before merging, so a memoized cell is
    indistinguishable from a recomputed one.
 
-Worker processes receive only ``(experiment, key, params, seed)`` and
-re-resolve the runner from the registry by name, so nothing
-unpicklable crosses the process boundary.
+:func:`run_cells` is that cache-then-fan-out loop on its own, for any
+top-level ``fn(cell) -> doc``; ``run_fuzz`` runs its scenarios through
+it too.  Worker processes receive only the function and the
+:class:`CellSpec`, and a sweep cell re-resolves its runner from the
+registry by name, so nothing unpicklable crosses the process boundary.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..experiments import registry as _registry
 from ..experiments.registry import CellSpec, normalize_doc
 from ..fanout import fan_out
-from .cache import DEFAULT_CACHE_DIR, CellCache
+from .cache import CellCache
 from .fingerprint import code_fingerprint
 
-__all__ = ["CellRun", "SweepResult", "run_sweep"]
+__all__ = ["CellRun", "SweepResult", "run_cells", "run_sweep"]
 
 #: Schema marker of the canonical sweep document.
 SWEEP_SCHEMA = "repro.sweep/v1"
@@ -108,47 +113,71 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _execute_cell(payload: Tuple[str, str, Dict[str, Any], int, bool]
-                  ) -> Tuple[str, Dict[str, Any], float]:
+def _execute_cell(cell: CellSpec, check: bool = False) -> Dict[str, Any]:
     """Worker-side cell execution (top-level so it pickles).
 
-    The fifth payload element arms live differential oracles around the
-    cell (``repro check``'s ``--check`` mode); checked execution returns
-    the identical doc or raises ``OracleMismatch``.
+    The runner sees a copy of the params, so the cell that enters the
+    sweep document is the one that was enumerated.  ``check`` arms live
+    differential oracles around the cell (``--check``); checked
+    execution returns the identical doc or raises ``OracleMismatch``.
     """
-    experiment, key, params, seed = payload[:4]
-    check = payload[4] if len(payload) > 4 else False
-    spec = _registry.get(experiment)
-    cell = CellSpec(experiment=experiment, key=key, params=params, seed=seed)
+    spec = _registry.get(cell.experiment)
+    cell = CellSpec(cell.experiment, cell.key, dict(cell.params), cell.seed)
+    if not check:
+        return spec.run_cell(cell)
+    from ..check import live_oracles
+    with live_oracles():
+        return spec.run_cell(cell)
+
+
+def _timed(payload: Tuple[Callable[[CellSpec], Dict[str, Any]], CellSpec]
+           ) -> Tuple[Dict[str, Any], float]:
+    """Fan-out entry point: ``fn(cell)``, normalized, and its seconds."""
+    fn, cell = payload
     start = time.perf_counter()
-    if check:
-        from ..check import live_oracles
-        with live_oracles():
-            doc = spec.run_cell(cell)
-    else:
-        doc = spec.run_cell(cell)
-    return key, normalize_doc(doc), time.perf_counter() - start
+    doc = normalize_doc(fn(cell))
+    return doc, time.perf_counter() - start
 
 
-def _resolve_cache(cache: Union[CellCache, str, None, bool]
-                   ) -> Optional[CellCache]:
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return CellCache(DEFAULT_CACHE_DIR)
-    if isinstance(cache, CellCache):
-        return cache
-    return CellCache(cache)
+def run_cells(cells: Sequence[CellSpec],
+              fn: Callable[[CellSpec], Dict[str, Any]],
+              jobs: int = 1,
+              cache: Optional[CellCache] = None,
+              ) -> Tuple[List[Dict[str, Any]], Dict[int, float]]:
+    """Every cell's document, from ``cache`` or from ``fn(cell)``.
+
+    Cache hits are looked up first; the misses fan out through
+    :func:`repro.fanout.fan_out` (``fn`` must be top-level when
+    ``jobs > 1``) and are written back as they finish.  Returns the
+    normalized documents in enumeration order and ``{index: seconds}``
+    for the cells that ran.
+    """
+    keys: List[str] = []
+    docs: List[Optional[Dict[str, Any]]] = [None] * len(cells)
+    if cache is not None:
+        code = code_fingerprint()
+        keys = [cache.key_for(cell, code) for cell in cells]
+        # normalize_doc(None) is None: a miss stays a miss.
+        docs = [normalize_doc(cache.get(key)) for key in keys]
+    pending = [index for index, doc in enumerate(docs) if doc is None]
+    ran: Dict[int, float] = {}
+
+    def finish(slot: int, result: Tuple[Dict[str, Any], float]) -> None:
+        index = pending[slot]
+        docs[index], ran[index] = result
+        if cache is not None:
+            cache.put(keys[index], cells[index], docs[index])
+
+    fan_out(_timed, [(fn, cells[index]) for index in pending], jobs,
+            on_done=finish)
+    return docs, ran  # type: ignore[return-value]
 
 
 def run_sweep(experiment: str,
               seed: Optional[int] = None,
               jobs: int = 1,
-              cache: Union[CellCache, str, None, bool] = None,
+              cache: Union[CellCache, str, os.PathLike, None] = None,
               overrides: Optional[Dict[str, Any]] = None,
-              force: bool = False,
-              tracer=None,
-              progress: Optional[Callable[..., None]] = None,
               check: bool = False,
               ) -> SweepResult:
     """Run one experiment as a sweep of independent cells.
@@ -159,31 +188,21 @@ def run_sweep(experiment: str,
         A registered experiment name (see ``repro list``).
     seed:
         Base seed threaded into every cell; ``None`` uses the
-        experiment's registered default (so results match
-        ``get(experiment).run()`` byte for byte).
+        experiment's registered default.
     jobs:
         Worker processes.  ``1`` runs in-process (no pool is loaded).
     cache:
-        ``None`` disables memoization; ``True`` uses the default cache
-        dir; a path or :class:`CellCache` selects one explicitly.
+        ``None`` disables memoization; a directory or
+        :class:`CellCache` memoizes cells there.
     overrides:
         Experiment-specific grid overrides (scales, subsets) merged into
         every cell's params by the enumerator.  Overridden cells hash
         differently, so they never alias full-scale cached cells.  A key
         outside the experiment's ``tunables`` raises ``ValueError``.
-    force:
-        Skip cache reads (still writes fresh results back).
-    tracer:
-        An optional :class:`repro.obs.Tracer`; the sweep emits
-        ``sweep.start`` / ``sweep.cell.done`` / ``sweep.done`` instants
-        with wall-clock timings in the event fields.
-    progress:
-        Optional callback ``progress(event, **info)`` mirroring the trace
-        events for CLI display.
     check:
         Arm live differential oracles around every *executed* cell (a
         checked run is byte-identical or raises).  Cache hits skip
-        execution and therefore skip the check; pass ``cache=False`` to
+        execution and therefore skip the check; pass no ``cache`` to
         check the full grid.
     """
     if jobs < 1:
@@ -192,59 +211,19 @@ def run_sweep(experiment: str,
     spec.check_overrides(overrides or {})
     resolved_seed = spec.default_seed if seed is None else seed
     cells = tuple(spec.cells(resolved_seed, dict(overrides or {})))
-    store = _resolve_cache(cache)
-    code = code_fingerprint() if store is not None else ""
-
-    def emit(name: str, **fields: Any) -> None:
-        if tracer is not None:
-            tracer.instant(name, cat="sweep", **fields)
-        if progress is not None:
-            progress(name, **fields)
+    store = (cache if cache is None or isinstance(cache, CellCache)
+             else CellCache(cache))
 
     start = time.perf_counter()
-    emit("sweep.start", experiment=experiment, seed=resolved_seed,
-         cells=len(cells), jobs=jobs)
-
-    docs: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-    seconds: List[float] = [0.0] * len(cells)
-    keys: List[Optional[str]] = [None] * len(cells)
-    pending: List[int] = []
-    for index, cell in enumerate(cells):
-        if store is not None:
-            keys[index] = store.key_for(cell, code)
-            if not force:
-                doc = store.get(keys[index])
-                if doc is not None:
-                    docs[index] = normalize_doc(doc)
-                    emit("sweep.cell.done", key=cell.key, cached=True,
-                         seconds=0.0)
-                    continue
-        pending.append(index)
-
-    def finish(slot: int, result: Tuple[str, Dict[str, Any], float]
-               ) -> None:
-        index = pending[slot]
-        _key, docs[index], seconds[index] = result
-        if store is not None:
-            store.put(keys[index], cells[index], docs[index])
-        emit("sweep.cell.done", key=cells[index].key, cached=False,
-             seconds=round(seconds[index], 6))
-
-    fan_out(_execute_cell,
-            [(experiment, cells[index].key, dict(cells[index].params),
-              cells[index].seed, check) for index in pending],
-            jobs, on_done=finish)
-
+    docs, ran = run_cells(cells, partial(_execute_cell, check=check), jobs,
+                          store)
     # Merge strictly in enumeration order: worker completion order (and
     # which cells were memoized) must never reach the merged document.
-    merged = spec.merge(cells, docs)  # type: ignore[arg-type]
+    merged = spec.merge(cells, docs)
     wall = time.perf_counter() - start
-    emit("sweep.done", experiment=experiment, cells=len(cells),
-         executed=len(pending), seconds=round(wall, 6))
-    executed = set(pending)
     runs = tuple(
-        CellRun(cell=cell, doc=docs[index],  # type: ignore[arg-type]
-                cached=index not in executed, seconds=seconds[index])
+        CellRun(cell=cell, doc=docs[index], cached=index not in ran,
+                seconds=ran.get(index, 0.0))
         for index, cell in enumerate(cells))
     return SweepResult(
         experiment=experiment, seed=resolved_seed, jobs=jobs, runs=runs,

@@ -15,7 +15,7 @@ class TestSweepIdentity:
     def test_registry_run_matches_sweep(self):
         spec = get("prequal_ablation")
         direct = spec.run(seed=11, overrides=dict(_OVERRIDES))
-        swept = run_sweep("prequal_ablation", seed=11, jobs=2, cache=False,
+        swept = run_sweep("prequal_ablation", seed=11, jobs=2,
                           overrides=dict(_OVERRIDES))
         assert direct == swept.merged
 

@@ -24,7 +24,7 @@ WITH_CLAIMS = [name for name in EXPERIMENT_MODULES
 
 @pytest.mark.parametrize("name", WITH_CLAIMS)
 def test_every_claim_holds_at_default_scale(name):
-    result = run_sweep(name, jobs=2, cache=False)
+    result = run_sweep(name, jobs=2)
     claims = get(name).claims(result.merged)
     assert claims, f"{name} judged no claim on its default grid"
     failing = [claim.line() for claim in claims if not claim.holds]

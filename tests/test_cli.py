@@ -91,9 +91,21 @@ class TestParser:
         assert args.overrides == ['scenarios=["worker_hang", "nic_loss"]',
                                   'modes=["hermes"]']
 
-    def test_exactly_seven_commands(self):
-        assert set(_subparsers()) == {"run", "experiment", "sweep", "list",
-                                      "fleet", "check", "fuzz"}
+    def test_exactly_six_commands(self):
+        assert set(_subparsers()) == {"run", "experiment", "list", "fleet",
+                                      "check", "fuzz"}
+
+    def test_every_annotation_resolves(self):
+        import inspect
+        import typing
+
+        import repro.cli
+        functions = [fn for _, fn in inspect.getmembers(repro.cli,
+                                                        inspect.isfunction)
+                     if fn.__module__ == repro.cli.__name__]
+        assert len(functions) > 10
+        for fn in functions:
+            typing.get_type_hints(fn)
 
     def test_run_refuses_jobs(self):
         # run drives one cell in-process; a --jobs it would ignore is
@@ -102,32 +114,43 @@ class TestParser:
             build_parser().parse_args(["run", "--jobs", "2"])
 
     def test_sweep_defaults(self):
-        args = build_parser().parse_args(["sweep", "table3"])
+        args = build_parser().parse_args(["experiment", "table3"])
         assert args.seed is None
         assert args.jobs == 1
         assert args.cache_dir is None
-        assert not args.no_cache and not args.force
         assert args.overrides is None
-        assert not args.require_cached
+        assert args.out is None
+        assert not args.check
+
+    def test_experiment_has_exactly_six_flags(self):
+        flags = {action.option_strings[0]
+                 for action in _subparsers()["experiment"]._actions
+                 if action.option_strings and action.dest != "help"}
+        assert flags == {"--seed", "--out", "--set", "--jobs", "--cache-dir",
+                         "--check"}
 
     def test_sweep_repeatable_set(self):
         args = build_parser().parse_args(
-            ["sweep", "table3", "--set", "n_workers=2",
+            ["experiment", "table3", "--set", "n_workers=2",
              "--set", 'cases=["case1"]'])
         assert args.overrides == ["n_workers=2", 'cases=["case1"]']
 
     def test_sweep_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "nope"])
+            build_parser().parse_args(["experiment", "nope"])
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "table3", "--jobs", "0"])
+            build_parser().parse_args(["experiment", "table3", "--jobs", "0"])
 
 
 #: The documents whose ``python -m repro ...`` lines must parse.
 DOC_FILES = ("README.md", "EXPERIMENTS.md", "docs/API.md",
              "docs/PERFORMANCE.md", ".claude/skills/verify/SKILL.md")
+#: The Python sources whose ``python -m repro ...`` lines must parse.
+SOURCE_FILES = ("src/repro/cli.py", "src/repro/experiments/__init__.py",
+                *sorted(str(path.relative_to(REPO))
+                        for path in (REPO / "examples").glob("*.py")))
 
 _INVOCATION = re.compile(r"python -m repro\s+(\S+)(.*)", re.S)
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
@@ -167,13 +190,25 @@ def _documented_invocations(text):
     return found
 
 
+def _source_invocations(text):
+    """``(command, flags)`` for every ``python -m repro <command>`` in
+    Python source ``text``, each read to the end of its line or to the
+    first backtick, double quote or ``#`` (a docstring example, or a
+    code span inside a string)."""
+    return [(match.group(1), _FLAG.findall(match.group(2)))
+            for match in re.finditer(r"python -m repro +([\w-]+)([^`\"#\n]*)",
+                                     text)]
+
+
 class TestDocsMatchTheParser:
     def test_documented_commands_and_flags_exist(self):
         commands = _subparsers()
         problems, seen = [], 0
-        for name in DOC_FILES:
+        sources = ([(name, _documented_invocations) for name in DOC_FILES]
+                   + [(name, _source_invocations) for name in SOURCE_FILES])
+        for name, collect in sources:
             text = (REPO / name).read_text(encoding="utf-8")
-            for command, flags in _documented_invocations(text):
+            for command, flags in collect(text):
                 seen += 1
                 if command not in commands:
                     problems.append(f"{name}: `repro {command}` is not a "
@@ -193,6 +228,15 @@ class TestDocsMatchTheParser:
         assert _documented_invocations(text) == [
             ("sweep", ["--seed", "--no-cache"]), ("list", []),
             ("run", ["--trace"])]
+
+    def test_collector_reads_docstring_lines_and_string_code_spans(self):
+        text = ('    python -m repro experiment t3 --jobs 4  # --x\n'
+                'print("as `python -m repro fleet --check`, or "\n'
+                '      "`python -m repro sweep x`.")\n'
+                '    python -m repro run --set \'m=["a"]\' --trace\n')
+        assert _source_invocations(text) == [
+            ("experiment", ["--jobs"]), ("fleet", ["--check"]),
+            ("sweep", []), ("run", ["--set"])]
 
 
 class TestExperimentWiring:
@@ -382,13 +426,13 @@ class TestCommands:
             == {"exclusive", "reuseport", "hermes", "prequal", "splice"}
 
     def test_resilience_unknown_scenario_errors(self, capsys):
-        # Refused before any cell runs, on both grid commands.
+        # Refused before any cell runs.
         for command, override, message in [
                 (["experiment", "resilience"], 'scenarios=["meteor"]',
                  "unknown scenario(s) meteor; choose from worker_hang"),
-                (["sweep", "resilience", "--no-cache"],
+                (["experiment", "resilience", "--jobs", "2"],
                  'scenarios=["meteor"]', "unknown scenario(s) meteor"),
-                (["sweep", "resilience", "--no-cache"], 'modes=["bogus"]',
+                (["experiment", "resilience"], 'modes=["bogus"]',
                  "unknown mode(s) bogus; choose from herd"),
                 (["experiment", "table3"], 'modes=["bogus"]',
                  "unknown mode(s) bogus"),
@@ -421,14 +465,15 @@ class TestCommands:
 
     def test_sweep_writes_canonical_document(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.json"
-        rc = main(["sweep", "table3", "--seed", "11", "--no-cache",
+        rc = main(["experiment", "table3", "--seed", "11",
                    "--set", 'cases=["case2"]', "--set", 'loads=["light"]',
                    "--set", "duration_scale=0.1", "--set", "n_workers=2",
                    "--set", "ports=[20001,20002]", "--set", "settle=0.5",
                    "--out", str(out_path)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "sweep: 3 cells (3 executed, 0 cached)" in out
+        assert "3 cells (3 executed, 0 cached) jobs=1 wall=" in out
+        assert f"sweep document -> {out_path}" in out
         document = json.loads(out_path.read_text())
         assert document["schema"] == "repro.sweep/v1"
         assert document["experiment"] == "table3"
@@ -436,25 +481,10 @@ class TestCommands:
             "case2/light/exclusive", "case2/light/reuseport",
             "case2/light/hermes"]
 
-    def test_sweep_require_cached_gates_on_misses(self, capsys, tmp_path):
-        base = ["sweep", "table3", "--seed", "11",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--set", 'cases=["case2"]', "--set", 'loads=["light"]',
-                "--set", 'modes=["hermes"]',
-                "--set", "duration_scale=0.1", "--set", "n_workers=2",
-                "--set", "ports=[20001,20002]", "--set", "settle=0.5"]
-        rc = main(base + ["--require-cached"])
-        assert rc == 1
-        assert "cache miss" in capsys.readouterr().err
-        rc = main(base + ["--require-cached"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "(0 executed, 1 cached)" in out
-
     def test_sweep_claims_from_a_warm_cache_match_the_fresh_run(
             self, capsys, tmp_path):
         out_path = tmp_path / "sweep.json"
-        base = ["sweep", "sec7", "--cache-dir", str(tmp_path / "cache"),
+        base = ["experiment", "sec7", "--cache-dir", str(tmp_path / "cache"),
                 "--set", "n_workers=2", "--set", "n_connections=40"]
 
         def claim_lines(out):
@@ -466,7 +496,7 @@ class TestCommands:
         fresh = capsys.readouterr().out
         assert "(4 executed, 0 cached)" in fresh
         assert "claim hermes_crash_blast_near_one_worker: FAILS" in fresh
-        assert main(base + ["--require-cached"]) == 0
+        assert main(base) == 0
         warm = capsys.readouterr().out
         assert "(0 executed, 4 cached)" in warm
         assert len(claim_lines(fresh)) == 5
@@ -475,12 +505,12 @@ class TestCommands:
         assert "claim" not in out_path.read_text()
 
     def test_sweep_malformed_set_errors(self, capsys):
-        rc = main(["sweep", "table3", "--set", "oops"])
+        rc = main(["experiment", "table3", "--set", "oops"])
         assert rc == 1
         assert "not key=value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        ["experiment", "fig13"], ["sweep", "fig13", "--no-cache"],
+        ["experiment", "fig13"], ["experiment", "fig13", "--jobs", "2"],
         ["experiment", "resilience"]])
     def test_unread_override_is_refused(self, capsys, command):
         # A typo must not silently run the full-scale grid.
@@ -629,7 +659,7 @@ class TestCheckCommand:
         assert build_parser().parse_args(
             ["run", "--faults", "p.json", "--check"]).check is True
         assert build_parser().parse_args(
-            ["sweep", "table3", "--check"]).check is True
+            ["experiment", "table3", "--check"]).check is True
         assert build_parser().parse_args(["run"]).check is False
 
     def test_check_lint_clean_repo(self, capsys):
@@ -686,7 +716,7 @@ class TestCheckCommand:
         assert "fault timeline" in out
 
     def test_sweep_with_check(self, capsys, tmp_path):
-        rc = main(["sweep", "table3", "--no-cache", "--check",
+        rc = main(["experiment", "table3", "--check",
                    "--set", 'cases=["case2"]', "--set", 'loads=["light"]',
                    "--set", 'modes=["hermes"]',
                    "--set", "duration_scale=0.1", "--set", "n_workers=2",

@@ -178,14 +178,13 @@ def smoke_name(request):
 
 @pytest.fixture(scope="module")
 def serial(smoke_name):
-    return run_sweep(smoke_name, jobs=1, cache=False,
-                     overrides=SMOKE[smoke_name])
+    return run_sweep(smoke_name, jobs=1, overrides=SMOKE[smoke_name])
 
 
 @pytest.fixture(scope="module")
 def checked(smoke_name):
-    return run_sweep(smoke_name, jobs=2, cache=False,
-                     overrides=SMOKE[smoke_name], check=True)
+    return run_sweep(smoke_name, jobs=2, overrides=SMOKE[smoke_name],
+                     check=True)
 
 
 def test_serial_equals_parallel_with_oracles_armed(serial, checked):

@@ -13,7 +13,7 @@ from repro.experiments.registry import (CellSpec, ExperimentSpec, get,
                                         register)
 from repro.sweep import (CACHE_SCHEMA, CellCache, SWEEP_SCHEMA,
                          cell_cache_key, code_fingerprint,
-                         reset_fingerprint_cache, run_sweep)
+                         reset_fingerprint_cache, run_cells, run_sweep)
 
 # ---------------------------------------------------------------------------
 # A synthetic experiment: instant cells, an execution counter, and a
@@ -135,6 +135,39 @@ class TestFingerprint:
 
 
 # ---------------------------------------------------------------------------
+# run_cells: the one cached cell loop under run_sweep and run_fuzz
+# ---------------------------------------------------------------------------
+
+class TestRunCells:
+    CELLS = tuple(CellSpec("_cells_test", f"c{i}", {"i": i, "scale": 10}, 0)
+                  for i in range(3))
+
+    def test_docs_in_enumeration_order_and_seconds_of_what_ran(self):
+        docs, ran = run_cells(self.CELLS, _tiny_run)
+        assert [doc["value"] for doc in docs] == [0, 10, 20]
+        assert sorted(ran) == [0, 1, 2]
+        assert all(seconds >= 0.0 for seconds in ran.values())
+
+    def test_cache_answers_hits_and_runs_only_misses(self, tmp_path):
+        cache = CellCache(tmp_path / "c")
+        run_cells(self.CELLS[:2], _tiny_run, cache=cache)
+        docs, ran = run_cells(self.CELLS, _tiny_run, cache=cache)
+        assert sorted(ran) == [2]
+        assert [doc["value"] for doc in docs] == [0, 10, 20]
+        assert _CALLS["n"] == 3
+        assert cache.stats == {"hits": 2, "misses": 3, "stores": 3,
+                               "recovered": 0}
+
+    def test_documents_are_normalized(self):
+        docs, _ = run_cells(self.CELLS[:1], _tuple_doc)
+        assert docs == [{"pair": [0, 0], "by_id": {"1": "int key"}}]
+
+
+def _tuple_doc(cell):
+    return {"pair": (cell.seed, cell.seed), "by_id": {1: "int key"}}
+
+
+# ---------------------------------------------------------------------------
 # run_sweep on the synthetic experiment (serial path + cache semantics)
 # ---------------------------------------------------------------------------
 
@@ -188,13 +221,6 @@ class TestRunSweep:
         rerun = run_sweep("_sweep_test", cache=tmp_path / "c")
         assert rerun.executed == 3
 
-    def test_force_reexecutes_but_refreshes_cache(self, tmp_path):
-        run_sweep("_sweep_test", cache=tmp_path / "c")
-        forced = run_sweep("_sweep_test", cache=tmp_path / "c", force=True)
-        assert forced.executed == 3
-        warm = run_sweep("_sweep_test", cache=tmp_path / "c")
-        assert warm.cached == 3
-
     def test_corrupt_entry_only_reruns_that_cell(self, tmp_path):
         cache = CellCache(tmp_path / "c")
         cold = run_sweep("_sweep_test", cache=cache)
@@ -203,14 +229,6 @@ class TestRunSweep:
         warm = run_sweep("_sweep_test", cache=CellCache(tmp_path / "c"))
         assert warm.executed == 1 and warm.cached == 2
         assert warm.to_json() == cold.to_json()
-
-    def test_progress_callback_sees_lifecycle(self):
-        events = []
-        run_sweep("_sweep_test",
-                  progress=lambda name, **info: events.append(name))
-        assert events[0] == "sweep.start"
-        assert events[-1] == "sweep.done"
-        assert events.count("sweep.cell.done") == 3
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
