@@ -30,7 +30,6 @@ __all__ = [
     "watch",
     "PccMonitor",
     "watch_fleet",
-    "finalize_monitors",
     "Finding",
     "lint_paths",
     "lint_source",
@@ -51,7 +50,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".invariants": ("InvariantMonitor", "InvariantViolation", "watch"),
     ".lint": ("Finding", "lint_paths", "lint_source"),
-    ".pcc": ("PccMonitor", "watch_fleet", "finalize_monitors"),
+    ".pcc": ("PccMonitor", "watch_fleet"),
     ".oracles": ("OracleMismatch", "OracleStats", "checked", "live_oracles",
                  "ref_cascade", "ref_find_nth_set_bit", "ref_jhash_4tuple",
                  "ref_jhash_words", "ref_popcount64", "ref_reciprocal_scale"),

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-__all__ = ["InvariantViolation", "InvariantMonitor", "watch"]
+__all__ = ["InvariantViolation", "InvariantMonitor", "corrupt_bitmap", "watch"]
 
 
 class InvariantViolation(AssertionError):
@@ -70,16 +70,14 @@ class InvariantViolation(AssertionError):
 class InvariantMonitor:
     """Periodically re-derives the stack's invariants from live state."""
 
-    def __init__(self, server, interval: Optional[float] = None,
-                 recorder=None, raise_on_violation: bool = True):
+    def __init__(self, server, raise_on_violation: bool = True):
         self.server = server
         self.env = server.env
-        #: Check cadence; defaults to the epoll timeout (one check per
-        #: scheduling interval).
-        self.interval = (interval if interval is not None
-                         else server.config.epoll_timeout)
-        self.recorder = recorder if recorder is not None else (
-            server.tracer.recorder if server.tracer is not None else None)
+        #: Check cadence: the epoll timeout (one check per scheduling
+        #: interval).
+        self.interval = server.config.epoll_timeout
+        self.recorder = (server.tracer.recorder
+                         if server.tracer is not None else None)
         self.raise_on_violation = raise_on_violation
         #: Violations recorded (at most one when raising).
         self.violations: List[InvariantViolation] = []
@@ -345,11 +343,14 @@ class InvariantMonitor:
         self._passed("splice_ledger")
 
     # -- end-of-run checks -------------------------------------------------
-    def finalize(self) -> Dict[str, int]:
+    def finalize(self, passes: Optional[Dict[str, int]] = None
+                 ) -> Dict[str, int]:
         """Run a last tick plus the trace-stream monotonicity sweep.
 
-        Returns the ``checks_passed`` counters (handy for reporting).
-        Call after ``env.run`` returns; also detaches the monitor.
+        Sums the ``checks_passed`` counters per name into ``passes`` (a
+        new dict by default) and returns it; a final check that raises
+        leaves ``passes`` as it was.  Call after ``env.run`` returns;
+        also detaches the monitor.
         """
         self.check_now()
         tracer = self.server.tracer
@@ -372,12 +373,40 @@ class InvariantMonitor:
             else:
                 self._passed("trace_monotonic")
         self.detach()
-        return dict(self.checks_passed)
+        return tally(passes, self.checks_passed)
 
 
-def watch(server, interval: Optional[float] = None, recorder=None,
-          raise_on_violation: bool = True) -> InvariantMonitor:
+def tally(passes: Optional[Dict[str, int]],
+          counts: Dict[str, int]) -> Dict[str, int]:
+    """Sum ``counts`` per name into ``passes`` (a new dict when None)."""
+    if passes is None:
+        passes = {}
+    for name, count in counts.items():
+        passes[name] = passes.get(name, 0) + count
+    return passes
+
+
+def watch(server, raise_on_violation: bool = True) -> InvariantMonitor:
     """Attach an :class:`InvariantMonitor` to ``server`` and return it."""
-    return InvariantMonitor(
-        server, interval=interval, recorder=recorder,
-        raise_on_violation=raise_on_violation).attach()
+    return InvariantMonitor(server, raise_on_violation).attach()
+
+
+def corrupt_bitmap(server) -> bool:
+    """The ``bitmap_wst`` drill: every later scheduler sync ORs a bit
+    beyond the group width into the first group's selection word.
+
+    Dispatch degrades gracefully (it falls back to hashing, as
+    ``bpf_sk_select_reuseport`` would); only the monitor notices.
+    False, arming nothing, when ``server`` has no selection bitmap.
+    """
+    if not getattr(server, "groups", None):
+        return False
+    group = server.groups[0]
+    bad_bit = 1 << len(group.worker_ids)
+    real_update = group.sel_map.update_from_user
+
+    def corrupted_update(key: int, value: int) -> None:
+        real_update(key, value | bad_bit)
+
+    group.sel_map.update_from_user = corrupted_update
+    return True

@@ -231,8 +231,11 @@ class OracleStats:
     def __init__(self):
         #: oracle name -> number of agreeing comparisons.
         self.comparisons = {}
-        #: Mismatches caught (the window raises before this exceeds 1).
+        #: Mismatches caught.  Each one raises where it happens; one
+        #: raised inside a simulated process dies with that process, so
+        #: :func:`live_oracles` raises the first again on exit.
         self.mismatches = 0
+        self.first_mismatch: Optional[OracleMismatch] = None
 
     @property
     def total(self) -> int:
@@ -240,6 +243,14 @@ class OracleStats:
 
     def count(self, name: str) -> None:
         self.comparisons[name] = self.comparisons.get(name, 0) + 1
+
+    def mismatch(self, message: str) -> OracleMismatch:
+        """Count a mismatch; return the error to raise."""
+        error = OracleMismatch(message)
+        self.mismatches += 1
+        if self.first_mismatch is None:
+            self.first_mismatch = error
+        return error
 
 
 def checked(fast: Callable, ref: Callable, name: str,
@@ -251,6 +262,9 @@ def checked(fast: Callable, ref: Callable, name: str,
     exception type when both refuse the input.  Any divergence raises
     :class:`OracleMismatch` naming the inputs.
     """
+    if stats is None:
+        stats = OracleStats()
+
     def wrapper(*args, **kwargs):
         try:
             got = fast(*args, **kwargs)
@@ -259,21 +273,16 @@ def checked(fast: Callable, ref: Callable, name: str,
                 ref(*args, **kwargs)
             except type(fast_exc):
                 raise  # both refuse alike: propagate the fast path's error
-            if stats is not None:
-                stats.mismatches += 1
-            raise OracleMismatch(
+            raise stats.mismatch(
                 f"{name}{args!r}: fast path raised "
                 f"{type(fast_exc).__name__} but the reference did not"
             ) from fast_exc
         want = ref(*args, **kwargs)
         if got != want:
-            if stats is not None:
-                stats.mismatches += 1
-            raise OracleMismatch(
+            raise stats.mismatch(
                 f"{name}{args!r}: fast path returned {got!r}, "
                 f"reference says {want!r}")
-        if stats is not None:
-            stats.count(name)
+        stats.count(name)
         return got
 
     wrapper.__name__ = f"checked_{name}"
@@ -288,8 +297,10 @@ def live_oracles():
     ``find_nth_set_bit`` / ``reciprocal_scale`` bindings with checked
     versions and wraps ``CascadingScheduler.select_workers`` to re-derive
     every cascade decision with :func:`ref_cascade`.  Yields an
-    :class:`OracleStats`; restores everything on exit.  The checked
-    wrappers always return the fast value, so a surviving run is
+    :class:`OracleStats`; restores everything on exit, and raises
+    :class:`OracleMismatch` there if a mismatch was counted but never
+    reached the caller (a simulated process that raises just dies).  The
+    checked wrappers always return the fast value, so a surviving run is
     byte-identical to an unchecked one.
     """
     from ..core import dispatch as _dispatch
@@ -313,8 +324,7 @@ def live_oracles():
             self.config.hang_threshold, self.config.theta_ratio,
             self.config.filter_order, self.capacity_limits)
         if list(selected) != want:
-            stats.mismatches += 1
-            raise OracleMismatch(
+            raise stats.mismatch(
                 f"cascade selected {list(selected)!r}, reference says "
                 f"{want!r} (now={now}, times={times}, events={events}, "
                 f"conns={conns})")
@@ -332,8 +342,7 @@ def live_oracles():
         got = (None if decision is None
                else (decision.worker_id, decision.rif, decision.latency))
         if got != want:
-            stats.mismatches += 1
-            raise OracleMismatch(
+            raise stats.mismatch(
                 f"prequal selected {got!r}, reference says {want!r} "
                 f"(now={now}, policy={self.config.policy}, "
                 f"pool={entries!r})")
@@ -362,3 +371,5 @@ def live_oracles():
         CascadingScheduler.select_workers = saved[3]
         _groups.reciprocal_scale, _groups.jhash_words = saved[4:6]
         PrequalSelector.select = saved[6]
+    if stats.first_mismatch is not None:
+        raise stats.first_mismatch

@@ -22,30 +22,35 @@ tier and the PCC ledger can't disagree about ownership).
 Like :class:`~repro.check.InvariantMonitor`, the monitor only reads: an
 unmonitored run is bit-identical, and a violation raises
 :class:`~repro.check.InvariantViolation` with a flight-recorder dump
-attached when a recorder is wired.
+attached when the fleet's tracer has a recorder.
+
+:func:`watch_fleet` is the one way to arm a checked fleet run: it
+attaches the PCC monitor, then one invariant monitor per instance, and
+:meth:`PccMonitor.finalize` finalizes all of them in that order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from .invariants import InvariantViolation
+from .invariants import InvariantMonitor, InvariantViolation, tally, watch
 
-__all__ = ["PccMonitor", "finalize_monitors", "watch_fleet"]
+__all__ = ["PccMonitor", "watch_fleet"]
 
 
 class PccMonitor:
     """Re-derives the fleet's PCC contract from live state, per tick."""
 
-    def __init__(self, fleet, interval: Optional[float] = None,
-                 recorder=None, raise_on_violation: bool = True):
+    def __init__(self, fleet, raise_on_violation: bool = True):
         self.fleet = fleet
         self.env = fleet.env
-        self.interval = (interval if interval is not None
-                         else fleet.instances[0].config.epoll_timeout)
-        self.recorder = recorder if recorder is not None else (
-            fleet.tracer.recorder if fleet.tracer is not None else None)
+        self.interval = fleet.instances[0].config.epoll_timeout
+        self.recorder = (fleet.tracer.recorder
+                         if fleet.tracer is not None else None)
         self.raise_on_violation = raise_on_violation
+        #: The per-instance monitors :func:`watch_fleet` armed with it,
+        #: finalized after this one, in instance order.
+        self.instance_monitors: List[InvariantMonitor] = []
         self.violations: List[InvariantViolation] = []
         self.checks_passed: Dict[str, int] = {}
         self.ticks = 0
@@ -128,33 +133,28 @@ class PccMonitor:
         self._passed("pcc_routing")
 
     # -- end-of-run -------------------------------------------------------
-    def finalize(self) -> Dict[str, int]:
-        """One last evaluation, then detach.  Returns pass counters."""
+    def finalize(self, passes: Optional[Dict[str, int]] = None
+                 ) -> Dict[str, int]:
+        """One last evaluation and detach, then each instance monitor's.
+
+        Sums every monitor's pass counters per name into ``passes`` (a
+        new dict by default) and returns it.  Each monitor's counts land
+        before the next one finalizes, so when a final check raises,
+        ``passes`` keeps the counts of the monitors finalized before it.
+        """
         self.check_now()
         self.detach()
-        return dict(self.checks_passed)
+        passes = tally(passes, self.checks_passed)
+        for monitor in self.instance_monitors:
+            monitor.finalize(passes)
+        return passes
 
 
-def watch_fleet(fleet, interval: Optional[float] = None, recorder=None,
-                raise_on_violation: bool = True) -> PccMonitor:
-    """Attach a :class:`PccMonitor` to ``fleet`` and return it."""
-    return PccMonitor(fleet, interval=interval, recorder=recorder,
-                      raise_on_violation=raise_on_violation).attach()
-
-
-def finalize_monitors(pcc: Optional[PccMonitor], monitors: Iterable,
-                      passes: Optional[Dict[str, int]] = None
-                      ) -> Dict[str, int]:
-    """Finalize ``pcc`` (if any), then each instance monitor, in order.
-
-    Sums their pass counters per name into ``passes`` (a new dict by
-    default) and returns it.  Each monitor's counts land before the next
-    one finalizes, so when a final check raises, ``passes`` keeps the
-    counts of the monitors finalized before it.
-    """
-    if passes is None:
-        passes = {}
-    for monitor in ([pcc] if pcc is not None else []) + list(monitors):
-        for name, count in monitor.finalize().items():
-            passes[name] = passes.get(name, 0) + count
-    return passes
+def watch_fleet(fleet, raise_on_violation: bool = True) -> PccMonitor:
+    """Attach a :class:`PccMonitor` to ``fleet``, then an
+    :class:`~repro.check.InvariantMonitor` to each of its instances;
+    return the PCC monitor, which holds the rest."""
+    pcc = PccMonitor(fleet, raise_on_violation).attach()
+    pcc.instance_monitors = [watch(instance, raise_on_violation)
+                             for instance in fleet.instances]
+    return pcc

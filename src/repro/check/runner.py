@@ -12,11 +12,9 @@ Three phases, all opt-in subsets via flags:
   stateless fleet under backend churn.
 
 :func:`run_monitored_crash` is also the harness for the deliberate-
-corruption drill: with ``corrupt_bitmap=True`` every scheduler sync is
-wrapped to OR a bit beyond the group width into the kernel's selection
-word.  The simulated kernel itself degrades gracefully (dispatch falls
-back to hashing, as ``bpf_sk_select_reuseport`` would) — it is the
-bitmap↔WST monitor that must catch the corruption.
+corruption drill: with ``corrupt_bitmap=True`` it arms
+:func:`~repro.check.invariants.corrupt_bitmap`, which the bitmap↔WST
+monitor must catch.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .invariants import InvariantMonitor, watch
+from .invariants import InvariantMonitor, tally, watch
+from .invariants import corrupt_bitmap as bitmap_drill
 from .lint import Finding, lint_paths
 from .oracles import (
     live_oracles,
@@ -57,16 +56,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return not self.lint_findings and not self.problems
-
-    def merge_comparisons(self, comparisons: Dict[str, int]) -> None:
-        for name, count in comparisons.items():
-            self.oracle_comparisons[name] = (
-                self.oracle_comparisons.get(name, 0) + count)
-
-    def merge_passes(self, passes: Dict[str, int]) -> None:
-        for name, count in passes.items():
-            self.monitor_passes[name] = (
-                self.monitor_passes.get(name, 0) + count)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +129,6 @@ def run_monitored_cell(mode: str = "hermes", case: str = "case2",
 def run_monitored_crash(mode: str = "hermes", n_workers: int = 8,
                         n_connections: int = 400, seed: int = 79,
                         corrupt_bitmap: bool = False,
-                        interval: Optional[float] = None,
                         raise_on_violation: bool = True):
     """The §7 crash-blast scenario with monitors armed.
 
@@ -159,20 +147,9 @@ def run_monitored_crash(mode: str = "hermes", n_workers: int = 8,
     cell = blast_cell(NotificationMode(mode), n_workers, n_connections, seed,
                       tracer=tracer)
     server = cell.server
-    monitor = watch(server, interval=interval,
-                    raise_on_violation=raise_on_violation)
-    if corrupt_bitmap:
-        if not server.groups:
-            raise ValueError(
-                f"mode {mode!r} has no selection bitmap to corrupt")
-        group = server.groups[0]
-        bad_bit = 1 << len(group.worker_ids)
-        real_update = group.sel_map.update_from_user
-
-        def corrupted_update(key: int, value: int) -> None:
-            real_update(key, value | bad_bit)
-
-        group.sel_map.update_from_user = corrupted_update
+    monitor = watch(server, raise_on_violation)
+    if corrupt_bitmap and not bitmap_drill(server):
+        raise ValueError(f"mode {mode!r} has no selection bitmap to corrupt")
 
     cell.run(until=3.0)
     passes = monitor.finalize()
@@ -188,7 +165,6 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
                         crash_at: Optional[float] = None,
                         detect_delay: float = 0.005,
                         corrupt_lookup: bool = False,
-                        interval: Optional[float] = None,
                         raise_on_violation: bool = True):
     """A fleet churn (+ optional instance crash) scenario under the PCC
     monitor and per-instance invariant monitors.
@@ -205,7 +181,7 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
     from ..fleet import build_fleet, fleet_faults
     from ..fleet.sharded import fleet_spec
     from ..obs import FlightRecorder, Tracer
-    from .pcc import finalize_monitors, watch_fleet
+    from .pcc import watch_fleet
 
     cell = build_fleet(
         fleet_spec(duration, conn_rate), "hermes", seed,
@@ -216,9 +192,7 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
         tracer=Tracer(recorder=FlightRecorder(capacity=256),
                       keep_events=False))
     fleet = cell.server
-    pcc = watch_fleet(fleet, interval=interval,
-                      raise_on_violation=raise_on_violation)
-    monitors = [watch(instance) for instance in fleet.instances]
+    pcc = watch_fleet(fleet, raise_on_violation)
     if corrupt_lookup:
         backend_map = fleet.backend_map
         real_update = backend_map.update
@@ -232,7 +206,7 @@ def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
         backend_map.update = corrupted_update
 
     cell.run(until=duration)
-    passes = finalize_monitors(pcc, monitors)
+    passes = pcc.finalize()
     summary = fleet.summary()
     summary["seed"] = seed
     summary["faults_fired"] = cell.injector.faults_fired
@@ -266,7 +240,7 @@ def run_check(lint: bool = True, oracles: bool = True,
 
     if oracles:
         try:
-            report.merge_comparisons(oracle_sweep())
+            tally(report.oracle_comparisons, oracle_sweep())
         except OracleMismatch as exc:
             report.problems.append(f"oracle sweep: {exc}")
         say(f"oracles: {sum(report.oracle_comparisons.values())} "
@@ -283,7 +257,7 @@ def run_check(lint: bool = True, oracles: bool = True,
             try:
                 with live_oracles() as stats:
                     runner()
-                report.merge_comparisons(stats.comparisons)
+                tally(report.oracle_comparisons, stats.comparisons)
                 say(f"scenario {label}: ok "
                     f"({stats.total} live comparison(s))")
             except (InvariantViolation, OracleMismatch) as exc:
@@ -294,7 +268,7 @@ def run_check(lint: bool = True, oracles: bool = True,
 
 def _scenario_cell(report: CheckReport, seed: int) -> None:
     result, passes = run_monitored_cell(seed=seed)
-    report.merge_passes(passes)
+    tally(report.monitor_passes, passes)
     report.scenarios["table3/hermes"] = {
         "completed": result.completed,
         "failed": result.failed,
@@ -304,13 +278,13 @@ def _scenario_cell(report: CheckReport, seed: int) -> None:
 
 def _scenario_crash(report: CheckReport, mode: str) -> None:
     _monitor, passes, summary = run_monitored_crash(mode=mode)
-    report.merge_passes(passes)
+    tally(report.monitor_passes, passes)
     report.scenarios[f"sec7/{mode}"] = summary
 
 
 def _scenario_fleet(report: CheckReport) -> None:
     _monitor, passes, summary = run_monitored_fleet()
-    report.merge_passes(passes)
+    tally(report.monitor_passes, passes)
     report.scenarios["fleet/stateless"] = {
         "completed": summary["completed"],
         "broken": summary["broken"],

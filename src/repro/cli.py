@@ -584,18 +584,16 @@ def _cmd_fleet(args) -> int:
 
     context: Any = nullcontext()
     pcc = None
-    monitors: List[Any] = []
     if args.check:
-        from .check import finalize_monitors, live_oracles, watch, watch_fleet
+        from .check import live_oracles, watch_fleet
         context = live_oracles()
         pcc = watch_fleet(fleet)
-        monitors = [watch(instance) for instance in fleet.instances]
 
     try:
         with context as stats:
             cell.run(until=args.duration)
             if pcc is not None:
-                passes = finalize_monitors(pcc, monitors)
+                passes = pcc.finalize()
     except AssertionError as exc:
         if not args.check:
             raise

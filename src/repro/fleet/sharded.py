@@ -215,13 +215,10 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
                       tracer=tracer)
         fleet.start()
         pcc = None
-        monitors = []
         if check:
-            from ..check.invariants import watch
-            from ..check.pcc import finalize_monitors, watch_fleet
+            from ..check.pcc import watch_fleet
 
             pcc = watch_fleet(fleet)
-            monitors = [watch(instance)]
         gen = TrafficGenerator(env, fleet, None,
                                fleet_spec(duration, payload["conn_rate"]))
         churn_at = payload.get("churn_at")
@@ -230,12 +227,17 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
                 churn_at,
                 lambda: fleet.churn_backends(payload.get("churn_k", 2)))
         gen.replay(payload["arrivals"])
-        env.run(until=duration)
 
         passes: Dict[str, int] = {}
         violations = 0
-        if pcc is not None:
-            passes = finalize_monitors(pcc, monitors)
+        if pcc is None:
+            env.run(until=duration)
+        else:
+            from ..check.oracles import live_oracles
+
+            with live_oracles():
+                env.run(until=duration)
+                passes = pcc.finalize()
             violations = len(pcc.violations)
         metrics = instance.metrics
         doc = {
@@ -328,7 +330,8 @@ def run_sharded_fleet(policy: str = "stateless", n_instances: int = 4,
     the next starts; ``jobs>1`` fans them across a process pool.  Output
     is byte-identical either way (slot-indexed collection, enumeration-
     order merge).  The arrival stream is drawn once, here, and each
-    shard's payload carries only its own slice.
+    shard's payload carries only its own slice.  ``check`` arms
+    :func:`~repro.check.watch_fleet` and live oracles in every shard.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

@@ -32,28 +32,6 @@ SETTLE = 0.5
 REPORT_SCHEMA = "repro/fuzz-report/v1"
 
 
-def _arm_drill(name: str, server) -> bool:
-    """Plant a deliberate bug on ``server``; True when it armed.
-
-    ``corrupt_bitmap`` is the ``repro.check`` drill: every scheduler sync
-    ORs a bit beyond the group width into the kernel selection word —
-    the bitmap↔WST invariant must catch it.
-    """
-    if name != "corrupt_bitmap":
-        raise ValueError(f"unknown drill {name!r}")
-    if not getattr(server, "groups", None):
-        return False
-    group = server.groups[0]
-    bad_bit = 1 << len(group.worker_ids)
-    real_update = group.sel_map.update_from_user
-
-    def corrupted_update(key: int, value: int) -> None:
-        real_update(key, value | bad_bit)
-
-    group.sel_map.update_from_user = corrupted_update
-    return True
-
-
 def build_scenario_trace(scenario: Scenario,
                          registry: RngRegistry) -> Trace:
     """The scenario's trace: inline events if shrunk, else the family."""
@@ -65,9 +43,9 @@ def build_scenario_trace(scenario: Scenario,
 
 def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     """Execute one scenario with monitors, oracles, and faults armed."""
-    from ..check.invariants import InvariantViolation, watch
+    from ..check.invariants import InvariantViolation, corrupt_bitmap, watch
     from ..check.oracles import OracleMismatch, live_oracles
-    from ..check.pcc import finalize_monitors, watch_fleet
+    from ..check.pcc import watch_fleet
     from ..faults.injector import FaultInjector
     from ..fleet import Fleet, fleet_instance
     from ..kernel.nic import Nic
@@ -84,7 +62,6 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     ports = _trace_ports(trace)
 
     fleet = None
-    monitors = []
     if scenario.is_fleet:
         fleet = Fleet(env, [fleet_instance(env, index, hash_seed,
                                            n_workers=scenario.n_workers,
@@ -95,8 +72,7 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
                       tracer=tracer)
         fleet.start()
         target: Any = fleet
-        pcc = watch_fleet(fleet)
-        monitors = [watch(instance) for instance in fleet.instances]
+        monitor: Any = watch_fleet(fleet)
         drill_host = fleet.instances[0]
     else:
         server = LBServer(env, n_workers=scenario.n_workers, ports=ports,
@@ -107,13 +83,14 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
                           tracer=tracer)
         server.start()
         target = server
-        pcc = None
-        monitors = [watch(server)]
+        monitor = watch(server)
         drill_host = server
 
     drill_armed = False
     if scenario.drill is not None:
-        drill_armed = _arm_drill(scenario.drill, drill_host)
+        if scenario.drill != "corrupt_bitmap":
+            raise ValueError(f"unknown drill {scenario.drill!r}")
+        drill_armed = corrupt_bitmap(drill_host)
 
     injector = FaultInjector(env, None if scenario.is_fleet else target,
                              scenario.fault_plan(), tracer=tracer,
@@ -128,7 +105,7 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     try:
         with live_oracles() as stats:
             env.run(until=horizon)
-            finalize_monitors(pcc, monitors, passes)
+            monitor.finalize(passes)
         comparisons = stats.total
     except (InvariantViolation, OracleMismatch, AssertionError) as exc:
         kind = ("invariant" if isinstance(exc, InvariantViolation)

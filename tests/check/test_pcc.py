@@ -11,8 +11,10 @@ dump attached.
 
 import pytest
 
-from repro.check import InvariantViolation, PccMonitor, finalize_monitors
+from repro.check import InvariantViolation, PccMonitor, watch_fleet
 from repro.check.runner import run_monitored_fleet
+from repro.fleet import build_fleet
+from repro.fleet.sharded import fleet_spec
 
 
 class TestCleanRuns:
@@ -23,7 +25,10 @@ class TestCleanRuns:
         assert passes["pcc"] > 0
         assert passes["pcc_routing"] > 0
         assert pcc.ticks > 1
-        # The fleet's own invariant monitors ran alongside.
+        # The fleet's own invariant monitors ran alongside, one per
+        # instance.
+        assert [m.server for m in pcc.instance_monitors] == \
+            pcc.fleet.instances
         assert passes.get("conservation", 0) > 0
 
     def test_stateful_crash_is_green(self):
@@ -70,35 +75,48 @@ class TestMonitorLifecycle:
         assert pcc._armed is False
 
 
-class _Finalizes:
-    def __init__(self, log, name, counts, error=None):
-        self.log, self.name, self.counts, self.error = log, name, counts, error
+def _watched_fleet(log, fail=None):
+    """A short fleet run armed by :func:`watch_fleet`; each monitor's
+    final check logs its index (0 is PCC), and index ``fail`` raises."""
+    cell = build_fleet(fleet_spec(0.3, 150.0), "hermes", 31, n_instances=3,
+                       n_workers=2, policy="stateless", ingress="ecmp")
+    pcc = watch_fleet(cell.server)
+    cell.run(until=0.3)
+    for index, monitor in enumerate([pcc] + pcc.instance_monitors):
+        real = monitor.check_now
 
-    def finalize(self):
-        self.log.append(self.name)
-        if self.error is not None:
-            raise self.error
-        return dict(self.counts)
+        def check_now(index=index, real=real):
+            log.append(index)
+            if index == fail:
+                raise InvariantViolation("planted", "final check failed")
+            real()
+
+        monitor.check_now = check_now
+    return pcc
 
 
 class TestFinalizeMonitors:
     def test_pcc_first_then_instances_summed_per_name(self):
         log = []
-        pcc = _Finalizes(log, "pcc", {"pcc": 2, "shared": 1})
-        monitors = [_Finalizes(log, "a", {"shared": 3, "conservation": 4}),
-                    _Finalizes(log, "b", {"shared": 5})]
-        passes = finalize_monitors(pcc, monitors)
-        assert log == ["pcc", "a", "b"]
-        assert passes == {"pcc": 2, "shared": 9, "conservation": 4}
-        assert list(passes) == ["pcc", "shared", "conservation"]
+        pcc = _watched_fleet(log)
+        passes = pcc.finalize()
+        assert log == [0, 1, 2, 3]
+        monitors = [pcc] + pcc.instance_monitors
+        names = list(pcc.checks_passed) + list(
+            pcc.instance_monitors[0].checks_passed)
+        assert list(passes) == names
+        assert passes == {
+            name: sum(m.checks_passed.get(name, 0) for m in monitors)
+            for name in names}
+        assert passes["conservation"] > pcc.instance_monitors[0] \
+            .checks_passed["conservation"]
 
-    def test_no_pcc_and_partial_counts_survive_a_raise(self):
+    def test_partial_counts_survive_a_raise(self):
         log = []
+        pcc = _watched_fleet(log, fail=2)
         passes = {}
-        monitors = [_Finalizes(log, "a", {"conservation": 4}),
-                    _Finalizes(log, "b", {}, InvariantViolation("x", "y")),
-                    _Finalizes(log, "c", {"conservation": 1})]
-        with pytest.raises(InvariantViolation):
-            finalize_monitors(None, monitors, passes)
-        assert log == ["a", "b"]
-        assert passes == {"conservation": 4}
+        with pytest.raises(InvariantViolation, match="planted"):
+            pcc.finalize(passes)
+        assert log == [0, 1, 2]
+        first = pcc.instance_monitors[0]
+        assert passes == dict(pcc.checks_passed, **first.checks_passed)

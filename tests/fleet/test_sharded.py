@@ -94,6 +94,18 @@ class TestByteIdentity:
             == json.dumps(again, sort_keys=True, default=list)
 
 
+class TestCheckedShards:
+    def test_check_arms_live_oracles(self, monkeypatch):
+        # ``--check`` promises live differential oracles on the sharded
+        # path too: a reference that disagrees must stop the run.
+        from repro.check import oracles
+        from repro.check.oracles import OracleMismatch
+
+        monkeypatch.setattr(oracles, "ref_cascade", lambda *args: [-1])
+        with pytest.raises(OracleMismatch, match="cascade"):
+            _doc(jobs=1, check=True)
+
+
 class TestArrivalSpine:
     @pytest.mark.parametrize("ingress", ["ecmp", "ring"])
     @pytest.mark.parametrize("n_instances", [1, 4, 16])
