@@ -52,7 +52,8 @@ from .ingress import make_ingress
 from .lookup import BackendMap, FleetPolicy, make_lookup
 
 __all__ = ["FlowRecord", "Fleet", "aggregate_metrics", "build_fleet",
-           "check_churn", "fleet_faults", "fleet_instance", "reduce_metrics"]
+           "check_churn", "fleet_faults", "fleet_instance", "metrics_doc",
+           "reduce_metrics"]
 
 #: Backends a fleet starts with unless told otherwise.
 N_BACKENDS = 8
@@ -413,17 +414,22 @@ def reduce_metrics(docs: Sequence[dict]) -> dict:
     }
 
 
+def metrics_doc(device: LBServer) -> dict:
+    """One device's metrics as the per-instance doc
+    :func:`reduce_metrics` reads."""
+    metrics = device.metrics
+    return {"latencies": metrics.request_latencies.values,
+            "completed": metrics.requests_completed,
+            "failed": metrics.requests_failed,
+            "accepted": metrics.connections_accepted,
+            "refused": metrics.connections_refused,
+            "elapsed": metrics.elapsed}
+
+
 def aggregate_metrics(devices: Sequence[LBServer]) -> dict:
     """Merge live devices' metrics into one fleet-level row
-    (:func:`reduce_metrics` over each ``device.metrics``)."""
-    return reduce_metrics([
-        {"latencies": device.metrics.request_latencies.values,
-         "completed": device.metrics.requests_completed,
-         "failed": device.metrics.requests_failed,
-         "accepted": device.metrics.connections_accepted,
-         "refused": device.metrics.connections_refused,
-         "elapsed": device.metrics.elapsed}
-        for device in devices])
+    (:func:`reduce_metrics` over each :func:`metrics_doc`)."""
+    return reduce_metrics([metrics_doc(device) for device in devices])
 
 
 def check_churn(k: int, n_backends: int) -> None:
@@ -470,7 +476,7 @@ def fleet_faults(seed: int, *, churn_at: Optional[float], churn_k: int,
 def build_fleet(spec: WorkloadSpec, mode, seed: int, *, n_instances: int,
                 n_workers: int, policy, ingress,
                 faults: Optional[FaultPlan] = None,
-                **server_options) -> Cell:
+                shard: Optional[int] = None, **server_options) -> Cell:
     """Build a fleet of ``n_instances`` listening on ``spec.ports`` and its
     traffic, as an unrun :class:`~repro.cell.Cell` whose ``server`` is
     the :class:`Fleet`.
@@ -481,14 +487,26 @@ def build_fleet(spec: WorkloadSpec, mode, seed: int, *, n_instances: int,
     ``tracer`` is also the fleet's.  ``faults`` arms a
     :class:`~repro.faults.FaultInjector` on the fleet; it draws from
     ``RngRegistry(faults.seed)``.
+
+    With ``shard`` set to an index, only instance ``shard`` is built, the
+    same instance the whole fleet gives that index, behind a
+    :class:`~repro.fleet.sharded.ShardIngress` that evaluates the global
+    ``ingress`` pick and refuses flows another instance owns: one shard
+    of :func:`~repro.fleet.sharded.run_sharded_fleet`.
     """
     env = Environment()
     registry = RngRegistry(seed)
     hash_seed = registry.stream("hash").randrange(2 ** 32)
+    indices = range(n_instances)
+    if shard is not None:
+        from .sharded import ShardIngress
+
+        ingress = ShardIngress(ingress, hash_seed, n_instances, shard)
+        indices = [shard]
     fleet = Fleet(env, [fleet_instance(env, index, hash_seed,
                                        n_workers=n_workers, ports=spec.ports,
                                        mode=mode, **server_options)
-                        for index in range(n_instances)],
+                        for index in indices],
                   policy=policy, ingress=ingress, hash_seed=hash_seed,
                   tracer=server_options.get("tracer"))
     fleet.start()

@@ -12,6 +12,11 @@ cross-shard messages — and a fleet of N instances can run as N
 independent single-instance simulations whose outputs merge
 deterministically.
 
+A shard is the serial fleet with one instance:
+``build_fleet(..., shard=i)`` builds instance ``i`` exactly as the whole
+fleet would, behind a :class:`ShardIngress`, with the same
+:func:`~repro.fleet.fleet_faults` churn plan.
+
 How determinism is kept byte-identical across ``--jobs N``:
 
 - One arrival spine: :func:`fleet_arrivals` draws the seeded fleet-wide
@@ -30,8 +35,8 @@ How determinism is kept byte-identical across ``--jobs N``:
 - Merging reuses the slot-indexed collection + enumeration-order merge
   pattern ``repro.sweep`` proved byte-identical: shard results land in
   a list indexed by shard id, and all reductions (pooled latency
-  samples, summed counters, PCC verdicts, trace events) run in that
-  fixed order regardless of completion order or worker count.
+  samples, summed counters, PCC verdicts) run in that fixed order
+  regardless of completion order or worker count.
 
 Not supported sharded (refused loudly rather than silently wrong):
 instance crashes (cross-shard failover migrates connections between
@@ -42,19 +47,15 @@ the global arrival stream; ``replay`` refuses it).
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..fanout import fan_out
 from ..kernel.hash import FourTuple
-from ..kernel.tcp import Connection
-from ..sim.engine import Environment
 from ..sim.rng import RngRegistry
-from ..workloads.generator import (Arrival, TrafficGenerator, WorkloadSpec,
-                                   client_four_tuple)
-from .fleet import (N_BACKENDS, Fleet, FleetPolicy, check_churn,
-                    fleet_instance, reduce_metrics)
+from ..workloads.generator import Arrival, WorkloadSpec, client_four_tuple
+from .fleet import (N_BACKENDS, FleetPolicy, build_fleet, check_churn,
+                    fleet_faults, metrics_doc, reduce_metrics)
 from .ingress import make_ingress
 
 __all__ = ["ShardIngress", "fleet_spec", "fleet_arrivals", "run_shard",
@@ -173,103 +174,71 @@ def fleet_arrivals(seed: int, n_instances: int, duration: float,
 def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one fleet instance end to end; return a picklable doc.
 
-    Mirrors :func:`~repro.fleet.build_fleet`'s construction exactly —
-    same registry streams, the same :func:`~repro.fleet.fleet_instance`,
-    same workload spec and churn — scoped down to one instance.  The
-    shard schedules ``payload["arrivals"]``, its slice of
-    :func:`fleet_arrivals`, and counts the rest of
-    ``payload["total_arrivals"]`` as foreign.
+    The shard is ``build_fleet(..., shard=i)``: instance ``i`` of the
+    fleet :func:`~repro.fleet.build_fleet` builds from the same seed,
+    behind a :class:`ShardIngress`, churned by the same
+    :func:`~repro.fleet.fleet_faults` plan.  It replays
+    ``payload["arrivals"]``, its slice of :func:`fleet_arrivals`, and
+    counts the rest of ``payload["total_arrivals"]`` as foreign.
     """
-    shard_index = payload["shard_index"]
-    n_instances = payload["n_instances"]
     seed = payload["seed"]
     duration = payload["duration"]
-    ingress_policy = payload.get("ingress", "ecmp")
     check = payload.get("check", False)
-    keep_trace = payload.get("keep_trace", False)
+    tracer = None
+    if check:
+        from ..obs import FlightRecorder, Tracer
 
-    # Per-shard id namespaces restart at 1 so shard output is a pure
-    # function of the payload, not of whatever ran before in this
-    # process (jobs=1 runs every shard in the parent).
-    saved_ids = Connection._ids
-    Connection._ids = itertools.count(1)
-    try:
-        env = Environment()
-        registry = RngRegistry(seed)
-        fleet_hash_seed = registry.stream("hash").randrange(2 ** 32)
-        tracer = None
-        recorder = None
-        if keep_trace or check:
-            from ..obs import FlightRecorder, Tracer
+        tracer = Tracer(recorder=FlightRecorder(capacity=256),
+                        keep_events=False)
+    churn_at = payload.get("churn_at")
+    faults = None
+    if churn_at is not None and churn_at <= duration:
+        # A churn past the run's end would never fire: arming none keeps
+        # an unchecked shard free of calls into repro.faults.
+        faults = fleet_faults(seed, churn_at=churn_at,
+                              churn_k=payload.get("churn_k", 2))
+    cell = build_fleet(
+        fleet_spec(duration, payload["conn_rate"]), "hermes", seed,
+        n_instances=payload["n_instances"], n_workers=payload["n_workers"],
+        policy=payload["policy"], ingress=payload.get("ingress", "ecmp"),
+        faults=faults, shard=payload["shard_index"], tracer=tracer)
+    env, fleet, gen = cell.env, cell.server, cell.gen
+    pcc = None
+    if check:
+        from ..check.pcc import watch_fleet
 
-            recorder = FlightRecorder(capacity=256)
-            tracer = Tracer(env, recorder=recorder, keep_events=keep_trace)
-        ingress = ShardIngress(ingress_policy, fleet_hash_seed, n_instances,
-                               shard_index)
-        instance = fleet_instance(
-            env, shard_index, fleet_hash_seed,
-            n_workers=payload["n_workers"], ports=[443], mode="hermes",
-            tracer=tracer)
-        fleet = Fleet(env, [instance], policy=payload["policy"],
-                      ingress=ingress, hash_seed=fleet_hash_seed,
-                      tracer=tracer)
-        fleet.start()
-        pcc = None
-        if check:
-            from ..check.pcc import watch_fleet
+        pcc = watch_fleet(fleet)
+    gen.replay(payload["arrivals"])
 
-            pcc = watch_fleet(fleet)
-        gen = TrafficGenerator(env, fleet, None,
-                               fleet_spec(duration, payload["conn_rate"]))
-        churn_at = payload.get("churn_at")
-        if churn_at is not None:
-            env.schedule_callback(
-                churn_at,
-                lambda: fleet.churn_backends(payload.get("churn_k", 2)))
-        gen.replay(payload["arrivals"])
+    passes: Dict[str, int] = {}
+    violations = 0
+    if pcc is None:
+        env.run(until=duration)
+    else:
+        from ..check.oracles import live_oracles
 
-        passes: Dict[str, int] = {}
-        violations = 0
-        if pcc is None:
+        with live_oracles():
             env.run(until=duration)
-        else:
-            from ..check.oracles import live_oracles
-
-            with live_oracles():
-                env.run(until=duration)
-                passes = pcc.finalize()
-            violations = len(pcc.violations)
-        metrics = instance.metrics
-        doc = {
-            "shard_index": shard_index,
-            "instance": instance.name,
-            "latencies": metrics.request_latencies.values,
-            "completed": metrics.requests_completed,
-            "failed": metrics.requests_failed,
-            "accepted": metrics.connections_accepted,
-            "refused": metrics.connections_refused,
-            "elapsed": metrics.elapsed,
-            "backend_version": fleet.backend_map.version,
-            "churn_events": fleet.churn_events,
-            "broken_backend": fleet.broken_backend,
-            "broken": fleet.broken_connections(),
-            "opened": gen.stats.connections_opened,
-            "conn_refused": gen.stats.connections_refused,
-            "conn_reset": gen.stats.connections_reset,
-            "requests_sent": gen.stats.requests_sent,
-            "foreign": payload["total_arrivals"] - len(payload["arrivals"]),
-            "pcc_violations": violations,
-            "passes": passes,
-            "steps": env.steps,
-        }
-        if keep_trace and tracer is not None:
-            doc["events"] = [
-                (e.seq, e.ts, e.name, e.cat, e.phase, e.worker, e.conn,
-                 e.request, dict(e.fields) if e.fields else {})
-                for e in tracer.events]
-        return doc
-    finally:
-        Connection._ids = saved_ids
+            passes = pcc.finalize()
+        violations = len(pcc.violations)
+    instance = fleet.instances[0]
+    return {
+        "shard_index": payload["shard_index"],
+        "instance": instance.name,
+        **metrics_doc(instance),
+        "backend_version": fleet.backend_map.version,
+        "churn_events": fleet.churn_events,
+        "broken_backend": fleet.broken_backend,
+        "broken": fleet.broken_connections(),
+        "opened": gen.stats.connections_opened,
+        "conn_refused": gen.stats.connections_refused,
+        "conn_reset": gen.stats.connections_reset,
+        "requests_sent": gen.stats.requests_sent,
+        "foreign": payload["total_arrivals"] - len(payload["arrivals"]),
+        "pcc_violations": violations,
+        "passes": passes,
+        "steps": env.steps,
+    }
 
 
 def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -277,9 +246,7 @@ def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
 
     The metric fields are :func:`repro.fleet.fleet.reduce_metrics` over
     the shard docs — the same reduction the unsharded fleet runs.
-    PCC/invariant verdict counters sum per key; trace events concatenate
-    in shard order, then stable-sort by timestamp so equal-time events
-    keep shard order.
+    PCC/invariant verdict counters sum per key.
     """
     shards = sorted(shards, key=lambda d: d["shard_index"])
     merged = reduce_metrics(shards)
@@ -306,13 +273,6 @@ def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:
         "steps": sum(doc["steps"] for doc in shards),
         "sharded": True,
     })
-    if any("events" in doc for doc in shards):
-        events: List[tuple] = []
-        for doc in shards:
-            events.extend(tuple(e) for e in doc.get("events", ()))
-        events.sort(key=lambda e: e[1])  # stable: ts, then shard order
-        merged["trace_events"] = len(events)
-        merged["events"] = events
     return merged
 
 
@@ -321,8 +281,7 @@ def run_sharded_fleet(policy: str = "stateless", n_instances: int = 4,
                       duration: float = 1.5, conn_rate: float = 150.0,
                       churn_at: Optional[float] = 0.6, churn_k: int = 2,
                       ingress: str = "ecmp", jobs: int = 1,
-                      check: bool = False,
-                      keep_trace: bool = False) -> Dict[str, Any]:
+                      check: bool = False) -> Dict[str, Any]:
     """Run a fleet as ``n_instances`` independent shards, then merge.
 
     Shards run through :func:`repro.fanout.fan_out`: ``jobs=1`` runs
@@ -355,7 +314,6 @@ def run_sharded_fleet(policy: str = "stateless", n_instances: int = 4,
             "churn_at": churn_at,
             "churn_k": churn_k,
             "check": check,
-            "keep_trace": keep_trace,
             "arrivals": slices[index],
             "total_arrivals": total,
         }

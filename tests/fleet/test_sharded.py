@@ -13,9 +13,11 @@ import json
 
 import pytest
 
-from repro.fleet.sharded import (ShardIngress, fleet_arrivals, merge_shards,
-                                 run_shard, run_sharded_fleet)
+from repro.fleet import build_fleet
+from repro.fleet.sharded import (ShardIngress, fleet_arrivals, fleet_spec,
+                                 merge_shards, run_shard, run_sharded_fleet)
 from repro.kernel.hash import FourTuple
+from repro.kernel.tcp import Connection
 from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry
 
@@ -84,8 +86,8 @@ class TestByteIdentity:
 
     def test_shard_doc_is_rerun_stable(self):
         # run_shard must be a pure function of its payload even when the
-        # calling process has already simulated other shards (global id
-        # counters must be reset per shard).
+        # calling process has already simulated other shards: connection
+        # ids run on across shards, and no doc field may depend on them.
         first = run_shard(_payload(1))
         run_shard(_payload(0))  # pollute the process
         again = run_shard(_payload(1))
@@ -143,6 +145,32 @@ class TestOwnership:
         arrivals = totals.pop()
         assert sum(doc["opened"] for doc in docs) == arrivals
         assert arrivals > 0
+
+    def test_shard_is_that_instance_of_the_whole_fleet(self):
+        # build_fleet(shard=i) builds instance i exactly as the whole
+        # fleet does, behind the global pick: a flow another instance
+        # owns is refused.
+        args = (fleet_spec(0.9, 120.0), "hermes", 31)
+        options = dict(n_instances=4, n_workers=2, policy="stateless",
+                       ingress="ecmp")
+        whole = build_fleet(*args, **options).server
+        flows = [FourTuple(0x0A000000 + i, 2000 + i, 0xC0A80001, 443)
+                 for i in range(32)]
+        owners = [whole.instances.index(
+            whole.ingress.pick(flow, whole.instances)) for flow in flows]
+        assert set(owners) == {0, 1, 2, 3}
+        for index, expected in enumerate(whole.instances):
+            shard = build_fleet(*args, shard=index, **options).server
+            (instance,) = shard.instances
+            assert instance.name == expected.name == f"lb{index}"
+            assert instance.stack.hash_seed == expected.stack.hash_seed
+            assert instance.ports == expected.ports
+            foreign = flows[next(n for n, owner in enumerate(owners)
+                                 if owner != index)]
+            with pytest.raises(AssertionError, match="owned by instance"):
+                shard.connect(Connection(foreign, created_time=0.0))
+            owned = flows[owners.index(index)]
+            assert shard.connect(Connection(owned, created_time=0.0))
 
     def test_shard_ingress_rejects_foreign_flow(self):
         ingress = ShardIngress("ecmp", 0x5eed, 4, shard_index=0)
@@ -230,6 +258,10 @@ class TestMergeSemantics:
         with pytest.raises(AssertionError, match="backend version"):
             merge_shards([dict(base, shard_index=0, backend_version=1),
                           dict(base, shard_index=1, backend_version=2)])
+
+    def test_negative_churn_is_no_churn(self):
+        # As in fleet_faults and `repro fleet --churn-at -1`.
+        assert _doc(churn_at=-1.0) == _doc(churn_at=None)
 
     def test_churn_applies_in_every_shard(self):
         doc = _doc(churn_at=0.5, churn_k=2, check=True)
