@@ -22,21 +22,22 @@ Run:  python examples/fleet_failover.py
 """
 
 from repro.check import InvariantViolation
-from repro.check.runner import run_monitored_fleet
+from repro.fleet import run_fleet
 
 
 def act1_churn_is_survivable() -> None:
     print("=== Act 1: backend churn, stateless lookup " + "=" * 22)
-    pcc, passes, summary = run_monitored_fleet(
-        policy="stateless", n_instances=4, churn_at=0.6, churn_k=2)
+    run = run_fleet(policy="stateless", n_instances=4, churn_at=0.6,
+                    churn_k=2, check=True)
+    summary = run.doc
     print(f"completed {summary['completed']} requests across "
           f"{summary['instances']} instances "
           f"(backend map now at version {summary['backend_version']})")
     print(f"  broken by the churn: {summary['broken_backend']} "
           f"(pinned to a retired backend — the legal PCC exception)")
     print(f"  broken by anything else: {summary['broken_instance']}")
-    print(f"  PCC checks passed: {passes['pcc']}, violations: "
-          f"{len(pcc.violations)}")
+    print(f"  PCC checks passed: {run.passes['pcc']}, violations: "
+          f"{summary['pcc_violations']}")
     print()
 
 
@@ -44,8 +45,8 @@ def act2_crash_head_to_head() -> None:
     print("=== Act 2: instance crash, stateful vs stateless " + "=" * 16)
     results = {}
     for policy in ("stateful", "stateless"):
-        _pcc, _passes, summary = run_monitored_fleet(
-            policy=policy, n_instances=4, crash_at=0.9)
+        summary = run_fleet(policy=policy, n_instances=4, crash_at=0.9,
+                            check=True).doc
         results[policy] = summary
         print(f"{policy:>9}: completed={summary['completed']} "
               f"failed={summary['failed']} "
@@ -63,7 +64,7 @@ def act2_crash_head_to_head() -> None:
 def act3_pcc_corruption_drill() -> None:
     print("=== Act 3: a planted lookup corruption is caught " + "=" * 16)
     try:
-        run_monitored_fleet(policy="stateless", corrupt_lookup=True)
+        run_fleet(policy="stateless", check=True, corrupt_lookup=True)
     except InvariantViolation as violation:
         print(f"caught [{violation.name}]: {violation}")
         print(f"flight recorder attached {len(violation.flight_events)} "

@@ -27,6 +27,7 @@ attached when the fleet's tracer has a recorder.
 :func:`watch_fleet` is the one way to arm a checked fleet run: it
 attaches the PCC monitor, then one invariant monitor per instance, and
 :meth:`PccMonitor.finalize` finalizes all of them in that order.
+:func:`corrupt_lookup` is the drill the PCC monitor must catch.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Dict, List, Optional
 
 from .invariants import InvariantMonitor, InvariantViolation, tally, watch
 
-__all__ = ["PccMonitor", "watch_fleet"]
+__all__ = ["PccMonitor", "corrupt_lookup", "watch_fleet"]
 
 
 class PccMonitor:
@@ -158,3 +159,19 @@ def watch_fleet(fleet, raise_on_violation: bool = True) -> PccMonitor:
     pcc.instance_monitors = [watch(instance, raise_on_violation)
                              for instance in fleet.instances]
     return pcc
+
+
+def corrupt_lookup(fleet) -> None:
+    """The ``pcc`` drill: every later backend-map update also tampers
+    with the *version-0* table, so live connections stamped under it
+    re-resolve to a different backend — the silent state corruption
+    Concury's versioning guards against."""
+    backend_map = fleet.backend_map
+    real_update = backend_map.update
+
+    def corrupted_update(backends):
+        version = real_update(backends)
+        backend_map._tables[0] = [b + 1000 for b in backend_map._tables[0]]
+        return version
+
+    backend_map.update = corrupted_update

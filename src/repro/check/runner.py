@@ -9,7 +9,8 @@ Three phases, all opt-in subsets via flags:
 - **scenarios** — real end-to-end runs with invariant monitors armed and
   live differential oracles patched in: one Table 3 cell, the §7
   crash-blast scenario in both exclusive and Hermes modes, and the
-  stateless fleet under backend churn.
+  stateless fleet under backend churn (a checked
+  :func:`~repro.fleet.run_fleet`).
 
 :func:`run_monitored_crash` is also the harness for the deliberate-
 corruption drill: with ``corrupt_bitmap=True`` it arms
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .invariants import InvariantMonitor, tally, watch
 from .invariants import corrupt_bitmap as bitmap_drill
@@ -35,7 +36,7 @@ from .oracles import (
 )
 
 __all__ = ["CheckReport", "run_check", "run_monitored_crash",
-           "run_monitored_fleet", "oracle_sweep"]
+           "oracle_sweep"]
 
 
 @dataclass
@@ -158,62 +159,6 @@ def run_monitored_crash(mode: str = "hermes", n_workers: int = 8,
     return monitor, passes, summary
 
 
-def run_monitored_fleet(policy: str = "stateless", n_instances: int = 4,
-                        n_workers: int = 2, seed: int = 31,
-                        duration: float = 1.5, conn_rate: float = 150.0,
-                        churn_at: float = 0.6, churn_k: int = 2,
-                        crash_at: Optional[float] = None,
-                        detect_delay: float = 0.005,
-                        corrupt_lookup: bool = False,
-                        raise_on_violation: bool = True):
-    """A fleet churn (+ optional instance crash) scenario under the PCC
-    monitor and per-instance invariant monitors.
-
-    ``corrupt_lookup=True`` arms the PCC corruption drill: every backend-
-    map update additionally tampers with the *version-0* table, so live
-    connections stamped under it re-resolve to a different backend — the
-    exact silent-state-corruption failure Concury's versioning guards
-    against, and the :class:`~repro.check.PccMonitor` must catch it.
-
-    Returns ``(pcc_monitor, passes, summary)`` where ``passes`` merges
-    the PCC counters with every instance monitor's.
-    """
-    from ..fleet import build_fleet, fleet_faults
-    from ..fleet.sharded import fleet_spec
-    from ..obs import FlightRecorder, Tracer
-    from .pcc import watch_fleet
-
-    cell = build_fleet(
-        fleet_spec(duration, conn_rate), "hermes", seed,
-        n_instances=n_instances, n_workers=n_workers, policy=policy,
-        ingress="ecmp",
-        faults=fleet_faults(seed, churn_at=churn_at, churn_k=churn_k,
-                            crash_at=crash_at, detect_delay=detect_delay),
-        tracer=Tracer(recorder=FlightRecorder(capacity=256),
-                      keep_events=False))
-    fleet = cell.server
-    pcc = watch_fleet(fleet, raise_on_violation)
-    if corrupt_lookup:
-        backend_map = fleet.backend_map
-        real_update = backend_map.update
-
-        def corrupted_update(backends):
-            version = real_update(backends)
-            backend_map._tables[0] = [b + 1000
-                                      for b in backend_map._tables[0]]
-            return version
-
-        backend_map.update = corrupted_update
-
-    cell.run(until=duration)
-    passes = pcc.finalize()
-    summary = fleet.summary()
-    summary["seed"] = seed
-    summary["faults_fired"] = cell.injector.faults_fired
-    summary["pcc_violations"] = len(pcc.violations)
-    return pcc, passes, summary
-
-
 # ---------------------------------------------------------------------------
 # The full gate.
 # ---------------------------------------------------------------------------
@@ -283,8 +228,11 @@ def _scenario_crash(report: CheckReport, mode: str) -> None:
 
 
 def _scenario_fleet(report: CheckReport) -> None:
-    _monitor, passes, summary = run_monitored_fleet()
-    tally(report.monitor_passes, passes)
+    from ..fleet import run_fleet
+
+    run = run_fleet(check=True)
+    tally(report.monitor_passes, run.passes)
+    summary = run.doc
     report.scenarios["fleet/stateless"] = {
         "completed": summary["completed"],
         "broken": summary["broken"],

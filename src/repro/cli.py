@@ -56,7 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .analysis.reporting import render_table
 from .experiments.registry import EXPERIMENT_MODULES
@@ -79,13 +79,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _finite_positive(*flags: Tuple[str, float]) -> bool:
-    """True if every ``(flag, value)`` is finite and > 0; else print why."""
-    for flag, value in flags:
-        if not 0 < value < float("inf"):
-            print(f"error: {flag} must be finite and > 0, got {value}",
-                  file=sys.stderr)
-            return False
+def _finite_positive(flag: str, value: float) -> bool:
+    """True if ``value`` is finite and > 0; else print why."""
+    if not 0 < value < float("inf"):
+        print(f"error: {flag} must be finite and > 0, got {value}",
+              file=sys.stderr)
+        return False
     return True
 
 
@@ -340,7 +339,7 @@ def _cmd_run(args) -> int:
     from .faults import FaultArmError, FaultPlan
     from .lb.modes import get_mode, iter_modes
 
-    if not _finite_positive(("--duration", args.duration)):
+    if not _finite_positive("--duration", args.duration):
         return 1
     if args.trace is None and (args.flight is not None
                                or args.format is not None):
@@ -548,15 +547,12 @@ def _cmd_fleet_sharded(args) -> int:
 
 
 def _cmd_fleet(args) -> int:
-    from contextlib import nullcontext
+    from .faults import FaultArmError
+    from .fleet import fleet_faults, fleet_spec, run_fleet
 
-    from .fleet import build_fleet, fleet_faults
-
-    if not _finite_positive(("--rate", args.rate),
-                            ("--duration", args.duration)):
-        return 1
     try:
-        # Built for the sharded path too, so both refuse the same specs.
+        # Checked for the sharded path too, so both refuse the same input.
+        fleet_spec(args.duration, args.rate)
         plan = fleet_faults(args.seed, churn_at=args.churn_at,
                             churn_k=args.churn_k, crash_at=args.crash_at,
                             detect_delay=args.detect_delay)
@@ -566,50 +562,34 @@ def _cmd_fleet(args) -> int:
     if args.jobs is not None:
         return _cmd_fleet_sharded(args)
 
-    from .faults import FaultArmError
-    from .fleet.sharded import fleet_spec
-    from .obs import FlightRecorder, Tracer
-
     try:
-        cell = build_fleet(
-            fleet_spec(args.duration, args.rate), args.mode, args.seed,
+        run = run_fleet(
+            mode=args.mode, policy=args.policy, ingress=args.ingress,
             n_instances=args.instances, n_workers=args.workers,
-            policy=args.policy, ingress=args.ingress, faults=plan,
-            tracer=Tracer(recorder=FlightRecorder(capacity=256),
-                          keep_events=False))
+            seed=args.seed, duration=args.duration, conn_rate=args.rate,
+            churn_at=args.churn_at, churn_k=args.churn_k,
+            crash_at=args.crash_at, detect_delay=args.detect_delay,
+            check=args.check)
     except FaultArmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    fleet = cell.server
-
-    context: Any = nullcontext()
-    pcc = None
-    if args.check:
-        from .check import live_oracles, watch_fleet
-        context = live_oracles()
-        pcc = watch_fleet(fleet)
-
-    try:
-        with context as stats:
-            cell.run(until=args.duration)
-            if pcc is not None:
-                passes = pcc.finalize()
     except AssertionError as exc:
         if not args.check:
             raise
         print(f"check FAILED: {exc}", file=sys.stderr)
         return 1
     if args.check:
-        print(f"check: {sum(passes.values())} invariant evaluation(s), "
-              f"{stats.total if stats is not None else 0} live oracle "
-              f"comparison(s), {len(pcc.violations)} PCC violation(s)")
+        print(f"check: {sum(run.passes.values())} invariant evaluation(s), "
+              f"{run.comparisons} live oracle comparison(s), "
+              f"{len(run.pcc.violations)} PCC violation(s)")
 
-    summary = fleet.summary()
-    if plan.faults:
+    summary = run.doc
+    if plan is not None:
+        injector = run.cell.injector
         fault_rows = [[f"{r['t']:.4f}", r["event"], r["kind"],
                        r.get("instance", "-" if "churn" not in r
                              else f"churn k={r['churn']}")]
-                      for r in cell.injector.log]
+                      for r in (injector.log if injector else ())]
         print(render_table(["t (s)", "event", "fault", "target"], fault_rows,
                            title=f"fault timeline ({len(plan.faults)} specs, "
                                  f"seed {plan.seed})"))
@@ -630,11 +610,7 @@ def _cmd_fleet(args) -> int:
         title=f"{args.mode} fleet of {args.instances} "
               f"({args.policy} lookup, {args.ingress} ingress)"))
     if args.out:
-        doc = dict(summary, seed=args.seed,
-                   faults_fired=cell.injector.faults_fired)
-        if pcc is not None:
-            doc["pcc_violations"] = len(pcc.violations)
-        if not _write_json(args.out, json.dumps(doc, indent=2,
+        if not _write_json(args.out, json.dumps(summary, indent=2,
                                                 sort_keys=True)):
             return 1
         print(f"summary -> {args.out}")

@@ -3,10 +3,10 @@
 The grid runs a ``repro.fleet`` fleet at several sizes (instances ×
 policy), each cell driving steady traffic through the ECMP ingress tier
 while the fault plan rolls the backend set (``backend_churn``) and then
-kills the busiest LB instance (``instance_crash``).  Every cell runs
-under the :class:`~repro.check.PccMonitor` plus per-instance invariant
-monitors, so a per-connection-consistency violation fails the cell
-loudly instead of skewing its numbers.
+kills the busiest LB instance (``instance_crash``).  Every cell is a
+checked fleet run (:class:`~repro.check.PccMonitor`, per-instance
+invariant monitors and live oracles), so a per-connection-consistency
+violation fails the cell loudly instead of skewing its numbers.
 
 The qualitative result the experiment reproduces (Concury / the
 cluster-of-clusters scaling argument): with the **stateless** lookup,
@@ -56,7 +56,7 @@ SHARDED_SIZES: Tuple[int, ...] = (16, 32, 64)
 
 def run_fleet_cell(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
     """One cell: a fresh fleet under churn + crash, PCC-monitored."""
-    from ..check.runner import run_monitored_fleet
+    from ..fleet import run_fleet
 
     workload = dict(BASE_WORKLOAD)
     workload.update({k: params[k] for k in BASE_WORKLOAD if k in params})
@@ -67,13 +67,9 @@ def run_fleet_cell(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
         return _run_sharded_cell(seed, n_instances, policy, workload,
                                  int(params.get("jobs", 1)))
 
-    pcc, passes, summary = run_monitored_fleet(
-        policy=policy, n_instances=n_instances,
-        n_workers=workload["n_workers"], seed=seed,
-        duration=workload["duration"], conn_rate=workload["conn_rate"],
-        churn_at=workload["churn_at"], churn_k=workload["churn_k"],
-        crash_at=workload["crash_at"],
-        detect_delay=workload["detect_delay"])
+    run = run_fleet(policy=policy, n_instances=n_instances, seed=seed,
+                    check=True, **workload)
+    summary = run.doc
 
     rendered = (
         f"{n_instances}x {policy:<9s} | p99={summary['p99_ms']:7.2f}ms "
@@ -82,7 +78,7 @@ def run_fleet_cell(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
         f"(inst={summary['broken_instance']} "
         f"backend={summary['broken_backend']}) "
         f"migrated={summary['migrated']:3d} "
-        f"pcc={'OK' if not pcc.violations else 'VIOLATED'}")
+        f"pcc={'OK' if not summary['pcc_violations'] else 'VIOLATED'}")
     return {
         "instances": n_instances,
         "policy": policy,
@@ -95,7 +91,7 @@ def run_fleet_cell(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
         "broken_backend": summary["broken_backend"],
         "migrated": summary["migrated"],
         "pcc_violations": summary["pcc_violations"],
-        "checks_passed": passes,
+        "checks_passed": run.passes,
         "rendered": rendered,
     }
 

@@ -42,6 +42,7 @@ bit-identical to a run without an injector.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Iterator, Optional, Tuple, Union
@@ -120,6 +121,11 @@ class FaultSpec:
     def __post_init__(self):
         if not isinstance(self.kind, FaultKind):
             object.__setattr__(self, "kind", FaultKind(self.kind))
+        for name in ("at", "duration", "period", "jitter", "magnitude",
+                     "detect_delay", "restart_after"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.at < 0:
             raise ValueError(f"fault time must be >= 0, got {self.at}")
         if self.duration < 0:

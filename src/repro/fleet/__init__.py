@@ -11,12 +11,15 @@ from .._lazy import lazy_exports
 
 __all__ = [
     "Fleet",
+    "FleetRun",
     "FlowRecord",
     "aggregate_metrics",
     "build_fleet",
     "check_churn",
     "fleet_faults",
     "fleet_instance",
+    "fleet_spec",
+    "run_fleet",
     "EcmpIngress",
     "ConsistentHashRing",
     "make_ingress",
@@ -29,8 +32,9 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    ".fleet": ("Fleet", "FlowRecord", "aggregate_metrics", "build_fleet",
-               "check_churn", "fleet_faults", "fleet_instance"),
+    ".fleet": ("Fleet", "FleetRun", "FlowRecord", "aggregate_metrics",
+               "build_fleet", "check_churn", "fleet_faults",
+               "fleet_instance", "fleet_spec", "run_fleet"),
     ".ingress": ("INGRESS_POLICIES", "ConsistentHashRing", "EcmpIngress",
                  "make_ingress"),
     ".lookup": ("BackendMap", "FleetPolicy", "StatefulLookup",

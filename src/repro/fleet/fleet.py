@@ -27,7 +27,7 @@ removed break.
 :func:`build_fleet` assembles the fleet scenario — environment, RNG
 registry, instances, traffic and faults — as an unrun
 :class:`~repro.cell.Cell`, the way :func:`~repro.cell.build_cell` does
-for one device.
+for one device; :func:`run_fleet` builds, checks and runs every fleet.
 
 Every fleet-scope transition emits a ``fleet.*`` trace event, and
 ``repro.check``'s :class:`~repro.check.PccMonitor` can audit the PCC
@@ -36,8 +36,9 @@ contract live against :meth:`live_records` / :meth:`expected_backend`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+import math
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..cell import Cell
 from ..faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
@@ -51,9 +52,9 @@ from ..workloads.generator import TrafficGenerator, WorkloadSpec
 from .ingress import make_ingress
 from .lookup import BackendMap, FleetPolicy, make_lookup
 
-__all__ = ["FlowRecord", "Fleet", "aggregate_metrics", "build_fleet",
-           "check_churn", "fleet_faults", "fleet_instance", "metrics_doc",
-           "reduce_metrics"]
+__all__ = ["FleetRun", "FlowRecord", "Fleet", "aggregate_metrics",
+           "build_fleet", "check_churn", "fleet_faults", "fleet_instance",
+           "fleet_spec", "metrics_doc", "reduce_metrics", "run_fleet"]
 
 #: Backends a fleet starts with unless told otherwise.
 N_BACKENDS = 8
@@ -458,19 +459,40 @@ def fleet_instance(env: Environment, index: int, fleet_seed: int, *,
 
 def fleet_faults(seed: int, *, churn_at: Optional[float], churn_k: int,
                  crash_at: Optional[float] = None,
-                 detect_delay: float = 0.005) -> FaultPlan:
+                 detect_delay: float = 0.005,
+                 until: float = math.inf) -> Optional[FaultPlan]:
     """The fleet scenario's fault plan: a backend churn of ``churn_k`` at
     ``churn_at`` (none when it is None or negative) and, with
     ``crash_at``, a crash of the busiest instance detected
-    ``detect_delay`` later."""
+    ``detect_delay`` later.  A fault timed past ``until`` would never
+    fire, so it is left out; with none left the plan is None, and a run
+    makes no call into ``repro.faults``.  A NaN time is kept for
+    :class:`~repro.faults.FaultSpec` to refuse.
+    """
     faults = []
-    if churn_at is not None and churn_at >= 0:
+    if churn_at is not None and not (churn_at < 0 or churn_at > until):
         faults.append(FaultSpec(kind=FaultKind.BACKEND_CHURN, at=churn_at,
                                 magnitude=churn_k))
-    if crash_at is not None:
+    if crash_at is not None and not crash_at > until:
         faults.append(FaultSpec(kind=FaultKind.INSTANCE_CRASH, at=crash_at,
                                 target="busiest", detect_delay=detect_delay))
-    return FaultPlan(faults=tuple(faults), seed=seed)
+    return FaultPlan(faults=tuple(faults), seed=seed) if faults else None
+
+
+def fleet_spec(duration: float, conn_rate: float) -> WorkloadSpec:
+    """The fleet workload, sharded or not: arrivals stop 0.3 s before
+    the run ends; each connection sends 20 fixed 200 µs requests.
+    Refuses a ``duration`` or ``conn_rate`` that is not finite and > 0.
+    """
+    from ..workloads.distributions import FixedFactory
+
+    for name, value in (("conn_rate", conn_rate), ("duration", duration)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return WorkloadSpec(name="fleet", conn_rate=conn_rate,
+                        duration=max(0.1, duration - 0.3),
+                        factory=FixedFactory((200e-6,)), ports=(443,),
+                        requests_per_conn=20, request_gap_mean=0.05)
 
 
 def build_fleet(spec: WorkloadSpec, mode, seed: int, *, n_instances: int,
@@ -515,3 +537,83 @@ def build_fleet(spec: WorkloadSpec, mode, seed: int, *, n_instances: int,
     if faults is not None:
         injector = FaultInjector(env, None, faults, fleet=fleet).arm()
     return Cell(env, registry, fleet, gen, injector)
+
+
+@dataclass
+class FleetRun:
+    """A finished :func:`run_fleet`: its cell and, when checked, the PCC
+    monitor (holding the instance monitors), every monitor's passes per
+    name and the live-oracle comparison count."""
+
+    cell: Cell
+    pcc: Any = None
+    passes: Dict[str, int] = field(default_factory=dict)
+    comparisons: int = 0
+
+    @property
+    def doc(self) -> dict:
+        """The ``repro fleet --out`` document."""
+        injector = self.cell.injector
+        doc = dict(self.cell.server.summary(),
+                   seed=self.cell.registry.master_seed,
+                   faults_fired=injector.faults_fired if injector else 0)
+        if self.pcc is not None:
+            doc["pcc_violations"] = len(self.pcc.violations)
+        return doc
+
+
+def run_fleet(*, mode="hermes", policy="stateless", ingress="ecmp",
+              n_instances: int = 4, n_workers: int = 2, seed: int = 31,
+              duration: float = 1.5, conn_rate: float = 150.0,
+              churn_at: Optional[float] = 0.6, churn_k: int = 2,
+              crash_at: Optional[float] = None, detect_delay: float = 0.005,
+              check: bool = False, corrupt_lookup: bool = False,
+              raise_on_violation: bool = True, shard: Optional[int] = None,
+              arrivals: Optional[Sequence] = None) -> FleetRun:
+    """Run the fleet scenario (:func:`fleet_spec`, :func:`fleet_faults`
+    up to ``duration``) to ``duration``.
+
+    ``check`` arms :func:`~repro.check.watch_fleet` under a 256-event
+    flight recorder, plus :func:`~repro.check.live_oracles`; an unchecked
+    run builds no tracer.  ``corrupt_lookup`` arms
+    :func:`repro.check.pcc.corrupt_lookup`.  With ``shard``, only that
+    instance is built and it replays ``arrivals``, its slice of
+    :func:`~repro.fleet.sharded.fleet_arrivals`.
+    """
+    tracer = None
+    if check:
+        from ..obs import FlightRecorder, Tracer
+
+        tracer = Tracer(recorder=FlightRecorder(capacity=256),
+                        keep_events=False)
+    cell = build_fleet(
+        fleet_spec(duration, conn_rate), mode, seed,
+        n_instances=n_instances, n_workers=n_workers,
+        policy=policy, ingress=ingress,
+        faults=fleet_faults(seed, churn_at=churn_at, churn_k=churn_k,
+                            crash_at=crash_at, detect_delay=detect_delay,
+                            until=duration),
+        shard=shard, tracer=tracer)
+    run = FleetRun(cell)
+    if check:
+        from ..check.pcc import watch_fleet
+
+        run.pcc = watch_fleet(cell.server, raise_on_violation)
+    if corrupt_lookup:
+        from ..check.pcc import corrupt_lookup as lookup_drill
+
+        lookup_drill(cell.server)
+    if arrivals is None:
+        cell.gen.start()
+    else:
+        cell.gen.replay(arrivals)
+    if not check:
+        cell.env.run(until=duration)
+        return run
+    from ..check.oracles import live_oracles
+
+    with live_oracles() as stats:
+        cell.env.run(until=duration)
+        run.passes = run.pcc.finalize()
+    run.comparisons = stats.total
+    return run

@@ -12,10 +12,11 @@ cross-shard messages — and a fleet of N instances can run as N
 independent single-instance simulations whose outputs merge
 deterministically.
 
-A shard is the serial fleet with one instance:
-``build_fleet(..., shard=i)`` builds instance ``i`` exactly as the whole
-fleet would, behind a :class:`ShardIngress`, with the same
-:func:`~repro.fleet.fleet_faults` churn plan.
+A shard is the serial fleet run with one instance:
+``run_fleet(..., shard=i, arrivals=...)`` builds instance ``i`` exactly
+as the whole fleet would, behind a :class:`ShardIngress`, with the same
+:func:`~repro.fleet.fleet_faults` churn plan, and runs and checks it as
+:func:`~repro.fleet.run_fleet` runs every fleet.
 
 How determinism is kept byte-identical across ``--jobs N``:
 
@@ -47,18 +48,17 @@ the global arrival stream; ``replay`` refuses it).
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..fanout import fan_out
 from ..kernel.hash import FourTuple
 from ..sim.rng import RngRegistry
-from ..workloads.generator import Arrival, WorkloadSpec, client_four_tuple
-from .fleet import (N_BACKENDS, FleetPolicy, build_fleet, check_churn,
-                    fleet_faults, metrics_doc, reduce_metrics)
+from ..workloads.generator import Arrival, client_four_tuple
+from .fleet import (N_BACKENDS, FleetPolicy, check_churn, fleet_spec,
+                    metrics_doc, reduce_metrics, run_fleet)
 from .ingress import make_ingress
 
-__all__ = ["ShardIngress", "fleet_spec", "fleet_arrivals", "run_shard",
+__all__ = ["ShardIngress", "fleet_arrivals", "run_shard",
            "run_sharded_fleet", "merge_shards", "SHARDED_UNSUPPORTED"]
 
 SHARDED_UNSUPPORTED = (
@@ -117,17 +117,6 @@ class ShardIngress:
         return active[0]
 
 
-def fleet_spec(duration: float, conn_rate: float):
-    """The fleet workload, sharded or not: arrivals stop 0.3 s before
-    the run ends; each connection sends 20 fixed 200 µs requests."""
-    from ..workloads.distributions import FixedFactory
-
-    return WorkloadSpec(name="fleet", conn_rate=conn_rate,
-                        duration=max(0.1, duration - 0.3),
-                        factory=FixedFactory((200e-6,)), ports=(443,),
-                        requests_per_conn=20, request_gap_mean=0.05)
-
-
 def fleet_arrivals(seed: int, n_instances: int, duration: float,
                    conn_rate: float, ingress: str = "ecmp"
                    ) -> Tuple[List[List[Arrival]], int]:
@@ -141,13 +130,9 @@ def fleet_arrivals(seed: int, n_instances: int, duration: float,
     ``(time, four_tuple, conn_seed)`` list per instance, indexed by the
     global ingress owner, and the fleet-wide arrival count.
     """
-    for name, value in (("conn_rate", conn_rate), ("duration", duration)):
-        # Also refuses NaN and inf, either of which never ends the stream.
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    spec = fleet_spec(duration, conn_rate)
     if n_instances < 1:
         raise ValueError("need at least one instance")
-    spec = fleet_spec(duration, conn_rate)
     registry = RngRegistry(seed)
     owner = ShardIngress(ingress, registry.stream("hash").randrange(2 ** 32),
                          n_instances).owner
@@ -174,56 +159,19 @@ def fleet_arrivals(seed: int, n_instances: int, duration: float,
 def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Simulate one fleet instance end to end; return a picklable doc.
 
-    The shard is ``build_fleet(..., shard=i)``: instance ``i`` of the
-    fleet :func:`~repro.fleet.build_fleet` builds from the same seed,
-    behind a :class:`ShardIngress`, churned by the same
-    :func:`~repro.fleet.fleet_faults` plan.  It replays
-    ``payload["arrivals"]``, its slice of :func:`fleet_arrivals`, and
-    counts the rest of ``payload["total_arrivals"]`` as foreign.
+    The payload is :func:`~repro.fleet.run_fleet`'s keywords, its
+    ``arrivals`` the shard's slice of :func:`fleet_arrivals`, plus
+    ``shard_index`` and ``total_arrivals``.  So the shard is instance
+    ``i`` of the serial fleet, built, churned and checked the same way;
+    the rest of ``total_arrivals`` counts as foreign.
     """
-    seed = payload["seed"]
-    duration = payload["duration"]
-    check = payload.get("check", False)
-    tracer = None
-    if check:
-        from ..obs import FlightRecorder, Tracer
-
-        tracer = Tracer(recorder=FlightRecorder(capacity=256),
-                        keep_events=False)
-    churn_at = payload.get("churn_at")
-    faults = None
-    if churn_at is not None and churn_at <= duration:
-        # A churn past the run's end would never fire: arming none keeps
-        # an unchecked shard free of calls into repro.faults.
-        faults = fleet_faults(seed, churn_at=churn_at,
-                              churn_k=payload.get("churn_k", 2))
-    cell = build_fleet(
-        fleet_spec(duration, payload["conn_rate"]), "hermes", seed,
-        n_instances=payload["n_instances"], n_workers=payload["n_workers"],
-        policy=payload["policy"], ingress=payload.get("ingress", "ecmp"),
-        faults=faults, shard=payload["shard_index"], tracer=tracer)
-    env, fleet, gen = cell.env, cell.server, cell.gen
-    pcc = None
-    if check:
-        from ..check.pcc import watch_fleet
-
-        pcc = watch_fleet(fleet)
-    gen.replay(payload["arrivals"])
-
-    passes: Dict[str, int] = {}
-    violations = 0
-    if pcc is None:
-        env.run(until=duration)
-    else:
-        from ..check.oracles import live_oracles
-
-        with live_oracles():
-            env.run(until=duration)
-            passes = pcc.finalize()
-        violations = len(pcc.violations)
+    options = dict(payload)
+    shard, total = options.pop("shard_index"), options.pop("total_arrivals")
+    run = run_fleet(shard=shard, **options)
+    env, fleet, gen = run.cell.env, run.cell.server, run.cell.gen
     instance = fleet.instances[0]
     return {
-        "shard_index": payload["shard_index"],
+        "shard_index": shard,
         "instance": instance.name,
         **metrics_doc(instance),
         "backend_version": fleet.backend_map.version,
@@ -234,9 +182,9 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         "conn_refused": gen.stats.connections_refused,
         "conn_reset": gen.stats.connections_reset,
         "requests_sent": gen.stats.requests_sent,
-        "foreign": payload["total_arrivals"] - len(payload["arrivals"]),
-        "pcc_violations": violations,
-        "passes": passes,
+        "foreign": total - len(payload["arrivals"]),
+        "pcc_violations": len(run.pcc.violations) if run.pcc else 0,
+        "passes": run.passes,
         "steps": env.steps,
     }
 

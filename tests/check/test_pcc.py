@@ -1,6 +1,6 @@
 """The PCC invariant drill: planted lookup corruption must be caught.
 
-The monitored fleet scenario (``run_monitored_fleet``) is green under
+The checked fleet run (``run_fleet(check=True)``) is green under
 every *legal* fault — churn and instance crash break connections with a
 recorded reason, never silently.  ``corrupt_lookup=True`` plants the
 illegal one: mid-churn, the version-0 backend table is tampered with, so
@@ -12,15 +12,13 @@ dump attached.
 import pytest
 
 from repro.check import InvariantViolation, PccMonitor, watch_fleet
-from repro.check.runner import run_monitored_fleet
-from repro.fleet import build_fleet
-from repro.fleet.sharded import fleet_spec
+from repro.fleet import build_fleet, fleet_spec, run_fleet
 
 
 class TestCleanRuns:
     def test_stateless_churn_is_green(self):
-        pcc, passes, summary = run_monitored_fleet(
-            policy="stateless", duration=1.2)
+        run = run_fleet(check=True, policy="stateless", duration=1.2)
+        pcc, passes = run.pcc, run.passes
         assert not pcc.violations
         assert passes["pcc"] > 0
         assert passes["pcc_routing"] > 0
@@ -30,21 +28,23 @@ class TestCleanRuns:
         assert [m.server for m in pcc.instance_monitors] == \
             pcc.fleet.instances
         assert passes.get("conservation", 0) > 0
+        # And the live differential oracles, as on the sharded path.
+        assert run.comparisons > 0
 
     def test_stateful_crash_is_green(self):
         # Stateful failover *breaks* connections, but legally: the
         # records carry broken_reason, so PCC has nothing to flag.
-        pcc, _passes, summary = run_monitored_fleet(
-            policy="stateful", duration=1.2, crash_at=0.9)
-        assert summary["broken_instance"] > 0
-        assert not pcc.violations
+        run = run_fleet(check=True, policy="stateful", duration=1.2,
+                        crash_at=0.9)
+        assert run.doc["broken_instance"] > 0
+        assert not run.pcc.violations
 
 
 class TestCorruptionDrill:
     def test_tampered_lookup_raises_with_flight_dump(self):
         with pytest.raises(InvariantViolation) as excinfo:
-            run_monitored_fleet(policy="stateless", duration=1.2,
-                                corrupt_lookup=True)
+            run_fleet(check=True, policy="stateless", duration=1.2,
+                      corrupt_lookup=True)
         violation = excinfo.value
         assert violation.name == "pcc"
         assert "backend changed mid-life" in str(violation)
@@ -53,25 +53,24 @@ class TestCorruptionDrill:
                    for e in violation.flight_events)
 
     def test_collect_mode_records_instead_of_raising(self):
-        pcc, _passes, summary = run_monitored_fleet(
-            policy="stateless", duration=1.2, corrupt_lookup=True,
-            raise_on_violation=False)
-        assert pcc.violations
-        assert all(v.name == "pcc" for v in pcc.violations)
-        assert summary["pcc_violations"] == len(pcc.violations)
+        run = run_fleet(check=True, policy="stateless", duration=1.2,
+                        corrupt_lookup=True, raise_on_violation=False)
+        assert run.pcc.violations
+        assert all(v.name == "pcc" for v in run.pcc.violations)
+        assert run.doc["pcc_violations"] == len(run.pcc.violations)
 
 
 class TestMonitorLifecycle:
     def test_double_attach_rejected(self):
-        pcc, _passes, _summary = run_monitored_fleet(
-            policy="stateless", duration=0.6, churn_at=0.3)
+        pcc = run_fleet(check=True, policy="stateless", duration=0.6,
+                        churn_at=0.3).pcc
         fresh = PccMonitor(pcc.fleet).attach()
         with pytest.raises(RuntimeError, match="already attached"):
             fresh.attach()
 
     def test_finalize_detaches(self):
-        pcc, _passes, _summary = run_monitored_fleet(
-            policy="stateless", duration=0.6, churn_at=0.3)
+        pcc = run_fleet(check=True, policy="stateless", duration=0.6,
+                        churn_at=0.3).pcc
         assert pcc._armed is False
 
 

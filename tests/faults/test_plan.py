@@ -47,6 +47,19 @@ class TestFaultSpecValidation:
             FaultSpec(kind=FaultKind.WORKER_CRASH, at=0.0, detect_delay=0.5,
                       restart_after=0.2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["at", "duration", "period", "jitter",
+                                      "magnitude", "detect_delay",
+                                      "restart_after"])
+    def test_non_finite_field_rejected(self, name, value):
+        # NaN passes every ``x < 0`` check: a NaN hang duration never
+        # cleared and a NaN detect_delay crashed the engine mid-run.
+        fields = dict(kind=FaultKind.WORKER_CRASH, at=0.5,
+                      detect_delay=0.1, restart_after=0.2)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FaultSpec(**fields)
+
     def test_needs_rng_only_for_random_draws(self):
         assert not FaultSpec(kind=FaultKind.WORKER_HANG, at=0.0,
                              target="busiest").needs_rng
@@ -91,6 +104,12 @@ class TestPlanSerialization:
         path = str(tmp_path / "plan.json")
         plan.save(path)
         assert FaultPlan.load(path) == plan
+
+    def test_json_nan_rejected(self):
+        text = ('{"faults": [{"kind": "worker_hang", "at": 0.5, '
+                '"duration": NaN}], "seed": 1}')
+        with pytest.raises(ValueError, match="duration must be finite"):
+            FaultPlan.from_json(text)
 
     def test_empty_plan(self):
         plan = FaultPlan()

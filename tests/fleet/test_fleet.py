@@ -3,12 +3,10 @@
 import pytest
 
 from repro.cell import Cell
-from repro.check.runner import run_monitored_fleet
 from repro.cluster import CanaryRelease
 from repro.faults import FaultArmError
 from repro.fleet import (Fleet, aggregate_metrics, build_fleet, fleet_faults,
-                         fleet_instance)
-from repro.fleet.sharded import fleet_spec
+                         fleet_instance, fleet_spec, run_fleet)
 from repro.kernel import Connection, FourTuple
 from repro.lb import LBServer, NotificationMode
 from repro.sim import Environment
@@ -33,8 +31,9 @@ def small_fleet(policy="stateless", n_instances=3, hash_seed=0x5eed,
 
 class TestStatelessSurvival:
     def test_churn_breaks_only_retired_backend_flows(self):
-        pcc, passes, summary = run_monitored_fleet(
-            policy="stateless", n_instances=4, duration=1.2)
+        run = run_fleet(check=True, policy="stateless", n_instances=4,
+                        duration=1.2)
+        summary, passes = run.doc, run.passes
         assert summary["failed"] == 0
         assert summary["broken_instance"] == 0
         assert summary["broken_backend"] > 0
@@ -42,8 +41,8 @@ class TestStatelessSurvival:
         assert passes["pcc"] > 0 and passes["pcc_routing"] > 0
 
     def test_crash_migrates_instead_of_breaking(self):
-        pcc, passes, summary = run_monitored_fleet(
-            policy="stateless", n_instances=4, duration=1.2, crash_at=0.9)
+        summary = run_fleet(check=True, policy="stateless", n_instances=4,
+                            duration=1.2, crash_at=0.9).doc
         assert summary["migrated"] > 0
         assert summary["broken_instance"] == 0
         assert summary["failed"] == 0
@@ -52,9 +51,9 @@ class TestStatelessSurvival:
     def test_migrated_connections_keep_their_backend(self):
         # The whole point of the stateless design: adoption recomputes
         # the same backend from (flow hash, version stamp).
-        pcc, _passes, summary = run_monitored_fleet(
-            policy="stateless", n_instances=4, duration=1.2, crash_at=0.9)
-        fleet = pcc.fleet
+        run = run_fleet(check=True, policy="stateless", n_instances=4,
+                        duration=1.2, crash_at=0.9)
+        fleet, summary = run.cell.server, run.doc
         migrated = [r for r in fleet.records.values() if r.migrated]
         assert len(migrated) == summary["migrated"] > 0
         for record in migrated:
@@ -63,8 +62,8 @@ class TestStatelessSurvival:
 
 class TestStatefulFailover:
     def test_crash_breaks_owned_connections(self):
-        pcc, _passes, summary = run_monitored_fleet(
-            policy="stateful", n_instances=4, duration=1.2, crash_at=0.9)
+        summary = run_fleet(check=True, policy="stateful", n_instances=4,
+                            duration=1.2, crash_at=0.9).doc
         assert summary["broken_instance"] > 0
         assert summary["failed"] == summary["broken_instance"]
         assert summary["migrated"] == 0
@@ -73,10 +72,10 @@ class TestStatefulFailover:
         assert summary["pcc_violations"] == 0
 
     def test_stateless_strictly_safer_at_same_seed(self):
-        _p1, _s1, stateful = run_monitored_fleet(
-            policy="stateful", n_instances=4, duration=1.2, crash_at=0.9)
-        _p2, _s2, stateless = run_monitored_fleet(
-            policy="stateless", n_instances=4, duration=1.2, crash_at=0.9)
+        stateful, stateless = (
+            run_fleet(check=True, policy=policy, n_instances=4,
+                      duration=1.2, crash_at=0.9).doc
+            for policy in ("stateful", "stateless"))
         assert stateless["broken"] < stateful["broken"]
         assert stateless["completed"] > stateful["completed"]
 
@@ -122,6 +121,23 @@ class TestFleetMechanics:
         assert [inst.name for inst in cell.server.instances] == \
             ["lb0", "lb1"]
 
+    @pytest.mark.parametrize("options, name", [
+        ({"conn_rate": 0.0}, "conn_rate"),
+        ({"duration": float("nan")}, "duration"),
+    ])
+    def test_run_fleet_refuses_a_workload_it_cannot_honour(self, options,
+                                                           name):
+        # A zero rate used to return an empty fleet, a NaN duration an
+        # engine error.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            run_fleet(**options)
+
+    def test_fault_past_the_run_is_not_armed(self):
+        run = run_fleet(duration=0.5, churn_at=0.6, crash_at=0.3)
+        assert [spec.kind.value for spec in run.cell.injector.plan] == \
+            ["instance_crash"]
+        assert run_fleet(duration=0.5, churn_at=0.6).cell.injector is None
+
     def test_churn_the_fleet_cannot_honour_is_refused_at_arm_time(self):
         faults = fleet_faults(31, churn_at=0.6, churn_k=8)
         with pytest.raises(FaultArmError, match="churn size"):
@@ -151,8 +167,8 @@ class TestCanaryReuse:
 
 class TestAggregatesAndShims:
     def test_aggregate_metrics_pools_latencies(self):
-        _pcc, _passes, summary = run_monitored_fleet(
-            policy="stateless", n_instances=2, duration=1.0)
+        summary = run_fleet(check=True, policy="stateless", n_instances=2,
+                            duration=1.0).doc
         assert summary["completed"] > 0
         assert summary["p99_ms"] >= summary["avg_ms"] > 0
         assert summary["instances"] == 2

@@ -9,13 +9,14 @@ exactly the arrivals the old per-shard replay kept, and the merged
 counters are pure sums/maxes of the per-shard docs.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.fleet import build_fleet
-from repro.fleet.sharded import (ShardIngress, fleet_arrivals, fleet_spec,
-                                 merge_shards, run_shard, run_sharded_fleet)
+from repro.fleet import build_fleet, fleet_spec
+from repro.fleet.sharded import (ShardIngress, fleet_arrivals, merge_shards,
+                                 run_shard, run_sharded_fleet)
 from repro.kernel.hash import FourTuple
 from repro.kernel.tcp import Connection
 from repro.sim.engine import Environment
@@ -65,6 +66,11 @@ def _doc(**kw):
     return run_sharded_fleet(**defaults)
 
 
+def _canonical(doc):
+    # ``latencies`` is the shard's ``array('d')``; list it for JSON.
+    return json.dumps(doc, sort_keys=True, default=list)
+
+
 def _payload(shard_index, **kw):
     """A 4-shard ``run_shard`` payload carrying its slice of the spine."""
     slices, total = fleet_arrivals(31, 4, 0.9, 120.0, "ecmp")
@@ -91,9 +97,15 @@ class TestByteIdentity:
         first = run_shard(_payload(1))
         run_shard(_payload(0))  # pollute the process
         again = run_shard(_payload(1))
-        # ``latencies`` is the shard's ``array('d')``; list it for JSON.
-        assert json.dumps(first, sort_keys=True, default=list) \
-            == json.dumps(again, sort_keys=True, default=list)
+        assert _canonical(first) == _canonical(again)
+
+    @pytest.mark.pin
+    @pytest.mark.parametrize("check", [False, True],
+                             ids=["unchecked", "checked"])
+    def test_shard_doc_is_pinned(self, check, pin):
+        doc = run_shard(_payload(1, check=check))
+        pin(f"shard_doc/{'checked' if check else 'unchecked'}",
+            hashlib.sha256(_canonical(doc).encode()).hexdigest())
 
 
 class TestCheckedShards:

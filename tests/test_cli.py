@@ -621,7 +621,12 @@ class TestFleetCommand:
         (["--churn-k", "8"], "churn size must be in [1, 8), got 8"),
         (["--crash-at", "0.9", "--detect-delay", "-1"],
          "detect_delay must be >= 0"),
-    ], ids=["rate0", "rate-5", "duration0", "churn-k8", "detect-delay-1"])
+        (["--crash-at", "0.5", "--detect-delay", "nan"],
+         "detect_delay must be finite, got nan"),
+        (["--churn-at", "nan"], "at must be finite, got nan"),
+        (["--crash-at", "nan"], "at must be finite, got nan"),
+    ], ids=["rate0", "rate-5", "duration0", "churn-k8", "detect-delay-1",
+            "detect-delay-nan", "churn-at-nan", "crash-at-nan"])
     def test_rate_or_duration_that_cannot_be_honoured_exits_1(
             self, capsys, bad, message, jobs):
         # Every input the fleet cannot honour is refused before it runs.

@@ -22,6 +22,7 @@ import pytest
 
 import repro
 from repro.experiments.common import run_spec
+from repro.fleet import run_fleet
 from repro.fleet.sharded import run_sharded_fleet
 from repro.lb import NotificationMode, mode_names
 from repro.workloads.cases import build_case_workload
@@ -117,4 +118,10 @@ def test_unarmed_sharded_fleet_makes_no_hook_call():
     result, calls = _hook_calls(run_sharded_fleet, n_instances=4,
                                 duration=0.3, jobs=1)
     assert result["completed"] > 0
+    assert sum(calls.values()) == 0, calls
+
+
+def test_unarmed_serial_fleet_makes_no_hook_call():
+    run, calls = _hook_calls(run_fleet, churn_at=None, duration=0.3)
+    assert run.doc["completed"] > 0
     assert sum(calls.values()) == 0, calls

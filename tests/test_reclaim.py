@@ -22,8 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cell import build_cell
 from repro.check.invariants import watch
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.fleet import build_fleet, fleet_faults
-from repro.fleet.sharded import fleet_spec
+from repro.fleet import build_fleet, fleet_faults, fleet_spec
 from repro.lb.server import NotificationMode
 from repro.obs.trace import Tracer
 from repro.workloads.cases import build_case_workload
