@@ -18,7 +18,7 @@ Run:  python examples/invariant_check.py
 """
 
 from repro import Environment, LBServer, NotificationMode, RngRegistry
-from repro.check import InvariantViolation, live_oracles, watch
+from repro.check import InvariantViolation, run_checked, watch
 from repro.check.lint import default_allowlist_path, lint_paths
 from repro.check.runner import run_monitored_crash
 from repro.workloads import FixedFactory, TrafficGenerator, WorkloadSpec
@@ -40,9 +40,9 @@ def act1_clean_monitored_run() -> None:
                                  spec)
     generator.start()
 
-    with live_oracles() as stats:  # every fast path shadow-checked
-        env.run(until=2.5)
-    passes = monitor.finalize()
+    # Every fast path shadow-checked, then the monitor finalized.
+    passes = {}
+    stats = run_checked(env, monitor, until=2.5, passes=passes)
 
     print(f"accepted {server.metrics.connections_accepted} connections")
     for name, count in sorted(passes.items()):

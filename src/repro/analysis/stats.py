@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+from .._sum import left_sum
+
 __all__ = [
     "percentile",
     "cdf_points",
@@ -18,7 +20,7 @@ __all__ = [
 
 def mean(values: Sequence[float]) -> float:
     values = list(values)
-    return sum(values) / len(values) if values else 0.0
+    return left_sum(values) / len(values) if values else 0.0
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -60,7 +62,7 @@ def population_sd(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+    return math.sqrt(left_sum((v - m) ** 2 for v in values) / len(values))
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:
@@ -84,8 +86,8 @@ def jains_fairness(values: Sequence[float]) -> float:
     values = list(values)
     if not values:
         return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
+    total = left_sum(values)
+    squares = left_sum(v * v for v in values)
     if squares == 0:
         return 1.0
     return (total * total) / (len(values) * squares)

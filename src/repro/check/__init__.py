@@ -44,7 +44,9 @@ __all__ = [
     "ref_popcount64",
     "ref_reciprocal_scale",
     "CheckReport",
+    "check_tracer",
     "run_check",
+    "run_checked",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -54,5 +56,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".oracles": ("OracleMismatch", "OracleStats", "checked", "live_oracles",
                  "ref_cascade", "ref_find_nth_set_bit", "ref_jhash_4tuple",
                  "ref_jhash_words", "ref_popcount64", "ref_reciprocal_scale"),
-    ".runner": ("CheckReport", "run_check"),
+    ".runner": ("CheckReport", "check_tracer", "run_check", "run_checked"),
 })

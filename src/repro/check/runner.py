@@ -6,11 +6,15 @@ Three phases, all opt-in subsets via flags:
 - **oracles** — a deterministic offline sweep of every reference oracle
   against its fast path (the deep version lives in the hypothesis suites;
   this is the seconds-fast smoke that CI and the CLI run).
-- **scenarios** — real end-to-end runs with invariant monitors armed and
-  live differential oracles patched in: one Table 3 cell, the §7
-  crash-blast scenario in both exclusive and Hermes modes, and the
-  stateless fleet under backend churn (a checked
-  :func:`~repro.fleet.run_fleet`).
+- **scenarios** — real end-to-end checked runs: one Table 3 cell
+  (``run_case_cell(..., check=True)``), the §7 crash-blast scenario in
+  both exclusive and Hermes modes, and the stateless fleet under backend
+  churn (``run_fleet(check=True)``).
+
+A checked run means one thing everywhere: invariant monitors, a
+:func:`check_tracer` (256-event flight recorder), and
+:func:`run_checked`, which runs the simulation under live differential
+oracles and finalizes the monitors.
 
 :func:`run_monitored_crash` is also the harness for the deliberate-
 corruption drill: with ``corrupt_bitmap=True`` it arms
@@ -24,10 +28,11 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List
 
-from .invariants import InvariantMonitor, tally, watch
+from .invariants import tally, watch
 from .invariants import corrupt_bitmap as bitmap_drill
 from .lint import Finding, lint_paths
 from .oracles import (
+    OracleStats,
     live_oracles,
     ref_find_nth_set_bit,
     ref_jhash_words,
@@ -35,8 +40,8 @@ from .oracles import (
     ref_reciprocal_scale,
 )
 
-__all__ = ["CheckReport", "run_check", "run_monitored_crash",
-           "oracle_sweep"]
+__all__ = ["CheckReport", "check_tracer", "run_check", "run_checked",
+           "run_monitored_crash", "oracle_sweep"]
 
 
 @dataclass
@@ -106,25 +111,23 @@ def oracle_sweep(seed: int = 0xC0FFEE, vectors: int = 2000) -> Dict[str, int]:
 # Monitored end-to-end scenarios.
 # ---------------------------------------------------------------------------
 
-def run_monitored_cell(mode: str = "hermes", case: str = "case2",
-                       load: str = "light", n_workers: int = 8,
-                       duration: float = 2.0, seed: int = 7):
-    """One Table 3 cell with an invariant monitor riding along.
+def check_tracer():
+    """The tracer every checked run builds: a 256-event flight recorder
+    and no event list, so a violation carries a post-mortem dump."""
+    from ..obs import FlightRecorder, Tracer
 
-    Returns ``(cell_result, monitor_passes)``; raises on any violation.
-    """
-    from ..experiments.common import run_case_cell
-    from ..lb.server import NotificationMode
+    return Tracer(recorder=FlightRecorder(capacity=256), keep_events=False)
 
-    monitors: List[InvariantMonitor] = []
 
-    def arm(env, server, gen):
-        monitors.append(watch(server))
-
-    result = run_case_cell(NotificationMode(mode), case, load,
-                           n_workers=n_workers, duration=duration,
-                           seed=seed, env_hook=arm)
-    return result, monitors[0].finalize()
+def run_checked(env, monitor, until: float, passes=None) -> OracleStats:
+    """Run ``env`` to ``until`` under :func:`live_oracles`, then finalize
+    ``monitor`` (an :class:`~repro.check.invariants.InvariantMonitor` or a
+    :class:`~repro.check.pcc.PccMonitor`) into ``passes`` inside the same
+    context.  Returns the oracles' :class:`OracleStats`."""
+    with live_oracles() as stats:
+        env.run(until=until)
+        monitor.finalize(passes)
+    return stats
 
 
 def run_monitored_crash(mode: str = "hermes", n_workers: int = 8,
@@ -134,29 +137,29 @@ def run_monitored_crash(mode: str = "hermes", n_workers: int = 8,
     """The §7 crash-blast scenario with monitors armed.
 
     Runs :func:`repro.experiments.sec7.blast_cell` (same seeds, same fault
-    plan: crash the busiest worker at t=2.5, detect 5 ms later) under a
-    flight recorder so a violation carries a post-mortem dump.
+    plan: crash the busiest worker at t=2.5, detect 5 ms later) with
+    :func:`check_tracer` and through :func:`run_checked`.
 
     ``corrupt_bitmap=True`` arms the corruption drill described in the
-    module docstring.  Returns ``(monitor, passes, summary)``.
+    module docstring.  Returns ``(monitor, passes, summary,
+    comparisons)``, the last the live-oracle comparisons per oracle.
     """
     from ..experiments.sec7 import blast_cell, blast_result
     from ..lb.server import NotificationMode
-    from ..obs import FlightRecorder, Tracer
 
-    tracer = Tracer(recorder=FlightRecorder(capacity=256), keep_events=False)
     cell = blast_cell(NotificationMode(mode), n_workers, n_connections, seed,
-                      tracer=tracer)
+                      tracer=check_tracer())
     server = cell.server
     monitor = watch(server, raise_on_violation)
     if corrupt_bitmap and not bitmap_drill(server):
         raise ValueError(f"mode {mode!r} has no selection bitmap to corrupt")
 
-    cell.run(until=3.0)
-    passes = monitor.finalize()
+    cell.gen.start()
+    passes: Dict[str, int] = {}
+    stats = run_checked(cell.env, monitor, 3.0, passes)
     summary = asdict(blast_result(cell))
     del summary["flight_events"]
-    return monitor, passes, summary
+    return monitor, passes, summary, stats.comparisons
 
 
 # ---------------------------------------------------------------------------
@@ -192,48 +195,52 @@ def run_check(lint: bool = True, oracles: bool = True,
             f"comparison(s) agreed")
 
     if scenarios:
-        for label, runner in (
-            ("table3/hermes", lambda: _scenario_cell(report, seed)),
-            ("sec7/exclusive",
-             lambda: _scenario_crash(report, "exclusive")),
-            ("sec7/hermes", lambda: _scenario_crash(report, "hermes")),
-            ("fleet/stateless", lambda: _scenario_fleet(report)),
+        for label, scenario in (
+            ("table3/hermes", lambda: _scenario_cell(seed)),
+            ("sec7/exclusive", lambda: _scenario_crash("exclusive")),
+            ("sec7/hermes", lambda: _scenario_crash("hermes")),
+            ("fleet/stateless", _scenario_fleet),
         ):
             try:
-                with live_oracles() as stats:
-                    runner()
-                tally(report.oracle_comparisons, stats.comparisons)
-                say(f"scenario {label}: ok "
-                    f"({stats.total} live comparison(s))")
+                passes, comparisons, summary = scenario()
             except (InvariantViolation, OracleMismatch) as exc:
                 report.problems.append(f"scenario {label}: {exc}")
                 say(f"scenario {label}: FAILED: {exc}")
+                continue
+            tally(report.monitor_passes, passes)
+            tally(report.oracle_comparisons, comparisons)
+            report.scenarios[label] = summary
+            say(f"scenario {label}: ok "
+                f"({sum(comparisons.values())} live comparison(s))")
     return report
 
 
-def _scenario_cell(report: CheckReport, seed: int) -> None:
-    result, passes = run_monitored_cell(seed=seed)
-    tally(report.monitor_passes, passes)
-    report.scenarios["table3/hermes"] = {
+# Each scenario returns ``(passes, comparisons, summary)``.
+
+def _scenario_cell(seed: int):
+    from ..experiments.common import run_case_cell
+    from ..lb.server import NotificationMode
+
+    result = run_case_cell(NotificationMode.HERMES, "case2", "light",
+                           n_workers=8, duration=2.0, seed=seed, check=True)
+    return result.passes, result.comparisons, {
         "completed": result.completed,
         "failed": result.failed,
         "p99_ms": result.p99_ms,
     }
 
 
-def _scenario_crash(report: CheckReport, mode: str) -> None:
-    _monitor, passes, summary = run_monitored_crash(mode=mode)
-    tally(report.monitor_passes, passes)
-    report.scenarios[f"sec7/{mode}"] = summary
+def _scenario_crash(mode: str):
+    _monitor, passes, summary, comparisons = run_monitored_crash(mode=mode)
+    return passes, comparisons, summary
 
 
-def _scenario_fleet(report: CheckReport) -> None:
+def _scenario_fleet():
     from ..fleet import run_fleet
 
     run = run_fleet(check=True)
-    tally(report.monitor_passes, run.passes)
     summary = run.doc
-    report.scenarios["fleet/stateless"] = {
+    return run.passes, run.comparisons, {
         "completed": summary["completed"],
         "broken": summary["broken"],
         "migrated": summary["migrated"],

@@ -35,10 +35,11 @@ crash, with ``--check`` arming the per-connection-consistency (PCC)
 monitor on top of the usual invariants; ``check`` is the correctness
 gate (:mod:`repro.check`): nondeterminism lint, differential-oracle sweep,
 and monitored end-to-end scenarios; ``fuzz`` runs an adversarial scenario
-campaign.  ``run`` and ``experiment`` additionally accept ``--check`` to arm
-invariant monitors and live oracles on that specific run — results stay
-byte-identical, or the command fails.  Wall-clock performance is
-measured by ``bench/run.py``, not by this CLI.
+campaign.  ``run --check`` arms invariant monitors, live oracles and a
+flight recorder on that specific run; ``experiment --check`` arms live
+oracles around every executed cell — results stay byte-identical, or
+the command fails.  Wall-clock performance is measured by
+``bench/run.py``, not by this CLI.
 
 ``run`` and ``experiment`` share the same ``--seed`` /
 ``--out`` contract: explicit seed, optional canonical-JSON output.
@@ -308,32 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_context(enabled: bool):
-    """``(context_manager, monitors)`` for a ``--check``-capable command.
-
-    When enabled, the context patches live differential oracles in and
-    the returned ``env_hook`` arms an invariant monitor on the server.
-    """
-    from contextlib import nullcontext
-
-    monitors: List[Any] = []
-    if not enabled:
-        return nullcontext(), monitors, None
-    from .check import live_oracles, watch
-
-    def hook(env, server, gen):
-        monitors.append(watch(server))
-
-    return live_oracles(), monitors, hook
-
-
-def _finish_check(monitors, stats) -> None:
-    passes = monitors[0].finalize() if monitors else {}
-    print(f"check: {sum(passes.values())} invariant evaluation(s), "
-          f"{stats.total if stats is not None else 0} live oracle "
-          f"comparison(s), 0 violations")
-
-
 def _cmd_run(args) -> int:
     from .experiments.common import run_case_cell
     from .faults import FaultArmError, FaultPlan
@@ -381,13 +356,11 @@ def _cmd_run(args) -> int:
         options["tracer"] = Tracer(recorder=recorder,
                                    keep_events=recorder is None)
     ports = tuple(20001 + i for i in range(args.ports))
-    context, monitors, hook = _check_context(args.check)
     try:
-        with context as stats:
-            result = run_case_cell(mode, args.case, args.load,
-                                   n_workers=args.workers,
-                                   duration=args.duration, ports=ports,
-                                   seed=args.seed, env_hook=hook, **options)
+        result = run_case_cell(mode, args.case, args.load,
+                               n_workers=args.workers,
+                               duration=args.duration, ports=ports,
+                               seed=args.seed, check=args.check, **options)
     except FaultArmError as exc:
         print(f"error: cannot arm {args.faults}: {exc}", file=sys.stderr)
         return 1
@@ -398,7 +371,9 @@ def _cmd_run(args) -> int:
         print(f"check FAILED: {exc}", file=sys.stderr)
         return 1
     if args.check:
-        _finish_check(monitors, stats)
+        print(f"check: {sum(result.passes.values())} invariant "
+              f"evaluation(s), {sum(result.comparisons.values())} live "
+              f"oracle comparison(s), 0 violations")
     injector = result.injector
     rows = [["mode", result.mode],
             ["workload", result.workload],
@@ -580,7 +555,7 @@ def _cmd_fleet(args) -> int:
         return 1
     if args.check:
         print(f"check: {sum(run.passes.values())} invariant evaluation(s), "
-              f"{run.comparisons} live oracle comparison(s), "
+              f"{sum(run.comparisons.values())} live oracle comparison(s), "
               f"{len(run.pcc.violations)} PCC violation(s)")
 
     summary = run.doc

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .._sum import left_sum
 from .config import OverheadCosts
 from .dispatch import HermesDispatchProgram
 from .ebpf import BpfArrayMap
@@ -65,7 +66,7 @@ def compute_overhead(wsts: Iterable[WorkerStatusTable],
     budget = elapsed * n_cores
 
     counter_time = sum(w.update_ops for w in wsts) * costs.counter_update
-    scheduler_time = sum(
+    scheduler_time = left_sum(
         s.calls * s.scheduler_cost_per_call for s in schedulers)
     syscall_time = sum(
         m.user_updates for m in sel_maps) * costs.map_update_syscall

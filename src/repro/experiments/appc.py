@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from .._sum import left_sum
 from ..analysis.stats import jains_fairness
 from ..cell import build_cell
 from ..cluster.sharding import ShuffleShardedFleet
@@ -76,7 +77,7 @@ def run_group_locality(group_size: int, n_workers: int = 8,
         total = sum(shares.values())
         if total >= 3:
             locality_scores.append(max(shares.values()) / total)
-    locality = (sum(locality_scores) / len(locality_scores)
+    locality = (left_sum(locality_scores) / len(locality_scores)
                 if locality_scores else 0.0)
     accepted = [float(w.accepted) for w in server.metrics.workers.values()]
     return GroupLocalityResult(
@@ -175,7 +176,7 @@ def run_sandbox_isolation(seed: int = 91) -> Dict[str, Dict[str, float]]:
     env.schedule_callback(7.0, lambda: phase.__setitem__(0, "after"))
     env.run(until=12.0)
     return {bucket: {"n": len(values),
-                     "avg_ms": sum(values) / len(values) * 1e3
+                     "avg_ms": left_sum(values) / len(values) * 1e3
                      if values else 0.0}
             for bucket, values in latencies.items()}
 

@@ -9,7 +9,7 @@ derived from the cell, not the mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..cell import build_cell
 from ..lb.server import LBServer, NotificationMode
@@ -63,10 +63,14 @@ class CellResult:
     server: Optional[LBServer] = None
     #: The armed injector when the cell ran with ``faults``.
     injector: Optional["FaultInjector"] = None
+    #: When the cell ran with ``check``: invariant name -> passing
+    #: evaluations, and oracle name -> agreeing live comparisons.
+    passes: Optional[Dict[str, int]] = None
+    comparisons: Optional[Dict[str, int]] = None
 
     def to_doc(self) -> dict:
         """JSON-safe document (drops the live ``server`` and ``injector``
-        handles)."""
+        handles and the ``check`` counts)."""
         return {
             "mode": self.mode,
             "workload": self.workload,
@@ -101,7 +105,7 @@ def run_spec(mode: NotificationMode, spec: WorkloadSpec,
              settle: float = 0.5,
              keep_server: bool = False,
              env_hook=None, faults: Optional["FaultPlan"] = None,
-             **server_options) -> CellResult:
+             check: bool = False, **server_options) -> CellResult:
     """Run one workload spec against a fresh device in the given mode.
 
     ``settle`` extends the simulation beyond the generation window so
@@ -111,7 +115,18 @@ def run_spec(mode: NotificationMode, spec: WorkloadSpec,
     (``config``, ``tracer``, ``nic``, ``prequal_config``,
     ``splice_config``, ...) go verbatim to :func:`repro.cell.build_cell`.
     A tracer observes only and cannot change the results.
+
+    ``check`` makes it a checked run: the device builds with
+    :func:`repro.check.check_tracer` unless ``tracer`` is given,
+    :func:`repro.check.watch` arms before ``env_hook``, and the run goes
+    through :func:`repro.check.run_checked`; the result then carries
+    ``passes`` and ``comparisons``.
     """
+    if check:
+        from ..check import check_tracer, run_checked, watch
+
+        if server_options.get("tracer") is None:
+            server_options["tracer"] = check_tracer()
     # The traffic stream is named by the spec, not the mode: every mode
     # replays the same connections and requests.
     cell = build_cell(spec, mode, resolve_seed(seed), n_workers=n_workers,
@@ -119,9 +134,17 @@ def run_spec(mode: NotificationMode, spec: WorkloadSpec,
                       traffic_stream=f"traffic:{spec.name}",
                       faults=faults, **server_options)
     server = cell.server
+    monitor = watch(server) if check else None
     if env_hook is not None:
         env_hook(cell.env, server, cell.gen)
-    cell.run(until=spec.duration + settle)
+    passes = stats = None
+    if monitor is None:
+        cell.run(until=spec.duration + settle)
+    else:
+        cell.gen.start()
+        passes = {}
+        stats = run_checked(cell.env, monitor, spec.duration + settle,
+                            passes)
     summary = server.metrics.summary()
     return CellResult(
         mode=mode.value,
@@ -139,6 +162,8 @@ def run_spec(mode: NotificationMode, spec: WorkloadSpec,
                              for w in server.metrics.workers.values()],
         server=server if keep_server else None,
         injector=cell.injector,
+        passes=passes,
+        comparisons=None if stats is None else stats.comparisons,
     )
 
 
@@ -151,7 +176,7 @@ def run_case_cell(mode: NotificationMode, case: str, load: str,
     The RNG streams derive from the spec'd seed (``None`` falls back via
     :func:`resolve_seed`), never from mutable module state, so identical
     arguments produce identical results in any process.  ``kwargs``
-    (``settle``, ``faults``, ``tracer``, ``nic``, ...) go to
+    (``settle``, ``faults``, ``check``, ``tracer``, ``nic``, ...) go to
     :func:`run_spec`.
     """
     spec = build_case_workload(case, load, n_workers=n_workers,

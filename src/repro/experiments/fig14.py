@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from .._sum import left_sum
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import run_spec
@@ -52,7 +53,7 @@ def _run_point(case: str, multiplier: float, n_workers: int,
     empties = sum(g.scheduler.empty_results for g in server.groups)
     return FilterFrequencyPoint(
         load_fraction=multiplier,
-        pass_ratio=sum(ratios) / len(ratios) if ratios else 0.0,
+        pass_ratio=left_sum(ratios) / len(ratios) if ratios else 0.0,
         scheduler_calls_per_sec=total_calls / elapsed,
         empty_ratio=empties / total_calls if total_calls else 0.0,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from .._sum import left_sum
 from ..core.config import HermesConfig
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
@@ -49,7 +50,7 @@ def _run_one(ratio: float, case: str, load: str, n_workers: int,
         "avg_ms": result.avg_ms,
         "p99_ms": result.p99_ms,
         "throughput_rps": result.throughput_rps,
-        "pass_ratio": sum(ratios) / len(ratios) if ratios else 0.0,
+        "pass_ratio": left_sum(ratios) / len(ratios) if ratios else 0.0,
     }
 
 
@@ -57,10 +58,10 @@ def _average_point(ratio: float, samples: Sequence[dict]) -> ThetaPoint:
     n = len(samples)
     return ThetaPoint(
         theta_ratio=ratio,
-        avg_ms=sum(s["avg_ms"] for s in samples) / n,
-        p99_ms=sum(s["p99_ms"] for s in samples) / n,
-        throughput_rps=sum(s["throughput_rps"] for s in samples) / n,
-        pass_ratio=sum(s["pass_ratio"] for s in samples) / n,
+        avg_ms=left_sum(s["avg_ms"] for s in samples) / n,
+        p99_ms=left_sum(s["p99_ms"] for s in samples) / n,
+        throughput_rps=left_sum(s["throughput_rps"] for s in samples) / n,
+        pass_ratio=left_sum(s["pass_ratio"] for s in samples) / n,
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Tuple
 
+from .._sum import left_sum
 from ..analysis.reporting import render_table
 from ..workloads.cases import CASE_MIX
 from .registry import Claim, simple_experiment
@@ -42,13 +43,13 @@ def run_table4(ineffective: Dict[str, List[str]] = None) -> CaseMixAnalysis:
     ineffective = ineffective or PAPER_INEFFECTIVE_CASES
     regions = sorted(CASE_MIX)
     cases = sorted({case for mix in CASE_MIX.values() for case in mix})
-    average = {case: sum(CASE_MIX[r][case] for r in regions) / len(regions)
-               for case in cases}
+    average = {case: left_sum(CASE_MIX[r][case] for r in regions)
+               / len(regions) for case in cases}
     impacted: Dict[str, Dict[str, float]] = {}
     for region in regions:
         impacted[region] = {}
         for mode, bad_cases in ineffective.items():
-            impacted[region][mode] = sum(
+            impacted[region][mode] = left_sum(
                 CASE_MIX[region].get(case, 0.0) for case in bad_cases)
     return CaseMixAnalysis(mix=dict(CASE_MIX), impacted_share=impacted,
                            average_mix=average)
@@ -77,7 +78,7 @@ def render_table4(analysis: CaseMixAnalysis) -> str:
 
 
 def _claims(merged: dict) -> Tuple[Claim, ...]:
-    sums = [round(sum(shares.values()), 2)
+    sums = [round(left_sum(shares.values()), 2)
             for shares in merged["mix"].values()]
     avg = merged["average_mix"]
     worst = {mode: max(shares[mode]

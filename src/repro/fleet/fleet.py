@@ -543,12 +543,12 @@ def build_fleet(spec: WorkloadSpec, mode, seed: int, *, n_instances: int,
 class FleetRun:
     """A finished :func:`run_fleet`: its cell and, when checked, the PCC
     monitor (holding the instance monitors), every monitor's passes per
-    name and the live-oracle comparison count."""
+    name and the live-oracle comparisons per oracle."""
 
     cell: Cell
     pcc: Any = None
     passes: Dict[str, int] = field(default_factory=dict)
-    comparisons: int = 0
+    comparisons: Dict[str, int] = field(default_factory=dict)
 
     @property
     def doc(self) -> dict:
@@ -573,19 +573,18 @@ def run_fleet(*, mode="hermes", policy="stateless", ingress="ecmp",
     """Run the fleet scenario (:func:`fleet_spec`, :func:`fleet_faults`
     up to ``duration``) to ``duration``.
 
-    ``check`` arms :func:`~repro.check.watch_fleet` under a 256-event
-    flight recorder, plus :func:`~repro.check.live_oracles`; an unchecked
-    run builds no tracer.  ``corrupt_lookup`` arms
-    :func:`repro.check.pcc.corrupt_lookup`.  With ``shard``, only that
-    instance is built and it replays ``arrivals``, its slice of
-    :func:`~repro.fleet.sharded.fleet_arrivals`.
+    ``check`` arms :func:`~repro.check.watch_fleet` under
+    :func:`~repro.check.check_tracer` and runs through
+    :func:`~repro.check.run_checked`; an unchecked run builds no tracer.
+    ``corrupt_lookup`` arms :func:`repro.check.pcc.corrupt_lookup`.  With
+    ``shard``, only that instance is built and it replays ``arrivals``,
+    its slice of :func:`~repro.fleet.sharded.fleet_arrivals`.
     """
     tracer = None
     if check:
-        from ..obs import FlightRecorder, Tracer
+        from ..check import check_tracer, run_checked, watch_fleet
 
-        tracer = Tracer(recorder=FlightRecorder(capacity=256),
-                        keep_events=False)
+        tracer = check_tracer()
     cell = build_fleet(
         fleet_spec(duration, conn_rate), mode, seed,
         n_instances=n_instances, n_workers=n_workers,
@@ -596,8 +595,6 @@ def run_fleet(*, mode="hermes", policy="stateless", ingress="ecmp",
         shard=shard, tracer=tracer)
     run = FleetRun(cell)
     if check:
-        from ..check.pcc import watch_fleet
-
         run.pcc = watch_fleet(cell.server, raise_on_violation)
     if corrupt_lookup:
         from ..check.pcc import corrupt_lookup as lookup_drill
@@ -607,13 +604,9 @@ def run_fleet(*, mode="hermes", policy="stateless", ingress="ecmp",
         cell.gen.start()
     else:
         cell.gen.replay(arrivals)
-    if not check:
+    if check:
+        run.comparisons = run_checked(cell.env, run.pcc, duration,
+                                      run.passes).comparisons
+    else:
         cell.env.run(until=duration)
-        return run
-    from ..check.oracles import live_oracles
-
-    with live_oracles() as stats:
-        cell.env.run(until=duration)
-        run.passes = run.pcc.finalize()
-    run.comparisons = stats.total
     return run

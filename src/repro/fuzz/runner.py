@@ -43,20 +43,19 @@ def build_scenario_trace(scenario: Scenario,
 
 def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     """Execute one scenario with monitors, oracles, and faults armed."""
+    from ..check import check_tracer, run_checked
     from ..check.invariants import InvariantViolation, corrupt_bitmap, watch
-    from ..check.oracles import OracleMismatch, live_oracles
+    from ..check.oracles import OracleMismatch
     from ..check.pcc import watch_fleet
     from ..faults.injector import FaultInjector
     from ..fleet import Fleet, fleet_instance
     from ..kernel.nic import Nic
     from ..lb.server import LBServer, NotificationMode
-    from ..obs import FlightRecorder, Tracer
     from ..sim.engine import Environment
 
     env = Environment()
     registry = RngRegistry(scenario.seed)
-    recorder = FlightRecorder(capacity=256)
-    tracer = Tracer(env, recorder=recorder, keep_events=False)
+    tracer = check_tracer()
     trace = build_scenario_trace(scenario, registry)
     hash_seed = registry.stream("hash").randrange(2 ** 32)
     ports = _trace_ports(trace)
@@ -103,10 +102,7 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     passes: Dict[str, int] = {}
     comparisons = 0
     try:
-        with live_oracles() as stats:
-            env.run(until=horizon)
-            monitor.finalize(passes)
-        comparisons = stats.total
+        comparisons = run_checked(env, monitor, horizon, passes).total
     except (InvariantViolation, OracleMismatch, AssertionError) as exc:
         kind = ("invariant" if isinstance(exc, InvariantViolation)
                 else "oracle" if isinstance(exc, OracleMismatch)

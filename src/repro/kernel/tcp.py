@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
+from .._sum import left_sum
 from ..sim.engine import Environment
 from .hash import FourTuple
 from .nic import Nic
@@ -55,7 +56,7 @@ class Request:
 
     @property
     def total_service(self) -> float:
-        return sum(self.event_times)
+        return left_sum(self.event_times)
 
     @property
     def n_events(self) -> int:

@@ -13,6 +13,7 @@ from array import array
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
 
+from .._sum import left_sum
 from ..sim.engine import Environment
 from ..sim.monitor import BusyTracker, Samples, TimeWeighted
 
@@ -23,8 +24,8 @@ def stddev(values: List[float]) -> float:
     """Population standard deviation (0 for fewer than 2 values)."""
     if len(values) < 2:
         return 0.0
-    mean = sum(values) / len(values)
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+    mean = left_sum(values) / len(values)
+    return math.sqrt(left_sum((v - mean) ** 2 for v in values) / len(values))
 
 
 class WorkerMetrics:

@@ -25,6 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .._sum import left_sum
 from .trace import TraceEvent
 
 __all__ = ["RequestTimeline", "build_timelines", "summarize_timelines"]
@@ -64,7 +65,7 @@ class RequestTimeline:
 
     @property
     def service_time(self) -> float:
-        return sum(end - begin for begin, end in self.segments)
+        return left_sum(end - begin for begin, end in self.segments)
 
     @property
     def kernel_wait(self) -> Optional[float]:
@@ -176,8 +177,8 @@ def summarize_timelines(timelines: Iterable[RequestTimeline]) -> Dict[str, float
     n = len(complete)
     return {
         "count": n,
-        "avg_latency": sum(t.latency for t in complete) / n,
-        "avg_kernel_wait": sum(t.kernel_wait for t in complete) / n,
-        "avg_queue_wait": sum(t.queue_wait for t in complete) / n,
-        "avg_service": sum(t.service_time for t in complete) / n,
+        "avg_latency": left_sum(t.latency for t in complete) / n,
+        "avg_kernel_wait": left_sum(t.kernel_wait for t in complete) / n,
+        "avg_queue_wait": left_sum(t.queue_wait for t in complete) / n,
+        "avg_service": left_sum(t.service_time for t in complete) / n,
     }

@@ -14,6 +14,7 @@ from array import array
 from itertools import islice
 from typing import Callable, Iterable, List, Optional, Tuple
 
+from .._sum import left_sum
 from .engine import Environment
 
 __all__ = ["Samples", "TimeWeighted", "PeriodicSampler", "BusyTracker"]
@@ -44,11 +45,11 @@ class Samples:
 
     @property
     def mean(self) -> float:
-        return sum(self.values) / len(self.values) if self.values else 0.0
+        return left_sum(self.values) / len(self.values) if self.values else 0.0
 
     @property
     def total(self) -> float:
-        return sum(self.values)
+        return left_sum(self.values)
 
     def percentile(self, p: float) -> float:
         """Linear-interpolated percentile, ``p`` in [0, 100]."""

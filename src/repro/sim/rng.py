@@ -13,6 +13,8 @@ import hashlib
 import math
 import random
 
+from .._sum import left_sum
+
 __all__ = ["RngRegistry", "Stream"]
 
 
@@ -57,7 +59,7 @@ class Stream(random.Random):
         cache = getattr(self, "_zipf_cdf", None)
         if cache is None or cache[0] != (n, alpha):
             weights = [1.0 / (rank ** alpha) for rank in range(1, n + 1)]
-            total = sum(weights)
+            total = left_sum(weights)
             cdf, acc = [], 0.0
             for w in weights:
                 acc += w / total

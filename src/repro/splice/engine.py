@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Dict
 
+from .._sum import left_sum
 from ..kernel.tcp import Connection, ConnState, Request
 from .config import SpliceConfig
 from .sockmap import SockMap
@@ -266,7 +267,7 @@ class SpliceEngine:
 
     def kernel_busy_seconds(self) -> float:
         """Total softirq CPU consumed by forwarding, across all lanes."""
-        return sum(lane.busy_seconds for lane in self._lanes.values())
+        return left_sum(lane.busy_seconds for lane in self._lanes.values())
 
     def stats(self) -> dict:
         return {

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from math import exp
 from typing import List, Optional, Sequence, Tuple
 
+from .._sum import left_sum
 from ..kernel.tcp import Request
 from ..sim.rng import Stream
 
@@ -134,9 +135,9 @@ class RequestFactory:
             scale = total / (w0 + w1)
             event_times = (w0 * scale, w1 * scale)
         else:
-            # sum() is compensated on 3.12+, so 3+ weights keep it.
+            # A left fold: 3.12's compensated sum() rounds otherwise.
             weights = [random() + 0.25 for _ in range(n_events)]
-            scale = total / sum(weights)
+            scale = total / left_sum(weights)
             event_times = tuple([w * scale for w in weights])
         sizes = self.size_sampler
         size = int(sizes.quantile(random())) if sizes is not None else 512

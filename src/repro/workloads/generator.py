@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Protocol, Sequence, Tuple
 
+from .._sum import left_sum
 from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, ConnState, Request
 from ..sim.engine import Environment
@@ -102,7 +103,7 @@ class PortPicker:
             else range(len(ports))
         if len(ids) != len(ports):
             raise ValueError("tenant_ids must match ports")
-        total = sum(weights)
+        total = left_sum(weights)
         acc, cumulative = 0.0, []
         for w in weights:
             acc += w / total

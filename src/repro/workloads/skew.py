@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from .._sum import left_sum
+
 __all__ = ["zipf_weights", "top_heavy_weights", "PAPER_TOP3_REGION_A",
            "PAPER_TOP3_REGION_B"]
 
@@ -27,7 +29,7 @@ def zipf_weights(n: int, alpha: float = 1.0) -> List[float]:
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     raw = [1.0 / (rank ** alpha) for rank in range(1, n + 1)]
-    total = sum(raw)
+    total = left_sum(raw)
     return [w / total for w in raw]
 
 
@@ -38,11 +40,11 @@ def top_heavy_weights(n: int,
     if n < 1:
         raise ValueError("need at least one tenant")
     shares = list(top_shares)[:n]
-    if sum(shares) > 1.0 + 1e-9:
+    if left_sum(shares) > 1.0 + 1e-9:
         raise ValueError("top shares must sum to <= 1")
-    remainder = max(0.0, 1.0 - sum(shares))
+    remainder = max(0.0, 1.0 - left_sum(shares))
     n_rest = n - len(shares)
     if n_rest == 0:
-        total = sum(shares)
+        total = left_sum(shares)
         return [s / total for s in shares]
     return shares + [remainder / n_rest] * n_rest

@@ -4,26 +4,33 @@ injected corruption is caught with a post-mortem dump attached."""
 import pytest
 
 from repro.check import InvariantViolation, live_oracles, watch
-from repro.check.runner import (
-    oracle_sweep,
-    run_check,
-    run_monitored_cell,
-    run_monitored_crash,
-)
-from repro.check.golden import cell_fingerprint, fingerprint
+from repro.check.runner import oracle_sweep, run_check, run_monitored_crash
+from repro.check.golden import cell_fingerprint
+from repro.experiments.common import run_case_cell
+from repro.lb.server import NotificationMode
+
+
+def checked_cell(mode="hermes", case="case2", n_workers=4, duration=1.0,
+                 **kwargs):
+    """One checked Table 3 cell at light load and seed 7."""
+    return run_case_cell(NotificationMode(mode), case, "light",
+                         n_workers=n_workers, duration=duration, seed=7,
+                         check=True, **kwargs)
 
 
 class TestCleanRuns:
     def test_table3_cell_all_invariants_green(self):
-        result, passes = run_monitored_cell(n_workers=4, duration=1.0)
+        result = checked_cell()
         assert result.completed > 0
-        assert set(passes) >= {"clock", "conservation", "bitmap_wst",
-                               "lost_wakeup"}
-        assert all(count > 0 for count in passes.values())
+        assert set(result.passes) >= {"clock", "conservation", "bitmap_wst",
+                                      "lost_wakeup"}
+        assert all(count > 0 for count in result.passes.values())
+        assert sum(result.comparisons.values()) > 0
 
     @pytest.mark.parametrize("mode", ["exclusive", "hermes"])
     def test_sec7_crash_all_invariants_green(self, mode):
-        monitor, passes, summary = run_monitored_crash(mode=mode)
+        monitor, passes, summary, _comparisons = run_monitored_crash(
+            mode=mode)
         assert monitor.violations == []
         assert summary["total_connections"] > 0
         assert all(count > 0 for count in passes.values())
@@ -34,30 +41,18 @@ class TestCleanRuns:
             assert summary["blast_fraction"] < 0.3
 
     def test_armed_monitor_is_byte_identical(self):
-        """The golden claim: arming monitors changes nothing."""
-        from repro.experiments.common import run_case_cell
-        from repro.lb.server import NotificationMode
-
-        def fp(env_hook):
-            result = run_case_cell(
-                NotificationMode("hermes"), "case2", "light",
-                n_workers=8, duration=2.0, seed=7, env_hook=env_hook)
-            return fingerprint({
-                "completed": result.completed,
-                "p99_ms": result.p99_ms,
-                "accepted": list(result.accepted_per_worker),
-            })
-
-        monitors = []
-        armed = fp(lambda env, server, gen: monitors.append(watch(server)))
-        monitors[0].finalize()
-        assert armed == fp(None)
+        """The golden claim: a checked run changes no result."""
+        checked = checked_cell(n_workers=8, duration=2.0)
+        unchecked = run_case_cell(NotificationMode("hermes"), "case2",
+                                  "light", n_workers=8, duration=2.0, seed=7)
+        assert unchecked.passes is None and unchecked.comparisons is None
+        assert checked.to_doc() == unchecked.to_doc()
 
     @pytest.mark.pin
     def test_armed_monitor_matches_pinned_golden_cell(self, pin):
         """And the full pinned golden cell digest is reproduced while a
-        separate monitored run of the same cell stays green."""
-        result, _passes = run_monitored_cell(seed=7)
+        separate checked run of the same cell stays green."""
+        result = checked_cell(n_workers=8, duration=2.0)
         assert result.completed > 0
         pin("golden/cell", cell_fingerprint())
 
@@ -78,48 +73,36 @@ class TestCorruptionDrills:
             run_monitored_crash(mode="exclusive", corrupt_bitmap=True)
 
     def test_raise_on_violation_false_collects_instead(self):
-        monitor, _passes, _summary = run_monitored_crash(
+        monitor, _passes, _summary, _comparisons = run_monitored_crash(
             corrupt_bitmap=True, raise_on_violation=False)
         assert monitor.violations
         assert monitor.violations[0].name == "bitmap_wst"
 
     def test_conservation_violation_detected(self):
         """Cooking a worker's books trips the conservation monitor."""
-        from repro.experiments.common import run_case_cell
-        from repro.lb.server import NotificationMode
-
         def corrupt(env, server, gen):
-            monitor = watch(server)
             # Lose one accept from the ledger at t=0.5.
             def cook():
                 server.workers[0].metrics.accepted += 1
             env.schedule_callback(0.5, cook)
-            return monitor
 
         with pytest.raises(InvariantViolation) as excinfo:
-            run_case_cell(NotificationMode("hermes"), "case2", "light",
-                          n_workers=4, duration=1.5, seed=7,
-                          env_hook=corrupt)
+            checked_cell(duration=1.5, env_hook=corrupt)
         assert excinfo.value.name == "conservation"
+        # A checked cell runs under a flight recorder.
+        assert excinfo.value.flight_events
 
     def test_wst_drift_detected(self):
         """A stale WST connection column (the no-lost-update contract)
         trips the bitmap↔WST monitor."""
-        from repro.experiments.common import run_case_cell
-        from repro.lb.server import NotificationMode
-
         def corrupt(env, server, gen):
-            watch(server)
-
             def drift():
                 group = server.groups[0]
                 group.wst._conns[0] += 5
             env.schedule_callback(0.5, drift)
 
         with pytest.raises(InvariantViolation) as excinfo:
-            run_case_cell(NotificationMode("hermes"), "case2", "light",
-                          n_workers=4, duration=1.5, seed=7,
-                          env_hook=corrupt)
+            checked_cell(duration=1.5, env_hook=corrupt)
         assert excinfo.value.name == "bitmap_wst"
 
 
@@ -185,28 +168,15 @@ class TestProbePoolInvariant:
     """The prequal conservation ledger under the invariant monitor."""
 
     def test_prequal_run_stays_green(self):
-        from repro.experiments.common import run_case_cell
-        from repro.lb.server import NotificationMode
-
-        monitors = []
-        result = run_case_cell(
-            NotificationMode("prequal"), "case1", "light", n_workers=4,
-            duration=1.0, seed=7,
-            env_hook=lambda env, server, gen: monitors.append(watch(server)))
-        passes = monitors[0].finalize()
+        result = checked_cell("prequal", "case1")
         assert result.completed > 0
-        assert passes["probe_pool"] > 0
+        assert result.passes["probe_pool"] > 0
 
     def test_non_prequal_device_passes_vacuously(self):
-        _result, passes = run_monitored_cell(n_workers=4, duration=1.0)
-        assert passes["probe_pool"] > 0
+        assert checked_cell().passes["probe_pool"] > 0
 
     def test_corrupted_ledger_is_caught(self):
-        from repro.experiments.common import run_case_cell
-        from repro.lb.server import NotificationMode
-
         def corrupt(env, server, gen):
-            watch(server)
             pool = server.prequal.pool
 
             def tamper():
@@ -215,7 +185,5 @@ class TestProbePoolInvariant:
             env.schedule_callback(0.5, tamper)
 
         with pytest.raises(InvariantViolation) as excinfo:
-            run_case_cell(NotificationMode("prequal"), "case1", "light",
-                          n_workers=4, duration=1.0, seed=7,
-                          env_hook=corrupt)
+            checked_cell("prequal", "case1", env_hook=corrupt)
         assert excinfo.value.name == "probe_pool"

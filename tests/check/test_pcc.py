@@ -29,7 +29,7 @@ class TestCleanRuns:
             pcc.fleet.instances
         assert passes.get("conservation", 0) > 0
         # And the live differential oracles, as on the sharded path.
-        assert run.comparisons > 0
+        assert sum(run.comparisons.values()) > 0
 
     def test_stateful_crash_is_green(self):
         # Stateful failover *breaks* connections, but legally: the

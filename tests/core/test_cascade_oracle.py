@@ -176,27 +176,28 @@ def test_cpu_cost_follows_a_swapped_config():
 
 @pytest.fixture(scope="module")
 def monitored_hermes_cell():
-    from repro.check.runner import run_monitored_cell
+    from repro.experiments.common import run_case_cell
+    from repro.lb.server import NotificationMode
 
-    with live_oracles() as stats:
-        result, passes = run_monitored_cell(n_workers=4, duration=0.5)
-    return result, passes, stats
+    return run_case_cell(NotificationMode.HERMES, "case2", "light",
+                         n_workers=4, duration=0.5, seed=7, check=True)
 
 
 def test_live_oracles_check_a_monitored_hermes_cell(monitored_hermes_cell):
-    result, passes, stats = monitored_hermes_cell
+    # A checked run that returns had no oracle mismatch: run_checked
+    # raises on exit for any mismatch counted inside it.
+    result = monitored_hermes_cell
     assert result.completed > 0
-    assert all(count > 0 for count in passes.values())
-    assert stats.comparisons["cascade"] > 0
-    assert stats.mismatches == 0
+    assert all(count > 0 for count in result.passes.values())
+    assert result.comparisons["cascade"] > 0
 
 
 @pytest.mark.pin
 def test_live_oracles_compare_every_schedule(monitored_hermes_cell, pin):
     # One comparison per schedule_and_sync: a fast path that skipped the
     # select_workers seam would lower this exact count.
-    _, _, stats = monitored_hermes_cell
-    pin("oracle/cascade_comparisons", stats.comparisons["cascade"])
+    pin("oracle/cascade_comparisons",
+        monitored_hermes_cell.comparisons["cascade"])
 
 
 # -- the exact memo and result reuse over a run of updates --------------------

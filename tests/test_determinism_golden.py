@@ -20,6 +20,10 @@ copy the new values into ``tests/pins.json``, and say which moved and why
 in the change description.
 """
 
+import builtins
+import hashlib
+import math
+
 import pytest
 
 from repro.check.golden import (cell_fingerprint, fig13_fingerprint,
@@ -74,3 +78,51 @@ def test_sharded_fleet_engine_steps(pin):
     """Eight serial shards dispatch exactly this many events in total."""
     pin("steps/sharded_fleet",
         run_sharded_fleet(n_instances=8, duration=1.5, jobs=1)["steps"])
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum()`` as CPython 3.12 computes it: exact while every value is
+    an int; after the first float, Neumaier-compensated over the floats
+    (ints added plainly), the compensation folded in at the end."""
+    values = list(iterable)
+    if not all(type(v) in (int, float, bool) for v in (start, *values)):
+        return _BUILTIN_SUM(values, start)
+    total, rest = start, iter(values)
+    if type(total) is not float:
+        for value in rest:
+            total = total + value
+            if type(total) is float:
+                break
+    compensation = 0.0
+    for value in rest:
+        if type(value) is not float:
+            total += value
+            continue
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+@pytest.mark.pin
+def test_pins_hold_under_a_compensated_sum(monkeypatch, pin):
+    """Python 3.12 made ``sum()`` of floats compensated.  With that
+    ``sum()`` patched in, the golden cell and the Table 4 smoke digest
+    keep their pins: every float sum that reaches them is a left fold
+    (``repro._sum.left_sum``), the same bits on every Python."""
+    from repro.sweep import run_sweep
+
+    # A plain left fold gives 0.9999999999999999 here.
+    assert compensated_sum([0.1] * 10) == 1.0
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    pin("golden/cell", cell_fingerprint())
+    table4 = run_sweep("table4", jobs=1, overrides={})
+    pin("smoke/table4", hashlib.sha256(table4.to_json().encode()).hexdigest())

@@ -21,7 +21,7 @@ import pkgutil
 import pytest
 
 import repro
-from repro.experiments.common import run_spec
+from repro.experiments.common import run_case_cell, run_spec
 from repro.fleet import run_fleet
 from repro.fleet.sharded import run_sharded_fleet
 from repro.lb import NotificationMode, mode_names
@@ -111,6 +111,14 @@ def test_unarmed_cell_makes_no_hook_call(mode):
     result, calls = _hook_calls(run_spec, NotificationMode(mode), spec,
                                 n_workers=2, seed=7)
     assert result.completed > 0
+    assert sum(calls.values()) == 0, calls
+
+
+def test_unarmed_case_cell_makes_no_hook_call():
+    result, calls = _hook_calls(run_case_cell, NotificationMode.HERMES,
+                                "case2", "light", n_workers=2,
+                                duration=0.1, seed=7, check=False)
+    assert result.completed > 0 and result.passes is None
     assert sum(calls.values()) == 0, calls
 
 
