@@ -20,7 +20,7 @@ check:
 	PYTHONPATH=src python -m repro check
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python "$$f"; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python "$$f"; done
 
 experiments:
 	PYTHONPATH=src python -m repro list

@@ -3,42 +3,36 @@
 
 §6.2: "we collected and replayed traffic ... Additionally, we replayed
 traffic at 2 to 3 times the original rate to emulate medium and heavy
-workloads."  This example materializes a Case-4 workload into a concrete
-trace (fixed arrivals, tuples, request shapes), then replays the *same*
-trace against fresh devices at increasing rates under each notification
-mode.
+workloads."  This example materializes a Case-4 workload's arrivals once
+(fixed times, 4-tuples and per-connection seeds, so fixed request
+shapes), then replays the *same* arrivals against fresh devices at
+increasing rates under each notification mode.
 
 Run:  python examples/trace_replay.py
 """
 
-from repro import Environment, LBServer, NotificationMode, RngRegistry
+from repro import NotificationMode
 from repro.analysis import render_table
-from repro.workloads import (
-    TraceReplayer,
-    build_case_workload,
-    build_trace_from_spec,
-)
+from repro.cell import build_cell
+from repro.workloads import arrivals, build_case_workload
 
 N_WORKERS = 8
 SEED = 31
 
 
-def replay(trace, mode, rate):
-    env = Environment()
-    lb = LBServer(env, n_workers=N_WORKERS, ports=[443], mode=mode)
-    lb.start()
-    replayer = TraceReplayer(env, lb, trace, rate=rate)
-    replayer.start()
-    env.run(until=trace.duration / rate + 1.5)
-    return lb.metrics.summary(), replayer
+def replay(spec, spine, mode, rate):
+    cell = build_cell(spec, mode, SEED, n_workers=N_WORKERS)
+    cell.gen.replay((time / rate, four_tuple, conn_seed)
+                    for time, four_tuple, conn_seed in spine)
+    cell.env.run(until=spec.duration / rate + 1.5)
+    return cell.server.metrics.summary(), cell.gen.stats
 
 
 def main() -> None:
     spec = build_case_workload("case4", "light", n_workers=N_WORKERS,
                                duration=4.0)
-    trace = build_trace_from_spec(spec, RngRegistry(SEED).stream("trace"))
-    print(f"recorded trace: {len(trace)} events over "
-          f"{trace.duration:.1f} s\n")
+    spine = list(arrivals(spec, SEED))
+    print(f"recorded {len(spine)} arrivals over {spine[-1][0]:.1f} s\n")
 
     rows = []
     for rate, label in ((1.0, "1x light"), (2.0, "2x medium"),
@@ -46,15 +40,15 @@ def main() -> None:
         for mode in (NotificationMode.EXCLUSIVE,
                      NotificationMode.REUSEPORT,
                      NotificationMode.HERMES):
-            summary, replayer = replay(trace, mode, rate)
+            summary, clients = replay(spec, spine, mode, rate)
             rows.append([label, mode.value,
                          f"{summary['avg_ms']:.2f}",
                          f"{summary['p99_ms']:.2f}",
                          f"{summary['completed']}",
-                         f"{replayer.skipped}"])
+                         f"{clients.connections_refused}"])
     print(render_table(
-        ["replay", "mode", "avg ms", "p99 ms", "completed", "skipped"],
-        rows, title="Same trace, three modes, three replay rates"))
+        ["replay", "mode", "avg ms", "p99 ms", "completed", "refused"],
+        rows, title="Same arrivals, three modes, three replay rates"))
     print("\nEvery mode sees the exact same byte stream — only the "
           "dispatch decision differs.")
 

@@ -61,22 +61,9 @@ def cell_fingerprint(mode: str = "hermes", case: str = "case2",
     from ..experiments.common import run_case_cell
     from ..lb.server import NotificationMode
 
-    result = run_case_cell(NotificationMode(mode), case, load,
-                           n_workers=n_workers, duration=duration, seed=seed)
-    return fingerprint({
-        "mode": result.mode,
-        "workload": result.workload,
-        "avg_ms": result.avg_ms,
-        "p99_ms": result.p99_ms,
-        "throughput_rps": result.throughput_rps,
-        "completed": result.completed,
-        "failed": result.failed,
-        "refused": result.refused,
-        "cpu_sd": result.cpu_sd,
-        "conn_sd": result.conn_sd,
-        "cpu_utils": result.cpu_utils,
-        "accepted_per_worker": list(result.accepted_per_worker),
-    })
+    return fingerprint(run_case_cell(
+        NotificationMode(mode), case, load, n_workers=n_workers,
+        duration=duration, seed=seed).to_doc())
 
 
 def sec7_fingerprint(seed: int = 79) -> str:

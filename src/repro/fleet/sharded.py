@@ -21,10 +21,11 @@ as the whole fleet would, behind a :class:`ShardIngress`, with the same
 How determinism is kept byte-identical across ``--jobs N``:
 
 - One arrival spine: :func:`fleet_arrivals` draws the seeded fleet-wide
-  stream (``RngRegistry(seed).stream("traffic")``) once, in the parent —
-  for every arrival the inter-arrival gap, the port pick, the 4-tuple and
-  a fresh per-connection seed, in that order — and hands each arrival to
-  the instance the global ingress function picks.  Each shard receives
+  stream once, in the parent, through
+  :func:`~repro.workloads.generator.arrivals` — for every arrival the
+  inter-arrival gap, the port pick, the 4-tuple and a fresh
+  per-connection seed, in that order — and hands each arrival to the
+  instance the global ingress function picks.  Each shard receives
   only its own slice of ``(time, four_tuple, conn_seed)`` records and
   hands it to :meth:`TrafficGenerator.replay
   <repro.workloads.generator.TrafficGenerator.replay>`, the client driver
@@ -53,7 +54,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..fanout import fan_out
 from ..kernel.hash import FourTuple
 from ..sim.rng import RngRegistry
-from ..workloads.generator import Arrival, client_four_tuple
+from ..workloads.generator import Arrival, arrivals
 from .fleet import (N_BACKENDS, FleetPolicy, check_churn, fleet_spec,
                     metrics_doc, reduce_metrics, run_fleet)
 from .ingress import make_ingress
@@ -120,40 +121,24 @@ class ShardIngress:
 def fleet_arrivals(seed: int, n_instances: int, duration: float,
                    conn_rate: float, ingress: str = "ecmp"
                    ) -> Tuple[List[List[Arrival]], int]:
-    """Draw the fleet-wide arrival stream once and split it by owner.
+    """Split the fleet's arrival spine by owner.
 
-    For every arrival, ``RngRegistry(seed).stream("traffic")`` is drawn
-    in a fixed order: the inter-arrival gap, the port pick, the source IP
-    and port, and a 64-bit per-connection seed.  Arrival times are the
-    running float sum of the gaps; the stream ends at the first gap that
-    would pass the arrival window.  Returns one time-ordered
-    ``(time, four_tuple, conn_seed)`` list per instance, indexed by the
-    global ingress owner, and the fleet-wide arrival count.
+    Every arrival of :func:`~repro.workloads.generator.arrivals` for
+    ``fleet_spec(duration, conn_rate)`` at ``seed`` goes to the instance
+    the global ingress function steers it to.  Returns one time-ordered
+    ``(time, four_tuple, conn_seed)`` list per instance, indexed by that
+    owner, and the fleet-wide arrival count.
     """
     spec = fleet_spec(duration, conn_rate)
     if n_instances < 1:
         raise ValueError("need at least one instance")
-    registry = RngRegistry(seed)
-    owner = ShardIngress(ingress, registry.stream("hash").randrange(2 ** 32),
-                         n_instances).owner
-    rng = registry.stream("traffic")
-    rate = spec.conn_rate
-    window = spec.duration
-    n_ips = spec.n_client_ips
-    port = spec.ports[0]
+    owner = ShardIngress(
+        ingress, RngRegistry(seed).stream("hash").randrange(2 ** 32),
+        n_instances).owner
     slices: List[List[Arrival]] = [[] for _ in range(n_instances)]
-    now = 0.0
-    total = 0
-    while True:
-        gap = rng.expovariate(rate)
-        if now + gap > window:
-            return slices, total
-        now = now + gap
-        rng.random()                                  # port pick
-        four_tuple = client_four_tuple(rng, n_ips, port)
-        conn_seed = rng.getrandbits(64)
-        slices[owner(four_tuple)].append((now, four_tuple, conn_seed))
-        total += 1
+    for arrival in arrivals(spec, seed):
+        slices[owner(arrival[1])].append(arrival)
+    return slices, sum(map(len, slices))
 
 
 def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -3,9 +3,13 @@
 This module reproduces the behaviour of ``__wake_up_common`` (Fig. A2 of the
 paper), which is the root cause of the load imbalance Hermes addresses:
 
-- Waiters are added to the *head* of the queue (``add_wait_queue`` /
-  ``ep_ptable_queue_proc`` use head insertion), so the most recently
-  registered waiter is tried first — the LIFO behaviour of epoll exclusive.
+- Waiters are added to the *head* of the queue (``add_wait_queue``
+  inserts at the head), so the most recently registered waiter is tried
+  first — the model's LIFO epoll exclusive.
+  A host probe disagrees for ``EPOLLEXCLUSIVE``: ``ep_ptable_queue_proc``
+  adds those entries with ``add_wait_queue_exclusive`` (tail insertion),
+  and the host wakes the *first*-registered idle waiter.  The model keeps
+  head insertion until that comparison with the host is settled.
 - On wakeup, the queue is walked from the head.  Each entry's wake function
   runs; if it reports a successful wakeup *and* the entry carries
   ``WQ_FLAG_EXCLUSIVE``, traversal stops.  Non-exclusive entries are all

@@ -23,9 +23,9 @@ __all__ = [
     "TrafficGenerator",
     "WorkloadFamily",
     "WorkloadSpec",
+    "arrivals",
     "build_case_workload",
     "build_family_trace",
-    "build_trace_from_spec",
     "family_names",
     "top_heavy_weights",
     "zipf_weights",
@@ -35,12 +35,12 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".cases": ("CASE_MIX", "CASES", "LOAD_MULTIPLIERS", "CaseDefinition",
                "build_case_workload"),
     ".distributions": ("FixedFactory", "QuantileSampler", "RequestFactory"),
-    ".generator": ("ClientStats", "TrafficGenerator", "WorkloadSpec"),
+    ".generator": ("ClientStats", "TrafficGenerator", "WorkloadSpec",
+                   "arrivals"),
     ".library": ("FAMILIES", "WorkloadFamily", "build_family_trace",
                  "family_names"),
     ".regions": ("REGIONS", "RegionProfile"),
     ".skew": ("PAPER_TOP3_REGION_A", "PAPER_TOP3_REGION_B",
               "top_heavy_weights", "zipf_weights"),
-    ".trace": ("Trace", "TraceEvent", "TraceReplayer",
-               "build_trace_from_spec"),
+    ".trace": ("Trace", "TraceEvent", "TraceReplayer"),
 })

@@ -9,22 +9,25 @@ discussions).
 
 Arrivals are open-loop: they occur at their own pace regardless of how
 the LB keeps up, which is what exposes overload behaviour (closed-loop
-clients would implicitly throttle and mask it).
+clients would implicitly throttle and mask it).  :func:`arrivals` is a
+spec's arrival stream materialized as a list the generator can
+:meth:`~TrafficGenerator.replay` at any rate — the §6.2 "collect and
+replay" workflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional, Protocol, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Protocol, Sequence, Tuple
 
 from .._sum import left_sum
 from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, ConnState, Request
 from ..sim.engine import Environment
-from ..sim.rng import Stream
+from ..sim.rng import RngRegistry, Stream
 
-__all__ = ["TrafficGenerator", "WorkloadSpec", "ClientStats"]
+__all__ = ["TrafficGenerator", "WorkloadSpec", "ClientStats", "arrivals"]
 
 #: The LB device's own address in synthetic 4-tuples.
 LB_IP = 0xC0A80001
@@ -117,6 +120,31 @@ class PortPicker:
             if u <= threshold:
                 return choice
         return self._choices[-1][1]
+
+
+def arrivals(spec: WorkloadSpec, seed: int) -> Iterator[Arrival]:
+    """The spec's arrival stream, drawn from
+    ``RngRegistry(seed).stream("traffic")``.
+
+    Per arrival, in this order: the inter-arrival gap, the port pick,
+    the source IP and port, and a 64-bit per-connection seed.  Times are
+    the running float sum of the gaps; the stream ends at the first gap
+    that would pass ``spec.duration`` (none at a rate <= 0).  No tenant
+    is listed: :meth:`TrafficGenerator.open_connection` takes it from
+    the port.
+    """
+    rng = RngRegistry(seed).stream("traffic")
+    pick_port = PortPicker(spec)
+    rate = spec.conn_rate
+    now = 0.0
+    while rate > 0:
+        gap = rng.expovariate(rate)
+        if now + gap > spec.duration:
+            return
+        now += gap
+        _, port = pick_port(rng)
+        yield (now, client_four_tuple(rng, spec.n_client_ips, port),
+               rng.getrandbits(64))
 
 
 @dataclass

@@ -17,7 +17,7 @@ from ..kernel.hash import FourTuple
 from ..kernel.tcp import Connection, ConnState, Request
 from ..sim.engine import Environment
 
-__all__ = ["Trace", "TraceEvent", "TraceReplayer", "build_trace_from_spec"]
+__all__ = ["Trace", "TraceEvent", "TraceReplayer"]
 
 
 @dataclass(frozen=True)
@@ -107,42 +107,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-def build_trace_from_spec(spec, rng) -> Trace:
-    """Materialize a workload spec into a concrete trace.
-
-    Samples the same arrival process, tuples, and request shapes a
-    :class:`~repro.workloads.generator.TrafficGenerator` would produce —
-    ports weighted by ``tenant_weights``, events tagged with the port's
-    ``tenant_ids`` entry — but records them instead of sending them: the
-    "collect and replay" workflow of §6.2.
-    """
-    from .generator import PortPicker, client_four_tuple
-
-    pick_port = PortPicker(spec)
-    trace = Trace()
-    time = 0.0
-    conn_key = 0
-    while True:
-        time += rng.expovariate(spec.conn_rate)
-        if time >= spec.duration:
-            break
-        conn_key += 1
-        tenant_id, port = pick_port(rng)
-        four_tuple = client_four_tuple(rng, spec.n_client_ips, port)
-        trace.record_open(time, conn_key, four_tuple, tenant_id=tenant_id)
-        request_time = time + spec.first_request_delay
-        for i in range(spec.requests_per_conn):
-            request = spec.factory.build(rng, tenant_id=tenant_id)
-            trace.record_request(request_time, conn_key, four_tuple,
-                                 request.event_times, request.size_bytes,
-                                 tenant_id=tenant_id)
-            if spec.request_gap_mean > 0:
-                request_time += rng.expovariate(1.0 / spec.request_gap_mean)
-        trace.record_close(request_time, conn_key, four_tuple,
-                           tenant_id=tenant_id)
-    return trace
 
 
 class TraceReplayer:

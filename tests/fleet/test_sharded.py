@@ -21,6 +21,7 @@ from repro.kernel.hash import FourTuple
 from repro.kernel.tcp import Connection
 from repro.sim.engine import Environment
 from repro.sim.rng import RngRegistry
+from repro.workloads import arrivals
 
 
 def _replayed_shard(seed, n_instances, shard_index, duration, conn_rate,
@@ -137,6 +138,9 @@ class TestArrivalSpine:
             assert slices[shard_index] == owned
             assert total - len(slices[shard_index]) == foreign
         assert total > 0
+        # The slices partition the spine: every arrival in exactly one.
+        merged = sorted((a for s in slices for a in s), key=lambda a: a[0])
+        assert merged == list(arrivals(fleet_spec(0.9, 120.0), seed))
 
     def test_run_shard_opens_exactly_its_slice(self):
         payload = _payload(2, check=True)

@@ -1,12 +1,13 @@
 """Hypothesis round-trip properties for the fuzzer's foundations.
 
-Two contracts the fuzzer leans on:
+Three contracts the fuzzer leans on:
 
 - ``FaultPlan`` serialization is an identity over every *valid* plan
   (canonical JSON ⇔ one behaviour — the shrinker deduplicates by it).
-- ``build_trace_from_spec`` → ``TraceReplayer`` at ``rate=1.0`` against
-  an accepting sink delivers exactly the recorded request count and
-  accounts for every event.
+- ``replay(arrivals(spec, seed))`` against an accepting sink opens one
+  connection per arrival and delivers every request of each.
+- ``TraceReplayer`` at ``rate=1.0`` replays a family trace (the one the
+  fuzzer builds) against an accepting sink and accounts for every event.
 """
 
 from hypothesis import given, strategies as st
@@ -14,8 +15,9 @@ from hypothesis import given, strategies as st
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.sim import Environment
 from repro.sim.rng import RngRegistry
-from repro.workloads import TraceReplayer, WorkloadSpec, build_trace_from_spec
-from repro.workloads.distributions import FixedFactory
+from repro.workloads import (FAMILIES, FixedFactory, TraceReplayer,
+                             TrafficGenerator, WorkloadSpec, arrivals,
+                             build_family_trace, family_names)
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False,
                   allow_infinity=False)
@@ -85,9 +87,11 @@ class TestPlanRoundTrip:
 
 class Sink:
     def __init__(self):
+        self.opened = 0
         self.delivered = 0
 
     def connect(self, conn):
+        self.opened += 1
         return True
 
     def deliver(self, conn, request):
@@ -107,8 +111,24 @@ class TestReplayDelivery:
             name="prop", conn_rate=conn_rate, duration=duration,
             factory=FixedFactory((100e-6,)),
             requests_per_conn=requests_per_conn, n_client_ips=16)
-        trace = build_trace_from_spec(
-            spec, RngRegistry(seed).stream("trace"))
+        spine = list(arrivals(spec, seed))
+
+        env = Environment()
+        sink = Sink()
+        gen = TrafficGenerator(env, sink, None, spec)
+        gen.replay(spine)
+        env.run(until=duration + 1.0)
+
+        assert sink.opened == gen.stats.connections_opened == len(spine)
+        assert sink.delivered == len(spine) * requests_per_conn
+
+    @given(family=st.sampled_from(family_names()),
+           seed=st.integers(min_value=0, max_value=2 ** 20))
+    def test_trace_replay_accounts_for_every_event(self, family, seed):
+        registry = RngRegistry(seed)
+        params = FAMILIES[family].sample(registry.stream("params"))
+        trace = build_family_trace(family, params,
+                                   registry.stream("workload"))
         n_requests = sum(1 for e in trace.events if e.kind == "request")
 
         env = Environment()

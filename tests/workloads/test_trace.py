@@ -4,9 +4,8 @@ import pytest
 
 from repro.kernel import FourTuple
 from repro.lb import LBServer, NotificationMode
-from repro.sim import Environment, RngRegistry
-from repro.workloads import (FixedFactory, Trace, TraceReplayer, WorkloadSpec,
-                             build_trace_from_spec)
+from repro.sim import Environment
+from repro.workloads import Trace, TraceReplayer
 
 
 def ft(i=0):
@@ -222,26 +221,3 @@ class TestTraceSerialization:
         requests = [e for e in clone.events if e.kind == "request"]
         assert all(isinstance(e.event_times, tuple) for e in requests)
         assert isinstance(clone.events[0], TraceEvent)
-
-
-class TestTraceFromSpec:
-    @staticmethod
-    def _trace(**kw):
-        spec = WorkloadSpec(name="spec", conn_rate=500.0, duration=1.0,
-                            factory=FixedFactory((0.0005,)),
-                            ports=(443, 444), **kw)
-        return build_trace_from_spec(spec, RngRegistry(29).stream("trace"))
-
-    def test_tenant_weights_respected(self):
-        opens = [e for e in self._trace(tenant_weights=[0.9, 0.1]).events
-                 if e.kind == "open"]
-        on_443 = sum(e.four_tuple.dst_port == 443 for e in opens)
-        on_444 = sum(e.four_tuple.dst_port == 444 for e in opens)
-        assert on_443 > 5 * on_444 > 0
-
-    def test_events_carry_the_ports_tenant_id(self):
-        trace = self._trace(tenant_ids=(7, 9))
-        tenant_of = {443: 7, 444: 9}
-        assert {e.tenant_id for e in trace.events} == {7, 9}
-        for event in trace.events:
-            assert event.tenant_id == tenant_of[event.four_tuple.dst_port]
