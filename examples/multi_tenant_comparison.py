@@ -11,8 +11,8 @@ Run:  python examples/multi_tenant_comparison.py
 """
 
 from repro import Environment, LBServer, NotificationMode, RngRegistry
-from repro.analysis import render_table
-from repro.lb import TenantDirectory, stddev
+from repro.analysis import population_sd, render_table
+from repro.lb import TenantDirectory
 from repro.workloads import (
     TrafficGenerator,
     build_case_workload,
@@ -62,7 +62,7 @@ def main() -> None:
             f"{summary['p99_ms']:.3f}",
             f"{summary['throughput_rps'] / 1e3:.2f}",
             f"{summary['cpu_sd'] * 100:.2f}%",
-            f"{stddev([float(c) for c in conns]):.1f}",
+            f"{population_sd([float(c) for c in conns]):.1f}",
         ])
         details[mode.value] = conns
 

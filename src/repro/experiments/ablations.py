@@ -4,21 +4,31 @@
    versus permutations and single-metric filters.
 2. **Scheduler placement** — end of the event loop (status reflects the
    just-finished batch) vs start (stale pre-``epoll_wait`` snapshot).
+   The start arm's hook wraps each Hermes worker's ``epoll.wait`` to run
+   its group's scheduler first, and makes the loop's own end-of-loop
+   run a no-op that costs nothing.
 3. **Two-stage filtering** — passing a candidate *set* to the kernel vs
    passing only the single best worker (worker-overload prevention,
-   §5.3.2).
+   §5.3.2).  Both arms' hook throttles each group's scheduler to one
+   run per ``sync_interval``.
 4. **Kernel fallback threshold** — ``min_workers``.
 5. **Update channel** — Hermes's periodic userspace push vs the rejected
    per-connection kernel pull (§5.1.2), quantified as syscall volume.
+
+Every arm runs the library's own worker loop and scheduler.  An arm that
+changes behaviour does it through ``run_spec(env_hook=...)``, on its own
+cell's scheduler and epoll instances; no class is patched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Sequence, Tuple
 
 from ..core.bitmap import bitmap_from_ids
 from ..core.config import HermesConfig
+from ..core.scheduler import ScheduleResult
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import CellResult, run_spec
@@ -37,12 +47,12 @@ __all__ = [
 
 def _run_hermes(config: HermesConfig, case: str, load: str,
                 n_workers: int, duration: float, seed: int,
-                keep_server: bool = False) -> CellResult:
+                keep_server: bool = False, env_hook=None) -> CellResult:
     spec = build_case_workload(case, load, n_workers=n_workers,
                                duration=duration)
     return run_spec(NotificationMode.HERMES, spec, n_workers=n_workers,
                     seed=seed, config=config, settle=1.0,
-                    keep_server=keep_server)
+                    keep_server=keep_server, env_hook=env_hook)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +81,43 @@ def run_filter_order_ablation(
 # 2. Scheduler placement (end vs start of loop).
 # ---------------------------------------------------------------------------
 
+def _skipped(scheduler) -> ScheduleResult:
+    """A scheduler run that did no work: the kernel keeps the last bitmap."""
+    return ScheduleResult(bitmap=scheduler.last_bitmap, n_selected=0,
+                          n_workers=len(scheduler.worker_ids), cpu_cost=0.0)
+
+
+def _sync_then_wait(worker, sync, wait, timeout, max_events):
+    """``worker.epoll.wait`` that first runs ``sync`` the way the loop
+    runs its scheduler: under the worker's trace scope, charged to it."""
+    tracer = worker.tracer
+    if tracer is None:
+        result = sync()
+    else:
+        with tracer.ctx.scope(worker=worker.worker_id):
+            result = sync()
+    if worker.config.charge_overhead:
+        worker._pending_charge += result.cpu_cost
+    return (yield from wait(timeout, max_events))
+
+
+def _schedule_at_loop_start(env, server, gen) -> None:
+    """Each group's scheduler runs before its workers' ``epoll_wait``; the
+    loop's own end-of-loop run does nothing.
+
+    A Hermes worker owns its reuseport sockets, so no per-port wait cost
+    runs between the loop's WST touch and its ``epoll_wait``: the run
+    lands right after the touch, where a start-of-loop call would be."""
+    for group in server.groups:
+        scheduler = group.scheduler
+        sync = scheduler.schedule_and_sync
+        scheduler.schedule_and_sync = partial(_skipped, scheduler)
+        for worker_id in scheduler.worker_ids:
+            worker = server.workers[worker_id]
+            worker.epoll.wait = partial(_sync_then_wait, worker, sync,
+                                        worker.epoll.wait)
+
+
 def run_scheduler_placement_ablation(
         case: str = "case2", load: str = "medium", n_workers: int = 8,
         duration: float = 4.0, seed: int = 101,
@@ -78,57 +125,51 @@ def run_scheduler_placement_ablation(
     """End-of-loop scheduling sees post-batch status; start-of-loop sees a
     pre-``epoll_wait`` snapshot that can look idle right before a burst
     lands (§5.3.2)."""
-    from ..lb.worker import Worker, WorkerState
-    from ..sim.engine import Interrupt
-
-    results = {}
-    results["end_of_loop"] = _run_hermes(
-        HermesConfig(), case, load, n_workers, duration, seed)
-
-    original_run = Worker.run
-
-    def run_with_scheduler_at_start(self):
-        try:
-            while True:
-                self._hermes_touch()
-                # Ablation: schedule BEFORE the batch — stale status.
-                self._hermes_schedule()
-                if self._forced_hang > 0:
-                    hang = self._forced_hang
-                    self._forced_hang = 0.0
-                    yield from self._busy(hang)
-                wait_cost = (self.profile.per_port_wait_cost
-                             * self._shared_socket_count)
-                if wait_cost > 0:
-                    yield from self._busy(wait_cost)
-                events = yield from self.epoll.wait(
-                    self.config.epoll_timeout, self.config.max_events)
-                if events:
-                    self._hermes_events(len(events))
-                for event in events:
-                    yield from self.handle_event(event)
-                    self._hermes_events(-1)
-                if self._pending_charge > 0:
-                    charge = self._pending_charge
-                    self._pending_charge = 0.0
-                    yield from self._busy(charge)
-        except Interrupt:
-            self.state = WorkerState.CRASHED
-            self.metrics.cpu.end()
-            return
-
-    Worker.run = run_with_scheduler_at_start
-    try:
-        results["start_of_loop"] = _run_hermes(
-            HermesConfig(), case, load, n_workers, duration, seed)
-    finally:
-        Worker.run = original_run
-    return results
+    return {arm: _run_hermes(HermesConfig(), case, load, n_workers,
+                             duration, seed, env_hook=hook)
+            for arm, hook in (("end_of_loop", None),
+                              ("start_of_loop", _schedule_at_loop_start))}
 
 
 # ---------------------------------------------------------------------------
 # 3. Two-stage filtering vs single best worker.
 # ---------------------------------------------------------------------------
+
+def _throttle(sync_interval: float, single: bool, env, server, gen) -> None:
+    """Limit each group's scheduler to one run per ``sync_interval``; with
+    ``single`` each run leaves only the best candidate in the bitmap."""
+    for group in server.groups:
+        group.scheduler.schedule_and_sync = _throttled(
+            group.scheduler, sync_interval, single)
+
+
+def _throttled(scheduler, sync_interval: float, single: bool):
+    sync = scheduler.schedule_and_sync
+    last = -1e9
+
+    def schedule_and_sync():
+        nonlocal last
+        now = scheduler._clock()
+        if now - last < sync_interval:
+            # No sync this iteration — the kernel keeps dispatching on
+            # the previous decision.
+            return _skipped(scheduler)
+        last = now
+        result = sync()
+        if single:
+            snapshot = scheduler.wst.read_all()
+            selected = scheduler.select_workers(snapshot, now)
+            if selected:
+                best = min(selected,
+                           key=lambda w: (snapshot.conns[w],
+                                          snapshot.events[w]))
+                rank = {w: i for i, w in enumerate(scheduler.worker_ids)}
+                scheduler.sel_map.update_from_user(
+                    scheduler.sel_key, bitmap_from_ids([rank[best]]))
+        return result
+
+    return schedule_and_sync
+
 
 def run_single_worker_ablation(
         case: str = "case1", load: str = "medium", n_workers: int = 8,
@@ -140,47 +181,13 @@ def run_single_worker_ablation(
     it.  We throttle kernel syncs to one per ``sync_interval`` per group
     (reproducing the production update:arrival ratio) and compare passing
     the full candidate set against passing only the best worker."""
-    from ..core.scheduler import CascadingScheduler
-
-    original = CascadingScheduler.schedule_and_sync
-
-    from ..core.scheduler import ScheduleResult
-
-    def throttled(single: bool):
-        def schedule_and_sync(self):
-            now = self._clock()
-            last = getattr(self, "_last_sync", -1e9)
-            if now - last < sync_interval:
-                # No sync this iteration — the kernel keeps dispatching on
-                # the previous decision.
-                return ScheduleResult(bitmap=self.last_bitmap, n_selected=0,
-                                      n_workers=len(self.worker_ids),
-                                      cpu_cost=0.0)
-            self._last_sync = now
-            result = original(self)
-            if single:
-                snapshot = self.wst.read_all()
-                selected = self.select_workers(snapshot, now)
-                if selected:
-                    best = min(selected,
-                               key=lambda w: (snapshot.conns[w],
-                                              snapshot.events[w]))
-                    rank = {w: i for i, w in enumerate(self.worker_ids)}
-                    self.sel_map.update_from_user(
-                        self.sel_key, bitmap_from_ids([rank[best]]))
-            return result
-        return schedule_and_sync
-
     results = {}
     for name, single, min_workers in (("candidate_set", False, 2),
                                       ("single_worker", True, 1)):
-        CascadingScheduler.schedule_and_sync = throttled(single)
-        try:
-            results[name] = _run_hermes(
-                HermesConfig(min_workers=min_workers), case, load,
-                n_workers, duration, seed)
-        finally:
-            CascadingScheduler.schedule_and_sync = original
+        results[name] = _run_hermes(
+            HermesConfig(min_workers=min_workers), case, load,
+            n_workers, duration, seed,
+            env_hook=partial(_throttle, sync_interval, single))
     return results
 
 

@@ -44,9 +44,8 @@ class LagEffectResult:
 
 def run_fig3(mode: NotificationMode = NotificationMode.EXCLUSIVE,
              n_workers: int = 8, n_connections: int = 400,
-             connect_window: float = 2.0, quiet_until: float = 4.0,
-             surge_at: float = 4.0, surge_requests: int = 3,
-             seed: int = 17) -> LagEffectResult:
+             connect_window: float = 2.0, surge_at: float = 4.0,
+             surge_requests: int = 3, seed: int = 17) -> LagEffectResult:
     """Establish, idle, surge; measure the amplification."""
     # Background trickle (the paper's 'normal' latency regime) — small
     # requests at modest rate throughout.

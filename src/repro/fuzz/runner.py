@@ -2,7 +2,8 @@
 driver.
 
 :func:`run_scenario` is the deterministic unit: build the trace, build
-the target (one device or a fleet), arm invariant monitors + live
+the target (one device through :func:`repro.cell.build_cell` or a fleet
+through :func:`repro.fleet.build_fleet`), arm invariant monitors + live
 oracles + the fault injector (+ the optional deliberate-corruption
 drill), replay, and report a JSON-safe document.  The same scenario dict
 always yields the same document, byte for byte — which is what lets
@@ -47,43 +48,38 @@ def run_scenario(scenario: Scenario) -> Dict[str, Any]:
     from ..check.invariants import InvariantViolation, corrupt_bitmap, watch
     from ..check.oracles import OracleMismatch
     from ..check.pcc import watch_fleet
+    from ..cell import build_cell
     from ..faults.injector import FaultInjector
-    from ..fleet import Fleet, fleet_instance
+    from ..fleet import build_fleet
     from ..kernel.nic import Nic
-    from ..lb.server import LBServer, NotificationMode
-    from ..sim.engine import Environment
+    from ..lb.server import NotificationMode
+    from ..workloads.generator import WorkloadSpec
 
-    env = Environment()
-    registry = RngRegistry(scenario.seed)
     tracer = check_tracer()
-    trace = build_scenario_trace(scenario, registry)
-    hash_seed = registry.stream("hash").randrange(2 ** 32)
-    ports = _trace_ports(trace)
+    trace = build_scenario_trace(scenario, RngRegistry(scenario.seed))
+    # The trace is the traffic: the spec only names its ports, and the
+    # cell's generator is never started.
+    spec = WorkloadSpec(name=scenario.name, conn_rate=0.0, duration=0.0,
+                        factory=None, ports=_trace_ports(trace))
 
     fleet = None
     if scenario.is_fleet:
-        fleet = Fleet(env, [fleet_instance(env, index, hash_seed,
-                                           n_workers=scenario.n_workers,
-                                           ports=ports, mode=scenario.mode,
-                                           tracer=tracer)
-                            for index in range(scenario.n_instances)],
-                      policy=scenario.policy, hash_seed=hash_seed,
-                      tracer=tracer)
-        fleet.start()
-        target: Any = fleet
+        cell = build_fleet(spec, scenario.mode, scenario.seed,
+                           n_instances=scenario.n_instances,
+                           n_workers=scenario.n_workers,
+                           policy=scenario.policy, ingress="ecmp",
+                           tracer=tracer)
+        fleet = cell.server
         monitor: Any = watch_fleet(fleet)
         drill_host = fleet.instances[0]
     else:
-        server = LBServer(env, n_workers=scenario.n_workers, ports=ports,
-                          mode=NotificationMode(scenario.mode),
-                          hash_seed=hash_seed,
-                          nic=Nic(n_queues=scenario.n_workers,
-                                  hash_seed=hash_seed),
+        cell = build_cell(spec, NotificationMode(scenario.mode),
+                          scenario.seed, n_workers=scenario.n_workers,
+                          nic=Nic(n_queues=scenario.n_workers),
                           tracer=tracer)
-        server.start()
-        target = server
-        monitor = watch(server)
-        drill_host = server
+        monitor = watch(cell.server)
+        drill_host = cell.server
+    env, target = cell.env, cell.server
 
     drill_armed = False
     if scenario.drill is not None:

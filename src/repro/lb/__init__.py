@@ -24,13 +24,12 @@ __all__ = [
     "Worker",
     "WorkerMetrics",
     "WorkerState",
-    "stddev",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".backend": ("BackendPool", "BackendServer"),
     ".dispatcher": ("DispatcherWorker",),
-    ".metrics": ("DeviceMetrics", "WorkerMetrics", "stddev"),
+    ".metrics": ("DeviceMetrics", "WorkerMetrics"),
     ".modes": ("ArchitectureSpec", "ModeOptions", "get_mode", "iter_modes",
                "mode_names", "register_mode"),
     ".probes": ("ProbeReport", "Prober"),

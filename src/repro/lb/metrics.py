@@ -8,24 +8,15 @@ event statistics (Figs. 4 & 5), and failure counters.
 
 from __future__ import annotations
 
-import math
 from array import array
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
 
-from .._sum import left_sum
+from ..analysis.stats import population_sd
 from ..sim.engine import Environment
 from ..sim.monitor import BusyTracker, Samples, TimeWeighted
 
-__all__ = ["WorkerMetrics", "DeviceMetrics", "stddev"]
-
-
-def stddev(values: List[float]) -> float:
-    """Population standard deviation (0 for fewer than 2 values)."""
-    if len(values) < 2:
-        return 0.0
-    mean = left_sum(values) / len(values)
-    return math.sqrt(left_sum((v - mean) ** 2 for v in values) / len(values))
+__all__ = ["WorkerMetrics", "DeviceMetrics"]
 
 
 class WorkerMetrics:
@@ -137,11 +128,11 @@ class DeviceMetrics:
 
     def cpu_sd(self) -> float:
         """SD of per-worker CPU utilization (Fig. 13 left)."""
-        return stddev(self.cpu_utilizations())
+        return population_sd(self.cpu_utilizations())
 
     def conn_sd(self) -> float:
         """SD of per-worker connection counts (Fig. 13 right)."""
-        return stddev(self.connection_counts())
+        return population_sd(self.connection_counts())
 
     def cpu_spread(self) -> float:
         """max - min core utilization (Table 2's imbalance measure)."""

@@ -220,20 +220,6 @@ class Worker:
         return total
 
     # -- Hermes instrumentation helpers --------------------------------------
-    def _hermes_touch(self) -> None:
-        if self.hermes is None:
-            return
-        self.hermes.group.wst.touch_timestamp(self.hermes.rank)
-        if self.config.charge_overhead:
-            self._pending_charge += self.config.costs.counter_update
-
-    def _hermes_events(self, delta: int) -> None:
-        if self.hermes is None:
-            return
-        self.hermes.group.wst.add_events(self.hermes.rank, delta)
-        if self.config.charge_overhead:
-            self._pending_charge += self.config.costs.counter_update
-
     def _hermes_conns(self, delta: int) -> None:
         if self.hermes is None:
             return
@@ -259,9 +245,8 @@ class Worker:
     def _busy(self, duration: float):
         """Consume ``duration`` seconds of this worker's core.
 
-        This class's own loop and handlers inline it; the splice engine,
-        :class:`~repro.lb.dispatcher.DispatcherWorker` and the placement
-        ablation's copy of the loop call it.
+        This class's own loop and handlers inline it; the splice engine
+        and :class:`~repro.lb.dispatcher.DispatcherWorker` call it.
         """
         self.metrics.cpu.begin()
         yield duration  # direct timer: same ordering, no Timeout object
@@ -269,9 +254,9 @@ class Worker:
 
     # -- the event loop (Fig. 9) ---------------------------------------------
     def run(self):
-        # The loop inlines the _hermes_* helpers and _busy (the same calls,
-        # charges and direct timers, in the same order): one iteration runs
-        # on every wake, including each 5 ms epoll_wait timeout.
+        # The loop inlines the WST updates, the untraced scheduler run and
+        # _busy (direct timers, no generator): one iteration runs on every
+        # wake, including each 5 ms epoll_wait timeout.
         cpu = self.metrics.cpu
         wait = self.epoll.wait
         config = self.config

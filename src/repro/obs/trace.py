@@ -21,7 +21,6 @@ which is robust to interleaving across workers.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from itertools import count
 from typing import Any, Dict, List, Optional
 
@@ -94,24 +93,19 @@ class Tracer:
     keep_events:
         When False the tracer keeps no unbounded event list — flight-
         recorder-only mode, for long or crash-prone runs.
-    enabled:
-        Master switch; a disabled tracer drops events at the door.
     """
 
-    __slots__ = ("_env", "recorder", "keep_events", "enabled", "events",
-                 "ctx", "_seq", "_rid", "dropped")
+    __slots__ = ("_env", "recorder", "keep_events", "events", "ctx",
+                 "_seq", "_rid")
 
-    def __init__(self, env=None, recorder=None, keep_events: bool = True,
-                 enabled: bool = True):
+    def __init__(self, env=None, recorder=None, keep_events: bool = True):
         self._env = env
         self.recorder = recorder
         self.keep_events = keep_events
-        self.enabled = enabled
         self.events: List[TraceEvent] = []
         self.ctx = TraceContext()
         self._seq = count()
         self._rid = count(1)
-        self.dropped = 0
 
     # -- wiring ----------------------------------------------------------
     def bind(self, env) -> "Tracer":
@@ -136,10 +130,7 @@ class Tracer:
     def _emit(self, name: str, cat: str, phase: str,
               worker: Optional[int], conn: Optional[int],
               request: Optional[int],
-              fields: Optional[Dict[str, Any]]) -> Optional[TraceEvent]:
-        if not self.enabled:
-            self.dropped += 1
-            return None
+              fields: Optional[Dict[str, Any]]) -> TraceEvent:
         ctx = self.ctx.current
         if ctx:
             if worker is None:
@@ -159,50 +150,23 @@ class Tracer:
     def instant(self, name: str, cat: str = CAT_WORKER,
                 worker: Optional[int] = None, conn: Optional[int] = None,
                 request: Optional[int] = None,
-                **fields: Any) -> Optional[TraceEvent]:
+                **fields: Any) -> TraceEvent:
         """Emit a point-in-time event."""
         return self._emit(name, cat, "i", worker, conn, request, fields)
 
     def begin(self, name: str, cat: str = CAT_WORKER,
               worker: Optional[int] = None, conn: Optional[int] = None,
               request: Optional[int] = None,
-              **fields: Any) -> Optional[TraceEvent]:
+              **fields: Any) -> TraceEvent:
         """Open a span (matched by ``end`` with the same name/ids)."""
         return self._emit(name, cat, "B", worker, conn, request, fields)
 
     def end(self, name: str, cat: str = CAT_WORKER,
             worker: Optional[int] = None, conn: Optional[int] = None,
             request: Optional[int] = None,
-            **fields: Any) -> Optional[TraceEvent]:
+            **fields: Any) -> TraceEvent:
         """Close the innermost open span with this name."""
         return self._emit(name, cat, "E", worker, conn, request, fields)
 
-    @contextmanager
-    def span(self, name: str, cat: str = CAT_WORKER,
-             worker: Optional[int] = None, conn: Optional[int] = None,
-             request: Optional[int] = None, **fields: Any):
-        """``with tracer.span("x"): ...`` for synchronous (non-yielding)
-        regions.  Generator-based processes must use begin/end explicitly."""
-        self.begin(name, cat, worker=worker, conn=conn, request=request,
-                   **fields)
-        try:
-            yield self
-        finally:
-            self.end(name, cat, worker=worker, conn=conn, request=request)
-
-    # -- management --------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def clear(self) -> None:
-        self.events.clear()
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "on" if self.enabled else "off"
-        return f"<Tracer {state} events={len(self.events)}>"
+        return f"<Tracer events={len(self.events)}>"

@@ -2,20 +2,23 @@
 
 import pytest
 
-from repro.lb.metrics import DeviceMetrics, WorkerMetrics, stddev
+from repro.analysis import population_sd
+from repro.lb.metrics import DeviceMetrics, WorkerMetrics
 from repro.sim import Environment
 
 
 class TestStddev:
+    """The population SD behind ``cpu_sd`` and ``conn_sd``."""
+
     def test_empty_and_single(self):
-        assert stddev([]) == 0.0
-        assert stddev([5.0]) == 0.0
+        assert population_sd([]) == 0.0
+        assert population_sd([5.0]) == 0.0
 
     def test_known_value(self):
-        assert stddev([2, 4, 4, 4, 5, 5, 7, 9]) == pytest.approx(2.0)
+        assert population_sd([2, 4, 4, 4, 5, 5, 7, 9]) == pytest.approx(2.0)
 
     def test_uniform_is_zero(self):
-        assert stddev([3.0] * 10) == 0.0
+        assert population_sd([3.0] * 10) == 0.0
 
 
 class TestDeviceMetrics:

@@ -1,4 +1,4 @@
-"""Tests for the tracer core: events, spans, context, zero-cost disable."""
+"""Tests for the tracer core: events, context, recorder-only mode."""
 
 from repro.obs import CAT_KERNEL, CAT_WORKER, Tracer
 from repro.obs.context import TraceContext
@@ -45,44 +45,8 @@ class TestTracerBasics:
         tracer = Tracer().bind(env)
         assert tracer.now == env.now
 
-    def test_span_emits_begin_end_pair(self):
-        clock = Clock(1.0)
-        tracer = Tracer(env=clock)
-        with tracer.span("sched.decision", "sched", worker=2):
-            clock.now = 1.5
-        begin, end = tracer.events
-        assert (begin.phase, end.phase) == ("B", "E")
-        assert begin.name == end.name == "sched.decision"
-        assert begin.worker == end.worker == 2
-        assert (begin.ts, end.ts) == (1.0, 1.5)
-
-    def test_span_closes_on_exception(self):
-        tracer = Tracer(env=Clock())
-        try:
-            with tracer.span("x"):
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert [e.phase for e in tracer.events] == ["B", "E"]
-
 
 class TestDisabledTracer:
-    def test_disabled_emits_nothing(self):
-        tracer = Tracer(env=Clock(), enabled=False)
-        assert tracer.instant("x") is None
-        assert tracer.begin("y") is None
-        assert tracer.end("y") is None
-        assert tracer.events == []
-        assert tracer.dropped == 3
-
-    def test_enable_disable_toggle(self):
-        tracer = Tracer(env=Clock())
-        tracer.disable()
-        tracer.instant("dropped")
-        tracer.enable()
-        tracer.instant("kept")
-        assert [e.name for e in tracer.events] == ["kept"]
-
     def test_keep_events_false_forwards_to_recorder_only(self):
         from repro.obs import FlightRecorder
         recorder = FlightRecorder(capacity=8)
@@ -142,9 +106,3 @@ class TestContext:
             with ctx.scope(conn=2):
                 assert ctx.current["conn"] == 2
             assert ctx.current["conn"] == 1
-
-    def test_clear_resets_events(self):
-        tracer = Tracer(env=Clock())
-        tracer.instant("x")
-        tracer.clear()
-        assert len(tracer) == 0

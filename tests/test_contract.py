@@ -24,12 +24,15 @@ pin test fail until it does.
 
 ``test_devices_are_built_by_build_cell`` keeps device assembly in one
 place: only the files ``LBSERVER_CALLS`` names may construct an
-``LBServer`` themselves.
+``LBServer`` themselves.  ``test_fleets_are_built_by_build_fleet`` does
+the same for ``Fleet`` and ``FLEET_CALLS``.
 """
 
 import ast
 import copy
 import hashlib
+import importlib
+import inspect
 import json
 import os
 from pathlib import Path
@@ -225,27 +228,123 @@ LBSERVER_CALLS = {
     "experiments/pool_capacity.py": (1, "no generator: connections fed by "
                                         "hand"),
     "fleet/fleet.py": (1, "fleet_instance: every fleet instance"),
-    "fuzz/runner.py": (1, "traffic is a TraceReplayer, not a generator"),
+}
+
+#: ``src/repro`` file -> (``Fleet(...)`` calls it may make, why).  Every
+#: other fleet is assembled by :func:`repro.fleet.build_fleet`.
+FLEET_CALLS = {
+    "fleet/fleet.py": (1, "build_fleet, the builder itself"),
+    "experiments/fig11.py": (1, "the canary fleet, which moves onto "
+                                "build_fleet with the long-lived "
+                                "population's re-pin"),
 }
 
 
-def _lbserver_calls(path: Path) -> int:
+def _calls(path: Path, name: str) -> int:
     tree = ast.parse(path.read_text(), filename=str(path))
     return sum(1 for node in ast.walk(tree)
                if isinstance(node, ast.Call)
-               and (getattr(node.func, "id", None) == "LBServer"
-                    or getattr(node.func, "attr", None) == "LBServer"))
+               and (getattr(node.func, "id", None) == name
+                    or getattr(node.func, "attr", None) == name))
 
 
-def test_devices_are_built_by_build_cell():
+def _calls_per_file(name: str) -> dict:
     root = Path(__file__).resolve().parents[1] / "src" / "repro"
     calls = {}
     for path in sorted(root.rglob("*.py")):
-        count = _lbserver_calls(path)
+        count = _calls(path, name)
         if count:
             calls[path.relative_to(root).as_posix()] = count
-    assert calls == {name: count
-                     for name, (count, _) in LBSERVER_CALLS.items()}
+    return calls
+
+
+def test_devices_are_built_by_build_cell():
+    assert _calls_per_file("LBServer") == {
+        name: count for name, (count, _) in LBSERVER_CALLS.items()}
+
+
+def test_fleets_are_built_by_build_fleet():
+    assert _calls_per_file("Fleet") == {
+        name: count for name, (count, _) in FLEET_CALLS.items()}
+
+
+#: ``src/repro`` file -> why it may assign to an attribute of a class it
+#: imports.  Everything else perturbs a run through its own instances,
+#: as the ablations' ``env_hook``s do.  A class's own module may still set
+#: its own class attributes (``kernel/socket.py``'s id counters).
+CLASS_PATCHERS = {
+    "check/oracles.py": "live_oracles, the differential-check seam",
+}
+
+
+def _imported_names(tree: ast.AST, package: str) -> dict:
+    """Local name -> object for every import in a module, at any depth."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package)
+            module = importlib.import_module(base)
+            for alias in node.names:
+                obj = getattr(module, alias.name, None)
+                if obj is None:  # a submodule not yet imported
+                    obj = importlib.import_module(f"{base}.{alias.name}")
+                names[alias.asname or alias.name] = obj
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                module = importlib.import_module(alias.name)
+                if alias.asname:
+                    names[alias.asname] = module
+                else:
+                    top = alias.name.partition(".")[0]
+                    names[top] = importlib.import_module(top)
+    return names
+
+
+def _assigned_attributes(tree: ast.AST):
+    """Every ``X.attr`` a module assigns, deletes or ``setattr``s."""
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets += node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets.append(node.target)
+        elif (isinstance(node, ast.Call) and node.args
+              and getattr(node.func, "id", None) in ("setattr", "delattr")):
+            targets.append(ast.Attribute(value=node.args[0], attr="?",
+                                         lineno=node.lineno))
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        elif isinstance(target, ast.Attribute):
+            yield target
+
+
+def _resolve(expr: ast.AST, names: dict):
+    if isinstance(expr, ast.Name):
+        return names.get(expr.id)
+    if isinstance(expr, ast.Attribute):
+        return getattr(_resolve(expr.value, names), expr.attr, None)
+    return None
+
+
+def test_no_module_patches_an_imported_class():
+    src = Path(__file__).resolve().parents[1] / "src"
+    patchers = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        package = ".".join(path.relative_to(src).parent.parts)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = _imported_names(tree, package)
+        for target in _assigned_attributes(tree):
+            owner = _resolve(target.value, names)
+            if inspect.isclass(owner):
+                patchers.setdefault(
+                    path.relative_to(src / "repro").as_posix(), []).append(
+                    f"{target.lineno}: {owner.__name__}.{target.attr}")
+    assert set(patchers) == set(CLASS_PATCHERS), patchers
 
 
 class _Recording(dict):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.golden import fingerprint
 from repro.sim import Environment
 from repro.sim.rng import RngRegistry
 from repro.workloads import (
@@ -35,6 +36,15 @@ class TestRegistry:
     def test_unknown_family_raises(self):
         with pytest.raises(KeyError, match="unknown workload family"):
             build_family_trace("nope", {}, RngRegistry(1).stream("x"))
+
+
+@pytest.mark.pin
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_default_trace_is_pinned(name, pin):
+    """Each family's trace at its defaults, as the fuzzer draws it from a
+    ``"workload"`` stream."""
+    trace = FAMILIES[name].build({}, RngRegistry(7).stream("workload"))
+    pin(f"family/{name}", fingerprint(trace.to_dict()))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
