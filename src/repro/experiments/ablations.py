@@ -32,7 +32,7 @@ from ..core.scheduler import ScheduleResult
 from ..lb.server import NotificationMode
 from ..workloads.cases import build_case_workload
 from .common import CellResult, run_spec
-from .registry import CellSpec, ExperimentSpec, check_claims, register
+from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = [
     "run_filter_order_ablation",
@@ -365,11 +365,6 @@ def _run_cell(cell):
                 rendered=_update_channel_line(cost))
 
 
-def _merge(cells, docs):
-    return {"cells": {cell.key: doc for cell, doc in zip(cells, docs)},
-            "rendered": "\n".join(doc["rendered"] for doc in docs)}
-
-
 def _avg(results, arm) -> str:
     return f"{arm} {results[arm]['avg_ms']:.2f} ms"
 
@@ -436,10 +431,8 @@ def _claims(merged):
     ))
 
 
-register(ExperimentSpec(
-    name="ablations", title="Design-choice ablations (§5 discussion)",
-    cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=97,
-    claims=_claims,
+lined_experiment(
+    "ablations", "Design-choice ablations (§5 discussion)",
+    _cells, _run_cell, default_seed=97, claims=_claims,
     tunables={"n_workers": "workers behind every ablation device",
-              "duration_scale": "multiplier on every section's duration"}))
+              "duration_scale": "multiplier on every section's duration"})

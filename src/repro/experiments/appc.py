@@ -11,10 +11,10 @@ The >64-worker concern (§7): with 128 workers, Hermes builds two 64-wide
 groups, each with its own WST and 64-bit atomic word, selected by a level-1
 flow hash.
 
-Case 2 (shuffle sharding, :mod:`repro.cluster.sharding`): an abusive
-tenant's monster requests degrade an innocent tenant on shared devices
-until the sandbox migration quarantines it, and the three-phase overload
-ladder grows a tenant's capacity.
+Case 2 (shuffle sharding): an abusive tenant's monster requests degrade
+an innocent tenant on a shared device until the sandbox migration
+quarantines it, and the three-phase overload ladder grows a tenant's
+capacity.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Dict, List, Tuple
 from .._sum import left_sum
 from ..analysis.stats import jains_fairness
 from ..cell import build_cell
-from ..cluster.sharding import ShuffleShardedFleet
 from ..core.config import HermesConfig
 from ..kernel.tcp import Connection
 from ..lb.server import LBServer, NotificationMode
@@ -34,7 +33,7 @@ from ..sim.rng import RngRegistry
 from ..workloads.cases import build_case_workload
 from ..workloads.distributions import FixedFactory
 from ..workloads.generator import client_four_tuple
-from .registry import CellSpec, Claim, ExperimentSpec, check_claims, register
+from .registry import CellSpec, Claim, check_claims, lined_experiment
 
 __all__ = ["GroupLocalityResult", "run_group_locality",
            "WideDeviceResult", "run_wide_device", "run_sandbox_isolation",
@@ -123,26 +122,25 @@ def run_wide_device(n_workers: int = 128, duration: float = 2.0,
 def run_sandbox_isolation(seed: int = 91) -> Dict[str, Dict[str, float]]:
     """An abusive tenant's 80 ms requests share the one device of an
     innocent tenant's 0.5 ms requests until the abuser is migrated to a
-    sandbox at t=4 s.  Returns the innocent tenant's request count and
-    average latency per phase: ``before`` the migration, the ``drain``
+    sandbox device at t=4 s.  Returns the innocent tenant's request count
+    and average latency per phase: ``before`` the migration, the ``drain``
     window while the shared device works off the abuser's backlog, and
     ``after``."""
     env = Environment()
     registry = RngRegistry(seed)
 
-    def make_device(name):
-        return LBServer(env, n_workers=2, ports=[443],
-                        mode=NotificationMode.HERMES, name=name,
-                        hash_seed=registry.stream(
-                            f"h:{name}").randrange(2 ** 32))
+    def start_device(name):
+        device = LBServer(env, n_workers=2, ports=[443],
+                          mode=NotificationMode.HERMES, name=name,
+                          hash_seed=registry.stream(
+                              f"h:{name}").randrange(2 ** 32))
+        device.start()
+        return device
 
-    # One group shared by both tenants: worst-case co-location.
-    fleet = ShuffleShardedFleet(env, registry.stream("fleet"), make_device,
-                                n_groups=1, devices_per_group=1,
-                                groups_per_tenant=1)
+    # Both tenants on one shared device: worst-case co-location.
     abusive, innocent = 0, 1
-    fleet.place_tenant(abusive)
-    fleet.place_tenant(innocent)
+    shared = start_device("fleet-dev1")
+    device_of = {abusive: shared, innocent: shared}
     conn_rng = registry.stream("conns")
     latencies: Dict[str, List[float]] = {"before": [], "drain": [],
                                          "after": []}
@@ -153,9 +151,10 @@ def run_sandbox_isolation(seed: int = 91) -> Dict[str, Dict[str, float]]:
             while True:
                 conn = Connection(client_four_tuple(conn_rng, 1 << 20, 443),
                                   tenant_id=tenant, created_time=env.now)
-                if fleet.connect(conn):
+                device = device_of[tenant]
+                if device.connect(conn):
                     request = factory.build(conn_rng, tenant_id=tenant)
-                    fleet.deliver(conn, request)
+                    device.deliver(conn, request)
                     if tenant == innocent:
                         def record(req=request, bucket=phase[0]):
                             if req.latency is not None:
@@ -169,7 +168,8 @@ def run_sandbox_isolation(seed: int = 91) -> Dict[str, Dict[str, float]]:
     drive(innocent, FixedFactory(event_times=(0.0005,)), 0.020)
 
     def migrate():
-        fleet.migrate_to_sandbox(abusive)
+        # New connections only: open ones stay on the shared device.
+        device_of[abusive] = start_device("fleet-dev2")
         phase[0] = "drain"
 
     env.schedule_callback(4.0, migrate)
@@ -181,25 +181,30 @@ def run_sandbox_isolation(seed: int = 91) -> Dict[str, Dict[str, float]]:
             for bucket, values in latencies.items()}
 
 
-def run_phased_scaling(seed: int = 93) -> List[Tuple[str, int, int]]:
-    """Walk one tenant up the three-phase overload ladder on a fleet of
-    four one-device groups; ``(phase, tenant capacity in cores, fleet
-    devices)`` per step, starting from the initial placement."""
-    env = Environment()
+def run_phased_scaling() -> List[Tuple[str, int, int]]:
+    """App. C's three-phase overload ladder, applied to device counts:
+    four one-device groups of two-worker devices, one tenant on one group.
+    Phase 1 joins another existing group, phase 2 adds a device to a group
+    the tenant has, phase 3 provisions a new group.  ``(phase, tenant
+    capacity in cores, fleet devices)`` per step, starting from the
+    initial placement; the policy's arithmetic, not a simulated run."""
+    workers_per_device = 2
+    group_devices = [1, 1, 1, 1]
+    tenant_groups = [0]
 
-    def make_device(name):
-        return LBServer(env, n_workers=2, ports=[443],
-                        mode=NotificationMode.HERMES, name=name)
+    def step(label):
+        capacity = workers_per_device * sum(group_devices[g]
+                                            for g in tenant_groups)
+        return (label, capacity, sum(group_devices))
 
-    fleet = ShuffleShardedFleet(env, RngRegistry(seed).stream("fleet"),
-                                make_device, n_groups=4,
-                                devices_per_group=1, groups_per_tenant=1)
-    fleet.place_tenant(0)
-    steps = [("initial", fleet.tenant_capacity(0), fleet.total_devices)]
-    for _ in range(3):
-        phase = fleet.handle_overload(0)
-        steps.append((f"phase{phase}", fleet.tenant_capacity(0),
-                      fleet.total_devices))
+    steps = [step("initial")]
+    tenant_groups.append(1)
+    steps.append(step("phase1"))
+    group_devices[tenant_groups[0]] += 1
+    steps.append(step("phase2"))
+    group_devices.append(1)
+    tenant_groups.append(len(group_devices) - 1)
+    steps.append(step("phase3"))
     return steps
 
 
@@ -250,7 +255,7 @@ def _run_cell(cell):
         phases = run_sandbox_isolation(seed=cell.seed)
         return {"phases": phases, "rendered": _sandbox_line(phases)}
     if cell.key == "phased_scaling":
-        steps = run_phased_scaling(seed=cell.seed)
+        steps = run_phased_scaling()
         return {"steps": steps, "rendered": _phased_line(steps)}
     if cell.key == "wide":
         wide = run_wide_device(n_workers=p["n_workers"],
@@ -260,11 +265,6 @@ def _run_cell(cell):
                            n_ports=p["n_ports"], duration=p["duration"],
                            seed=cell.seed)
     return dict(asdict(r), rendered=_locality_line(r))
-
-
-def _merge(cells, docs):
-    return {"cells": {cell.key: doc for cell, doc in zip(cells, docs)},
-            "rendered": "\n".join(doc["rendered"] for doc in docs)}
 
 
 def _group_claims(groups) -> Tuple[Claim, ...]:
@@ -328,14 +328,12 @@ def _claims(merged):
     ))
 
 
-register(ExperimentSpec(
-    name="appc", title="Group scheduling: locality vs balance (App. C)",
-    cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=83,
-    claims=_claims,
+lined_experiment(
+    "appc", "Group scheduling: locality vs balance (App. C)",
+    _cells, _run_cell, default_seed=83, claims=_claims,
     tunables={"group_sizes": "worker-group sizes (default: 1, 2, 4, 8)",
               "n_workers": "workers behind the locality device",
               "n_ports": "listening ports on the locality device",
               "duration": "locality workload duration (s)",
               "wide_workers": "workers on the wide device (default 128)",
-              "wide_duration": "wide-device workload duration (s)"}))
+              "wide_duration": "wide-device workload duration (s)"})

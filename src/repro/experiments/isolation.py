@@ -18,9 +18,9 @@ We report the small tenant's P99 and 499 (client-timeout) rate per mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ..lb.server import LBServer, NotificationMode
-from ..sim.engine import Environment
-from ..sim.rng import RngRegistry
+
+from ..cell import build_cell
+from ..lb.server import NotificationMode
 from ..workloads.distributions import QuantileSampler, RequestFactory
 from ..workloads.generator import TrafficGenerator, WorkloadSpec
 from .registry import CellSpec, check_claims, lined_experiment
@@ -48,13 +48,13 @@ class IsolationResult:
 def run_isolation(mode: NotificationMode, n_workers: int = 8,
                   duration: float = 4.0, seed: int = 71,
                   client_deadline: float = 0.2) -> IsolationResult:
-    env = Environment()
-    registry = RngRegistry(seed)
-    server = LBServer(env, n_workers=n_workers,
-                      ports=[SMALL_TENANT_PORT, WHALE_TENANT_PORT],
-                      mode=mode,
-                      hash_seed=registry.stream("hash").randrange(2 ** 32))
-    server.start()
+    # Each tenant's generator names its own port; the cell's spec names
+    # both, and the cell's own generator is never started.
+    spec = WorkloadSpec(name="tenants", conn_rate=0.0, duration=0.0,
+                        factory=None,
+                        ports=(SMALL_TENANT_PORT, WHALE_TENANT_PORT))
+    cell = build_cell(spec, mode, seed, n_workers=n_workers)
+    env, registry, server = cell.env, cell.registry, cell.server
 
     # The minnow: tiny requests, long-lived connections, cares about P99.
     small_factory = RequestFactory(

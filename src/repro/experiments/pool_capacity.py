@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..cell import build_cell
 from ..kernel.tcp import Connection
-from ..lb.server import LBServer, NotificationMode
+from ..lb.server import NotificationMode
 from ..lb.worker import ServiceProfile
-from ..sim.engine import Environment
-from ..sim.rng import RngRegistry
-from ..workloads.generator import client_four_tuple
+from ..workloads.generator import WorkloadSpec, client_four_tuple
 from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["PoolCapacityResult", "run_pool_capacity"]
@@ -54,16 +53,16 @@ def run_pool_capacity(mode: NotificationMode, n_workers: int = 8,
     """Offer exactly ``overshoot × n × P`` long-lived connections; ideal
     dispatch establishes all of them, imbalanced dispatch strands some on
     full workers while others keep spare pool slots."""
-    env = Environment()
-    registry = RngRegistry(seed)
-    profile = ServiceProfile(max_connections=pool_size)
-    server = LBServer(env, n_workers=n_workers, ports=[443], mode=mode,
-                      profile=profile, config=config,
-                      hash_seed=registry.stream("hash").randrange(2 ** 32))
-    server.start()
+    # The feeder is the traffic: the spec only names the port, and the
+    # cell's generator is never started.
+    spec = WorkloadSpec(name="pool", conn_rate=0.0, duration=0.0,
+                        factory=None, ports=(443,))
+    cell = build_cell(spec, mode, seed, n_workers=n_workers, config=config,
+                      profile=ServiceProfile(max_connections=pool_size))
+    env, server = cell.env, cell.server
 
     total = int(n_workers * pool_size * overshoot)
-    rng = registry.stream("conns")
+    rng = cell.registry.stream("conns")
     conns: List[Connection] = []
 
     def feeder(env):

@@ -28,7 +28,7 @@ from ..lb.backend import BackendPool
 from ..lb.server import NotificationMode
 from ..sim.rng import RngRegistry
 from ..workloads.generator import WorkloadSpec
-from .registry import CellSpec, ExperimentSpec, check_claims, register
+from .registry import CellSpec, check_claims, lined_experiment
 
 __all__ = ["BackendRrResult", "run_backend_rr",
            "ReuseResult", "run_connection_reuse",
@@ -244,11 +244,6 @@ def _run_cell(cell):
     return dict(asdict(blast), rendered=_blast_line(blast))
 
 
-def _merge(cells, docs):
-    return {"cells": {cell.key: doc for cell, doc in zip(cells, docs)},
-            "rendered": "\n".join(doc["rendered"] for doc in docs)}
-
-
 def _claims(merged):
     return check_claims(merged["cells"], (
         ("synchronized_rr_overloads_head_servers", ["backend_rr"],
@@ -279,10 +274,8 @@ def _claims(merged):
     ))
 
 
-register(ExperimentSpec(
-    name="sec7", title="§7 deployment experiences and crash blast radius",
-    cells=_cells, run_cell=_run_cell, merge=_merge,
-    render=lambda merged: merged["rendered"], default_seed=71,
-    claims=_claims,
+lined_experiment(
+    "sec7", "§7 deployment experiences and crash blast radius",
+    _cells, _run_cell, default_seed=71, claims=_claims,
     tunables={"n_workers": "workers behind the crash-blast device",
-              "n_connections": "connections open at the crash"}))
+              "n_connections": "connections open at the crash"})

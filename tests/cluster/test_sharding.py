@@ -1,160 +1,54 @@
-"""Tests for shuffle sharding and phased overload scaling (App. C case 2)."""
+"""Tests for App. C case 2: the phased overload ladder and the sandbox."""
 
-import pytest
-
-from repro.cluster import ShuffleShardedFleet
-from repro.kernel import Connection, FourTuple, Request
-from repro.lb import LBServer, NotificationMode
-from repro.sim import Environment, RngRegistry
+from repro.experiments import appc
+from repro.lb import LBServer
 
 
-def make_fleet(env=None, **kwargs):
-    env = env or Environment()
-    rng = RngRegistry(59).stream("fleet")
-
-    def make_device(name):
-        return LBServer(env, n_workers=2, ports=[443],
-                        mode=NotificationMode.HERMES, name=name)
-
-    defaults = dict(n_groups=4, devices_per_group=2, groups_per_tenant=2)
-    defaults.update(kwargs)
-    return env, ShuffleShardedFleet(env, rng, make_device, **defaults)
-
-
-def conn(tenant, i=0):
-    return Connection(FourTuple(0x0A000000 + i * 13, 40000 + i * 7,
-                                0xC0A80001, 443),
-                      tenant_id=tenant, created_time=0.0)
-
-
-class TestPlacement:
-    def test_tenant_gets_subset_of_groups(self):
-        env, fleet = make_fleet()
-        placement = fleet.place_tenant(1)
-        assert len(placement.group_ids) == 2
-        assert all(g in fleet.groups for g in placement.group_ids)
-
-    def test_placement_stable(self):
-        env, fleet = make_fleet()
-        assert fleet.place_tenant(1) is fleet.place_tenant(1)
-
-    def test_shuffle_sharding_limits_overlap(self):
-        """With many tenants over 8 groups-of-choose-2, most tenant pairs
-        share few or no devices."""
-        env, fleet = make_fleet(n_groups=8, devices_per_group=1)
-        for tenant in range(20):
-            fleet.place_tenant(tenant)
-        overlaps = [fleet.overlap(a, b)
-                    for a in range(20) for b in range(a + 1, 20)]
-        disjoint = sum(1 for o in overlaps if o == 0)
-        assert disjoint > len(overlaps) * 0.3
-        assert max(overlaps) <= 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            make_fleet(n_groups=0)
-        with pytest.raises(ValueError):
-            make_fleet(groups_per_tenant=99)
-
-
-class TestTraffic:
-    def test_connections_stay_within_placement(self):
-        env, fleet = make_fleet()
-        placement = fleet.place_tenant(7)
-        allowed = {id(d) for d in fleet.devices_for(7)}
-        for i in range(30):
-            c = conn(7, i)
-            assert fleet.connect(c)
-            assert id(fleet._conn_device[c.id]) in allowed
-        env.run(until=0.3)
-
-    def test_deliver_routes_to_owner(self):
-        env, fleet = make_fleet()
-        c = conn(3)
-        fleet.connect(c)
-        env.run(until=0.1)
-        fleet.deliver(c, Request(event_times=(0.001,)))
-        env.run(until=0.3)
-        device = fleet._conn_device[c.id]
-        assert device.metrics.requests_completed == 1
-
-    def test_deliver_unknown_rejected(self):
-        env, fleet = make_fleet()
-        with pytest.raises(KeyError):
-            fleet.deliver(conn(1), Request())
+def ladder():
+    steps = appc.run_phased_scaling()
+    labels = [label for label, _, _ in steps]
+    capacities = [capacity for _, capacity, _ in steps]
+    devices = [count for _, _, count in steps]
+    return labels, capacities, devices
 
 
 class TestEscalation:
     def test_phases_grow_capacity_monotonically(self):
-        env, fleet = make_fleet()
-        fleet.place_tenant(1)
-        capacities = [fleet.tenant_capacity(1)]
-        phases = []
-        for _ in range(3):
-            phases.append(fleet.handle_overload(1))
-            capacities.append(fleet.tenant_capacity(1))
-        assert phases == [1, 2, 3]
+        labels, capacities, _ = ladder()
+        assert labels == ["initial", "phase1", "phase2", "phase3"]
         assert capacities == sorted(capacities)
         assert capacities[-1] > capacities[0]
 
     def test_phase1_uses_existing_groups(self):
-        env, fleet = make_fleet()
-        fleet.place_tenant(1)
-        before_devices = fleet.total_devices
-        fleet.handle_overload(1)
-        assert fleet.total_devices == before_devices  # nothing provisioned
+        _, capacities, devices = ladder()
+        assert capacities[1] > capacities[0]
+        assert devices[1] == devices[0]  # nothing provisioned
 
     def test_phase2_adds_vms(self):
-        env, fleet = make_fleet()
-        fleet.place_tenant(1)
-        fleet.handle_overload(1)
-        before = fleet.total_devices
-        fleet.handle_overload(1)
-        assert fleet.total_devices == before + 1
+        _, capacities, devices = ladder()
+        assert devices[2] == devices[1] + 1
+        assert capacities[2] > capacities[1]
 
     def test_phase3_new_group(self):
-        env, fleet = make_fleet()
-        fleet.place_tenant(1)
-        before_groups = len(fleet.groups)
-        for _ in range(3):
-            fleet.handle_overload(1)
-        assert len(fleet.groups) == before_groups + 1
-
-    def test_overload_without_placement(self):
-        env, fleet = make_fleet()
-        with pytest.raises(KeyError):
-            fleet.handle_overload(99)
+        _, capacities, devices = ladder()
+        assert devices[3] == devices[2] + 1
+        assert capacities[3] > capacities[2]
 
 
 class TestSandbox:
-    def test_migration_isolates_new_connections(self):
-        env, fleet = make_fleet()
-        fleet.place_tenant(5)
-        fleet.place_tenant(6)
-        sandbox = fleet.migrate_to_sandbox(5)
-        assert sandbox.sandbox
-        sandbox_ids = {id(d) for d in sandbox.devices}
-        for i in range(10):
-            c = conn(5, i)
-            fleet.connect(c)
-            assert id(fleet._conn_device[c.id]) in sandbox_ids
-        # The healthy tenant never lands in the sandbox.
-        for i in range(10):
-            c = conn(6, i + 100)
-            fleet.connect(c)
-            assert id(fleet._conn_device[c.id]) not in sandbox_ids
+    def test_migration_isolates_new_connections(self, monkeypatch):
+        built = []
 
-    def test_sandbox_excluded_from_new_placements(self):
-        env, fleet = make_fleet()
-        fleet.migrate_to_sandbox(1)
-        sandbox_group = next(g.group_id for g in fleet.groups.values()
-                             if g.sandbox)
-        for tenant in range(2, 12):
-            placement = fleet.place_tenant(tenant)
-            assert sandbox_group not in placement.group_ids
+        class Capturing(LBServer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
 
-    def test_sandbox_reused_across_migrations(self):
-        env, fleet = make_fleet()
-        first = fleet.migrate_to_sandbox(1)
-        second = fleet.migrate_to_sandbox(2)
-        assert first is second
+        monkeypatch.setattr(appc, "LBServer", Capturing)
+        appc.run_sandbox_isolation(seed=91)
+        shared, sandbox = built
+        served = {device.name: set(device.metrics.tenant_latencies)
+                  for device in built}
+        # The sandbox serves only the abuser (tenant 0); the shared device
+        # served both before the migration.
+        assert served == {shared.name: {0, 1}, sandbox.name: {0}}

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import repro.cell
 from repro.experiments import isolation
 from repro.experiments.common import run_spec
 from repro.kernel import Connection, FourTuple, Request
@@ -77,7 +78,7 @@ class TestTenantView:
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        monkeypatch.setattr(isolation, "LBServer", Capturing)
+        monkeypatch.setattr(repro.cell, "LBServer", Capturing)
         isolation.run_isolation(NotificationMode.HERMES, n_workers=2,
                                 duration=0.3)
         pin("tenant_view/isolation_cell",

@@ -25,7 +25,12 @@ pin test fail until it does.
 ``test_devices_are_built_by_build_cell`` keeps device assembly in one
 place: only the files ``LBSERVER_CALLS`` names may construct an
 ``LBServer`` themselves.  ``test_fleets_are_built_by_build_fleet`` does
-the same for ``Fleet`` and ``FLEET_CALLS``.
+the same for ``Fleet`` and ``FLEET_CALLS``, and
+``test_connections_are_opened_by_the_client_driver`` for ``Connection``
+and ``CONNECTION_CALLS``.  ``test_traffic_targets_are_known`` keeps the
+classes traffic can enter, the ones with both ``connect`` and
+``deliver``, to ``TRAFFIC_TARGETS``: a second fleet class under another
+name fails it.
 """
 
 import ast
@@ -217,16 +222,12 @@ def test_smoke_claims_hold(smoke_name, serial):
 #: other single-device run is assembled by :func:`repro.cell.build_cell`.
 LBSERVER_CALLS = {
     "cell.py": (1, "build_cell, the builder itself"),
-    "experiments/appc.py": (2, "multi-device: the sandbox and phased-scaling "
-                               "fleets"),
+    "experiments/appc.py": (1, "multi-device: the sandbox cell's shared "
+                               "device and the sandbox started at t=4 s"),
     "experiments/fig11.py": (1, "multi-device: the old and new devices of "
                                 "one canary-released fleet"),
     "experiments/figa4.py": (1, "no generator: five hand-placed requests "
                                 "on a fixed hash seed"),
-    "experiments/isolation.py": (1, "listens on two tenants' ports while "
-                                    "each generator's spec names one"),
-    "experiments/pool_capacity.py": (1, "no generator: connections fed by "
-                                        "hand"),
     "fleet/fleet.py": (1, "fleet_instance: every fleet instance"),
 }
 
@@ -240,21 +241,53 @@ FLEET_CALLS = {
 }
 
 
-def _calls(path: Path, name: str) -> int:
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return sum(1 for node in ast.walk(tree)
-               if isinstance(node, ast.Call)
-               and (getattr(node.func, "id", None) == name
-                    or getattr(node.func, "attr", None) == name))
+#: ``src/repro`` file -> (``Connection(...)`` calls it may make, why).
+#: Every other connection is opened by the client driver,
+#: :class:`repro.workloads.generator.TrafficGenerator`.
+CONNECTION_CALLS = {
+    "workloads/generator.py": (2, "the client driver: a connection and "
+                                  "its reconnect after a reset"),
+    "workloads/trace.py": (1, "TraceReplayer: a recorded trace's opens"),
+    "lb/probes.py": (1, "health probes: one loopback connection per "
+                        "worker"),
+    "experiments/appc.py": (1, "the sandbox cell's two tenants, whose "
+                               "device changes mid-run"),
+    "experiments/fig3.py": (1, "the long-lived population the surge "
+                               "lands on"),
+    "experiments/fig11.py": (1, "the canary fleet's long-lived "
+                                "population"),
+    "experiments/figa4.py": (1, "five hand-placed requests"),
+    "experiments/pool_capacity.py": (1, "connections that stay open until "
+                                        "the pools fill"),
+}
+
+#: Class -> ``src/repro`` file, for every class that defines both
+#: ``connect`` and ``deliver``: the things traffic can enter.
+TRAFFIC_TARGETS = {
+    "NetStack": "kernel/tcp.py",
+    "LBServer": "lb/server.py",
+    "Fleet": "fleet/fleet.py",
+    "_Target": "workloads/generator.py",
+}
+
+
+def _modules():
+    """``(src/repro-relative path, parsed module)`` for every file."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    for path in sorted(root.rglob("*.py")):
+        yield (path.relative_to(root).as_posix(),
+               ast.parse(path.read_text(), filename=str(path)))
 
 
 def _calls_per_file(name: str) -> dict:
-    root = Path(__file__).resolve().parents[1] / "src" / "repro"
     calls = {}
-    for path in sorted(root.rglob("*.py")):
-        count = _calls(path, name)
+    for module, tree in _modules():
+        count = sum(1 for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and (getattr(node.func, "id", None) == name
+                         or getattr(node.func, "attr", None) == name))
         if count:
-            calls[path.relative_to(root).as_posix()] = count
+            calls[module] = count
     return calls
 
 
@@ -266,6 +299,22 @@ def test_devices_are_built_by_build_cell():
 def test_fleets_are_built_by_build_fleet():
     assert _calls_per_file("Fleet") == {
         name: count for name, (count, _) in FLEET_CALLS.items()}
+
+
+def test_connections_are_opened_by_the_client_driver():
+    assert _calls_per_file("Connection") == {
+        name: count for name, (count, _) in CONNECTION_CALLS.items()}
+
+
+def test_traffic_targets_are_known():
+    targets = {}
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and {"connect", "deliver"} <= {
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)}:
+                targets[node.name] = module
+    assert targets == TRAFFIC_TARGETS
 
 
 #: ``src/repro`` file -> why it may assign to an attribute of a class it
